@@ -45,6 +45,8 @@ struct CostStats {
   }
 
   void reset() noexcept { *this = CostStats{}; }
+
+  bool operator==(const CostStats&) const = default;
 };
 
 /// RAII hook: while alive, cost evaluations on this thread accumulate into

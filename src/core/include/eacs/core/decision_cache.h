@@ -136,6 +136,8 @@ struct DecisionCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
 
+  bool operator==(const DecisionCacheStats&) const = default;
+
   std::uint64_t lookups() const noexcept { return hits + misses; }
   double hit_rate() const noexcept {
     return lookups() > 0 ? static_cast<double>(hits) /
@@ -160,6 +162,8 @@ struct DecisionCacheState {
 
   DecisionCacheStats stats;
   std::vector<Entry> entries;
+
+  bool operator==(const DecisionCacheState&) const = default;
 };
 
 /// The memoization table. Throws std::invalid_argument on a quantized

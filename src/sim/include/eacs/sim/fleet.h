@@ -189,6 +189,8 @@ struct FleetRegionMetrics {
   /// under kThroughput): cache hits/misses/evictions, plans, model evals.
   /// Deterministic in (config, region index), merged serially by run_fleet.
   core::CostStats planner;
+
+  bool operator==(const FleetRegionMetrics&) const = default;
 };
 
 /// Fleet-wide outcome: streaming moments + reservoir percentiles, no

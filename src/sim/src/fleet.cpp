@@ -6,6 +6,8 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "eacs/core/horizon.h"
@@ -30,15 +32,7 @@ double session_vibration(std::uint64_t seed, int session_id) noexcept {
   return 3.0 * u * u;
 }
 
-/// One scheduled event. Every live session has exactly one pending event
-/// (arrive -> request -> complete -> request -> ...), so events can carry
-/// their slot index and never go stale.
-struct Event {
-  double t_s = 0.0;
-  int session = 0;
-  std::uint8_t kind = 0;  // 0 = arrive, 1 = request, 2 = complete
-  std::uint32_t slot = 0;
-};
+using Event = FleetEventState;
 constexpr std::uint8_t kArrive = 0;
 constexpr std::uint8_t kRequest = 1;
 constexpr std::uint8_t kComplete = 2;
@@ -56,113 +50,29 @@ struct EventAfter {
   }
 };
 
-/// SoA arena for live-session state. All vectors are indexed by slot and
-/// sized to the *live* high-water mark — finished sessions return their slot
-/// to the free list, so a 100k-session run with a few hundred live at a time
-/// allocates a few hundred slots. The bandwidth window is inlined as
-/// slots x K doubles (no per-session allocations).
-struct SessionArena {
-  std::size_t window = 1;
-
-  std::vector<int> session;
-  std::vector<std::size_t> cell;
-  std::vector<std::size_t> next_segment;
-  std::vector<double> arrival_s;
-  std::vector<double> last_event_s;  ///< playback drained up to here
-  std::vector<double> buffer_s;
-  std::vector<std::uint8_t> playing;
-  std::vector<double> startup_s;       ///< set when playback starts
-  std::vector<double> rebuffer_s;      ///< total stall so far
-  std::vector<double> seg_rebuffer_s;  ///< stall since the current request
-  std::vector<double> qoe_sum;
-  std::vector<double> energy_j;
-  std::vector<double> bitrate_sum;
-  std::vector<double> prev_bitrate;
-  std::vector<int> prev_level;  ///< last completed rung (-1 before any)
-  // In-flight transfer (valid between request and complete).
-  std::vector<double> request_s;
-  std::vector<double> size_mb;
-  std::vector<double> level_bitrate;
-  std::vector<std::uint32_t> level;  ///< in-flight rung index
-  // Planner L1: the slot's last canonical decision. Steady-state sessions
-  // canonicalize consecutive requests to the same key, and decisions are a
-  // pure function of the key, so an equal key reuses the level without
-  // probing the shared shard table (a guaranteed cold-cache access at fleet
-  // capacities). Counted as cache hits via count_external_hit().
-  std::vector<core::DecisionKey> last_key;
-  std::vector<std::uint32_t> last_level;
-  std::vector<std::uint8_t> has_last;
-  /// Consecutive failed request attempts (dead region): drives the
-  /// exponential backoff ladder; reset on every successful request.
-  std::vector<std::uint32_t> retries;
-  // Inline harmonic-mean bandwidth window: throughputs[slot*window + i].
-  std::vector<double> throughputs;
-  std::vector<std::size_t> seen;  ///< samples observed (ring write cursor)
-
-  std::vector<std::uint32_t> free_slots;
-
-  explicit SessionArena(std::size_t bandwidth_window)
-      : window(std::max<std::size_t>(1, bandwidth_window)) {}
-
-  std::size_t slots() const noexcept { return session.size(); }
+/// The live-session arena; FleetArenaState holds its columns. A 100k-session
+/// run with a few hundred live at a time allocates a few hundred slots, and
+/// the bandwidth window needs no per-session allocation.
+struct SessionArena : FleetArenaState {
+  explicit SessionArena(std::size_t bandwidth_window) {
+    window = std::max<std::size_t>(1, bandwidth_window);
+  }
 
   std::uint32_t acquire(int id, double now, std::size_t start_cell) {
-    std::uint32_t slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots());
-      session.push_back(0);
-      cell.push_back(0);
-      next_segment.push_back(0);
-      arrival_s.push_back(0.0);
-      last_event_s.push_back(0.0);
-      buffer_s.push_back(0.0);
-      playing.push_back(0);
-      startup_s.push_back(0.0);
-      rebuffer_s.push_back(0.0);
-      seg_rebuffer_s.push_back(0.0);
-      qoe_sum.push_back(0.0);
-      energy_j.push_back(0.0);
-      bitrate_sum.push_back(0.0);
-      prev_bitrate.push_back(0.0);
-      prev_level.push_back(-1);
-      request_s.push_back(0.0);
-      size_mb.push_back(0.0);
-      level_bitrate.push_back(0.0);
-      level.push_back(0);
-      last_key.emplace_back();
-      last_level.push_back(0);
-      has_last.push_back(0);
-      retries.push_back(0);
-      throughputs.resize(throughputs.size() + window, 0.0);
-      seen.push_back(0);
-    }
-    session[slot] = id;
-    cell[slot] = start_cell;
-    next_segment[slot] = 0;
-    arrival_s[slot] = now;
-    last_event_s[slot] = now;
-    buffer_s[slot] = 0.0;
-    playing[slot] = 0;
-    startup_s[slot] = 0.0;
-    rebuffer_s[slot] = 0.0;
-    seg_rebuffer_s[slot] = 0.0;
-    qoe_sum[slot] = 0.0;
-    energy_j[slot] = 0.0;
-    bitrate_sum[slot] = 0.0;
-    prev_bitrate[slot] = 0.0;
-    prev_level[slot] = -1;
-    request_s[slot] = 0.0;
-    size_mb[slot] = 0.0;
-    level_bitrate[slot] = 0.0;
-    level[slot] = 0;
-    has_last[slot] = 0;
-    retries[slot] = 0;
-    std::fill_n(throughputs.begin() + static_cast<std::ptrdiff_t>(slot * window),
-                window, 0.0);
-    seen[slot] = 0;
+    const bool grow = free_slots.empty();
+    const auto slot =
+        grow ? static_cast<std::uint32_t>(slots()) : free_slots.back();
+    if (!grow) free_slots.pop_back();
+    const auto start = [&](const char*, auto& column, const auto& fresh,
+                           std::size_t per_slot) {
+      if (grow) column.resize(column.size() + per_slot);
+      if constexpr (!std::is_same_v<std::decay_t<decltype(fresh)>, Stale>) {
+        std::fill_n(
+            column.begin() + static_cast<std::ptrdiff_t>(slot * per_slot),
+            per_slot, fresh);
+      }
+    };
+    columns(*this, start, id, start_cell, now);
     return slot;
   }
 
@@ -195,6 +105,22 @@ struct Shard {
   ReservoirSampler rebuffer_sample{1};
   P2Quantile median_qoe{0.5};
   P2Quantile median_energy{0.5};
+
+  /// Calls f(aggregator, its state in `ckpt`) for every streaming
+  /// aggregator; capture and restore both walk this list.
+  template <typename Ckpt, typename F>
+  void aggregators(Ckpt& ckpt, F&& f) {
+    f(qoe, ckpt.qoe);
+    f(energy_j, ckpt.energy_j);
+    f(bitrate_mbps, ckpt.bitrate_mbps);
+    f(rebuffer_s, ckpt.rebuffer_s);
+    f(startup_s, ckpt.startup_s);
+    f(qoe_sample, ckpt.qoe_sample);
+    f(energy_sample, ckpt.energy_sample);
+    f(rebuffer_sample, ckpt.rebuffer_sample);
+    f(median_qoe, ckpt.median_qoe);
+    f(median_energy, ckpt.median_energy);
+  }
 };
 
 /// One region's full simulation state: a pure function of (config, region
@@ -233,12 +159,7 @@ struct RegionSim {
   std::vector<core::TaskEnvironment> window_tasks;
   std::vector<std::uint64_t> ladder_ids;  // ladder_ids[w-1]: window size w
 
-  // Overload-shed detector state (DESIGN §14 degradation ladder).
-  bool live_shed = false;
-  bool miss_shed = false;
-  double shed_until_s = 0.0;
-  std::uint64_t window_consults = 0;
-  std::uint64_t window_misses = 0;
+  FleetShedState shed;  // DESIGN §14 degradation ladder
 
   RegionSim(const FleetConfig& config_in, const CellNetwork& network_in,
             const qoe::QoeModel& qoe_model_in,
@@ -411,21 +332,21 @@ struct RegionSim {
       const std::size_t recover =
           r.shed_live_recover > 0 ? r.shed_live_recover
                                   : r.shed_live_threshold / 2;
-      if (live_shed) {
+      if (shed.live_shed) {
         if (live <= recover) {
-          live_shed = false;
+          shed.live_shed = false;
           ++shard.region.policy_recoveries;
         }
       } else if (live >= r.shed_live_threshold) {
-        live_shed = true;
+        shed.live_shed = true;
         ++shard.region.policy_sheds;
       }
     }
-    if (miss_shed && now >= shed_until_s) {
-      miss_shed = false;
+    if (shed.miss_shed && now >= shed.shed_until_s) {
+      shed.miss_shed = false;
       ++shard.region.policy_recoveries;
     }
-    return live_shed || miss_shed;
+    return shed.live_shed || shed.miss_shed;
   }
 
   /// Feeds the trailing-window miss-rate trigger after a planner
@@ -434,18 +355,18 @@ struct RegionSim {
   void note_consultation(bool miss, double now) {
     const FleetResilienceConfig& r = config.resilience;
     if (r.shed_miss_rate_threshold > 1.0 || r.shed_miss_window == 0) return;
-    ++window_consults;
-    if (miss) ++window_misses;
-    if (window_consults >= r.shed_miss_window) {
-      const double rate = static_cast<double>(window_misses) /
-                          static_cast<double>(window_consults);
-      if (!miss_shed && rate >= r.shed_miss_rate_threshold) {
-        miss_shed = true;
-        shed_until_s = now + r.shed_hold_s;
+    ++shed.window_consults;
+    if (miss) ++shed.window_misses;
+    if (shed.window_consults >= r.shed_miss_window) {
+      const double rate = static_cast<double>(shed.window_misses) /
+                          static_cast<double>(shed.window_consults);
+      if (!shed.miss_shed && rate >= r.shed_miss_rate_threshold) {
+        shed.miss_shed = true;
+        shed.shed_until_s = now + r.shed_hold_s;
         ++shard.region.policy_sheds;
       }
-      window_consults = 0;
-      window_misses = 0;
+      shed.window_consults = 0;
+      shed.window_misses = 0;
     }
   }
 
@@ -708,139 +629,79 @@ struct RegionSim {
     FleetRegionCheckpoint ckpt;
     ckpt.region = region;
     ckpt.live = live;
-    while (!heap.empty()) {
-      const Event e = heap.top();
-      heap.pop();
-      ckpt.events.push_back({e.t_s, e.session, e.kind, e.slot});
-    }
-    FleetArenaState& a = ckpt.arena;
-    a.window = arena.window;
-    a.session = arena.session;
-    a.cell = arena.cell;
-    a.next_segment = arena.next_segment;
-    a.arrival_s = arena.arrival_s;
-    a.last_event_s = arena.last_event_s;
-    a.buffer_s = arena.buffer_s;
-    a.playing = arena.playing;
-    a.startup_s = arena.startup_s;
-    a.rebuffer_s = arena.rebuffer_s;
-    a.seg_rebuffer_s = arena.seg_rebuffer_s;
-    a.qoe_sum = arena.qoe_sum;
-    a.energy_j = arena.energy_j;
-    a.bitrate_sum = arena.bitrate_sum;
-    a.prev_bitrate = arena.prev_bitrate;
-    a.prev_level = arena.prev_level;
-    a.request_s = arena.request_s;
-    a.size_mb = arena.size_mb;
-    a.level_bitrate = arena.level_bitrate;
-    a.level = arena.level;
-    a.last_key = arena.last_key;
-    a.last_level = arena.last_level;
-    a.has_last = arena.has_last;
-    a.retries = arena.retries;
-    a.throughputs = arena.throughputs;
-    a.seen = arena.seen;
-    a.free_slots = arena.free_slots;
+    for (; !heap.empty(); heap.pop()) ckpt.events.push_back(heap.top());
+    ckpt.arena = arena;
     ckpt.cell_active = cell_active;
     ckpt.metrics = shard.region;
-    ckpt.qoe = shard.qoe.state();
-    ckpt.energy_j = shard.energy_j.state();
-    ckpt.bitrate_mbps = shard.bitrate_mbps.state();
-    ckpt.rebuffer_s = shard.rebuffer_s.state();
-    ckpt.startup_s = shard.startup_s.state();
-    ckpt.qoe_sample = shard.qoe_sample.state();
-    ckpt.energy_sample = shard.energy_sample.state();
-    ckpt.rebuffer_sample = shard.rebuffer_sample.state();
-    ckpt.median_qoe = shard.median_qoe.state();
-    ckpt.median_energy = shard.median_energy.state();
-    ckpt.shed = {static_cast<std::uint8_t>(live_shed ? 1 : 0),
-                 static_cast<std::uint8_t>(miss_shed ? 1 : 0), shed_until_s,
-                 window_consults, window_misses};
+    shard.aggregators(ckpt, [](const auto& aggregator, auto& state) {
+      state = aggregator.state();
+    });
+    ckpt.shed = shed;
     if (cache) ckpt.cache = cache->export_state();
     return ckpt;
   }
 
-  /// Reinstates a captured region state. Throws std::invalid_argument on an
-  /// internally inconsistent checkpoint (wrong region, wrong cell count,
-  /// ragged arena vectors).
+  [[noreturn]] static void reject(const std::string& what) {
+    throw std::invalid_argument("resume_fleet: checkpoint " + what);
+  }
+
+  /// Reinstates a captured region state. Throws std::invalid_argument,
+  /// naming the field, on a checkpoint that does not fit this region (wrong
+  /// region, cell count or window, a ragged arena column) or that holds an
+  /// index the event loop would dereference out of range.
   void restore(const FleetRegionCheckpoint& ckpt) {
-    if (ckpt.region != region) {
-      throw std::invalid_argument("resume_fleet: checkpoint region mismatch");
-    }
-    if (ckpt.cell_active.size() != cell_count) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint cell count mismatch");
-    }
+    if (ckpt.region != region) reject("region mismatch");
+    if (ckpt.cell_active.size() != cell_count) reject("cell count mismatch");
     const FleetArenaState& a = ckpt.arena;
-    if (a.window != arena.window) {
-      throw std::invalid_argument(
-          "resume_fleet: checkpoint bandwidth window mismatch");
+    if (a.window != arena.window) reject("bandwidth window mismatch");
+    const std::size_t slots = a.slots();
+    FleetArenaState::columns(a, [&](const char* name, const auto& column,
+                                    const auto&, std::size_t per_slot) {
+      if (column.size() != slots * per_slot) {
+        reject(std::string("arena column ") + name + " is ragged");
+      }
+    });
+    const std::size_t rungs = config.ladder_mbps.size();
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (a.cell[s] < first_cell || a.cell[s] - first_cell >= cell_count) {
+        reject("arena cell outside the region's block");
+      }
+      if (a.level[s] >= rungs) reject("arena level beyond the ladder");
+      if (a.last_level[s] >= rungs) {
+        reject("arena last_level beyond the ladder");
+      }
+      if (a.prev_level[s] < -1 || a.prev_level[s] >= static_cast<int>(rungs)) {
+        reject("arena prev_level outside [-1, ladder size)");
+      }
     }
-    const std::size_t slots = a.session.size();
-    const bool ragged =
-        a.cell.size() != slots || a.next_segment.size() != slots ||
-        a.arrival_s.size() != slots || a.last_event_s.size() != slots ||
-        a.buffer_s.size() != slots || a.playing.size() != slots ||
-        a.startup_s.size() != slots || a.rebuffer_s.size() != slots ||
-        a.seg_rebuffer_s.size() != slots || a.qoe_sum.size() != slots ||
-        a.energy_j.size() != slots || a.bitrate_sum.size() != slots ||
-        a.prev_bitrate.size() != slots || a.prev_level.size() != slots ||
-        a.request_s.size() != slots || a.size_mb.size() != slots ||
-        a.level_bitrate.size() != slots || a.level.size() != slots ||
-        a.last_key.size() != slots || a.last_level.size() != slots ||
-        a.has_last.size() != slots || a.retries.size() != slots ||
-        a.throughputs.size() != slots * a.window || a.seen.size() != slots;
-    if (ragged) {
-      throw std::invalid_argument(
-          "resume_fleet: ragged arena vectors in checkpoint");
+    for (const std::uint32_t slot : a.free_slots) {
+      if (slot >= slots) reject("free_slots entry beyond the arena");
     }
-    arena.session = a.session;
-    arena.cell = a.cell;
-    arena.next_segment = a.next_segment;
-    arena.arrival_s = a.arrival_s;
-    arena.last_event_s = a.last_event_s;
-    arena.buffer_s = a.buffer_s;
-    arena.playing = a.playing;
-    arena.startup_s = a.startup_s;
-    arena.rebuffer_s = a.rebuffer_s;
-    arena.seg_rebuffer_s = a.seg_rebuffer_s;
-    arena.qoe_sum = a.qoe_sum;
-    arena.energy_j = a.energy_j;
-    arena.bitrate_sum = a.bitrate_sum;
-    arena.prev_bitrate = a.prev_bitrate;
-    arena.prev_level = a.prev_level;
-    arena.request_s = a.request_s;
-    arena.size_mb = a.size_mb;
-    arena.level_bitrate = a.level_bitrate;
-    arena.level = a.level;
-    arena.last_key = a.last_key;
-    arena.last_level = a.last_level;
-    arena.has_last = a.has_last;
-    arena.retries = a.retries;
-    arena.throughputs = a.throughputs;
-    arena.seen = a.seen;
-    arena.free_slots = a.free_slots;
-    for (const FleetEventState& e : ckpt.events) {
-      heap.push({e.t_s, e.session, e.kind, e.slot});
+    for (const Event& e : ckpt.events) {
+      if (e.kind > kComplete) reject("event kind outside {0, 1, 2}");
+      if (e.kind != kArrive && e.slot >= slots) {
+        reject("event slot beyond the arena");
+      }
     }
+    for (const core::DecisionCacheState::Entry& e : ckpt.cache.entries) {
+      if (e.level >= rungs) reject("cache entry level beyond the ladder");
+    }
+
+    for (const Event& e : ckpt.events) heap.push(e);
+    static_cast<FleetArenaState&>(arena) = a;
     cell_active = ckpt.cell_active;
     live = ckpt.live;
     shard.region = ckpt.metrics;
-    shard.qoe.restore(ckpt.qoe);
-    shard.energy_j.restore(ckpt.energy_j);
-    shard.bitrate_mbps.restore(ckpt.bitrate_mbps);
-    shard.rebuffer_s.restore(ckpt.rebuffer_s);
-    shard.startup_s.restore(ckpt.startup_s);
-    shard.qoe_sample.restore(ckpt.qoe_sample);
-    shard.energy_sample.restore(ckpt.energy_sample);
-    shard.rebuffer_sample.restore(ckpt.rebuffer_sample);
-    shard.median_qoe.restore(ckpt.median_qoe);
-    shard.median_energy.restore(ckpt.median_energy);
-    live_shed = ckpt.shed.live_shed != 0;
-    miss_shed = ckpt.shed.miss_shed != 0;
-    shed_until_s = ckpt.shed.shed_until_s;
-    window_consults = ckpt.shed.window_consults;
-    window_misses = ckpt.shed.window_misses;
+    shard.aggregators(ckpt, [&](auto& aggregator, const auto& state) {
+      // A reservoir reserves its capacity on restore: it must be the config's.
+      if constexpr (requires { state.capacity; }) {
+        if (state.capacity != config.reservoir_capacity) {
+          reject("reservoir capacity mismatch");
+        }
+      }
+      aggregator.restore(state);
+    });
+    shed = ckpt.shed;
     if (cache) cache->restore_state(ckpt.cache);
   }
 

@@ -1,10 +1,19 @@
 #include "eacs/sim/fleet_checkpoint.h"
 
+#include <algorithm>
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <ranges>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace eacs::sim {
 namespace {
@@ -13,388 +22,316 @@ constexpr char kMagic[] = "EACS_FLEET_CKPT";
 constexpr std::uint64_t kVersion = 1;
 
 // ---------------------------------------------------------------------------
-// Config fingerprint: FNV-1a over every result-shaping field's bit pattern.
+// Token encoding of the sidecar and the config fingerprint. Every value
+// becomes u64 tokens: doubles their IEEE-754 bit patterns (std::bit_cast),
+// signed integers two's complement — exact, portable, diffable. A
+// std::vector is a length token and then its elements, a std::array its
+// elements, and a struct the values its fields() list names, in that order.
+// The encoder and the reader walk the same lists, so no struct's fields are
+// spelled out twice. The sidecar writes each token in decimal on its own
+// line.
 
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
 
-  void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFULL;
-      h *= 0x00000100000001b3ULL;
+void fields(Is<FleetCheckpoint> auto& c, auto&& f) {
+  f(c.config_fingerprint, c.checkpoint_t_s, c.regions);
+}
+
+void fields(Is<FleetRegionCheckpoint> auto& r, auto&& f) {
+  f(r.region, r.live, r.events, r.arena, r.cell_active, r.metrics, r.qoe,
+    r.energy_j, r.bitrate_mbps, r.rebuffer_s, r.startup_s, r.qoe_sample,
+    r.energy_sample, r.rebuffer_sample, r.median_qoe, r.median_energy, r.shed,
+    r.cache);
+}
+
+void fields(Is<FleetEventState> auto& e, auto&& f) {
+  f(e.t_s, e.session, e.kind, e.slot);
+}
+
+void fields(Is<FleetArenaState> auto& a, auto&& f) {
+  f(a.window);
+  FleetArenaState::columns(a, [&](const char*, auto& column, auto&&...) {
+    f(column);
+  });
+  f(a.free_slots);
+}
+
+void fields(Is<FleetRegionMetrics> auto& m, auto&& f) {
+  f(m.region, m.first_cell, m.num_cells, m.sessions, m.events, m.requests,
+    m.handoffs, m.stall_events, m.peak_live_sessions, m.escape_handoffs,
+    m.backoff_retries, m.abandoned_sessions, m.policy_sheds,
+    m.policy_recoveries, m.shed_decisions, m.degraded_time_s,
+    m.wasted_energy_j, m.median_qoe, m.median_energy_j, m.planner);
+}
+
+void fields(Is<core::CostStats> auto& c, auto&& f) {
+  f(c.qoe_model_evals, c.power_model_evals, c.edge_evals, c.tables_built,
+    c.plans, c.cache_hits, c.cache_misses, c.cache_evictions);
+}
+
+void fields(Is<RunningStatsState> auto& s, auto&& f) {
+  f(s.count, s.mean, s.m2, s.sum, s.min, s.max);
+}
+
+void fields(Is<ReservoirSamplerState> auto& s, auto&& f) {
+  f(s.capacity, s.count, s.rng, s.items);
+}
+
+void fields(Is<RngState> auto& s, auto&& f) {
+  f(s.words, s.cached_normal, s.has_cached_normal);
+}
+
+void fields(Is<P2QuantileState> auto& s, auto&& f) {
+  f(s.p, s.count, s.heights, s.positions, s.desired, s.increments);
+}
+
+void fields(Is<FleetShedState> auto& s, auto&& f) {
+  f(s.live_shed, s.miss_shed, s.shed_until_s, s.window_consults,
+    s.window_misses);
+}
+
+void fields(Is<core::DecisionCacheState> auto& c, auto&& f) {
+  f(c.stats, c.entries);
+}
+
+void fields(Is<core::DecisionCacheStats> auto& s, auto&& f) {
+  f(s.hits, s.misses, s.evictions);
+}
+
+void fields(Is<core::DecisionCacheState::Entry> auto& e, auto&& f) {
+  f(e.slot, e.key, e.level);
+}
+
+void fields(Is<core::DecisionKey> auto& k, auto&& f) {
+  f(k.ladder_id, k.alpha_bits, k.buffer, k.bandwidth, k.vibration,
+    k.confidence, k.signal, k.remaining, k.prev_level);
+}
+
+// The fault episodes, which the config fingerprint hashes.
+void fields(Is<CellOutage> auto& o, auto&& f) {
+  f(o.t0_s, o.t1_s, o.first_cell, o.num_cells);
+}
+
+void fields(Is<CapacityBrownout> auto& b, auto&& f) {
+  f(b.t0_s, b.t1_s, b.first_cell, b.num_cells, b.capacity_factor);
+}
+
+void fields(Is<SignalCollapse> auto& c, auto&& f) {
+  f(c.t0_s, c.t1_s, c.first_cell, c.num_cells, c.offset_db);
+}
+
+void fields(Is<ArrivalSurge> auto& s, auto&& f) {
+  f(s.t0_s, s.t1_s, s.rate_multiplier);
+}
+
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Hands every value to `token` as u64 tokens: the sidecar writer prints
+/// them, the config fingerprint hashes them.
+template <typename Token>
+struct Encoder {
+  Token token;
+
+  void operator()(const auto&... vs) { (value(vs), ...); }
+
+  template <typename T>
+  void value(const T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      token(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      token(static_cast<std::uint64_t>(v));  // two's complement
+    } else if constexpr (kIsVector<T>) {
+      token(v.size());
+      for (const auto& x : v) value(x);
+    } else if constexpr (std::ranges::range<T>) {  // std::array
+      for (const auto& x : v) value(x);
+    } else {
+      fields(v, *this);
     }
   }
-  void f64(double v) noexcept { u64(std::bit_cast<std::uint64_t>(v)); }
-  void sz(std::size_t v) noexcept { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) noexcept { u64(v ? 1 : 0); }
+};
+
+/// Reads from memory, so a length token can be checked against the bytes
+/// left before anything is allocated for it.
+struct Reader {
+  std::string_view text;
+  std::size_t pos = 0;
+
+  void operator()(auto&... vs) { (value(vs), ...); }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("load_fleet_checkpoint: " + what + " at byte " +
+                             std::to_string(pos));
+  }
+
+  std::string_view word() {
+    constexpr std::string_view kSpace = " \t\n\v\f\r";
+    const std::size_t begin =
+        std::min(text.find_first_not_of(kSpace, pos), text.size());
+    pos = std::min(text.find_first_of(kSpace, begin), text.size());
+    return text.substr(begin, pos - begin);
+  }
+
+  std::uint64_t token() {
+    const std::string_view w = word();
+    if (w.empty()) fail("truncated checkpoint");
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(w.data(), w.data() + w.size(), v);
+    if (ec != std::errc{} || end != w.data() + w.size()) {
+      fail("malformed token '" + std::string(w) + "'");
+    }
+    return v;
+  }
+
+  template <typename T>
+  void value(T& v) {
+    if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(token());
+    } else if constexpr (std::is_integral_v<T>) {
+      const std::uint64_t t = token();
+      bool fits = false;
+      if constexpr (std::is_same_v<T, bool>) {
+        fits = t <= 1;
+      } else if constexpr (std::is_signed_v<T>) {  // two's complement
+        fits = std::in_range<T>(static_cast<std::int64_t>(t));
+      } else {
+        fits = std::in_range<T>(t);
+      }
+      if (!fits) {
+        fail("integer token " + std::to_string(t) + " does not fit its field");
+      }
+      v = static_cast<T>(t);
+    } else if constexpr (kIsVector<T>) {
+      // Each element takes at least one token: a digit and a separator.
+      const std::uint64_t n = token();
+      if (n > (text.size() - pos) / 2) {
+        fail("length token " + std::to_string(n) +
+             " exceeds the bytes left in the file");
+      }
+      v.resize(n);
+      for (auto& x : v) value(x);
+    } else if constexpr (std::ranges::range<T>) {  // std::array
+      for (auto& x : v) value(x);
+    } else {
+      fields(v, *this);
+    }
+  }
 };
 
 }  // namespace
 
 std::uint64_t fleet_config_fingerprint(const FleetConfig& config) {
-  Fnv f;
+  // FNV-1a over the little-endian bytes of every token.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Encoder f{[&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFULL;
+      h *= 0x00000100000001b3ULL;
+    }
+  }};
   const CellNetworkConfig& n = config.network;
-  f.sz(n.num_cells);
-  f.f64(n.mean_capacity_mbps);
-  f.f64(n.capacity_spread);
-  f.f64(n.capacity_sway);
-  f.f64(n.capacity_period_s);
-  f.f64(n.signal_best_dbm);
-  f.f64(n.signal_worst_dbm);
-  f.f64(n.signal_swing_db);
-  f.f64(n.signal_period_s);
-  f.u64(n.seed);
+  f(n.num_cells);
+  f(n.mean_capacity_mbps);
+  f(n.capacity_spread);
+  f(n.capacity_sway);
+  f(n.capacity_period_s);
+  f(n.signal_best_dbm);
+  f(n.signal_worst_dbm);
+  f(n.signal_swing_db);
+  f(n.signal_period_s);
+  f(n.seed);
 
-  f.sz(config.num_sessions);
-  f.f64(config.arrival_rate_per_s);
-  f.f64(config.segment_duration_s);
-  f.sz(config.segments_per_session);
-  f.sz(config.ladder_mbps.size());
-  for (const double mbps : config.ladder_mbps) f.f64(mbps);
-  f.f64(config.buffer_threshold_s);
-  f.f64(config.startup_buffer_s);
-  f.f64(config.abr_safety);
-  f.sz(config.bandwidth_window);
-  f.f64(config.vibration_cap_threshold);
-  f.sz(config.vibration_rung_cap);
-  f.f64(config.handoff_hysteresis_db);
-  f.u64(static_cast<std::uint64_t>(config.policy));
-  f.sz(config.planner_horizon);
-  f.sz(config.planner_startup_level);
-  f.f64(config.planner_alpha);
+  f(config.num_sessions);
+  f(config.arrival_rate_per_s);
+  f(config.segment_duration_s);
+  f(config.segments_per_session);
+  f(config.ladder_mbps);
+  f(config.buffer_threshold_s);
+  f(config.startup_buffer_s);
+  f(config.abr_safety);
+  f(config.bandwidth_window);
+  f(config.vibration_cap_threshold);
+  f(config.vibration_rung_cap);
+  f(config.handoff_hysteresis_db);
+  f(static_cast<std::uint64_t>(config.policy));
+  f(config.planner_horizon);
+  f(config.planner_startup_level);
+  f(config.planner_alpha);
   const core::DecisionCacheConfig& c = config.planner_cache;
-  f.b(c.exact);
-  f.f64(c.buffer_bucket_s);
-  f.f64(c.bandwidth_buckets_per_octave);
-  f.f64(c.vibration_bucket);
-  f.f64(c.confidence_bucket);
-  f.f64(c.signal_bucket_dbm);
-  f.sz(c.prev_level_bucket);
-  f.sz(c.capacity);
-  f.sz(config.regions);
-  f.sz(config.reservoir_capacity);
+  f(c.exact);
+  f(c.buffer_bucket_s);
+  f(c.bandwidth_buckets_per_octave);
+  f(c.vibration_bucket);
+  f(c.confidence_bucket);
+  f(c.signal_bucket_dbm);
+  f(c.prev_level_bucket);
+  f(c.capacity);
+  f(config.regions);
+  f(config.reservoir_capacity);
 
   const FleetFaultSpec& spec = config.faults;
-  f.sz(spec.outages.size());
-  for (const CellOutage& o : spec.outages) {
-    f.f64(o.t0_s);
-    f.f64(o.t1_s);
-    f.sz(o.first_cell);
-    f.sz(o.num_cells);
-  }
-  f.sz(spec.brownouts.size());
-  for (const CapacityBrownout& b : spec.brownouts) {
-    f.f64(b.t0_s);
-    f.f64(b.t1_s);
-    f.sz(b.first_cell);
-    f.sz(b.num_cells);
-    f.f64(b.capacity_factor);
-  }
-  f.sz(spec.collapses.size());
-  for (const SignalCollapse& s : spec.collapses) {
-    f.f64(s.t0_s);
-    f.f64(s.t1_s);
-    f.sz(s.first_cell);
-    f.sz(s.num_cells);
-    f.f64(s.offset_db);
-  }
-  f.sz(spec.surges.size());
-  for (const ArrivalSurge& s : spec.surges) {
-    f.f64(s.t0_s);
-    f.f64(s.t1_s);
-    f.f64(s.rate_multiplier);
-  }
+  f(spec.outages);
+  f(spec.brownouts);
+  f(spec.collapses);
+  f(spec.surges);
   const SeededFaultConfig& g = spec.seeded;
-  f.f64(g.horizon_s);
-  f.f64(g.epoch_s);
-  f.sz(g.domain_cells);
-  f.f64(g.outage_prob);
-  f.f64(g.outage_duration_s);
-  f.f64(g.brownout_prob);
-  f.f64(g.brownout_factor);
-  f.f64(g.brownout_duration_s);
-  f.f64(g.collapse_prob);
-  f.f64(g.collapse_db);
-  f.f64(g.collapse_duration_s);
-  f.f64(g.surge_prob);
-  f.f64(g.surge_multiplier);
-  f.f64(g.surge_duration_s);
-  f.u64(g.seed);
+  f(g.horizon_s);
+  f(g.epoch_s);
+  f(g.domain_cells);
+  f(g.outage_prob);
+  f(g.outage_duration_s);
+  f(g.brownout_prob);
+  f(g.brownout_factor);
+  f(g.brownout_duration_s);
+  f(g.collapse_prob);
+  f(g.collapse_db);
+  f(g.collapse_duration_s);
+  f(g.surge_prob);
+  f(g.surge_multiplier);
+  f(g.surge_duration_s);
+  f(g.seed);
 
   const FleetResilienceConfig& r = config.resilience;
-  f.f64(r.backoff_base_s);
-  f.f64(r.backoff_factor);
-  f.f64(r.backoff_max_s);
-  f.sz(r.max_retries);
-  f.sz(r.shed_live_threshold);
-  f.sz(r.shed_live_recover);
-  f.f64(r.shed_miss_rate_threshold);
-  f.sz(r.shed_miss_window);
-  f.f64(r.shed_hold_s);
+  f(r.backoff_base_s);
+  f(r.backoff_factor);
+  f(r.backoff_max_s);
+  f(r.max_retries);
+  f(r.shed_live_threshold);
+  f(r.shed_live_recover);
+  f(r.shed_miss_rate_threshold);
+  f(r.shed_miss_window);
+  f(r.shed_hold_s);
 
   const qoe::QoeModelParams& q = config.qoe;
-  f.f64(q.a);
-  f.f64(q.b);
-  f.f64(q.kappa);
-  f.f64(q.alpha_v);
-  f.f64(q.beta_r);
-  f.f64(q.switch_penalty);
-  f.f64(q.rebuffer_penalty_per_s);
-  f.f64(q.mos_min);
-  f.f64(q.mos_max);
+  f(q.a);
+  f(q.b);
+  f(q.kappa);
+  f(q.alpha_v);
+  f(q.beta_r);
+  f(q.switch_penalty);
+  f(q.rebuffer_penalty_per_s);
+  f(q.mos_min);
+  f(q.mos_max);
 
   const power::PowerModelParams& p = config.power;
-  f.f64(p.e_ref_j_per_mb);
-  f.f64(p.s_ref_dbm);
-  f.f64(p.k_per_db);
-  f.f64(p.e_min_j_per_mb);
-  f.f64(p.e_max_j_per_mb);
-  f.f64(p.p_base_w);
-  f.f64(p.c0_w);
-  f.f64(p.c1_w_per_mbps);
-  f.f64(p.p_pause_w);
-  f.f64(p.tail_energy_j);
+  f(p.e_ref_j_per_mb);
+  f(p.s_ref_dbm);
+  f(p.k_per_db);
+  f(p.e_min_j_per_mb);
+  f(p.e_max_j_per_mb);
+  f(p.p_base_w);
+  f(p.c0_w);
+  f(p.c1_w_per_mbps);
+  f(p.p_pause_w);
+  f(p.tail_energy_j);
 
-  f.u64(config.seed);
-  return f.h;
+  f(config.seed);
+  return h;
 }
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Sidecar token stream. Every value is one decimal u64 token; doubles are
-// written as their IEEE-754 bit patterns (std::bit_cast), signed integers in
-// two's complement — exact, portable, diffable.
-
-struct Writer {
-  std::ostream& out;
-
-  void u64(std::uint64_t v) { out << v << '\n'; }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void sz(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
-
-  void f64s(const std::vector<double>& xs) {
-    sz(xs.size());
-    for (const double x : xs) f64(x);
-  }
-  void u8s(const std::vector<std::uint8_t>& xs) {
-    sz(xs.size());
-    for (const std::uint8_t x : xs) u64(x);
-  }
-  void u32s(const std::vector<std::uint32_t>& xs) {
-    sz(xs.size());
-    for (const std::uint32_t x : xs) u64(x);
-  }
-  void ints(const std::vector<int>& xs) {
-    sz(xs.size());
-    for (const int x : xs) i64(x);
-  }
-  void szs(const std::vector<std::size_t>& xs) {
-    sz(xs.size());
-    for (const std::size_t x : xs) sz(x);
-  }
-
-  void running(const RunningStatsState& s) {
-    sz(s.count);
-    f64(s.mean);
-    f64(s.m2);
-    f64(s.sum);
-    f64(s.min);
-    f64(s.max);
-  }
-  void rng(const RngState& s) {
-    for (const std::uint64_t w : s.words) u64(w);
-    f64(s.cached_normal);
-    u64(s.has_cached_normal ? 1 : 0);
-  }
-  void reservoir(const ReservoirSamplerState& s) {
-    sz(s.capacity);
-    sz(s.count);
-    rng(s.rng);
-    f64s(s.items);
-  }
-  void p2(const P2QuantileState& s) {
-    f64(s.p);
-    sz(s.count);
-    for (const double v : s.heights) f64(v);
-    for (const double v : s.positions) f64(v);
-    for (const double v : s.desired) f64(v);
-    for (const double v : s.increments) f64(v);
-  }
-  void key(const core::DecisionKey& k) {
-    u64(k.ladder_id);
-    u64(k.alpha_bits);
-    i64(k.buffer);
-    i64(k.bandwidth);
-    i64(k.vibration);
-    i64(k.confidence);
-    i64(k.signal);
-    i64(k.remaining);
-    i64(k.prev_level);
-  }
-  void cost(const core::CostStats& s) {
-    u64(s.qoe_model_evals);
-    u64(s.power_model_evals);
-    u64(s.edge_evals);
-    u64(s.tables_built);
-    u64(s.plans);
-    u64(s.cache_hits);
-    u64(s.cache_misses);
-    u64(s.cache_evictions);
-  }
-  void metrics(const FleetRegionMetrics& m) {
-    sz(m.region);
-    sz(m.first_cell);
-    sz(m.num_cells);
-    sz(m.sessions);
-    sz(m.events);
-    sz(m.requests);
-    sz(m.handoffs);
-    sz(m.stall_events);
-    sz(m.peak_live_sessions);
-    sz(m.escape_handoffs);
-    sz(m.backoff_retries);
-    sz(m.abandoned_sessions);
-    sz(m.policy_sheds);
-    sz(m.policy_recoveries);
-    sz(m.shed_decisions);
-    f64(m.degraded_time_s);
-    f64(m.wasted_energy_j);
-    f64(m.median_qoe);
-    f64(m.median_energy_j);
-    cost(m.planner);
-  }
-};
-
-struct Reader {
-  std::istream& in;
-
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (!(in >> v)) {
-      throw std::runtime_error(
-          "load_fleet_checkpoint: truncated or malformed checkpoint");
-    }
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::size_t sz() { return static_cast<std::size_t>(u64()); }
-
-  std::vector<double> f64s() {
-    std::vector<double> xs(sz());
-    for (double& x : xs) x = f64();
-    return xs;
-  }
-  std::vector<std::uint8_t> u8s() {
-    std::vector<std::uint8_t> xs(sz());
-    for (std::uint8_t& x : xs) x = static_cast<std::uint8_t>(u64());
-    return xs;
-  }
-  std::vector<std::uint32_t> u32s() {
-    std::vector<std::uint32_t> xs(sz());
-    for (std::uint32_t& x : xs) x = static_cast<std::uint32_t>(u64());
-    return xs;
-  }
-  std::vector<int> ints() {
-    std::vector<int> xs(sz());
-    for (int& x : xs) x = static_cast<int>(i64());
-    return xs;
-  }
-  std::vector<std::size_t> szs() {
-    std::vector<std::size_t> xs(sz());
-    for (std::size_t& x : xs) x = sz();
-    return xs;
-  }
-
-  RunningStatsState running() {
-    RunningStatsState s;
-    s.count = sz();
-    s.mean = f64();
-    s.m2 = f64();
-    s.sum = f64();
-    s.min = f64();
-    s.max = f64();
-    return s;
-  }
-  RngState rng() {
-    RngState s;
-    for (std::uint64_t& w : s.words) w = u64();
-    s.cached_normal = f64();
-    s.has_cached_normal = u64() != 0;
-    return s;
-  }
-  ReservoirSamplerState reservoir() {
-    ReservoirSamplerState s;
-    s.capacity = sz();
-    s.count = sz();
-    s.rng = rng();
-    s.items = f64s();
-    return s;
-  }
-  P2QuantileState p2() {
-    P2QuantileState s;
-    s.p = f64();
-    s.count = sz();
-    for (double& v : s.heights) v = f64();
-    for (double& v : s.positions) v = f64();
-    for (double& v : s.desired) v = f64();
-    for (double& v : s.increments) v = f64();
-    return s;
-  }
-  core::DecisionKey key() {
-    core::DecisionKey k;
-    k.ladder_id = u64();
-    k.alpha_bits = u64();
-    k.buffer = i64();
-    k.bandwidth = i64();
-    k.vibration = i64();
-    k.confidence = i64();
-    k.signal = i64();
-    k.remaining = i64();
-    k.prev_level = i64();
-    return k;
-  }
-  core::CostStats cost() {
-    core::CostStats s;
-    s.qoe_model_evals = u64();
-    s.power_model_evals = u64();
-    s.edge_evals = u64();
-    s.tables_built = u64();
-    s.plans = u64();
-    s.cache_hits = u64();
-    s.cache_misses = u64();
-    s.cache_evictions = u64();
-    return s;
-  }
-  FleetRegionMetrics metrics() {
-    FleetRegionMetrics m;
-    m.region = sz();
-    m.first_cell = sz();
-    m.num_cells = sz();
-    m.sessions = sz();
-    m.events = sz();
-    m.requests = sz();
-    m.handoffs = sz();
-    m.stall_events = sz();
-    m.peak_live_sessions = sz();
-    m.escape_handoffs = sz();
-    m.backoff_retries = sz();
-    m.abandoned_sessions = sz();
-    m.policy_sheds = sz();
-    m.policy_recoveries = sz();
-    m.shed_decisions = sz();
-    m.degraded_time_s = f64();
-    m.wasted_energy_j = f64();
-    m.median_qoe = f64();
-    m.median_energy_j = f64();
-    m.planner = cost();
-    return m;
-  }
-};
-
-}  // namespace
 
 void save_fleet_checkpoint(const FleetCheckpoint& checkpoint,
                            const std::string& path) {
@@ -403,76 +340,7 @@ void save_fleet_checkpoint(const FleetCheckpoint& checkpoint,
     throw std::runtime_error("save_fleet_checkpoint: cannot open " + path);
   }
   out << kMagic << ' ' << kVersion << '\n';
-  Writer w{out};
-  w.u64(checkpoint.config_fingerprint);
-  w.f64(checkpoint.checkpoint_t_s);
-  w.sz(checkpoint.regions.size());
-  for (const FleetRegionCheckpoint& r : checkpoint.regions) {
-    w.sz(r.region);
-    w.sz(r.live);
-    w.sz(r.events.size());
-    for (const FleetEventState& e : r.events) {
-      w.f64(e.t_s);
-      w.i64(e.session);
-      w.u64(e.kind);
-      w.u64(e.slot);
-    }
-    const FleetArenaState& a = r.arena;
-    w.sz(a.window);
-    w.ints(a.session);
-    w.szs(a.cell);
-    w.szs(a.next_segment);
-    w.f64s(a.arrival_s);
-    w.f64s(a.last_event_s);
-    w.f64s(a.buffer_s);
-    w.u8s(a.playing);
-    w.f64s(a.startup_s);
-    w.f64s(a.rebuffer_s);
-    w.f64s(a.seg_rebuffer_s);
-    w.f64s(a.qoe_sum);
-    w.f64s(a.energy_j);
-    w.f64s(a.bitrate_sum);
-    w.f64s(a.prev_bitrate);
-    w.ints(a.prev_level);
-    w.f64s(a.request_s);
-    w.f64s(a.size_mb);
-    w.f64s(a.level_bitrate);
-    w.u32s(a.level);
-    w.sz(a.last_key.size());
-    for (const core::DecisionKey& k : a.last_key) w.key(k);
-    w.u32s(a.last_level);
-    w.u8s(a.has_last);
-    w.u32s(a.retries);
-    w.f64s(a.throughputs);
-    w.szs(a.seen);
-    w.u32s(a.free_slots);
-    w.szs(r.cell_active);
-    w.metrics(r.metrics);
-    w.running(r.qoe);
-    w.running(r.energy_j);
-    w.running(r.bitrate_mbps);
-    w.running(r.rebuffer_s);
-    w.running(r.startup_s);
-    w.reservoir(r.qoe_sample);
-    w.reservoir(r.energy_sample);
-    w.reservoir(r.rebuffer_sample);
-    w.p2(r.median_qoe);
-    w.p2(r.median_energy);
-    w.u64(r.shed.live_shed);
-    w.u64(r.shed.miss_shed);
-    w.f64(r.shed.shed_until_s);
-    w.u64(r.shed.window_consults);
-    w.u64(r.shed.window_misses);
-    w.u64(r.cache.stats.hits);
-    w.u64(r.cache.stats.misses);
-    w.u64(r.cache.stats.evictions);
-    w.sz(r.cache.entries.size());
-    for (const core::DecisionCacheState::Entry& e : r.cache.entries) {
-      w.sz(e.slot);
-      w.key(e.key);
-      w.u64(e.level);
-    }
-  }
+  Encoder{[&out](std::uint64_t v) { out << v << '\n'; }}.value(checkpoint);
   out.flush();
   if (!out.good()) {
     throw std::runtime_error("save_fleet_checkpoint: write failed on " + path);
@@ -480,87 +348,20 @@ void save_fleet_checkpoint(const FleetCheckpoint& checkpoint,
 }
 
 FleetCheckpoint load_fleet_checkpoint(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("load_fleet_checkpoint: cannot open " + path);
   }
-  std::string magic;
-  std::uint64_t version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  Reader rd{text};
+  if (rd.word() != kMagic || rd.word() != std::to_string(kVersion)) {
     throw std::runtime_error(
         "load_fleet_checkpoint: bad magic or unsupported version in " + path);
   }
-  Reader rd{in};
   FleetCheckpoint checkpoint;
-  checkpoint.config_fingerprint = rd.u64();
-  checkpoint.checkpoint_t_s = rd.f64();
-  checkpoint.regions.resize(rd.sz());
-  for (FleetRegionCheckpoint& r : checkpoint.regions) {
-    r.region = rd.sz();
-    r.live = rd.sz();
-    r.events.resize(rd.sz());
-    for (FleetEventState& e : r.events) {
-      e.t_s = rd.f64();
-      e.session = static_cast<int>(rd.i64());
-      e.kind = static_cast<std::uint8_t>(rd.u64());
-      e.slot = static_cast<std::uint32_t>(rd.u64());
-    }
-    FleetArenaState& a = r.arena;
-    a.window = rd.sz();
-    a.session = rd.ints();
-    a.cell = rd.szs();
-    a.next_segment = rd.szs();
-    a.arrival_s = rd.f64s();
-    a.last_event_s = rd.f64s();
-    a.buffer_s = rd.f64s();
-    a.playing = rd.u8s();
-    a.startup_s = rd.f64s();
-    a.rebuffer_s = rd.f64s();
-    a.seg_rebuffer_s = rd.f64s();
-    a.qoe_sum = rd.f64s();
-    a.energy_j = rd.f64s();
-    a.bitrate_sum = rd.f64s();
-    a.prev_bitrate = rd.f64s();
-    a.prev_level = rd.ints();
-    a.request_s = rd.f64s();
-    a.size_mb = rd.f64s();
-    a.level_bitrate = rd.f64s();
-    a.level = rd.u32s();
-    a.last_key.resize(rd.sz());
-    for (core::DecisionKey& k : a.last_key) k = rd.key();
-    a.last_level = rd.u32s();
-    a.has_last = rd.u8s();
-    a.retries = rd.u32s();
-    a.throughputs = rd.f64s();
-    a.seen = rd.szs();
-    a.free_slots = rd.u32s();
-    r.cell_active = rd.szs();
-    r.metrics = rd.metrics();
-    r.qoe = rd.running();
-    r.energy_j = rd.running();
-    r.bitrate_mbps = rd.running();
-    r.rebuffer_s = rd.running();
-    r.startup_s = rd.running();
-    r.qoe_sample = rd.reservoir();
-    r.energy_sample = rd.reservoir();
-    r.rebuffer_sample = rd.reservoir();
-    r.median_qoe = rd.p2();
-    r.median_energy = rd.p2();
-    r.shed.live_shed = static_cast<std::uint8_t>(rd.u64());
-    r.shed.miss_shed = static_cast<std::uint8_t>(rd.u64());
-    r.shed.shed_until_s = rd.f64();
-    r.shed.window_consults = rd.u64();
-    r.shed.window_misses = rd.u64();
-    r.cache.stats.hits = rd.u64();
-    r.cache.stats.misses = rd.u64();
-    r.cache.stats.evictions = rd.u64();
-    r.cache.entries.resize(rd.sz());
-    for (core::DecisionCacheState::Entry& e : r.cache.entries) {
-      e.slot = rd.sz();
-      e.key = rd.key();
-      e.level = static_cast<std::uint32_t>(rd.u64());
-    }
-  }
+  rd.value(checkpoint);
+  if (!rd.word().empty()) rd.fail("trailing data after the checkpoint");
   return checkpoint;
 }
 

@@ -6,13 +6,18 @@
 // degenerate ones (before the first arrival, after the drain). The sidecar
 // file round-trips the checkpoint exactly, and the config fingerprint
 // refuses to resume under a config that would silently diverge.
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,6 +47,32 @@ FleetConfig faulted_fleet() {
   config.faults.seeded.brownout_prob = 0.4;
   config.faults.seeded.collapse_prob = 0.4;
   return config;
+}
+
+// The fleet behind the pinned sidecar: planner policy, an outage over region
+// 0's whole block and seeded brownouts/collapses. The 8 s cut catches
+// sessions in backoff, a recycled slot and warm cache shards.
+FleetConfig pinned_fleet() {
+  FleetConfig config = small_fleet();
+  config.network.num_cells = 4;
+  config.regions = 2;
+  config.num_sessions = 40;
+  config.segments_per_session = 4;
+  config.policy = FleetPolicy::kPlanner;
+  config.faults.outages.push_back(
+      {.t0_s = 4.0, .t1_s = 30.0, .first_cell = 0, .num_cells = 2});
+  config.faults.seeded.horizon_s = 60.0;
+  config.faults.seeded.brownout_prob = 0.4;
+  config.faults.seeded.collapse_prob = 0.4;
+  return config;
+}
+
+const std::string kPinnedSidecar =
+    EACS_FUZZ_CORPUS_DIR "/fleet_checkpoint/valid_planner_faults.ckpt";
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 void expect_metrics_eq(const FleetMetrics& a, const FleetMetrics& b) {
@@ -198,25 +229,33 @@ TEST(FleetCheckpointTest, SidecarRoundTripsBitExactly) {
   const FleetCheckpoint loaded = load_fleet_checkpoint(path);
   std::remove(path.c_str());
 
-  EXPECT_EQ(loaded.config_fingerprint, checkpoint.config_fingerprint);
-  EXPECT_EQ(loaded.checkpoint_t_s, checkpoint.checkpoint_t_s);
-  ASSERT_EQ(loaded.regions.size(), checkpoint.regions.size());
-  for (std::size_t r = 0; r < loaded.regions.size(); ++r) {
-    const auto& a = loaded.regions[r];
-    const auto& b = checkpoint.regions[r];
-    EXPECT_EQ(a.live, b.live);
-    EXPECT_EQ(a.events, b.events);     // bit-exact doubles via bit_cast
-    EXPECT_EQ(a.arena, b.arena);       // every SoA vector, field for field
-    EXPECT_EQ(a.cell_active, b.cell_active);
-    EXPECT_EQ(a.qoe, b.qoe);
-    EXPECT_EQ(a.qoe_sample, b.qoe_sample);  // reservoir incl. Rng engine
-    EXPECT_EQ(a.median_qoe, b.median_qoe);  // P^2 markers
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.cache.entries, b.cache.entries);
-  }
+  // Every field of every region: bit-exact doubles via bit_cast, the arena,
+  // aggregator internals incl. Rng engines, metrics and the cache shard.
+  EXPECT_EQ(loaded, checkpoint);
 
   // And the loaded checkpoint resumes to the uninterrupted result.
   expect_metrics_eq(resume_fleet(config, loaded), run_fleet(config));
+}
+
+TEST(FleetCheckpointTest, PinnedSidecarResumesAndResavesByteForByte) {
+  // The sidecar format is frozen at version 1: a file written by an earlier
+  // build must load, resume to the uninterrupted result, and re-save to the
+  // same bytes; a fresh cut of the same fleet must write those bytes too.
+  const FleetConfig config = pinned_fleet();
+  const std::string pinned = read_file(kPinnedSidecar);
+  ASSERT_FALSE(pinned.empty());
+  const FleetCheckpoint loaded = load_fleet_checkpoint(kPinnedSidecar);
+  EXPECT_EQ(loaded.checkpoint_t_s, 8.0);
+  expect_metrics_eq(resume_fleet(config, loaded), run_fleet(config));
+
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "fleet_ckpt_pinned.txt")
+          .string();
+  save_fleet_checkpoint(loaded, path);
+  EXPECT_EQ(read_file(path), pinned);
+  save_fleet_checkpoint(run_fleet_until(config, 8.0), path);
+  EXPECT_EQ(read_file(path), pinned);
+  std::remove(path.c_str());
 }
 
 TEST(FleetCheckpointTest, LoadRejectsMissingTruncatedAndForeignFiles) {
@@ -250,6 +289,218 @@ TEST(FleetCheckpointTest, LoadRejectsMissingTruncatedAndForeignFiles) {
     EXPECT_THROW(load_fleet_checkpoint(truncated), std::runtime_error);
     std::remove(truncated.c_str());
   }
+}
+
+// Token indices at the head of every sidecar: magic, version, fingerprint,
+// cut time, region count, then region 0's index, live count, event count and
+// first event (t_s, session, kind, slot).
+constexpr std::size_t kRegionCountToken = 4;
+constexpr std::size_t kEventCountToken = 7;
+constexpr std::size_t kEventSessionToken = 9;
+constexpr std::size_t kEventKindToken = 10;
+constexpr std::size_t kEventSlotToken = 11;
+
+std::vector<std::string> tokens_of(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+// A scratch file named after the running test: ctest runs tests in
+// parallel processes.
+std::string test_temp_path() {
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return (std::filesystem::path(::testing::TempDir()) /
+          ("fleet_ckpt_" + name + ".txt"))
+      .string();
+}
+
+// Writes `tokens` as a sidecar and expects load_fleet_checkpoint to reject
+// it with a std::runtime_error whose message contains `problem`.
+void expect_load_rejects(const std::vector<std::string>& tokens,
+                         const std::string& problem) {
+  const std::string path = test_temp_path();
+  {
+    std::ofstream out(path);
+    for (const std::string& token : tokens) out << token << '\n';
+  }
+  try {
+    (void)load_fleet_checkpoint(path);
+    ADD_FAILURE() << "load_fleet_checkpoint accepted a sidecar with a bad "
+                  << problem;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(problem), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FleetCheckpointTest, LoadRejectsRegionCountBeyondTheFile) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens[kRegionCountToken] = "1000000000000";
+  expect_load_rejects(tokens, "exceeds the bytes left");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsEventCountBeyondTheFile) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens[kEventCountToken] = "100000000000";
+  expect_load_rejects(tokens, "exceeds the bytes left");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsEventKindBeyondEightBits) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens[kEventKindToken] = "258";
+  expect_load_rejects(tokens, "does not fit its field");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsSlotBeyondThirtyTwoBits) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens[kEventSlotToken] = "4294967301";  // 2^32 + 5
+  expect_load_rejects(tokens, "does not fit its field");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsSessionBeyondInt) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens[kEventSessionToken] = "4294967296";  // 2^32: beyond any int
+  expect_load_rejects(tokens, "does not fit its field");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsBoolOtherThanZeroOrOne) {
+  // Mark the Box-Muller carry so its flag, the next token, can be found.
+  FleetCheckpoint checkpoint = load_fleet_checkpoint(kPinnedSidecar);
+  const double marker = 0.123456789;
+  checkpoint.regions[0].qoe_sample.rng.cached_normal = marker;
+  const std::string path = test_temp_path();
+  save_fleet_checkpoint(checkpoint, path);
+  std::vector<std::string> tokens = tokens_of(read_file(path));
+  std::remove(path.c_str());
+  const auto it =
+      std::find(tokens.begin(), tokens.end(),
+                std::to_string(std::bit_cast<std::uint64_t>(marker)));
+  ASSERT_NE(it, tokens.end());
+  *std::next(it) = "2";  // has_cached_normal
+  expect_load_rejects(tokens, "does not fit its field");
+}
+
+TEST(FleetCheckpointTest, LoadRejectsTrailingData) {
+  std::vector<std::string> tokens = tokens_of(read_file(kPinnedSidecar));
+  tokens.push_back("7");
+  expect_load_rejects(tokens, "trailing data");
+}
+
+// Resumes the pinned fleet from its 8 s cut with `region` changed by
+// `mutate`, and expects std::invalid_argument naming `field`. Region 0 owns
+// cells [0, 2), dead at the cut, so its sessions wait in backoff on pending
+// requests; region 1 owns cells [2, 4), has downloads in flight and a free
+// slot. Both hold cache entries.
+template <typename Mutate>
+void expect_resume_rejects(std::size_t region, Mutate mutate,
+                           const std::string& field) {
+  const FleetConfig config = pinned_fleet();
+  FleetCheckpoint checkpoint = run_fleet_until(config, 8.0);
+  mutate(checkpoint.regions[region]);
+  try {
+    (void)resume_fleet(config, checkpoint);
+    ADD_FAILURE() << "resume_fleet accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+FleetEventState& first_event(FleetRegionCheckpoint& r, std::uint8_t kind) {
+  const auto it = std::find_if(
+      r.events.begin(), r.events.end(),
+      [kind](const FleetEventState& e) { return e.kind == kind; });
+  EXPECT_NE(it, r.events.end()) << "no pending event of kind " << int{kind};
+  return it != r.events.end() ? *it : r.events.front();
+}
+
+std::uint32_t slots_of(const FleetRegionCheckpoint& r) {
+  return static_cast<std::uint32_t>(r.arena.session.size());
+}
+
+// The first rung index beyond the pinned fleet's ladder.
+std::uint32_t rungs() {
+  return static_cast<std::uint32_t>(pinned_fleet().ladder_mbps.size());
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsUnknownEventKind) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { r.events[0].kind = 3; },
+      "event kind");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsRequestSlotBeyondArena) {
+  expect_resume_rejects(
+      0, [](FleetRegionCheckpoint& r) { first_event(r, 1).slot = slots_of(r); },
+      "event slot");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsCompleteSlotBeyondArena) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { first_event(r, 2).slot = slots_of(r); },
+      "event slot");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsFreeSlotBeyondArena) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) {
+        r.arena.free_slots.push_back(slots_of(r));
+      },
+      "free_slots");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsCellOutsideRegion) {
+  for (const std::size_t cell : {1, 4}) {
+    expect_resume_rejects(
+        1, [cell](FleetRegionCheckpoint& r) { r.arena.cell[0] = cell; },
+        "arena cell");
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsLevelBeyondLadder) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { r.arena.level[0] = rungs(); },
+      "arena level");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsLastLevelBeyondLadder) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { r.arena.last_level[0] = rungs(); },
+      "arena last_level");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsPrevLevelOutsideLadder) {
+  for (const int level : {-2, static_cast<int>(rungs())}) {
+    expect_resume_rejects(
+        1, [level](FleetRegionCheckpoint& r) { r.arena.prev_level[0] = level; },
+        "arena prev_level");
+  }
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsCachedLevelBeyondLadder) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) {
+        ASSERT_FALSE(r.cache.entries.empty());
+        r.cache.entries[0].level = rungs();
+      },
+      "cache entry level");
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsForeignReservoirCapacity) {
+  // restore() reserves the capacity, so a huge one must not reach it.
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { ++r.energy_sample.capacity; },
+      "reservoir capacity");
+}
+
+TEST(FleetCheckpointTest, RestoreNamesTheRaggedColumn) {
+  expect_resume_rejects(
+      1, [](FleetRegionCheckpoint& r) { r.arena.qoe_sum.pop_back(); },
+      "arena column qoe_sum");
 }
 
 TEST(FleetCheckpointTest, RegionCountMismatchThrows) {
