@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 #include "eacs/sim/cdn_fault_study.h"
+#include "eacs/sim/report.h"
 
 namespace {
 
@@ -28,25 +29,7 @@ void print_reproduction() {
               result.clean.algorithm.c_str(), result.clean.mean_qoe,
               result.clean.total_energy_j, result.clean.rebuffer_s);
 
-  AsciiTable table("Delivery robustness vs. the single-source retry-only baseline");
-  table.set_header({"fault", "intensity", "srcs", "QoE", "rebuffer s",
-                    "QoE d single", "rebuf d single", "waste J", "failovers",
-                    "hedges", "breaker"});
-  table.set_alignment({Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight});
-  for (const auto& cell : result.cells) {
-    table.add_row({to_string(cell.family), AsciiTable::num(cell.intensity, 2),
-                   std::to_string(cell.sources),
-                   AsciiTable::num(cell.mean_qoe, 3),
-                   AsciiTable::num(cell.rebuffer_s, 1),
-                   AsciiTable::num(cell.qoe_delta_vs_single, 3),
-                   AsciiTable::num(cell.rebuffer_delta_vs_single_s, 1),
-                   AsciiTable::num(cell.wasted_energy_j, 1),
-                   std::to_string(cell.failovers), std::to_string(cell.hedges),
-                   std::to_string(cell.breaker_transitions)});
-  }
-  table.print();
+  sim::cdn_fault_table(result).print();
 
   const auto& solo = result.cell(sim::CdnFaultFamily::kOriginOutage, 1.0, 1);
   const auto& duo = result.cell(sim::CdnFaultFamily::kOriginOutage, 1.0, 2);

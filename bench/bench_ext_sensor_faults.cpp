@@ -9,6 +9,7 @@
 // (BBA). The whole table is deterministic in the study seed.
 
 #include "bench_common.h"
+#include "eacs/sim/report.h"
 #include "eacs/sim/sensor_fault_study.h"
 
 namespace {
@@ -27,21 +28,7 @@ void print_reproduction() {
               result.clean_ours.mean_qoe, result.clean_ours.total_energy_j,
               result.context_blind.mean_qoe, result.context_blind.total_energy_j);
 
-  AsciiTable table("Degraded-context Ours vs. clean context and context-blind");
-  table.set_header({"fault", "intensity", "QoE", "QoE d clean", "QoE d blind",
-                    "energy d J", "rebuffer d s", "ctx err"});
-  table.set_alignment({Align::kLeft, Align::kRight, Align::kRight, Align::kRight,
-                       Align::kRight, Align::kRight, Align::kRight, Align::kRight});
-  for (const auto& cell : result.cells) {
-    table.add_row({to_string(cell.scenario), AsciiTable::num(cell.intensity, 2),
-                   AsciiTable::num(cell.mean_qoe, 3),
-                   AsciiTable::num(cell.qoe_delta_vs_clean, 3),
-                   AsciiTable::num(cell.qoe_delta_vs_blind, 3),
-                   AsciiTable::num(cell.energy_delta_vs_clean_j, 1),
-                   AsciiTable::num(cell.rebuffer_delta_vs_clean_s, 1),
-                   AsciiTable::num(cell.mean_context_error, 2)});
-  }
-  table.print();
+  sim::sensor_fault_table(result).print();
 
   const auto& total_dropout =
       result.cell(sim::SensorFaultScenario::kDropout, 1.0);

@@ -212,17 +212,24 @@ std::unique_ptr<player::AbrPolicy> make_policy(const std::string& name,
   usage_error(("unknown algorithm '" + name + "'").c_str());
 }
 
-}  // namespace
-
-/// --sweep: the full Section V evaluation over all Table V sessions, fanned
-/// out over options.jobs workers.
-int run_sweep(const CliOptions& options) {
+/// The Section V evaluation the CLI options describe: the one config behind
+/// --sweep, --sensor-faults and --cdn-faults.
+sim::EvaluationConfig evaluation_config(const CliOptions& options) {
   sim::EvaluationConfig config;
   config.alpha = options.alpha;
   config.segment_duration_s = options.segment_s;
   config.player.buffer_threshold_s = options.buffer_s;
   config.context_aware = options.context_aware;
   config.exec.jobs = options.jobs;
+  return config;
+}
+
+}  // namespace
+
+/// --sweep: the full Section V evaluation over all Table V sessions, fanned
+/// out over options.jobs workers.
+int run_sweep(const CliOptions& options) {
+  const sim::EvaluationConfig config = evaluation_config(options);
   std::printf("Section V evaluation: 5 sessions x 5 algorithms, jobs=%zu\n",
               config.exec.resolved_jobs());
 
@@ -254,11 +261,7 @@ int run_sweep(const CliOptions& options) {
 /// context-blind BBA baseline.
 int run_sensor_faults(const CliOptions& options) {
   sim::SensorFaultStudyConfig config;
-  config.evaluation.alpha = options.alpha;
-  config.evaluation.segment_duration_s = options.segment_s;
-  config.evaluation.player.buffer_threshold_s = options.buffer_s;
-  config.evaluation.context_aware = options.context_aware;
-  config.evaluation.exec.jobs = options.jobs;
+  config.evaluation = evaluation_config(options);
   std::printf("Sensor-fault study: %zu scenarios x %zu intensities x 5 sessions, "
               "jobs=%zu\n",
               sim::all_sensor_fault_scenarios().size(), config.intensities.size(),
@@ -270,24 +273,7 @@ int run_sensor_faults(const CliOptions& options) {
               result.clean_ours.mean_qoe, result.clean_ours.total_energy_j,
               result.context_blind.algorithm.c_str(),
               result.context_blind.mean_qoe, result.context_blind.total_energy_j);
-
-  eacs::AsciiTable table("Degraded-context Ours vs. clean context and context-blind");
-  table.set_header({"fault", "intensity", "QoE", "QoE d clean", "QoE d blind",
-                    "energy d J", "rebuffer d s", "ctx err"});
-  table.set_alignment({eacs::Align::kLeft, eacs::Align::kRight, eacs::Align::kRight,
-                       eacs::Align::kRight, eacs::Align::kRight, eacs::Align::kRight,
-                       eacs::Align::kRight, eacs::Align::kRight});
-  for (const auto& cell : result.cells) {
-    table.add_row({sim::to_string(cell.scenario),
-                   eacs::AsciiTable::num(cell.intensity, 2),
-                   eacs::AsciiTable::num(cell.mean_qoe, 3),
-                   eacs::AsciiTable::num(cell.qoe_delta_vs_clean, 3),
-                   eacs::AsciiTable::num(cell.qoe_delta_vs_blind, 3),
-                   eacs::AsciiTable::num(cell.energy_delta_vs_clean_j, 1),
-                   eacs::AsciiTable::num(cell.rebuffer_delta_vs_clean_s, 1),
-                   eacs::AsciiTable::num(cell.mean_context_error, 2)});
-  }
-  table.print();
+  sim::sensor_fault_table(result).print();
   return 0;
 }
 
@@ -295,11 +281,7 @@ int run_sensor_faults(const CliOptions& options) {
 /// source count, judged against the single-source retry-only column.
 int run_cdn_faults(const CliOptions& options) {
   sim::CdnFaultStudyConfig config;
-  config.evaluation.alpha = options.alpha;
-  config.evaluation.segment_duration_s = options.segment_s;
-  config.evaluation.player.buffer_threshold_s = options.buffer_s;
-  config.evaluation.context_aware = options.context_aware;
-  config.evaluation.exec.jobs = options.jobs;
+  config.evaluation = evaluation_config(options);
   std::printf("CDN fault study: %zu families x %zu intensities x %zu source "
               "counts x 5 sessions, jobs=%zu\n",
               sim::all_cdn_fault_families().size(), config.intensities.size(),
@@ -310,28 +292,7 @@ int run_cdn_faults(const CliOptions& options) {
               "rebuffer %.1f s\n",
               result.clean.algorithm.c_str(), result.clean.mean_qoe,
               result.clean.total_energy_j, result.clean.rebuffer_s);
-
-  eacs::AsciiTable table("Delivery robustness vs. the single-source retry-only baseline");
-  table.set_header({"fault", "intensity", "srcs", "QoE", "rebuffer s",
-                    "QoE d single", "rebuf d single", "waste J", "failovers",
-                    "hedges", "breaker"});
-  table.set_alignment({eacs::Align::kLeft, eacs::Align::kRight, eacs::Align::kRight,
-                       eacs::Align::kRight, eacs::Align::kRight, eacs::Align::kRight,
-                       eacs::Align::kRight, eacs::Align::kRight, eacs::Align::kRight,
-                       eacs::Align::kRight, eacs::Align::kRight});
-  for (const auto& cell : result.cells) {
-    table.add_row({sim::to_string(cell.family),
-                   eacs::AsciiTable::num(cell.intensity, 2),
-                   std::to_string(cell.sources),
-                   eacs::AsciiTable::num(cell.mean_qoe, 3),
-                   eacs::AsciiTable::num(cell.rebuffer_s, 1),
-                   eacs::AsciiTable::num(cell.qoe_delta_vs_single, 3),
-                   eacs::AsciiTable::num(cell.rebuffer_delta_vs_single_s, 1),
-                   eacs::AsciiTable::num(cell.wasted_energy_j, 1),
-                   std::to_string(cell.failovers), std::to_string(cell.hedges),
-                   std::to_string(cell.breaker_transitions)});
-  }
-  table.print();
+  sim::cdn_fault_table(result).print();
   return 0;
 }
 

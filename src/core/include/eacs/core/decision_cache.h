@@ -174,16 +174,17 @@ class DecisionCache {
 
   const DecisionCacheConfig& config() const noexcept { return config_; }
 
-  /// Projects a raw snapshot onto its bucket key and representative inputs.
-  /// Pure in (config, snapshot); idempotent (canonicalizing a representative
-  /// reproduces its own key). Non-finite inputs degrade to exact-bit keying
-  /// for that field, so NaN/Inf never alias a finite bucket in practice.
+  /// Projects a raw snapshot onto its bucket key and representative inputs:
+  /// key_for(snapshot), plus each representative derived from the key's
+  /// bucket index. Pure in (config, snapshot); idempotent (canonicalizing a
+  /// representative reproduces its own key). Non-finite inputs degrade to
+  /// exact-bit keying for that field, so NaN/Inf never alias a finite bucket
+  /// in practice.
   CanonicalDecision canonicalize(const DecisionSnapshot& snapshot) const noexcept;
 
-  /// The key alone — canonicalize() minus the representative reconstruction
-  /// (the exp2/midpoint math). Bitwise the same key canonicalize() produces;
-  /// hot paths key a lookup with this and only pay for representatives on a
-  /// miss.
+  /// The key alone — the one place the key is computed. Hot paths key a
+  /// lookup with this and only pay for representatives (the exp2/midpoint
+  /// math) on a miss.
   DecisionKey key_for(const DecisionSnapshot& snapshot) const noexcept;
 
   /// Lookup; counts exactly one hit or one miss.

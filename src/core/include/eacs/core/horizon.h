@@ -42,7 +42,7 @@ struct HorizonOptions {
   /// tests/differential/); a quantized config trades bounded decision error
   /// for fleet-scale hit rates. The selector owns no cache — share one per
   /// deterministic execution unit, never across threads.
-  std::shared_ptr<DecisionCache> cache;
+  std::shared_ptr<DecisionCache> cache = nullptr;
 };
 
 /// Receding-horizon optimiser over the Eq. 11 objective.

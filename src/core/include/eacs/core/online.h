@@ -52,7 +52,7 @@ struct OnlineOptions {
   /// Post-failure cooldown segments bypass the cache entirely — their cap
   /// depends on transient selector state outside the key. Share one cache
   /// per deterministic execution unit, never across threads.
-  std::shared_ptr<DecisionCache> cache;
+  std::shared_ptr<DecisionCache> cache = nullptr;
 };
 
 /// Algorithm 1 as a player policy.

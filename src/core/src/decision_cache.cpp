@@ -26,65 +26,45 @@ std::uint64_t fnv1a(std::uint64_t state, double value) noexcept {
   return fnv1a(state, std::bit_cast<std::uint64_t>(value));
 }
 
-// Linear bucketing. The key is the bucket index, the representative is the
-// bucket midpoint — every raw value in the bucket solves on the same inputs.
-// Non-finite values fall back to exact-bit keying (bit patterns of NaN/Inf
-// land around 2^63, far outside any realistic bucket index) with the raw
-// value as representative, so degenerate inputs can't alias a finite bucket.
-struct Bucketed {
-  std::int64_t bucket;
-  double representative;
-};
+std::int64_t exact_bits(double value) noexcept {
+  return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value));
+}
 
-Bucketed linear_bucket(double value, double width) noexcept {
-  if (!std::isfinite(value)) {
-    return {static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
-            value};
-  }
-  const auto bucket = static_cast<std::int64_t>(std::floor(value / width));
-  return {bucket, (static_cast<double>(bucket) + 0.5) * width};
+// Linear bucketing: the key is floor(value / width). Non-finite values fall
+// back to exact-bit keying (bit patterns of NaN/Inf land around 2^63, far
+// outside any realistic bucket index), so degenerate inputs can't alias a
+// finite bucket.
+std::int64_t linear_bucket_index(double value, double width) noexcept {
+  if (!std::isfinite(value)) return exact_bits(value);
+  return static_cast<std::int64_t>(std::floor(value / width));
 }
 
 // Logarithmic (octave) bucketing for bandwidth: relative resolution, so
 // 0.5 vs 0.6 Mbps distinguish while 40 vs 48 Mbps coalesce. Non-positive
-// estimates collapse into one "no throughput" bucket with representative 0.
-Bucketed log_bucket(double value, double buckets_per_octave) noexcept {
-  if (!std::isfinite(value)) {
-    return {static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value)),
-            value};
-  }
-  if (value <= 0.0) {
-    return {std::numeric_limits<std::int64_t>::min(), 0.0};
-  }
-  const auto bucket = static_cast<std::int64_t>(
-      std::floor(std::log2(value) * buckets_per_octave));
-  return {bucket,
-          std::exp2((static_cast<double>(bucket) + 0.5) / buckets_per_octave)};
-}
-
-// Index-only variants for key_for(): the hit path never needs the
-// representative, so it skips the midpoint / exp2 reconstruction. These MUST
-// floor exactly like their Bucketed counterparts — key_for() and
-// canonicalize() are certified bitwise-equal on the key.
-std::int64_t linear_bucket_index(double value, double width) noexcept {
-  if (!std::isfinite(value)) {
-    return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value));
-  }
-  return static_cast<std::int64_t>(std::floor(value / width));
-}
-
+// estimates collapse into one "no throughput" bucket.
 std::int64_t log_bucket_index(double value,
                               double buckets_per_octave) noexcept {
-  if (!std::isfinite(value)) {
-    return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value));
-  }
+  if (!std::isfinite(value)) return exact_bits(value);
   if (value <= 0.0) return std::numeric_limits<std::int64_t>::min();
   return static_cast<std::int64_t>(
       std::floor(std::log2(value) * buckets_per_octave));
 }
 
-std::int64_t exact_bits(double value) noexcept {
-  return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value));
+// Representatives, derived from the key's bucket index: the bucket midpoint
+// (exp2 of the log midpoint for bandwidth), so every raw value in a bucket
+// solves on the same inputs. A non-finite value keys on its own bits and is
+// its own representative; a non-positive bandwidth represents as 0.
+double linear_representative(double value, std::int64_t bucket,
+                             double width) noexcept {
+  if (!std::isfinite(value)) return value;
+  return (static_cast<double>(bucket) + 0.5) * width;
+}
+
+double log_representative(double value, std::int64_t bucket,
+                          double buckets_per_octave) noexcept {
+  if (!std::isfinite(value)) return value;
+  if (value <= 0.0) return 0.0;
+  return std::exp2((static_cast<double>(bucket) + 0.5) / buckets_per_octave);
 }
 
 void require_positive(double value, const char* name) {
@@ -105,10 +85,6 @@ std::size_t prev_level_representative(std::size_t prev,
                                       std::size_t width) noexcept {
   return (prev / width) * width;
 }
-
-}  // namespace
-
-namespace {
 
 // 64-bit avalanche (the murmur3/splitmix finalizer). Word-at-a-time: the
 // hash sits on the per-lookup hot path of the fleet simulator, where a
@@ -158,22 +134,12 @@ DecisionCache::DecisionCache(DecisionCacheConfig config)
 CanonicalDecision DecisionCache::canonicalize(
     const DecisionSnapshot& snapshot) const noexcept {
   CanonicalDecision out;
-  out.key.ladder_id = snapshot.ladder_id;
-  out.key.alpha_bits = std::bit_cast<std::uint64_t>(snapshot.alpha);
-  out.key.remaining = static_cast<std::int64_t>(snapshot.segments_remaining);
+  out.key = key_for(snapshot);
   if (snapshot.prev_level) {
-    const std::size_t width = config_.exact ? 1 : config_.prev_level_bucket;
-    out.key.prev_level = prev_level_bucket_index(*snapshot.prev_level, width);
-    out.prev_level = prev_level_representative(*snapshot.prev_level, width);
-  } else {
-    out.key.prev_level = DecisionKey::kNoPrevLevel;
+    out.prev_level = prev_level_representative(
+        *snapshot.prev_level, config_.exact ? 1 : config_.prev_level_bucket);
   }
   if (config_.exact) {
-    out.key.buffer = exact_bits(snapshot.buffer_s);
-    out.key.bandwidth = exact_bits(snapshot.bandwidth_mbps);
-    out.key.vibration = exact_bits(snapshot.vibration);
-    out.key.confidence = exact_bits(snapshot.confidence);
-    out.key.signal = exact_bits(snapshot.signal_dbm);
     out.buffer_s = snapshot.buffer_s;
     out.bandwidth_mbps = snapshot.bandwidth_mbps;
     out.vibration = snapshot.vibration;
@@ -181,26 +147,17 @@ CanonicalDecision DecisionCache::canonicalize(
     out.signal_dbm = snapshot.signal_dbm;
     return out;
   }
-  const Bucketed buffer =
-      linear_bucket(snapshot.buffer_s, config_.buffer_bucket_s);
-  const Bucketed bandwidth =
-      log_bucket(snapshot.bandwidth_mbps, config_.bandwidth_buckets_per_octave);
-  const Bucketed vibration =
-      linear_bucket(snapshot.vibration, config_.vibration_bucket);
-  const Bucketed confidence =
-      linear_bucket(snapshot.confidence, config_.confidence_bucket);
-  const Bucketed signal =
-      linear_bucket(snapshot.signal_dbm, config_.signal_bucket_dbm);
-  out.key.buffer = buffer.bucket;
-  out.key.bandwidth = bandwidth.bucket;
-  out.key.vibration = vibration.bucket;
-  out.key.confidence = confidence.bucket;
-  out.key.signal = signal.bucket;
-  out.buffer_s = buffer.representative;
-  out.bandwidth_mbps = bandwidth.representative;
-  out.vibration = vibration.representative;
-  out.confidence = confidence.representative;
-  out.signal_dbm = signal.representative;
+  out.buffer_s = linear_representative(snapshot.buffer_s, out.key.buffer,
+                                       config_.buffer_bucket_s);
+  out.bandwidth_mbps =
+      log_representative(snapshot.bandwidth_mbps, out.key.bandwidth,
+                         config_.bandwidth_buckets_per_octave);
+  out.vibration = linear_representative(snapshot.vibration, out.key.vibration,
+                                        config_.vibration_bucket);
+  out.confidence = linear_representative(
+      snapshot.confidence, out.key.confidence, config_.confidence_bucket);
+  out.signal_dbm = linear_representative(snapshot.signal_dbm, out.key.signal,
+                                         config_.signal_bucket_dbm);
   return out;
 }
 

@@ -16,10 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "eacs/sim/evaluation.h"
+#include "eacs/sim/study.h"
 
 namespace eacs::sim {
 
@@ -80,17 +79,11 @@ struct CdnFaultStudyConfig {
 
 /// One (family, intensity, source count) grid point: the delivery-robust
 /// player aggregated across the Table V sessions.
-struct CdnFaultCell {
+struct CdnFaultCell : StudyTotals {
   CdnFaultFamily family = CdnFaultFamily::kOriginOutage;
   double intensity = 0.0;
   std::size_t sources = 1;
 
-  double mean_qoe = 0.0;         ///< mean across sessions
-  double total_energy_j = 0.0;   ///< summed across sessions (incl. waste)
-  double wasted_energy_j = 0.0;  ///< summed across sessions
-  double rebuffer_s = 0.0;       ///< summed across sessions
-  double mean_bitrate_mbps = 0.0;
-  std::size_t retries = 0;
   std::size_t hedges = 0;
   std::size_t failovers = 0;
   std::size_t breaker_transitions = 0;
@@ -107,13 +100,7 @@ struct CdnFaultCell {
 };
 
 /// Aggregate of the fault-free reference run.
-struct CdnFaultBaseline {
-  std::string algorithm;
-  double mean_qoe = 0.0;
-  double total_energy_j = 0.0;
-  double rebuffer_s = 0.0;
-  double mean_bitrate_mbps = 0.0;
-};
+using CdnFaultBaseline = StudyTotals;
 
 /// Full sweep outcome.
 struct CdnFaultStudyResult {
@@ -126,10 +113,9 @@ struct CdnFaultStudyResult {
                            std::size_t sources) const;
 };
 
-/// Runs the sweep. Sessions are built once and shared; each (grid point,
-/// session) fault seed derives from config.seed and per-source draws are
-/// decorrelated by source id inside net::SegmentSource, so the whole table
-/// is reproducible bit-for-bit at any job count.
+/// Runs the sweep on the shared study harness (study.h): deterministic in
+/// config.seed (per-source draws are decorrelated by source id inside
+/// net::SegmentSource) and bit-identical at any job count.
 CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config = {});
 
 }  // namespace eacs::sim

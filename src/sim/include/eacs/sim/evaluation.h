@@ -72,6 +72,10 @@ struct EvaluationResult {
                                   const std::string& reference = "Youtube") const;
 };
 
+/// The Eq. 11 objective an evaluation plans with: `config`'s alpha, buffer
+/// threshold and context awareness over its QoE and power models.
+core::Objective make_objective(const EvaluationConfig& config);
+
 /// Runs the evaluation.
 class Evaluation {
  public:

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "eacs/sim/evaluation.h"
+#include "eacs/sim/study.h"
 
 namespace eacs::sim {
 
@@ -37,18 +37,11 @@ struct FaultStudyConfig {
   std::uint64_t seed = 0xFA17'57D1ULL;
 };
 
-/// One (algorithm, grid point): sums/means across the Table V sessions.
-struct FaultCell {
-  std::string algorithm;
+/// One (algorithm, grid point): the algorithm's totals across the Table V
+/// sessions.
+struct FaultCell : StudyTotals {
   double outage_rate_per_min = 0.0;
   double failure_prob = 0.0;
-
-  double mean_qoe = 0.0;          ///< mean across sessions
-  double total_energy_j = 0.0;    ///< summed across sessions (incl. waste)
-  double wasted_energy_j = 0.0;   ///< summed across sessions
-  double rebuffer_s = 0.0;        ///< summed across sessions
-  std::size_t retries = 0;
-  std::size_t abandoned_segments = 0;
 
   /// Deltas vs. the same algorithm's fault-free run over the same sessions.
   double qoe_delta = 0.0;         ///< mean_qoe - baseline mean_qoe
@@ -65,9 +58,8 @@ struct FaultStudyResult {
                         double failure_prob) const;
 };
 
-/// Runs the sweep. Sessions are built once and shared across the grid; the
-/// fault seed for (grid point, session) is derived from config.seed so the
-/// whole table is reproducible bit-for-bit.
+/// Runs the sweep on the shared study harness (study.h): deterministic in
+/// config.seed and bit-identical at any job count.
 FaultStudyResult run_fault_study(const FaultStudyConfig& config = {});
 
 }  // namespace eacs::sim

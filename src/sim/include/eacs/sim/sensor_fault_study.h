@@ -13,10 +13,9 @@
 // would cost. Deterministic in (config, seed).
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "eacs/sim/evaluation.h"
+#include "eacs/sim/study.h"
 
 namespace eacs::sim {
 
@@ -64,14 +63,9 @@ struct SensorFaultStudyConfig {
 
 /// One (scenario, intensity) grid point: degraded-context Ours aggregated
 /// across the Table V sessions.
-struct SensorFaultCell {
+struct SensorFaultCell : StudyTotals {
   SensorFaultScenario scenario = SensorFaultScenario::kDropout;
   double intensity = 0.0;
-
-  double mean_qoe = 0.0;        ///< mean across sessions
-  double total_energy_j = 0.0;  ///< summed across sessions
-  double rebuffer_s = 0.0;      ///< summed across sessions
-  double mean_bitrate_mbps = 0.0;
 
   /// Mean |perceived - true| vibration over all tasks (m/s^2): how wrong the
   /// policy's picture of the world was.
@@ -89,13 +83,7 @@ struct SensorFaultCell {
 };
 
 /// Aggregate of one reference algorithm across the sessions.
-struct SensorFaultBaseline {
-  std::string algorithm;
-  double mean_qoe = 0.0;
-  double total_energy_j = 0.0;
-  double rebuffer_s = 0.0;
-  double mean_bitrate_mbps = 0.0;
-};
+using SensorFaultBaseline = StudyTotals;
 
 /// Full sweep outcome.
 struct SensorFaultStudyResult {
@@ -108,9 +96,8 @@ struct SensorFaultStudyResult {
                               double intensity) const;
 };
 
-/// Runs the sweep. Sessions are built once and shared; each (grid point,
-/// session) fault seed derives from config.seed, so the whole table is
-/// reproducible bit-for-bit at any job count.
+/// Runs the sweep on the shared study harness (study.h): deterministic in
+/// config.seed and bit-identical at any job count.
 SensorFaultStudyResult run_sensor_fault_study(
     const SensorFaultStudyConfig& config = {});
 

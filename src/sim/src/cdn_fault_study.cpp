@@ -7,7 +7,6 @@
 #include "eacs/abr/bba.h"
 #include "eacs/net/segment_source.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
 
 namespace eacs::sim {
 namespace {
@@ -95,22 +94,22 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   const auto families =
       config.families.empty() ? all_cdn_fault_families() : config.families;
 
-  const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
-
   player::PlayerConfig player_config = config.evaluation.player;
   player_config.resilience.hedge_enabled = config.hedge_enabled;
+  const StudySessions fixture(config.evaluation, player_config);
+  const std::size_t n_sessions = fixture.size();
 
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), player_config);
-  }
+  // Points [0, P) are the grid: point = (family index * |intensities| +
+  // intensity index) * |source counts| + source-count index. Each unit's
+  // fault seed is seed_mix(config.seed, point / |source counts|, session
+  // id): it ignores the source-count axis on purpose, so a given (family,
+  // intensity, session) draws the *same* origin fault realisation at every
+  // source count and that axis isolates the failover machinery rather than
+  // re-rolling the faults. Point P is the fault-free single-source
+  // reference.
+  const std::size_t n_counts = config.source_counts.size();
+  const std::size_t n_intensities = config.intensities.size();
+  const std::size_t n_points = families.size() * n_intensities * n_counts;
 
   struct UnitResult {
     SessionMetrics metrics;
@@ -120,24 +119,26 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   };
 
   // One unit: the delivery policy (BBA — the study isolates delivery
-  // robustness, not ABR choice) over one session through `count` sources.
-  // A zero count runs the fault-free single-source reference.
-  const auto run_unit = [&](std::size_t s, CdnFaultFamily family,
-                            double intensity, std::size_t count,
-                            std::uint64_t seed) {
-    const auto& session = sessions[s];
+  // robustness, not ABR choice) over one session through the point's
+  // sources: the faulty origin plus (count - 1) clean edges.
+  const auto run_unit = [&](std::size_t point, std::size_t s) {
+    const auto& session = fixture.sessions[s];
     abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-    UnitResult unit;
     player::PlaybackResult playback;
-    if (count == 0) {
-      playback = simulators[s].run(bba, session);
+    if (point == n_points) {
+      playback = fixture.simulators[s].run(bba, session);
     } else {
+      const std::size_t fault_point = point / n_counts;
+      const std::size_t count = config.source_counts[point % n_counts];
       std::vector<net::SegmentSource> sources;
       sources.reserve(count);
       net::CdnSourceConfig origin;
       origin.name = "origin";
       origin.id = 0;
-      origin.faults = origin_spec(config, family, intensity, seed);
+      origin.faults = origin_spec(
+          config, families[fault_point / n_intensities],
+          config.intensities[fault_point % n_intensities],
+          seed_mix(config.seed, fault_point, session.spec.id));
       sources.emplace_back(session.throughput_mbps, origin, &session.signal_dbm);
       for (std::size_t k = 1; k < count; ++k) {
         net::CdnSourceConfig edge;
@@ -149,98 +150,44 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         edge.base_rtt_s = static_cast<double>(k) * config.edge_rtt_step_s;
         sources.emplace_back(session.throughput_mbps, edge, &session.signal_dbm);
       }
-      playback = simulators[s].run(
+      playback = fixture.simulators[s].run(
           bba, session, std::span<const net::SegmentSource>(sources));
     }
-    unit.metrics = compute_metrics(bba.name(), session.spec.id, playback,
-                                   manifests[s], qoe_model, power_model);
-    unit.hedges = playback.total_hedges;
-    unit.failovers = playback.total_failovers;
-    unit.breaker_transitions = playback.breaker_transitions;
-    return unit;
+    return UnitResult{fixture.metrics(bba.name(), s, playback),
+                      playback.total_hedges, playback.total_failovers,
+                      playback.breaker_transitions};
   };
 
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells =
-      families.size() * config.intensities.size() * config.source_counts.size();
-  const std::size_t counts_per_family =
-      config.intensities.size() * config.source_counts.size();
-
-  // Fault-free single-source reference.
-  const auto clean_units =
-      util::parallel_map(jobs, n_sessions, [&](std::size_t s) {
-        return run_unit(s, CdnFaultFamily::kOriginOutage, 0.0, 0, 0);
-      });
-
   CdnFaultStudyResult result;
-  for (const auto& unit : clean_units) {
-    result.clean.algorithm = unit.metrics.algorithm;
-    result.clean.mean_qoe +=
-        unit.metrics.mean_qoe / static_cast<double>(n_sessions);
-    result.clean.total_energy_j += unit.metrics.total_energy_j;
-    result.clean.rebuffer_s += unit.metrics.rebuffer_s;
-    result.clean.mean_bitrate_mbps +=
-        unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
-  }
-
-  // The grid, flattened to (grid point, session) units; each unit's fault
-  // seed is pure in (config.seed, grid index, session id). The seed ignores
-  // the source-count axis on purpose: a given (family, intensity, session)
-  // draws the *same* origin fault realisation at every source count, so the
-  // source-count axis isolates the failover machinery rather than re-rolling
-  // the faults.
-  const auto cell_units =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const auto family = families[grid_index / counts_per_family];
-        const std::size_t within = grid_index % counts_per_family;
-        const double intensity =
-            config.intensities[within / config.source_counts.size()];
-        const std::size_t count =
-            config.source_counts[within % config.source_counts.size()];
-        const std::size_t fault_point =
-            grid_index / config.source_counts.size();
-        return run_unit(s, family, intensity, count,
-                        seed_mix(config.seed, fault_point, sessions[s].spec.id));
-      });
-
-  // Serial reduction in grid order: bit-identical at any job count.
-  std::size_t grid_index = 0;
   for (const auto family : families) {
     for (const double intensity : config.intensities) {
       for (const std::size_t count : config.source_counts) {
-        CdnFaultCell cell;
+        CdnFaultCell& cell = result.cells.emplace_back();
         cell.family = family;
         cell.intensity = intensity;
         cell.sources = count;
-        for (std::size_t s = 0; s < n_sessions; ++s) {
-          const auto& unit = cell_units[grid_index * n_sessions + s];
-          cell.mean_qoe +=
-              unit.metrics.mean_qoe / static_cast<double>(n_sessions);
-          cell.total_energy_j += unit.metrics.total_energy_j;
-          cell.wasted_energy_j += unit.metrics.wasted_energy_j;
-          cell.rebuffer_s += unit.metrics.rebuffer_s;
-          cell.mean_bitrate_mbps +=
-              unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
-          cell.retries += unit.metrics.retries;
-          cell.hedges += unit.hedges;
-          cell.failovers += unit.failovers;
-          cell.breaker_transitions += unit.breaker_transitions;
-        }
-        cell.qoe_delta_vs_clean = cell.mean_qoe - result.clean.mean_qoe;
-        cell.rebuffer_delta_vs_clean_s = cell.rebuffer_s - result.clean.rebuffer_s;
-        result.cells.push_back(cell);
-        ++grid_index;
       }
     }
   }
+  run_grid(config.evaluation.exec.resolved_jobs(), n_points + 1, n_sessions,
+           run_unit,
+           [&](std::size_t point, std::size_t, const UnitResult& unit) {
+             if (point == n_points) {
+               result.clean.add(unit.metrics, n_sessions);
+               return;
+             }
+             CdnFaultCell& cell = result.cells[point];
+             cell.add(unit.metrics, n_sessions);
+             cell.hedges += unit.hedges;
+             cell.failovers += unit.failovers;
+             cell.breaker_transitions += unit.breaker_transitions;
+           });
 
-  // Deltas vs. the retry-only (source-count-1) cell of the same family and
-  // intensity, once all cells exist.
+  // Deltas vs. the fault-free reference and vs. the retry-only
+  // (source-count-1) cell of the same family and intensity.
   for (auto& cell : result.cells) {
-    bool found = false;
+    cell.qoe_delta_vs_clean = cell.mean_qoe - result.clean.mean_qoe;
+    cell.rebuffer_delta_vs_clean_s = cell.rebuffer_s - result.clean.rebuffer_s;
     for (const auto& single : result.cells) {
       if (single.sources == 1 && single.family == cell.family &&
           std::fabs(single.intensity - cell.intensity) < 1e-12) {
@@ -248,14 +195,8 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         cell.energy_delta_vs_single_j =
             cell.total_energy_j - single.total_energy_j;
         cell.rebuffer_delta_vs_single_s = cell.rebuffer_s - single.rebuffer_s;
-        found = true;
         break;
       }
-    }
-    if (!found) {
-      cell.qoe_delta_vs_single = 0.0;
-      cell.energy_delta_vs_single_j = 0.0;
-      cell.rebuffer_delta_vs_single_s = 0.0;
     }
   }
   return result;

@@ -105,6 +105,15 @@ double EvaluationResult::saving_degradation_ratio(const std::string& algorithm,
   return saving / degradation;
 }
 
+core::Objective make_objective(const EvaluationConfig& config) {
+  core::ObjectiveConfig objective;
+  objective.alpha = config.alpha;
+  objective.buffer_threshold_s = config.player.buffer_threshold_s;
+  objective.context_aware = config.context_aware;
+  return core::Objective(qoe::QoeModel(config.qoe),
+                         power::PowerModel(config.power), objective);
+}
+
 Evaluation::Evaluation(EvaluationConfig config) : config_(std::move(config)) {
   if (config_.segment_duration_s <= 0.0) {
     throw std::invalid_argument("Evaluation: segment duration must be > 0");
@@ -127,12 +136,7 @@ EvaluationResult Evaluation::run(
   EvaluationResult result;
   const qoe::QoeModel qoe_model(config_.qoe);
   const power::PowerModel power_model(config_.power);
-
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config_.alpha;
-  objective_config.buffer_threshold_s = config_.player.buffer_threshold_s;
-  objective_config.context_aware = config_.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
+  const core::Objective objective = make_objective(config_);
 
   // One unit of work per session: everything a unit touches (manifest,
   // simulator, policies, optimal plan) is built inside it from the session

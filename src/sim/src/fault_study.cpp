@@ -11,7 +11,6 @@
 #include "eacs/core/optimal.h"
 #include "eacs/net/fault_injector.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
 
 namespace eacs::sim {
 
@@ -33,42 +32,30 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     throw std::invalid_argument("run_fault_study: empty sweep axes");
   }
 
-  const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
+  const StudySessions fixture(config.evaluation, config.evaluation.player);
+  const std::size_t n_sessions = fixture.size();
 
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config.evaluation.alpha;
-  objective_config.buffer_threshold_s = config.evaluation.player.buffer_threshold_s;
-  objective_config.context_aware = config.evaluation.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
-
-  // Sessions, manifests, simulators and optimal plans are built once and
-  // shared across the whole grid.
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
+  // Optimal plans are built once and shared across the whole grid.
   std::vector<core::OptimalPlan> plans;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  plans.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), config.evaluation.player);
-    core::OptimalPlanner planner(objective);
-    plans.push_back(planner.plan(core::build_task_environments(manifests.back(), session)));
+  plans.reserve(n_sessions);
+  for (std::size_t s = 0; s < n_sessions; ++s) {
+    core::OptimalPlanner planner(fixture.objective);
+    plans.push_back(planner.plan(core::build_task_environments(
+        fixture.manifests[s], fixture.sessions[s])));
   }
 
   // One unit of work: replay every policy over one session (optionally
   // through a fault injector) and return the metrics in policy order. Fresh
   // policy instances per unit (the planner output is shared, read-only).
   const auto run_policies = [&](std::size_t s, const net::FaultInjector* faults) {
-    const auto& session = sessions[s];
+    const auto& session = fixture.sessions[s];
+    const auto& simulator = fixture.simulators[s];
     abr::FixedBitrate youtube;
     abr::Festive festive;
     abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level});
+        fixture.objective,
+        {.startup_level = config.evaluation.online_startup_level});
     core::PlannedPolicy optimal(plans[s]);
 
     const std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba,
@@ -77,89 +64,56 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     metrics.reserve(policies.size());
     for (player::AbrPolicy* policy : policies) {
       const auto playback = faults != nullptr
-                                ? simulators[s].run(*policy, session, *faults)
-                                : simulators[s].run(*policy, session);
-      metrics.push_back(compute_metrics(policy->name(), session.spec.id, playback,
-                                        manifests[s], qoe_model, power_model));
+                                ? simulator.run(*policy, session, *faults)
+                                : simulator.run(*policy, session);
+      metrics.push_back(fixture.metrics(policy->name(), s, playback));
     }
     return metrics;
   };
 
-  // Serial reduction: the accumulation order (sessions outer, policies
-  // inner) is fixed regardless of how the units above were scheduled, so
-  // the floating-point sums are bit-identical at any job count.
-  const auto accumulate = [&](std::map<std::string, FaultCell>& cells,
-                              const std::vector<SessionMetrics>& metrics) {
-    for (const auto& m : metrics) {
-      FaultCell& cell = cells[m.algorithm];
-      cell.algorithm = m.algorithm;
-      cell.mean_qoe += m.mean_qoe / static_cast<double>(sessions.size());
-      cell.total_energy_j += m.total_energy_j;
-      cell.wasted_energy_j += m.wasted_energy_j;
-      cell.rebuffer_s += m.rebuffer_s;
-      cell.retries += m.retries;
-      cell.abandoned_segments += m.abandoned_segments;
-    }
-  };
-
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells =
-      config.outage_rates_per_min.size() * config.failure_probs.size();
-
-  // Fault-free baseline per algorithm: the reference every cell's deltas
-  // are taken against.
-  const auto baseline_metrics = util::parallel_map(
-      jobs, n_sessions, [&](std::size_t s) { return run_policies(s, nullptr); });
-  std::map<std::string, FaultCell> baseline;
-  for (const auto& metrics : baseline_metrics) accumulate(baseline, metrics);
-
-  // The grid, flattened to (grid cell, session) units. Each unit's fault
-  // seed is a pure function of (config.seed, grid index, session id), so
-  // the whole table is reproducible at any job count.
-  const auto cell_metrics =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const double outage_rate =
-            config.outage_rates_per_min[grid_index / config.failure_probs.size()];
-        const double failure_prob =
-            config.failure_probs[grid_index % config.failure_probs.size()];
-        const auto& session = sessions[s];
-
+  // Points [0, P) are the grid: point = outage-rate index * |failure probs|
+  // + failure-prob index, with fault seed seed_mix(config.seed, point,
+  // session id). Point P is the fault-free baseline every cell's deltas are
+  // taken against. Totals are keyed by algorithm, so cells list in name
+  // order.
+  const std::size_t n_probs = config.failure_probs.size();
+  const std::size_t n_points = config.outage_rates_per_min.size() * n_probs;
+  std::vector<std::map<std::string, FaultCell>> totals(n_points + 1);
+  run_grid(
+      config.evaluation.exec.resolved_jobs(), totals.size(), n_sessions,
+      [&](std::size_t point, std::size_t s) {
+        if (point == n_points) return run_policies(s, nullptr);
+        const auto& session = fixture.sessions[s];
         net::FaultSpec spec;
-        spec.outage_rate_per_min = outage_rate;
+        spec.outage_rate_per_min = config.outage_rates_per_min[point / n_probs];
         spec.outage_mean_s = config.outage_mean_s;
-        spec.failure_prob = failure_prob;
-        if (failure_prob > 0.0) {
+        spec.failure_prob = config.failure_probs[point % n_probs];
+        if (spec.failure_prob > 0.0) {
           spec.signal_failure_per_db = config.signal_failure_per_db;
           spec.signal_threshold_dbm = config.signal_threshold_dbm;
         }
-        spec.seed = seed_mix(config.seed, grid_index, session.spec.id);
+        spec.seed = seed_mix(config.seed, point, session.spec.id);
         const net::FaultInjector faults(session.throughput_mbps, spec,
                                         &session.signal_dbm);
         return run_policies(s, &faults);
+      },
+      [&](std::size_t point, std::size_t, const auto& metrics) {
+        for (const auto& m : metrics) {
+          totals[point][m.algorithm].add(m, n_sessions);
+        }
       });
 
+  const auto& baseline = totals.back();
   FaultStudyResult result;
-  std::size_t grid_index = 0;
-  for (const double outage_rate : config.outage_rates_per_min) {
-    for (const double failure_prob : config.failure_probs) {
-      std::map<std::string, FaultCell> per_algorithm;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        accumulate(per_algorithm, cell_metrics[grid_index * n_sessions + s]);
-      }
-
-      for (auto& [name, cell] : per_algorithm) {
-        cell.outage_rate_per_min = outage_rate;
-        cell.failure_prob = failure_prob;
-        const FaultCell& base = baseline.at(name);
-        cell.qoe_delta = cell.mean_qoe - base.mean_qoe;
-        cell.energy_delta_j = cell.total_energy_j - base.total_energy_j;
-        cell.rebuffer_delta_s = cell.rebuffer_s - base.rebuffer_s;
-        result.cells.push_back(cell);
-      }
-      ++grid_index;
+  for (std::size_t point = 0; point < n_points; ++point) {
+    for (auto& [name, cell] : totals[point]) {
+      cell.outage_rate_per_min = config.outage_rates_per_min[point / n_probs];
+      cell.failure_prob = config.failure_probs[point % n_probs];
+      const FaultCell& base = baseline.at(name);
+      cell.qoe_delta = cell.mean_qoe - base.mean_qoe;
+      cell.energy_delta_j = cell.total_energy_j - base.total_energy_j;
+      cell.rebuffer_delta_s = cell.rebuffer_s - base.rebuffer_s;
+      result.cells.push_back(cell);
     }
   }
   return result;

@@ -7,7 +7,6 @@
 #include "eacs/core/online.h"
 #include "eacs/sensors/sensor_faults.h"
 #include "eacs/sim/seed_mix.h"
-#include "eacs/util/thread_pool.h"
 
 namespace eacs::sim {
 namespace {
@@ -119,26 +118,11 @@ SensorFaultStudyResult run_sensor_fault_study(
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;
 
-  const Evaluation evaluation(config.evaluation);
-  const qoe::QoeModel qoe_model(config.evaluation.qoe);
-  const power::PowerModel power_model(config.evaluation.power);
-
-  core::ObjectiveConfig objective_config;
-  objective_config.alpha = config.evaluation.alpha;
-  objective_config.buffer_threshold_s = config.evaluation.player.buffer_threshold_s;
-  objective_config.context_aware = config.evaluation.context_aware;
-  const core::Objective objective(qoe_model, power_model, objective_config);
-
-  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
-  std::vector<media::VideoManifest> manifests;
-  std::vector<player::PlayerSimulator> simulators;
+  const StudySessions fixture(config.evaluation, config.evaluation.player);
+  const std::size_t n_sessions = fixture.size();
   std::vector<std::vector<sensors::SignalSample>> signal_streams;
-  manifests.reserve(sessions.size());
-  simulators.reserve(sessions.size());
-  signal_streams.reserve(sessions.size());
-  for (const auto& session : sessions) {
-    manifests.push_back(evaluation.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), config.evaluation.player);
+  signal_streams.reserve(n_sessions);
+  for (const auto& session : fixture.sessions) {
     signal_streams.push_back(trace::signal_samples(session.signal_dbm));
   }
 
@@ -152,15 +136,15 @@ SensorFaultStudyResult run_sensor_fault_study(
   // the clean baseline instead.
   const auto run_ours = [&](std::size_t s,
                             const sensors::SensorFaultInjector* faults) {
-    const auto& session = sessions[s];
+    const auto& session = fixture.sessions[s];
     core::OnlineBitrateSelector ours(
-        objective, {.startup_level = config.evaluation.online_startup_level});
-    const auto playback = faults != nullptr
-                              ? simulators[s].run(ours, session, *faults)
-                              : simulators[s].run(ours, session);
+        fixture.objective,
+        {.startup_level = config.evaluation.online_startup_level});
+    const auto playback =
+        faults != nullptr ? fixture.simulators[s].run(ours, session, *faults)
+                          : fixture.simulators[s].run(ours, session);
     UnitResult unit;
-    unit.metrics = compute_metrics(ours.name(), session.spec.id, playback,
-                                   manifests[s], qoe_model, power_model);
+    unit.metrics = fixture.metrics(ours.name(), s, playback);
     for (const auto& task : playback.tasks) {
       unit.context_error_sum += std::fabs(task.perceived_vibration - task.vibration);
     }
@@ -168,93 +152,65 @@ SensorFaultStudyResult run_sensor_fault_study(
     return unit;
   };
 
-  const auto accumulate_baseline = [&](SensorFaultBaseline& base,
-                                       const SessionMetrics& m) {
-    base.algorithm = m.algorithm;
-    base.mean_qoe += m.mean_qoe / static_cast<double>(sessions.size());
-    base.total_energy_j += m.total_energy_j;
-    base.rebuffer_s += m.rebuffer_s;
-    base.mean_bitrate_mbps +=
-        m.mean_bitrate_mbps / static_cast<double>(sessions.size());
-  };
-
-  const std::size_t jobs = config.evaluation.exec.resolved_jobs();
-  const std::size_t n_sessions = sessions.size();
-  const std::size_t n_cells = scenarios.size() * config.intensities.size();
-
-  // Baselines: clean-context Ours and the context-blind reference (BBA reads
-  // no vibration/signal, so sensor faults cannot touch it).
-  const auto clean_units = util::parallel_map(
-      jobs, n_sessions, [&](std::size_t s) { return run_ours(s, nullptr); });
-  const auto blind_metrics =
-      util::parallel_map(jobs, n_sessions, [&](std::size_t s) {
-        const auto& session = sessions[s];
-        abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-        const auto playback = simulators[s].run(bba, session);
-        return compute_metrics(bba.name(), session.spec.id, playback,
-                               manifests[s], qoe_model, power_model);
-      });
-
+  // Points [0, P) are the grid: point = scenario index * |intensities| +
+  // intensity index, each unit building its own injector from
+  // seed_mix(config.seed, point, session id). Point P is clean-context Ours
+  // and point P + 1 the context-blind reference (BBA reads no
+  // vibration/signal, so sensor faults cannot touch it).
+  const std::size_t n_intensities = config.intensities.size();
+  const std::size_t n_points = scenarios.size() * n_intensities;
   SensorFaultStudyResult result;
-  for (const auto& unit : clean_units) {
-    accumulate_baseline(result.clean_ours, unit.metrics);
-  }
-  for (const auto& m : blind_metrics) accumulate_baseline(result.context_blind, m);
-
-  // The grid, flattened to (grid point, session) units; each unit builds its
-  // own injector from a seed pure in (config.seed, grid index, session id).
-  const auto cell_units =
-      util::parallel_map(jobs, n_cells * n_sessions, [&](std::size_t item) {
-        const std::size_t grid_index = item / n_sessions;
-        const std::size_t s = item % n_sessions;
-        const auto scenario = scenarios[grid_index / config.intensities.size()];
-        const double intensity =
-            config.intensities[grid_index % config.intensities.size()];
-        const auto& session = sessions[s];
-
+  result.cells.resize(n_points);
+  std::vector<double> error_sums(n_points, 0.0);
+  std::vector<std::size_t> task_counts(n_points, 0);
+  run_grid(
+      config.evaluation.exec.resolved_jobs(), n_points + 2, n_sessions,
+      [&](std::size_t point, std::size_t s) {
+        const auto& session = fixture.sessions[s];
+        if (point == n_points) return run_ours(s, nullptr);
+        if (point > n_points) {
+          abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
+          const auto playback = fixture.simulators[s].run(bba, session);
+          return UnitResult{fixture.metrics(bba.name(), s, playback), 0.0, 0};
+        }
         const double accel_horizon =
             session.accel.empty() ? 0.0 : session.accel.back().t_s;
         const auto spec = build_spec(
-            config, scenario, intensity, accel_horizon,
+            config, scenarios[point / n_intensities],
+            config.intensities[point % n_intensities], accel_horizon,
             session.signal_dbm.empty() ? 0.0 : session.signal_dbm.end_time(),
-            seed_mix(config.seed, grid_index, session.spec.id));
+            seed_mix(config.seed, point, session.spec.id));
         const sensors::SensorFaultInjector faults(session.accel,
                                                   signal_streams[s], spec);
         return run_ours(s, &faults);
+      },
+      [&](std::size_t point, std::size_t, const UnitResult& unit) {
+        if (point >= n_points) {
+          (point == n_points ? result.clean_ours : result.context_blind)
+              .add(unit.metrics, n_sessions);
+          return;
+        }
+        result.cells[point].add(unit.metrics, n_sessions);
+        error_sums[point] += unit.context_error_sum;
+        task_counts[point] += unit.tasks;
       });
 
-  // Serial reduction in grid order: bit-identical at any job count.
-  std::size_t grid_index = 0;
-  for (const auto scenario : scenarios) {
-    for (const double intensity : config.intensities) {
-      SensorFaultCell cell;
-      cell.scenario = scenario;
-      cell.intensity = intensity;
-      double error_sum = 0.0;
-      std::size_t task_count = 0;
-      for (std::size_t s = 0; s < n_sessions; ++s) {
-        const auto& unit = cell_units[grid_index * n_sessions + s];
-        cell.mean_qoe += unit.metrics.mean_qoe / static_cast<double>(n_sessions);
-        cell.total_energy_j += unit.metrics.total_energy_j;
-        cell.rebuffer_s += unit.metrics.rebuffer_s;
-        cell.mean_bitrate_mbps +=
-            unit.metrics.mean_bitrate_mbps / static_cast<double>(n_sessions);
-        error_sum += unit.context_error_sum;
-        task_count += unit.tasks;
-      }
-      cell.mean_context_error =
-          task_count > 0 ? error_sum / static_cast<double>(task_count) : 0.0;
-      cell.qoe_delta_vs_clean = cell.mean_qoe - result.clean_ours.mean_qoe;
-      cell.energy_delta_vs_clean_j =
-          cell.total_energy_j - result.clean_ours.total_energy_j;
-      cell.rebuffer_delta_vs_clean_s =
-          cell.rebuffer_s - result.clean_ours.rebuffer_s;
-      cell.qoe_delta_vs_blind = cell.mean_qoe - result.context_blind.mean_qoe;
-      cell.energy_delta_vs_blind_j =
-          cell.total_energy_j - result.context_blind.total_energy_j;
-      result.cells.push_back(cell);
-      ++grid_index;
-    }
+  for (std::size_t point = 0; point < n_points; ++point) {
+    SensorFaultCell& cell = result.cells[point];
+    cell.scenario = scenarios[point / n_intensities];
+    cell.intensity = config.intensities[point % n_intensities];
+    cell.mean_context_error =
+        task_counts[point] > 0
+            ? error_sums[point] / static_cast<double>(task_counts[point])
+            : 0.0;
+    cell.qoe_delta_vs_clean = cell.mean_qoe - result.clean_ours.mean_qoe;
+    cell.energy_delta_vs_clean_j =
+        cell.total_energy_j - result.clean_ours.total_energy_j;
+    cell.rebuffer_delta_vs_clean_s =
+        cell.rebuffer_s - result.clean_ours.rebuffer_s;
+    cell.qoe_delta_vs_blind = cell.mean_qoe - result.context_blind.mean_qoe;
+    cell.energy_delta_vs_blind_j =
+        cell.total_energy_j - result.context_blind.total_energy_j;
   }
   return result;
 }

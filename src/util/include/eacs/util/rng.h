@@ -64,10 +64,9 @@ class Rng {
   /// Derives an independent child stream; deterministic in (parent state, salt).
   Rng fork(std::uint64_t salt) noexcept;
 
-  /// Snapshot of the full engine state (checkpoint side).
-  RngState state() const noexcept {
-    return {state_, cached_normal_, has_cached_normal_};
-  }
+  /// The full engine state (checkpoint side); the state struct is the
+  /// storage.
+  const RngState& state() const noexcept { return s_; }
 
   /// Restores a previously captured state (resume side); throws
   /// std::invalid_argument on the all-zero word state, which xoshiro256**
@@ -86,9 +85,7 @@ class Rng {
   }
 
  private:
-  std::array<std::uint64_t, 4> state_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  RngState s_;
 };
 
 }  // namespace eacs

@@ -64,35 +64,21 @@ class RunningStats {
   void add(double x) noexcept;
   void merge(const RunningStats& other) noexcept;
 
-  /// Checkpoint-safe state round-trip: state() captures every internal
-  /// field; restore() reinstates them exactly.
-  RunningStatsState state() const noexcept {
-    return {count_, mean_, m2_, sum_, min_, max_};
-  }
-  void restore(const RunningStatsState& state) noexcept {
-    count_ = state.count;
-    mean_ = state.mean;
-    m2_ = state.m2;
-    sum_ = state.sum;
-    min_ = state.min;
-    max_ = state.max;
-  }
+  /// Checkpoint-safe state round-trip: the state struct is the storage, so
+  /// state() is every internal field and restore() reinstates them exactly.
+  const RunningStatsState& state() const noexcept { return s_; }
+  void restore(const RunningStatsState& state) noexcept { s_ = state; }
 
-  std::size_t count() const noexcept { return count_; }
-  double mean() const noexcept { return count_ == 0 ? 0.0 : mean_; }
+  std::size_t count() const noexcept { return s_.count; }
+  double mean() const noexcept { return s_.count == 0 ? 0.0 : s_.mean; }
   double variance() const noexcept;
   double stddev() const noexcept;
-  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
-  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
-  double sum() const noexcept { return sum_; }
+  double min() const noexcept { return s_.count == 0 ? 0.0 : s_.min; }
+  double max() const noexcept { return s_.count == 0 ? 0.0 : s_.max; }
+  double sum() const noexcept { return s_.sum; }
 
  private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  RunningStatsState s_;
 };
 
 /// Fixed-capacity sliding window over recent samples, oldest evicted first.
@@ -129,10 +115,10 @@ class SlidingWindow {
 struct P2QuantileState {
   double p = 0.5;
   std::size_t count = 0;
-  std::array<double, 5> heights{};
-  std::array<double, 5> positions{};
-  std::array<double, 5> desired{};
-  std::array<double, 5> increments{};
+  std::array<double, 5> heights{};     ///< marker heights q_i
+  std::array<double, 5> positions{};   ///< actual marker positions n_i
+  std::array<double, 5> desired{};     ///< desired marker positions n'_i
+  std::array<double, 5> increments{};  ///< dn'_i per observation
 
   bool operator==(const P2QuantileState&) const = default;
 };
@@ -151,27 +137,21 @@ class P2Quantile {
 
   void add(double x);
 
-  /// Checkpoint-safe state round-trip. restore() throws
-  /// std::invalid_argument when the quantile parameter is outside (0, 1).
-  P2QuantileState state() const noexcept {
-    return {p_, count_, heights_, positions_, desired_, increments_};
-  }
+  /// Checkpoint-safe state round-trip (the state struct is the storage).
+  /// restore() throws std::invalid_argument when the quantile parameter is
+  /// outside (0, 1).
+  const P2QuantileState& state() const noexcept { return s_; }
   void restore(const P2QuantileState& state);
 
-  std::size_t count() const noexcept { return count_; }
-  double p() const noexcept { return p_; }
+  std::size_t count() const noexcept { return s_.count; }
+  double p() const noexcept { return s_.p; }
 
   /// Current estimate; 0 before any sample (matching percentile()'s
   /// empty-input convention).
   double value() const noexcept;
 
  private:
-  double p_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    // marker heights q_i
-  std::array<double, 5> positions_{};  // actual marker positions n_i
-  std::array<double, 5> desired_{};    // desired marker positions n'_i
-  std::array<double, 5> increments_{}; // dn'_i per observation
+  P2QuantileState s_;
 };
 
 /// Full internal state of a ReservoirSampler: the kept sample, the stream

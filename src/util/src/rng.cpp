@@ -24,22 +24,22 @@ constexpr double kPi = 3.14159265358979323846;
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  for (auto& word : s_.words) word = splitmix64(s);
   // xoshiro must not start from the all-zero state.
-  if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0) {
-    state_[0] = 0x1ULL;
+  if (s_.words == std::array<std::uint64_t, 4>{}) {
+    s_.words[0] = 0x1ULL;
   }
 }
 
 std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
+  const std::uint64_t result = rotl(s_.words[1] * 5, 7) * 9;
+  const std::uint64_t t = s_.words[1] << 17;
+  s_.words[2] ^= s_.words[0];
+  s_.words[3] ^= s_.words[1];
+  s_.words[1] ^= s_.words[2];
+  s_.words[0] ^= s_.words[3];
+  s_.words[2] ^= t;
+  s_.words[3] = rotl(s_.words[3], 45);
   return result;
 }
 
@@ -63,16 +63,16 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
 }
 
 double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  if (s_.has_cached_normal) {
+    s_.has_cached_normal = false;
+    return s_.cached_normal;
   }
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
-  cached_normal_ = radius * std::sin(2.0 * kPi * u2);
-  has_cached_normal_ = true;
+  s_.cached_normal = radius * std::sin(2.0 * kPi * u2);
+  s_.has_cached_normal = true;
   return radius * std::cos(2.0 * kPi * u2);
 }
 
@@ -113,9 +113,7 @@ void Rng::restore(const RngState& state) {
       state.words[3] == 0) {
     throw std::invalid_argument("Rng::restore: all-zero xoshiro state");
   }
-  state_ = state.words;
-  cached_normal_ = state.cached_normal;
-  has_cached_normal_ = state.has_cached_normal;
+  s_ = state;
 }
 
 }  // namespace eacs

@@ -84,41 +84,41 @@ double pearson(std::span<const double> xs, std::span<const double> ys) noexcept 
 }
 
 void RunningStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
+  if (s_.count == 0) {
+    s_.min = x;
+    s_.max = x;
   } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+    s_.min = std::min(s_.min, x);
+    s_.max = std::max(s_.max, x);
   }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  ++s_.count;
+  s_.sum += x;
+  const double delta = x - s_.mean;
+  s_.mean += delta / static_cast<double>(s_.count);
+  s_.m2 += delta * (x - s_.mean);
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
+  if (other.s_.count == 0) return;
+  if (s_.count == 0) {
     *this = other;
     return;
   }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
+  const auto n1 = static_cast<double>(s_.count);
+  const auto n2 = static_cast<double>(other.s_.count);
+  const double delta = other.s_.mean - s_.mean;
   const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  s_.mean += delta * n2 / total;
+  s_.m2 += other.s_.m2 + delta * delta * n1 * n2 / total;
+  s_.count += other.s_.count;
+  s_.sum += other.s_.sum;
+  s_.min = std::min(s_.min, other.s_.min);
+  s_.max = std::max(s_.max, other.s_.max);
 }
 
 double RunningStats::variance() const noexcept {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
+  if (s_.count < 2) return 0.0;
+  return s_.m2 / static_cast<double>(s_.count);
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
@@ -157,66 +157,68 @@ double SlidingWindow::harmonic_mean() const noexcept { return eacs::harmonic_mea
 
 double SlidingWindow::rms() const noexcept { return eacs::rms(items_); }
 
-P2Quantile::P2Quantile(double p) : p_(p) {
+P2Quantile::P2Quantile(double p) {
   if (!(p > 0.0 && p < 1.0)) {
     throw std::invalid_argument("P2Quantile p must be in (0, 1)");
   }
+  s_.p = p;
 }
 
 void P2Quantile::add(double x) {
+  auto& [p, count, heights, positions, desired, increments] = s_;
   // Bootstrap: the first five samples become the markers, kept sorted.
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    std::sort(heights_.begin(), heights_.begin() + static_cast<long>(count_));
-    if (count_ == 5) {
-      for (int i = 0; i < 5; ++i) positions_[i] = static_cast<double>(i + 1);
-      desired_ = {1.0, 1.0 + 2.0 * p_, 1.0 + 4.0 * p_, 3.0 + 2.0 * p_, 5.0};
-      increments_ = {0.0, p_ / 2.0, p_, (1.0 + p_) / 2.0, 1.0};
+  if (count < 5) {
+    heights[count] = x;
+    ++count;
+    std::sort(heights.begin(), heights.begin() + static_cast<long>(count));
+    if (count == 5) {
+      for (int i = 0; i < 5; ++i) positions[i] = static_cast<double>(i + 1);
+      desired = {1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0};
+      increments = {0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0};
     }
     return;
   }
 
   // Locate the cell containing x and clamp the extreme markers.
   int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
+  if (x < heights[0]) {
+    heights[0] = x;
     k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
+  } else if (x >= heights[4]) {
+    heights[4] = x;
     k = 3;
   } else {
     k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
+    while (k < 3 && x >= heights[k + 1]) ++k;
   }
 
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++count_;
+  for (int i = k + 1; i < 5; ++i) positions[i] += 1.0;
+  for (int i = 0; i < 5; ++i) desired[i] += increments[i];
+  ++count;
 
   // Adjust the interior markers toward their desired positions.
   for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double below = positions_[i] - positions_[i - 1];
-    const double above = positions_[i + 1] - positions_[i];
+    const double d = desired[i] - positions[i];
+    const double below = positions[i] - positions[i - 1];
+    const double above = positions[i + 1] - positions[i];
     if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
       const double sign = d >= 0.0 ? 1.0 : -1.0;
       // Piecewise-parabolic (P^2) prediction of the marker height.
-      const double np = positions_[i + 1] - positions_[i - 1];
+      const double np = positions[i + 1] - positions[i - 1];
       const double candidate =
-          heights_[i] +
+          heights[i] +
           sign / np *
-              ((below + sign) * (heights_[i + 1] - heights_[i]) / above +
-               (above - sign) * (heights_[i] - heights_[i - 1]) / below);
-      if (heights_[i - 1] < candidate && candidate < heights_[i + 1]) {
-        heights_[i] = candidate;
+              ((below + sign) * (heights[i + 1] - heights[i]) / above +
+               (above - sign) * (heights[i] - heights[i - 1]) / below);
+      if (heights[i - 1] < candidate && candidate < heights[i + 1]) {
+        heights[i] = candidate;
       } else {
         // Parabolic prediction left the bracket; fall back to linear.
         const int j = i + static_cast<int>(sign);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
+        heights[i] += sign * (heights[j] - heights[i]) /
+                      (positions[j] - positions[i]);
       }
-      positions_[i] += sign;
+      positions[i] += sign;
     }
   }
 }
@@ -225,25 +227,20 @@ void P2Quantile::restore(const P2QuantileState& state) {
   if (!(state.p > 0.0 && state.p < 1.0)) {
     throw std::invalid_argument("P2Quantile::restore: p must be in (0, 1)");
   }
-  p_ = state.p;
-  count_ = state.count;
-  heights_ = state.heights;
-  positions_ = state.positions;
-  desired_ = state.desired;
-  increments_ = state.increments;
+  s_ = state;
 }
 
 double P2Quantile::value() const noexcept {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
+  if (s_.count == 0) return 0.0;
+  if (s_.count < 5) {
     // Exact quantile of the sorted bootstrap buffer.
-    const double rank = p_ * static_cast<double>(count_ - 1);
+    const double rank = s_.p * static_cast<double>(s_.count - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, count_ - 1);
+    const std::size_t hi = std::min(lo + 1, s_.count - 1);
     const double frac = rank - static_cast<double>(lo);
-    return heights_[lo] + (heights_[hi] - heights_[lo]) * frac;
+    return s_.heights[lo] + (s_.heights[hi] - s_.heights[lo]) * frac;
   }
-  return heights_[2];
+  return s_.heights[2];
 }
 
 ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)

@@ -372,7 +372,9 @@ TEST(EngineDifferentialTest, QuantizedCacheStorageNeverChangesDecisions) {
     EXPECT_EQ(run_single(false, manifest, session, cached, link), base)
         << "capacity " << capacity;
     EXPECT_EQ(cache->stats().lookups(), reference_cache->stats().lookups());
-    if (capacity >= 4096) EXPECT_GT(cache->stats().hits, 0u);
+    if (capacity >= 4096) {
+      EXPECT_GT(cache->stats().hits, 0u);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
-// Property suite for the parallel experiment engine: every sim sweep
-// (Section V evaluation, fault study, robustness ensemble, CEM training)
-// must produce bit-identical results at jobs = 1, 2 and 8. This is the
+// Property suite for the parallel experiment engine: the sim sweeps
+// (Section V evaluation, link- and sensor-fault studies, robustness
+// ensemble, CEM training) must produce bit-identical results at
+// jobs = 1, 2 and 8. This is the
 // engine's core guarantee (DESIGN.md, "Parallel execution model"): each
 // unit of work is a pure function of its index, and reductions happen
 // serially in index order, so the thread count can never leak into a
@@ -11,6 +12,7 @@
 #include "eacs/sim/evaluation.h"
 #include "eacs/sim/fault_study.h"
 #include "eacs/sim/robustness.h"
+#include "eacs/sim/sensor_fault_study.h"
 #include "eacs/sim/training.h"
 #include "../test_helpers.h"
 
@@ -128,6 +130,57 @@ TEST(ParallelDeterminism, FaultStudyIsBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(x.energy_delta_j, y.energy_delta_j) << "cell " << i << " jobs=" << jobs;
       EXPECT_EQ(x.rebuffer_delta_s, y.rebuffer_delta_s)
           << "cell " << i << " jobs=" << jobs;
+    }
+  }
+}
+
+TEST(ParallelDeterminism, SensorFaultStudyIsBitIdenticalAcrossJobCounts) {
+  SensorFaultStudyConfig config;
+  // One accel scenario, signal loss and the seeded mixed storm, at a partial
+  // and a total intensity: both sweep axes and both seeded code paths.
+  config.scenarios = {SensorFaultScenario::kNoiseBurst,
+                      SensorFaultScenario::kSignalDropout,
+                      SensorFaultScenario::kCombined};
+  config.intensities = {0.25, 1.0};
+  config.evaluation.session_options.margin_s = 60.0;
+
+  config.evaluation.exec.jobs = 1;
+  const SensorFaultStudyResult serial = run_sensor_fault_study(config);
+  ASSERT_EQ(serial.cells.size(), 6U);
+
+  const auto expect_same_totals = [](const StudyTotals& x, const StudyTotals& y,
+                                     const std::string& where) {
+    EXPECT_EQ(x.algorithm, y.algorithm) << where;
+    EXPECT_EQ(x.mean_qoe, y.mean_qoe) << where;
+    EXPECT_EQ(x.total_energy_j, y.total_energy_j) << where;
+    EXPECT_EQ(x.wasted_energy_j, y.wasted_energy_j) << where;
+    EXPECT_EQ(x.rebuffer_s, y.rebuffer_s) << where;
+    EXPECT_EQ(x.mean_bitrate_mbps, y.mean_bitrate_mbps) << where;
+    EXPECT_EQ(x.retries, y.retries) << where;
+    EXPECT_EQ(x.abandoned_segments, y.abandoned_segments) << where;
+  };
+  for (const std::size_t jobs : kJobCounts) {
+    config.evaluation.exec.jobs = jobs;
+    const SensorFaultStudyResult parallel = run_sensor_fault_study(config);
+    const std::string at = " jobs=" + std::to_string(jobs);
+    expect_same_totals(serial.clean_ours, parallel.clean_ours, "clean" + at);
+    expect_same_totals(serial.context_blind, parallel.context_blind,
+                       "blind" + at);
+    ASSERT_EQ(serial.cells.size(), parallel.cells.size()) << at;
+    for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+      const SensorFaultCell& x = serial.cells[i];
+      const SensorFaultCell& y = parallel.cells[i];
+      const std::string where = "cell " + std::to_string(i) + at;
+      expect_same_totals(x, y, where);
+      EXPECT_EQ(x.scenario, y.scenario) << where;
+      EXPECT_EQ(x.intensity, y.intensity) << where;
+      EXPECT_EQ(x.mean_context_error, y.mean_context_error) << where;
+      EXPECT_EQ(x.qoe_delta_vs_clean, y.qoe_delta_vs_clean) << where;
+      EXPECT_EQ(x.energy_delta_vs_clean_j, y.energy_delta_vs_clean_j) << where;
+      EXPECT_EQ(x.rebuffer_delta_vs_clean_s, y.rebuffer_delta_vs_clean_s)
+          << where;
+      EXPECT_EQ(x.qoe_delta_vs_blind, y.qoe_delta_vs_blind) << where;
+      EXPECT_EQ(x.energy_delta_vs_blind_j, y.energy_delta_vs_blind_j) << where;
     }
   }
 }
