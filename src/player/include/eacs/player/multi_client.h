@@ -14,8 +14,8 @@
 // completions resolved exactly; per-task timings are accurate to the step.
 //
 // The simulator is a thin configuration of the unified player::SessionEngine
-// running a SharedLinkModel (session_engine.h); pass a SessionObserver to
-// receive the per-event log of a run.
+// running a one-cell CellularLinkModel (session_engine.h); pass a
+// SessionObserver to receive the per-event log of a run.
 
 #include <cstddef>
 #include <span>

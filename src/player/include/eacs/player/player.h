@@ -116,6 +116,21 @@ struct PlayerConfig {
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
                        std::size_t segment_index, std::size_t attempt);
 
+/// The single buffer-drain / stall rule: plays `dt` seconds of wall time out
+/// of `buffer_s` and returns the stall incurred (0 before startup). Every
+/// engine link mode and the fleet's sessions route their playback through
+/// here.
+inline double drain_buffer(bool playing, double& buffer_s, double dt) {
+  if (!playing || dt <= 0.0) return 0.0;
+  if (buffer_s >= dt) {
+    buffer_s -= dt;
+    return 0.0;
+  }
+  const double stall = dt - buffer_s;
+  buffer_s = 0.0;
+  return stall;
+}
+
 /// Per-segment ("task") record of a completed run. This is the unit the
 /// energy/QoE accounting in eacs::sim consumes.
 struct TaskRecord {

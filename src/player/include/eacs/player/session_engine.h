@@ -6,7 +6,9 @@
 // overload, and MultiClientSimulator's stepped shared-link loop). The engine
 // owns the single implementation of buffer drain / stall accounting, startup
 // transitions, the buffer-threshold throttle and the per-segment resilience
-// state machine; what varies between scenarios is factored into a LinkModel:
+// state machine. What varies between scenarios is the link, and the link's
+// type chooses the engine mode. Analytic links derive from LinkModel, resolve
+// each attempt in closed form and carry exactly one client:
 //
 //  * SoloLinkModel    — trace-driven dedicated link; every attempt completes
 //                       (the fault-free player semantics);
@@ -18,15 +20,14 @@
 //                       per-source server faults; the engine adds circuit
 //                       breakers, health-scored failover and hedged requests
 //                       (first successful finisher wins, the loser's bytes
-//                       are priced as wasted energy);
-//  * SharedLinkModel  — processor-sharing bottleneck: concurrent downloads
-//                       split the capacity equally; integrated on a fixed
-//                       step grid with sub-step completions resolved exactly.
-//  * CellularLinkModel — many processor-shared bottlenecks (one per base
-//                       station); clients attach per-cell and follow handoff
-//                       routes, and the engine advances cells through a
-//                       global (step, cell) event heap so finished or empty
-//                       cells cost nothing. One cell == SharedLinkModel.
+//                       are priced as wasted energy).
+//
+// The stepped link is CellularLinkModel: one processor-shared bottleneck per
+// base station, integrated on a fixed step grid with sub-step completions
+// resolved exactly. Clients attach per cell and follow handoff routes, and
+// the engine advances cells through a global (step, cell) event heap so
+// finished or empty cells cost nothing. One cell is the classic shared
+// bottleneck that MultiClientSimulator runs.
 //
 // Every state transition is surfaced to SessionObserver hooks as a typed
 // SessionEvent; SessionTimeline is the bundled observer that records the full
@@ -63,8 +64,8 @@ inline constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
 /// Everything the engine can report. Analytic links (solo, fault) emit
 /// request/complete/failure/drain events with exact timestamps; the stepped
-/// shared link additionally emits per-step kDownloadProgress and timestamps
-/// intra-step events at the step boundary.
+/// cellular link additionally emits per-step kDownloadProgress and
+/// timestamps intra-step events at the step boundary.
 enum class SessionEventType {
   kSessionStart,      ///< engine run begins (client = kNoIndex)
   kClientJoin,        ///< client becomes eligible to download
@@ -166,31 +167,25 @@ class VibrationClock {
   std::size_t cursor_ = 0;
 };
 
-/// How the engine reaches the network. Two resolution modes:
-///
-///  * analytic (stepped() == false): the link resolves one attempt in closed
-///    form via attempt()/rescue(); unreliable() decides whether the engine
-///    engages the resilience state machine around those attempts;
-///  * stepped (stepped() == true): completion times depend on who else is
-///    downloading, so the engine integrates on SessionEngineConfig::step_s
-///    steps and queries capacity_at() each step.
-///
-/// Methods that do not belong to the model's mode throw std::logic_error.
+/// How the engine reaches the network on an analytic run: the link resolves
+/// one attempt in closed form via attempt()/rescue(), and unreliable()
+/// decides whether the engine engages the resilience state machine around
+/// those attempts. Stepped runs take a CellularLinkModel instead.
 class LinkModel {
  public:
   virtual ~LinkModel() = default;
 
-  virtual bool stepped() const noexcept { return false; }
   virtual bool unreliable() const noexcept { return false; }
 
-  // --- analytic links -----------------------------------------------------
   /// Outcome of attempt `attempt` of `segment` started at `start_s`.
   virtual net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
-                                      double start_s, double size_megabits) const;
+                                      double start_s,
+                                      double size_megabits) const = 0;
   /// Rescue fetch: a held-open transfer that always completes.
-  virtual net::DownloadResult rescue(double start_s, double size_megabits) const;
+  virtual net::DownloadResult rescue(double start_s,
+                                     double size_megabits) const = 0;
   /// Megabits the link moves over [t0, t1] (waste accounting for aborts).
-  virtual double megabits_over(double t0, double t1) const;
+  virtual double megabits_over(double t0, double t1) const = 0;
   /// True if `t_s` is inside a link outage.
   virtual bool in_outage(double /*t_s*/) const noexcept { return false; }
   /// Seed for the deterministic retry-backoff jitter.
@@ -214,32 +209,9 @@ class LinkModel {
   /// trivial CDN source). The engine then calls the downloader directly per
   /// segment instead of dispatching through attempt(), which is
   /// bit-identical by construction (the virtual path wraps the same call).
-  /// Unreliable/stepped links return null and take the full machinery.
+  /// Unreliable links return null and take the full machinery.
   virtual const net::SegmentDownloader* fast_downloader() const noexcept {
     return nullptr;
-  }
-
-  // --- stepped links ------------------------------------------------------
-  /// Instantaneous shared capacity at `t_s` (Mbps).
-  virtual double capacity_at(double t_s) const;
-
-  /// Stepped links: the underlying capacity trace when capacity_at() is a
-  /// plain TimeSeries::linear_at over it, letting the engine keep a stateful
-  /// trace cursor across steps instead of re-binary-searching per step.
-  /// Null (the default) falls back to per-step capacity_at() calls.
-  virtual const trace::TimeSeries* capacity_series() const noexcept {
-    return nullptr;
-  }
-
-  /// Stepped links: the per-cell capacity traces of a cellular network, one
-  /// processor-shared bottleneck per base station. Non-empty engages the
-  /// engine's multi-cell path (clients attach at SessionClient::home_cell and
-  /// follow their handoff route); SharedLinkModel reports its single
-  /// bottleneck here, which is how the classic multi-client run becomes a
-  /// one-cell configuration of that path. Empty (the default) keeps the
-  /// legacy single-bottleneck stepping over capacity_at().
-  virtual std::span<const trace::TimeSeries* const> cells() const noexcept {
-    return {};
   }
 };
 
@@ -247,8 +219,8 @@ class LinkModel {
 class SoloLinkModel final : public LinkModel {
  public:
   /// The trace is unowned — it must be non-empty (SegmentDownloader
-  /// validates) and outlive the model, like SharedLinkModel's capacity
-  /// trace. Sweeps build one model per (session, policy) run, so sharing the
+  /// validates) and outlive the model, like a CellularLinkModel's cell
+  /// traces. Sweeps build one model per (session, policy) run, so sharing the
   /// session's trace instead of copying it is what makes those runs
   /// allocation-free on the link side.
   explicit SoloLinkModel(const trace::TimeSeries& throughput_mbps)
@@ -257,6 +229,7 @@ class SoloLinkModel final : public LinkModel {
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
   net::DownloadResult rescue(double start_s, double size_megabits) const override;
+  double megabits_over(double t0, double t1) const override;
   const net::SegmentDownloader* fast_downloader() const noexcept override {
     return &downloader_;
   }
@@ -327,47 +300,24 @@ class CdnLinkModel final : public LinkModel {
   std::span<const net::SegmentSource> sources_;
 };
 
-/// Processor-sharing bottleneck: the engine divides capacity_at(t) equally
-/// among clients with an in-flight download. The capacity trace is unowned
-/// and must outlive the model.
-class SharedLinkModel final : public LinkModel {
- public:
-  /// Throws std::invalid_argument on an empty capacity trace.
-  explicit SharedLinkModel(const trace::TimeSeries& capacity_mbps);
-
-  bool stepped() const noexcept override { return true; }
-  double capacity_at(double t_s) const override;
-  const trace::TimeSeries* capacity_series() const noexcept override {
-    return capacity_;
-  }
-  std::span<const trace::TimeSeries* const> cells() const noexcept override {
-    return {&capacity_, 1};
-  }
-
- private:
-  const trace::TimeSeries* capacity_;
-};
-
-/// Multi-cell cellular network: one processor-shared capacity trace per base
-/// station. Clients attach to SessionClient::home_cell, follow their
+/// The stepped link: a cellular network with one processor-shared capacity
+/// trace per base station. Completion times depend on who else is
+/// downloading, so the engine integrates on SessionEngineConfig::step_s
+/// steps, and each cell splits its capacity equally among its downloading
+/// members. Clients attach to SessionClient::home_cell and follow their
 /// SessionClient::route between cells (handoffs applied at step edges, an
-/// in-flight download carries its remaining bytes to the new cell), and each
-/// cell splits its own capacity equally among its downloading members. The
-/// traces are unowned and must outlive the model. With a single cell this is
-/// exactly SharedLinkModel.
-class CellularLinkModel final : public LinkModel {
+/// in-flight download carries its remaining bytes to the new cell). The
+/// traces are unowned and must outlive the model.
+class CellularLinkModel {
  public:
   /// Throws std::invalid_argument on an empty cell list or any null/empty
   /// capacity trace.
   explicit CellularLinkModel(std::span<const trace::TimeSeries* const> cells);
+  /// One cell: every client shares one bottleneck. Throws
+  /// std::invalid_argument on an empty capacity trace.
+  explicit CellularLinkModel(const trace::TimeSeries& capacity_mbps);
 
-  bool stepped() const noexcept override { return true; }
-  /// Cell 0's capacity (the LinkModel single-bottleneck view).
-  double capacity_at(double t_s) const override;
-  const trace::TimeSeries* capacity_series() const noexcept override {
-    return cells_.front();
-  }
-  std::span<const trace::TimeSeries* const> cells() const noexcept override {
+  std::span<const trace::TimeSeries* const> cells() const noexcept {
     return cells_;
   }
 
@@ -381,8 +331,8 @@ struct CellHop {
   std::size_t cell = 0;   ///< destination cell index
 };
 
-/// One participating client. `context` supplies signal/accel traces (and, on
-/// analytic links, nothing else — the LinkModel owns throughput).
+/// One participating client. `context` supplies signal/accel traces (and
+/// nothing else — the link owns throughput).
 struct SessionClient {
   const media::VideoManifest* manifest = nullptr;  ///< stream to play
   AbrPolicy* policy = nullptr;                     ///< adaptation algorithm
@@ -397,7 +347,7 @@ struct SessionClient {
   /// the policy saw. Null or inactive: strict no-op, bit-identical results.
   const sensors::SensorFaultInjector* sensor_faults = nullptr;
 
-  // --- cellular links only (LinkModel::cells().size() > 1) ----------------
+  // --- stepped (CellularLinkModel) runs only ------------------------------
   /// Cell the client attaches to before its first handoff.
   std::size_t home_cell = 0;
   /// Scheduled handoffs, sorted by t_s (unowned storage, must outlive the
@@ -431,33 +381,38 @@ class SessionEngine {
 
   const SessionEngineConfig& config() const noexcept { return config_; }
 
-  /// Runs every client to completion against `link`; result[i] corresponds
-  /// to clients[i]. Analytic links require exactly one client (join_time_s
-  /// ignored); stepped links accept any number. Policies are reset() first.
-  /// Throws std::invalid_argument on null client fields.
+  /// Analytic run: plays the one client in `clients` against `link`;
+  /// result[0] is its playback (join_time_s, home_cell and route ignored).
+  /// The policy is reset() first. Throws std::invalid_argument unless
+  /// exactly one client is given, or on null client fields.
   std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
                                   const LinkModel& link,
+                                  SessionObserver* observer = nullptr) const;
+
+  /// Stepped run: every client to completion over the cells of `link`;
+  /// result[i] corresponds to clients[i]. Policies are reset() first.
+  /// Throws std::invalid_argument on null client fields, or on a home cell,
+  /// route cell or route order that does not fit `link`.
+  std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
+                                  const CellularLinkModel& link,
                                   SessionObserver* observer = nullptr) const;
 
  private:
   PlaybackResult run_analytic(const SessionClient& client, const LinkModel& link,
                               SessionObserver* observer) const;
-  std::vector<PlaybackResult> run_stepped(std::span<const SessionClient> clients,
-                                          const LinkModel& link,
-                                          SessionObserver* observer) const;
   /// The pre-refactor single-bottleneck stepping loop, kept verbatim so the
-  /// differential harness can certify the cellular path against it (and as
-  /// the fallback for custom stepped links that expose no cells()).
+  /// differential harness can certify the cellular path against it. One-cell
+  /// runs in reference_mode take it.
   std::vector<PlaybackResult> run_stepped_reference(
-      std::span<const SessionClient> clients, const LinkModel& link,
-      SessionObserver* observer) const;
+      std::span<const SessionClient> clients,
+      const trace::TimeSeries& capacity_mbps, SessionObserver* observer) const;
   /// The cellular path: per-cell stepping driven by a global (step, cell)
   /// event heap, with handoffs applied at step edges. Single cell is
   /// bit-identical to run_stepped_reference.
-  std::vector<PlaybackResult> run_cells(std::span<const SessionClient> clients,
-                                        std::span<const trace::TimeSeries* const> cells,
-                                        const LinkModel& link,
-                                        SessionObserver* observer) const;
+  std::vector<PlaybackResult> run_cells(
+      std::span<const SessionClient> clients,
+      std::span<const trace::TimeSeries* const> cells,
+      SessionObserver* observer) const;
 
   SessionEngineConfig config_;
 };

@@ -30,7 +30,7 @@ MultiClientSimulator::MultiClientSimulator(trace::TimeSeries shared_capacity_mbp
 
 std::vector<PlaybackResult> MultiClientSimulator::run(
     std::span<const ClientSetup> clients, SessionObserver* observer) const {
-  const SharedLinkModel link(capacity_);
+  const CellularLinkModel link(capacity_);
   const SessionEngine engine(
       SessionEngineConfig{config_.player, config_.step_s, config_.max_session_s});
   return engine.run(clients, link, observer);

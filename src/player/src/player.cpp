@@ -37,17 +37,6 @@ PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig con
   }
 }
 
-PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
-                                    const trace::SessionTraces& session,
-                                    SessionObserver* observer) const {
-  const SoloLinkModel link(session.throughput_mbps);
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
-}
-
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
                        std::size_t segment_index, std::size_t attempt) {
   const double base = std::min(
@@ -62,6 +51,30 @@ double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
   return base * (1.0 + config.backoff_jitter * rng.uniform());
 }
 
+namespace {
+
+/// The one engine entry every overload below shares: one client over `link`.
+PlaybackResult run_engine(const media::VideoManifest& manifest,
+                          const PlayerConfig& config, AbrPolicy& policy,
+                          const trace::SessionTraces& session,
+                          const LinkModel& link,
+                          const sensors::SensorFaultInjector* sensor_faults,
+                          SessionObserver* observer) {
+  SessionClient client{&manifest, &policy, &session, 0.0};
+  client.sensor_faults = sensor_faults;
+  const SessionEngine engine(SessionEngineConfig{config, 0.05, 7200.0});
+  return std::move(engine.run({&client, 1}, link, observer).front());
+}
+
+}  // namespace
+
+PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
+                                    const trace::SessionTraces& session,
+                                    SessionObserver* observer) const {
+  return run_engine(manifest_, config_, policy, session,
+                    SoloLinkModel(session.throughput_mbps), nullptr, observer);
+}
+
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const net::FaultInjector& faults,
@@ -69,26 +82,17 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
   // A disabled spec is a strict no-op pass-through: delegate to the plain
   // solo link so results stay bit-identical to the fault-free overload.
   if (!faults.active()) return run(policy, session, observer);
-
-  const FaultLinkModel link(faults);
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
+                    nullptr, observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
-  const SoloLinkModel link(session.throughput_mbps);
-  SessionClient client{&manifest_, &policy, &session, 0.0};
-  client.sensor_faults = &sensor_faults;
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_engine(manifest_, config_, policy, session,
+                    SoloLinkModel(session.throughput_mbps), &sensor_faults,
+                    observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
@@ -99,12 +103,8 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
   // A single trivial source is a strict no-op pass-through: delegate to the
   // plain solo link so results stay bit-identical to the fault-free overload.
   if (!link.unreliable()) return run(policy, session, observer);
-
-  const SessionClient client{&manifest_, &policy, &session, 0.0};
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_engine(manifest_, config_, policy, session, link, nullptr,
+                    observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
@@ -113,14 +113,8 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
   if (!faults.active()) return run(policy, session, sensor_faults, observer);
-
-  const FaultLinkModel link(faults);
-  SessionClient client{&manifest_, &policy, &session, 0.0};
-  client.sensor_faults = &sensor_faults;
-  const SessionEngine engine(SessionEngineConfig{config_, 0.05, 7200.0});
-  auto results = engine.run(std::span<const SessionClient>(&client, 1), link,
-                            observer);
-  return std::move(results.front());
+  return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
+                    &sensor_faults, observer);
 }
 
 }  // namespace eacs::player

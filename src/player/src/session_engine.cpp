@@ -1,6 +1,7 @@
 #include "eacs/player/session_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -16,20 +17,6 @@ namespace eacs::player {
 namespace {
 
 constexpr double kStallEpsilon = 1e-9;
-
-/// The single buffer-drain / stall implementation in src/player: plays `dt`
-/// seconds of wall time out of `buffer_s` and returns the stall incurred
-/// (0 before startup). Every link mode routes its playback through here.
-double drain_buffer(bool playing, double& buffer_s, double dt) {
-  if (!playing || dt <= 0.0) return 0.0;
-  if (buffer_s >= dt) {
-    buffer_s -= dt;
-    return 0.0;
-  }
-  const double stall = dt - buffer_s;
-  buffer_s = 0.0;
-  return stall;
-}
 
 void emit_event(SessionObserver* observer, SessionEventType type, double t_s,
                 std::size_t client, std::size_t segment = kNoIndex,
@@ -281,24 +268,7 @@ void SessionTimeline::write_json(const std::string& path) const {
   if (!out.good()) throw std::runtime_error("SessionTimeline: failed writing " + path);
 }
 
-// --- LinkModel hierarchy ----------------------------------------------------
-
-net::AttemptOutcome LinkModel::attempt(std::size_t, std::size_t, double,
-                                       double) const {
-  throw std::logic_error("LinkModel: attempt() unsupported on this link");
-}
-
-net::DownloadResult LinkModel::rescue(double, double) const {
-  throw std::logic_error("LinkModel: rescue() unsupported on this link");
-}
-
-double LinkModel::megabits_over(double, double) const {
-  throw std::logic_error("LinkModel: megabits_over() unsupported on this link");
-}
-
-double LinkModel::capacity_at(double) const {
-  throw std::logic_error("LinkModel: capacity_at() unsupported on this link");
-}
+// --- Links ------------------------------------------------------------------
 
 net::AttemptOutcome SoloLinkModel::attempt(std::size_t, std::size_t,
                                            double start_s,
@@ -311,6 +281,10 @@ net::AttemptOutcome SoloLinkModel::attempt(std::size_t, std::size_t,
 net::DownloadResult SoloLinkModel::rescue(double start_s,
                                           double size_megabits) const {
   return downloader_.download(start_s, size_megabits);
+}
+
+double SoloLinkModel::megabits_over(double t0, double t1) const {
+  return downloader_.trace().integral_over(t0, t1);
 }
 
 net::AttemptOutcome FaultLinkModel::attempt(std::size_t segment,
@@ -386,17 +360,6 @@ const std::vector<net::OutageWindow>* CdnLinkModel::outage_schedule()
   return &sources_[0].outage_schedule();
 }
 
-SharedLinkModel::SharedLinkModel(const trace::TimeSeries& capacity_mbps)
-    : capacity_(&capacity_mbps) {
-  if (capacity_->empty()) {
-    throw std::invalid_argument("SharedLinkModel: empty capacity trace");
-  }
-}
-
-double SharedLinkModel::capacity_at(double t_s) const {
-  return capacity_->linear_at(t_s);
-}
-
 CellularLinkModel::CellularLinkModel(
     std::span<const trace::TimeSeries* const> cells)
     : cells_(cells.begin(), cells.end()) {
@@ -411,9 +374,8 @@ CellularLinkModel::CellularLinkModel(
   }
 }
 
-double CellularLinkModel::capacity_at(double t_s) const {
-  return cells_.front()->linear_at(t_s);
-}
+CellularLinkModel::CellularLinkModel(const trace::TimeSeries& capacity_mbps)
+    : CellularLinkModel(std::array{&capacity_mbps}) {}
 
 // --- SessionEngine ----------------------------------------------------------
 
@@ -431,34 +393,23 @@ SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
   }
 }
 
-std::vector<PlaybackResult> SessionEngine::run(
-    std::span<const SessionClient> clients, const LinkModel& link,
-    SessionObserver* observer) const {
+namespace {
+
+void require_fields(std::span<const SessionClient> clients) {
   for (const auto& client : clients) {
     if (client.manifest == nullptr || client.policy == nullptr ||
         client.context == nullptr) {
       throw std::invalid_argument("SessionEngine: null client fields");
     }
   }
-  if (link.stepped()) {
-    const std::size_t num_cells = std::max<std::size_t>(1, link.cells().size());
-    for (const auto& client : clients) {
-      if (client.home_cell >= num_cells) {
-        throw std::invalid_argument("SessionEngine: home_cell out of range");
-      }
-      double prev_hop_s = -std::numeric_limits<double>::infinity();
-      for (const auto& hop : client.route) {
-        if (hop.cell >= num_cells) {
-          throw std::invalid_argument("SessionEngine: route cell out of range");
-        }
-        if (hop.t_s < prev_hop_s) {
-          throw std::invalid_argument("SessionEngine: route not sorted by time");
-        }
-        prev_hop_s = hop.t_s;
-      }
-    }
-    return run_stepped(clients, link, observer);
-  }
+}
+
+}  // namespace
+
+std::vector<PlaybackResult> SessionEngine::run(
+    std::span<const SessionClient> clients, const LinkModel& link,
+    SessionObserver* observer) const {
+  require_fields(clients);
   if (clients.size() != 1) {
     throw std::invalid_argument(
         "SessionEngine: analytic links take exactly one client");
@@ -466,6 +417,38 @@ std::vector<PlaybackResult> SessionEngine::run(
   std::vector<PlaybackResult> results;
   results.push_back(run_analytic(clients[0], link, observer));
   return results;
+}
+
+// Stepped links: completion times depend on who else is downloading, so the
+// engine integrates on a fixed grid (sub-step completions resolved exactly)
+// and splits each cell's capacity equally among its in-flight clients. The
+// cellular event-heap path runs every configuration except one-cell
+// reference_mode, which keeps the pre-refactor loop that the differential
+// harness certifies the cellular path against bit for bit.
+std::vector<PlaybackResult> SessionEngine::run(
+    std::span<const SessionClient> clients, const CellularLinkModel& link,
+    SessionObserver* observer) const {
+  require_fields(clients);
+  const auto cells = link.cells();
+  for (const auto& client : clients) {
+    if (client.home_cell >= cells.size()) {
+      throw std::invalid_argument("SessionEngine: home_cell out of range");
+    }
+    double prev_hop_s = -std::numeric_limits<double>::infinity();
+    for (const auto& hop : client.route) {
+      if (hop.cell >= cells.size()) {
+        throw std::invalid_argument("SessionEngine: route cell out of range");
+      }
+      if (hop.t_s < prev_hop_s) {
+        throw std::invalid_argument("SessionEngine: route not sorted by time");
+      }
+      prev_hop_s = hop.t_s;
+    }
+  }
+  if (config_.reference_mode && cells.size() == 1) {
+    return run_stepped_reference(clients, *cells[0], observer);
+  }
+  return run_cells(clients, cells, observer);
 }
 
 // Analytic links: segments resolve sequentially in closed form. With a
@@ -589,6 +572,88 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
     std::size_t segment_hedges = 0; // CDN: hedged duplicates this segment
     net::DownloadResult success;
 
+    // --- The retry ladder both resilience machines walk -----------------
+    // Sets `level` to this attempt's rung (the policy's choice first, then
+    // one rung down per retry, then the lowest rung from degrade_after on)
+    // and returns the attempt's size in megabits.
+    const auto step_down = [&] {
+      if (attempt == 0) {
+        level = requested;
+      } else if (attempt >= res.degrade_after) {
+        level = lowest;
+      } else {
+        level = requested > attempt ? std::max(lowest, requested - attempt)
+                                    : lowest;
+      }
+      return manifest.segment_size_megabits(i, level);
+    };
+    // Abort accounting, part 1: `megabits` a transfer moved over
+    // [from, until] and then lost are waste.
+    const auto add_waste = [&](double megabits, double from, double until) {
+      wasted_megabits += megabits;
+      if (megabits > 0.0) {
+        wasted_signal_weight +=
+            megabits * session.signal_dbm.mean_over(from, until);
+      }
+      wasted_time += until - from;
+    };
+    // Abort accounting, part 2: the aborted round ends at `abort_at`; the
+    // estimator sees its (near-zero) throughput and playback drains.
+    const auto advance_abort = [&](double abort_at, double moved) {
+      const double elapsed = abort_at - now;
+      runtime.bandwidth.observe(elapsed > 0.0 ? moved / elapsed : 0.0);
+      drain(elapsed);
+      now = abort_at;
+    };
+    // The abandonment test: a healthy transfer that would outpace the
+    // buffer drain (at most one abandonment per segment).
+    const auto outpaces_buffer = [&](const net::DownloadResult& transfer) {
+      return res.abandon_enabled && !abandoned && playing && level > lowest &&
+             buffer < res.abandon_min_buffer_s &&
+             transfer.duration_s() > res.abandon_factor * buffer &&
+             now + res.abandon_probe_s < transfer.end_s;
+    };
+    // The abandon step: probe briefly over `carrier` (the link or the CDN
+    // source), give the attempt up and re-request one rung lower with no
+    // backoff.
+    const auto abandon = [&](const auto& carrier, double size_megabits,
+                             std::size_t source) {
+      const double probe_end = now + res.abandon_probe_s;
+      const double moved =
+          std::min(size_megabits, carrier.megabits_over(now, probe_end));
+      outages.advance_to(probe_end);
+      emit_event(observer, SessionEventType::kAttemptAbandoned, probe_end, 0,
+                 i, attempt, level, buffer, moved, source);
+      add_waste(moved, now, probe_end);
+      advance_abort(probe_end, moved);
+      abandoned = true;
+      ++attempt;
+    };
+    // An attempt over `carrier` aborted at `abort_at` after moving `moved`
+    // megabits: at its deadline (a timeout) or where it died (a failure).
+    const auto report_abort = [&](const auto& carrier, bool timeout,
+                                  double abort_at, double moved,
+                                  std::size_t source) {
+      outages.advance_to(abort_at);
+      emit_event(observer,
+                 timeout ? SessionEventType::kAttemptDeadline
+                         : SessionEventType::kAttemptFailure,
+                 abort_at, 0, i, attempt, level, buffer, moved, source);
+      policy.on_download_failure(
+          {i, attempt, abort_at, carrier.in_outage(abort_at)});
+    };
+    // Backoff before the next attempt; playback keeps draining the buffer.
+    const auto back_off = [&] {
+      const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
+      outages.advance_to(now + wait);
+      drain(wait);
+      now += wait;
+      backoff_total += wait;
+      emit_event(observer, SessionEventType::kBackoffExpiry, now, 0, i,
+                 attempt, level, buffer, wait);
+      ++attempt;
+    };
+
     if (!unreliable) {
       const double size_megabits = manifest.segment_size_megabits(i, requested);
       emit_event(observer, SessionEventType::kRequestIssued, now, 0, i, 0,
@@ -619,21 +684,6 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
           }
         }
       };
-      // Advances the wall clock over an aborted round (every leg dead).
-      const auto advance_abort = [&](double abort_at, double moved) {
-        const double elapsed = abort_at - now;
-        runtime.bandwidth.observe(elapsed > 0.0 ? moved / elapsed : 0.0);
-        drain(elapsed);
-        now = abort_at;
-      };
-      const auto add_waste = [&](double megabits, double from, double until) {
-        wasted_megabits += megabits;
-        if (megabits > 0.0) {
-          wasted_signal_weight +=
-              megabits * session.signal_dbm.mean_over(from, until);
-        }
-        wasted_time += until - from;
-      };
       // Megabits a leg moved from its start up to `until`.
       const auto moved_by = [&](const net::SourceAttemptOutcome& leg,
                                 const net::SegmentSource& src, double from,
@@ -647,17 +697,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
       };
 
       for (;;) {
-        // Rung for this attempt (same ladder walk as the single-source
-        // machine): the policy's choice first, then one rung down per retry,
-        // then the lowest rung while delivery keeps failing.
-        if (attempt == 0) {
-          level = requested;
-        } else if (attempt >= res.degrade_after) {
-          level = lowest;
-        } else {
-          level = requested > attempt ? std::max(lowest, requested - attempt) : lowest;
-        }
-        const double size_megabits = manifest.segment_size_megabits(i, level);
+        const double size_megabits = step_down();
 
         if (attempt >= res.max_retries) {
           // Rescue fetch from the healthiest source: held open until it
@@ -719,20 +759,8 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         if (p_wins || h_wins) {
           // Abandonment is considered only for an unhedged primary win —
           // identical semantics to the single-source machine.
-          if (p_wins && !hedged && res.abandon_enabled && !abandoned &&
-              playing && level > lowest && buffer < res.abandon_min_buffer_s &&
-              p.result.duration_s() > res.abandon_factor * buffer &&
-              now + res.abandon_probe_s < p.result.end_s) {
-            const double probe_end = now + res.abandon_probe_s;
-            const double moved = std::min(
-                size_megabits, cdn_sources[primary].megabits_over(now, probe_end));
-            outages.advance_to(probe_end);
-            emit_event(observer, SessionEventType::kAttemptAbandoned, probe_end,
-                       0, i, attempt, level, buffer, moved, primary);
-            add_waste(moved, now, probe_end);
-            advance_abort(probe_end, moved);
-            abandoned = true;
-            ++attempt;
+          if (p_wins && !hedged && outpaces_buffer(p.result)) {
+            abandon(cdn_sources[primary], size_megabits, primary);
             continue;
           }
 
@@ -805,54 +833,17 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         if (hedged) {
           moved_total += leg_abort(h, cdn_sources[backup], backup, hedge_at);
         }
-        outages.advance_to(abort_at);
-        emit_event(observer,
-                   fail_abort ? SessionEventType::kAttemptFailure
-                              : SessionEventType::kAttemptDeadline,
-                   abort_at, 0, i, attempt, level, buffer, moved_total, primary);
-        policy.on_download_failure(
-            {i, attempt, abort_at, cdn_sources[primary].in_outage(abort_at)});
+        report_abort(cdn_sources[primary], !fail_abort, abort_at, moved_total,
+                     primary);
         note_breakers(abort_at);
         advance_abort(abort_at, moved_total);
-
-        const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
-        outages.advance_to(now + wait);
-        drain(wait);
-        now += wait;
-        backoff_total += wait;
-        emit_event(observer, SessionEventType::kBackoffExpiry, now, 0, i,
-                   attempt, level, buffer, wait);
-        ++attempt;
+        back_off();
       }
       // ------------------------------------------------------------------
     } else {
       // --- Per-segment resilience state machine -------------------------
-      // Abort the in-flight attempt at `abort_at`, having moved `moved`
-      // megabits: account the waste, feed the estimator the (near-zero)
-      // observed throughput, and advance the clock.
-      const auto account_abort = [&](double abort_at, double moved) {
-        const double elapsed = abort_at - now;
-        wasted_megabits += moved;
-        if (moved > 0.0) {
-          wasted_signal_weight += moved * session.signal_dbm.mean_over(now, abort_at);
-        }
-        wasted_time += elapsed;
-        runtime.bandwidth.observe(elapsed > 0.0 ? moved / elapsed : 0.0);
-        drain(elapsed);
-        now = abort_at;
-      };
-
       for (;;) {
-        // Rung for this attempt: the policy's choice first, then one rung
-        // down per retry, then the lowest rung while the link keeps failing.
-        if (attempt == 0) {
-          level = requested;
-        } else if (attempt >= res.degrade_after) {
-          level = lowest;
-        } else {
-          level = requested > attempt ? std::max(lowest, requested - attempt) : lowest;
-        }
-        const double size_megabits = manifest.segment_size_megabits(i, level);
+        const double size_megabits = step_down();
         emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
                    attempt, level, buffer, size_megabits);
 
@@ -868,57 +859,32 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
         const double deadline = now + res.attempt_deadline_s;
         const double resolves_at =
             outcome.failed ? outcome.fail_at_s : outcome.result.end_s;
+        const bool timeout = resolves_at > deadline;
 
-        if (resolves_at > deadline) {
-          // Timeout: an outage, a stuck transfer, or a failure that would
-          // manifest past the deadline. Abort at the deadline.
-          const double moved =
-              outcome.stalled
-                  ? std::min(size_megabits,
-                             outcome.result.mean_throughput_mbps * res.attempt_deadline_s)
-                  : std::min(size_megabits, link.megabits_over(now, deadline));
-          outages.advance_to(deadline);
-          emit_event(observer, SessionEventType::kAttemptDeadline, deadline, 0,
-                     i, attempt, level, buffer, moved);
-          policy.on_download_failure({i, attempt, deadline, link.in_outage(deadline)});
-          account_abort(deadline, moved);
-        } else if (outcome.failed) {
-          outages.advance_to(outcome.fail_at_s);
-          emit_event(observer, SessionEventType::kAttemptFailure,
-                     outcome.fail_at_s, 0, i, attempt, level, buffer,
-                     size_megabits * outcome.fail_fraction);
-          policy.on_download_failure(
-              {i, attempt, outcome.fail_at_s, link.in_outage(outcome.fail_at_s)});
-          account_abort(outcome.fail_at_s, size_megabits * outcome.fail_fraction);
-        } else if (res.abandon_enabled && !abandoned && playing && level > lowest &&
-                   buffer < res.abandon_min_buffer_s &&
-                   outcome.result.duration_s() > res.abandon_factor * buffer &&
-                   now + res.abandon_probe_s < outcome.result.end_s) {
-          // The transfer outpaces the buffer drain: probe briefly, abandon,
-          // and immediately re-request one rung lower (no backoff).
-          const double probe_end = now + res.abandon_probe_s;
-          const double moved =
-              std::min(size_megabits, link.megabits_over(now, probe_end));
-          outages.advance_to(probe_end);
-          emit_event(observer, SessionEventType::kAttemptAbandoned, probe_end,
-                     0, i, attempt, level, buffer, moved);
-          account_abort(probe_end, moved);
-          abandoned = true;
-          ++attempt;
+        if (!timeout && !outcome.failed) {
+          if (!outpaces_buffer(outcome.result)) {
+            success = outcome.result;
+            break;
+          }
+          abandon(link, size_megabits, kNoIndex);
           continue;
-        } else {
-          success = outcome.result;
-          break;
         }
 
-        const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
-        outages.advance_to(now + wait);
-        drain(wait);
-        now += wait;
-        backoff_total += wait;
-        emit_event(observer, SessionEventType::kBackoffExpiry, now, 0, i,
-                   attempt, level, buffer, wait);
-        ++attempt;
+        // An attempt that would resolve past the deadline (an outage, a
+        // stuck transfer, or a late failure) times out there, having moved
+        // what the link carried; otherwise it died mid-flight at fail_at_s.
+        const double abort_at = timeout ? deadline : outcome.fail_at_s;
+        const double moved =
+            !timeout          ? size_megabits * outcome.fail_fraction
+            : outcome.stalled ? std::min(size_megabits,
+                                         outcome.result.mean_throughput_mbps *
+                                             res.attempt_deadline_s)
+                              : std::min(size_megabits,
+                                         link.megabits_over(now, deadline));
+        report_abort(link, timeout, abort_at, moved, kNoIndex);
+        add_waste(moved, now, abort_at);
+        advance_abort(abort_at, moved);
+        back_off();
       }
       // ------------------------------------------------------------------
     }
@@ -1119,30 +1085,11 @@ void stepped_complete_download(SteppedClientState& state, std::size_t index,
 
 }  // namespace
 
-// Stepped links: completion times depend on who else is downloading, so the
-// engine integrates on a fixed grid (sub-step completions resolved exactly)
-// and splits capacity equally among the in-flight clients. Links that expose
-// per-cell capacity traces run the cellular event-heap path; single-cell
-// reference_mode (and custom stepped links without cells()) keep the
-// pre-refactor loop, which the differential harness certifies the cellular
-// path against bit-for-bit.
-std::vector<PlaybackResult> SessionEngine::run_stepped(
-    std::span<const SessionClient> clients, const LinkModel& link,
-    SessionObserver* observer) const {
-  const auto cell_traces = link.cells();
-  if (cell_traces.empty() ||
-      (config_.reference_mode && cell_traces.size() == 1)) {
-    return run_stepped_reference(clients, link, observer);
-  }
-  return run_cells(clients, cell_traces, link, observer);
-}
-
 // The pre-refactor single-bottleneck loop, preserved as the certification
-// reference for the cellular path (and the fallback for custom stepped links
-// that expose no cells()).
+// reference for the cellular path.
 std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
-    std::span<const SessionClient> clients, const LinkModel& link,
-    SessionObserver* observer) const {
+    std::span<const SessionClient> clients,
+    const trace::TimeSeries& capacity_mbps, SessionObserver* observer) const {
   const PlayerConfig& player_config = config_.player;
   std::vector<SteppedClientState> states;
   states.reserve(clients.size());
@@ -1150,14 +1097,6 @@ std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
     states.emplace_back(client, player_config, config_.reference_mode);
     client.policy->reset();
   }
-
-  // Capacity lookups happen once per step; when the link exposes its trace,
-  // a cursor walks it instead of binary-searching every step. The query time
-  // is strictly monotone here, so the walk is O(1) amortised.
-  const trace::TimeSeries* capacity_series =
-      config_.reference_mode ? nullptr : link.capacity_series();
-  std::optional<trace::TimeSeriesCursor> capacity_cursor;
-  if (capacity_series != nullptr) capacity_cursor.emplace(*capacity_series);
 
   emit_event(observer, SessionEventType::kSessionStart, 0.0, kNoIndex);
 
@@ -1185,9 +1124,7 @@ std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
     for (const auto& state : states) {
       if (state.downloading) ++active;
     }
-    const double capacity =
-        std::max(0.0, capacity_cursor.has_value() ? capacity_cursor->linear_at(now)
-                                                  : link.capacity_at(now));
+    const double capacity = std::max(0.0, capacity_mbps.linear_at(now));
     const double share = active > 0 ? capacity / static_cast<double>(active) : 0.0;
 
     // 3. Advance downloads (sub-step completion resolved exactly) and
@@ -1276,9 +1213,8 @@ struct PendingHop {
 // step on. A handoff into a dormant cell wakes it at the current step.
 std::vector<PlaybackResult> SessionEngine::run_cells(
     std::span<const SessionClient> clients,
-    std::span<const trace::TimeSeries* const> cell_traces, const LinkModel& link,
+    std::span<const trace::TimeSeries* const> cell_traces,
     SessionObserver* observer) const {
-  (void)link;
   const PlayerConfig& player_config = config_.player;
   const double dt = config_.step_s;
 

@@ -12,6 +12,7 @@
 
 #include "eacs/core/horizon.h"
 #include "eacs/core/objective.h"
+#include "eacs/player/player.h"
 #include "eacs/sim/fleet_checkpoint.h"
 #include "eacs/sim/seed_mix.h"
 #include "eacs/util/thread_pool.h"
@@ -83,15 +84,11 @@ struct SessionArena : FleetArenaState {
     ++seen[slot];
   }
 
-  /// Harmonic mean over the window; 0 before any sample.
+  /// Harmonic mean over the window in storage order, the rich engine's
+  /// estimator (SlidingWindow) rule; 0 before any sample.
   double estimate(std::uint32_t slot) const {
-    const std::size_t n = std::min(seen[slot], window);
-    if (n == 0) return 0.0;
-    double inv = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      inv += 1.0 / throughputs[slot * window + i];
-    }
-    return static_cast<double>(n) / inv;
+    return eacs::harmonic_mean(std::span<const double>(throughputs).subspan(
+        slot * window, std::min(seen[slot], window)));
   }
 };
 
@@ -239,17 +236,13 @@ struct RegionSim {
            faults->signal_offset_db(cell, t_s);
   }
 
-  /// Advances playback to `now`: drains the buffer, accrues stalls.
+  /// Advances playback to `now` by the engine's drain rule; accrues stalls.
   void drain(std::uint32_t slot, double now) {
-    double dt = now - arena.last_event_s[slot];
+    const double dt = now - arena.last_event_s[slot];
     arena.last_event_s[slot] = now;
-    if (arena.playing[slot] == 0 || dt <= 0.0) return;
-    if (arena.buffer_s[slot] >= dt) {
-      arena.buffer_s[slot] -= dt;
-      return;
-    }
-    const double stall = dt - arena.buffer_s[slot];
-    arena.buffer_s[slot] = 0.0;
+    const double stall = player::drain_buffer(arena.playing[slot] != 0,
+                                              arena.buffer_s[slot], dt);
+    if (stall <= 0.0) return;
     arena.rebuffer_s[slot] += stall;
     arena.seg_rebuffer_s[slot] += stall;
     ++shard.region.stall_events;

@@ -32,7 +32,19 @@ double rms(std::span<const double> xs) noexcept;
 /// This is the bandwidth estimator primitive used by FESTIVE and by the
 /// paper's online algorithm: the harmonic mean damps the effect of isolated
 /// throughput spikes, which otherwise cause over-optimistic bitrate choices.
-double harmonic_mean(std::span<const double> xs) noexcept;
+/// Inline because the fleet's event loop calls it on every request.
+inline double harmonic_mean(std::span<const double> xs) noexcept {
+  double denom = 0.0;
+  std::size_t positives = 0;
+  for (double x : xs) {
+    if (x > 0.0) {
+      denom += 1.0 / x;
+      ++positives;
+    }
+  }
+  if (positives == 0) return 0.0;
+  return static_cast<double>(positives) / denom;
+}
 
 /// Linear-interpolated percentile, p in [0, 100]. Returns 0 for empty input.
 double percentile(std::vector<double> xs, double p) noexcept;

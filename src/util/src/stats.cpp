@@ -30,19 +30,6 @@ double rms(std::span<const double> xs) noexcept {
   return std::sqrt(accum / static_cast<double>(xs.size()));
 }
 
-double harmonic_mean(std::span<const double> xs) noexcept {
-  double denom = 0.0;
-  std::size_t positives = 0;
-  for (double x : xs) {
-    if (x > 0.0) {
-      denom += 1.0 / x;
-      ++positives;
-    }
-  }
-  if (positives == 0) return 0.0;
-  return static_cast<double>(positives) / denom;
-}
-
 double percentile(std::vector<double> xs, double p) noexcept {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());

@@ -102,8 +102,9 @@ struct RunOutput {
   bool operator==(const RunOutput&) const = default;
 };
 
+template <typename Link>
 RunOutput run_clients(bool reference_mode, std::span<const SessionClient> clients,
-                      const LinkModel& link) {
+                      const Link& link) {
   SessionEngineConfig config;
   config.reference_mode = reference_mode;
   const SessionEngine engine(config);
@@ -234,7 +235,7 @@ RunOutput scenario_shared(bool reference_mode) {
   abr::Bba policy_a(5.0, 30.0);
   abr::Festive policy_b;
   abr::FixedBitrate policy_c(3, "fixed3");
-  const SharedLinkModel link(capacity_owner.throughput_mbps);
+  const CellularLinkModel link(capacity_owner.throughput_mbps);
   std::vector<SessionClient> clients = {
       {&manifest, &policy_a, &session_a, 0.0},
       {&manifest, &policy_b, &session_b, 5.0},
@@ -262,7 +263,7 @@ RunOutput scenario_fleet(bool reference_mode, std::size_t n) {
         break;
     }
   }
-  const SharedLinkModel link(capacity_owner.throughput_mbps);
+  const CellularLinkModel link(capacity_owner.throughput_mbps);
   std::vector<SessionClient> clients;
   for (std::size_t c = 0; c < n; ++c) {
     clients.push_back({&manifest, policies[c].get(), &sessions[c],
@@ -408,39 +409,6 @@ TEST(EngineDifferentialTest, ScenarioMatrixBitIdenticalAcrossJobCounts) {
       EXPECT_EQ(outputs[i].timeline, reference[i].timeline)
           << "jobs=" << jobs << " scenario " << matrix[i / 2].first;
     }
-  }
-}
-
-TEST(EngineDifferentialTest, SingleCellCellularLinkEqualsSharedLink) {
-  // A one-cell CellularLinkModel must be indistinguishable from the
-  // SharedLinkModel over the same capacity trace — same engine path, same
-  // bits — at every fleet size the matrix covers.
-  const auto manifest = make_manifest(60.0, 2.0);
-  const auto capacity_owner = make_session(60.0, 18.0);
-  for (const std::size_t n : {1U, 2U, 4U, 8U}) {
-    std::vector<trace::SessionTraces> sessions;
-    std::vector<std::unique_ptr<AbrPolicy>> shared_policies;
-    std::vector<std::unique_ptr<AbrPolicy>> cell_policies;
-    for (std::size_t c = 0; c < n; ++c) {
-      sessions.push_back(make_session(60.0, 8.0, -92.0, 1.0));
-      shared_policies.push_back(std::make_unique<abr::Bba>(5.0, 30.0));
-      cell_policies.push_back(std::make_unique<abr::Bba>(5.0, 30.0));
-    }
-    std::vector<SessionClient> shared_clients;
-    std::vector<SessionClient> cell_clients;
-    for (std::size_t c = 0; c < n; ++c) {
-      shared_clients.push_back({&manifest, shared_policies[c].get(),
-                                &sessions[c], static_cast<double>(c)});
-      cell_clients.push_back({&manifest, cell_policies[c].get(), &sessions[c],
-                              static_cast<double>(c)});
-    }
-    const SharedLinkModel shared(capacity_owner.throughput_mbps);
-    const trace::TimeSeries* cells[] = {&capacity_owner.throughput_mbps};
-    const CellularLinkModel cellular(cells);
-    const RunOutput a = run_clients(false, shared_clients, shared);
-    const RunOutput b = run_clients(false, cell_clients, cellular);
-    EXPECT_EQ(a.result, b.result) << "n=" << n;
-    EXPECT_EQ(a.timeline, b.timeline) << "n=" << n;
   }
 }
 

@@ -88,7 +88,7 @@ TEST(CellularTest, SingleCellMatchesSharedLink) {
       cell_clients.push_back({&manifest, &cell_policies[c], &session,
                               static_cast<double>(c)});
     }
-    const SharedLinkModel shared(capacity);
+    const CellularLinkModel shared(capacity);
     const trace::TimeSeries* cells[] = {&capacity};
     const CellularLinkModel cellular(cells);
 

@@ -64,14 +64,9 @@ TEST(SessionEngineTest, AnalyticLinksTakeExactlyOneClient) {
 }
 
 TEST(SessionEngineTest, WrongModeLinkCallsThrow) {
-  const auto session = make_session(20.0, 10.0);
-  const SoloLinkModel solo(session.throughput_mbps);
-  EXPECT_THROW(solo.capacity_at(0.0), std::logic_error);
-  const SharedLinkModel shared(session.throughput_mbps);
-  EXPECT_THROW(shared.attempt(0, 0, 0.0, 1.0), std::logic_error);
-  EXPECT_THROW(shared.rescue(0.0, 1.0), std::logic_error);
-  EXPECT_THROW(shared.megabits_over(0.0, 1.0), std::logic_error);
-  EXPECT_THROW(SharedLinkModel{trace::TimeSeries{}}, std::invalid_argument);
+  // Each link type serves one engine mode, so a wrong-mode call no longer
+  // compiles; what remains to check at run time is the stepped link's trace.
+  EXPECT_THROW(CellularLinkModel{trace::TimeSeries{}}, std::invalid_argument);
 }
 
 TEST(SessionEngineTest, ObserverNeverPerturbsTheResult) {

@@ -123,7 +123,7 @@ TEST(SessionInvariantCheckerTest, SteppedMultiClientRunSatisfiesAllInvariants) {
   abr::Bba b(5.0, 30.0);
   std::vector<SessionClient> clients = {{&manifest, &a, &session, 0.0},
                                         {&manifest, &b, &session, 5.0}};
-  const SharedLinkModel link(session.throughput_mbps);
+  const CellularLinkModel link(session.throughput_mbps);
   const SessionEngine engine{SessionEngineConfig{}};
   SessionInvariantChecker checker(SessionEngineConfig{}.player,
                                   manifest.ladder().size());
