@@ -101,56 +101,51 @@ void print_reproduction() {
   bench::record_metric("clean_events_planner",
                        static_cast<double>(result.baselines[1].events));
 
-  // Checkpoint/resume overhead on the combined-fault planner fleet.
+  // Checkpoint/resume overhead on one faulted planner fleet: the
+  // uninterrupted run, the cut and the resume all use this config.
   sim::FleetConfig fleet = config.fleet;
   fleet.policy = sim::FleetPolicy::kPlanner;
-  {
-    // Rebuild the combined spec exactly as the study does: one cell of the
-    // study grid re-run standalone so the timing excludes the sweep.
-    sim::FleetFaultStudyConfig one = config;
-    one.scenarios = {sim::FleetFaultScenario::kCombined};
-    one.intensities = {1.0};
-    one.policies = {sim::FleetPolicy::kPlanner};
-    const auto t0 = std::chrono::steady_clock::now();
-    const sim::FleetMetrics uninterrupted =
-        sim::run_fleet_fault_study(one)
-            .cell(sim::FleetFaultScenario::kCombined, 1.0,
-                  sim::FleetPolicy::kPlanner)
-            .metrics;
-    (void)uninterrupted;
-    const auto t1 = std::chrono::steady_clock::now();
-    fleet.faults.seeded.horizon_s = 2000.0;
-    fleet.faults.seeded.outage_prob = 0.175;
-    fleet.faults.seeded.brownout_prob = 0.25;
-    const double cut_s = 300.0;
-    const sim::FleetCheckpoint checkpoint =
-        sim::run_fleet_until(fleet, cut_s);
-    const auto t2 = std::chrono::steady_clock::now();
-    const sim::FleetMetrics resumed = sim::resume_fleet(fleet, checkpoint);
-    const auto t3 = std::chrono::steady_clock::now();
-    (void)resumed;
+  fleet.faults.seeded.horizon_s = 2000.0;
+  fleet.faults.seeded.outage_prob = 0.175;
+  fleet.faults.seeded.brownout_prob = 0.25;
+  const double cut_s = 300.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  const sim::FleetMetrics uninterrupted = sim::run_fleet(fleet);
+  const auto t1 = std::chrono::steady_clock::now();
+  const sim::FleetCheckpoint checkpoint = sim::run_fleet_until(fleet, cut_s);
+  const auto t2 = std::chrono::steady_clock::now();
+  const sim::FleetMetrics resumed = sim::resume_fleet(fleet, checkpoint);
+  const auto t3 = std::chrono::steady_clock::now();
+  // Every per-region counter plus the fleet's QoE and energy moments: a
+  // coarse echo of tests/differential/fleet_checkpoint_diff_test.cpp, which
+  // compares every aggregate bit for bit.
+  const bool identical =
+      resumed.regions == uninterrupted.regions &&
+      resumed.qoe.state() == uninterrupted.qoe.state() &&
+      resumed.energy_j.state() == uninterrupted.energy_j.state();
 
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "bench_fleet_faults.ckpt")
-            .string();
-    sim::save_fleet_checkpoint(checkpoint, path);
-    const double sidecar_kb =
-        static_cast<double>(std::filesystem::file_size(path)) / 1024.0;
-    std::filesystem::remove(path);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_fleet_faults.ckpt")
+          .string();
+  sim::save_fleet_checkpoint(checkpoint, path);
+  const double sidecar_kb =
+      static_cast<double>(std::filesystem::file_size(path)) / 1024.0;
+  std::filesystem::remove(path);
 
-    const double full_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    const double cut_ms =
-        std::chrono::duration<double, std::milli>(t2 - t1).count();
-    const double resume_ms =
-        std::chrono::duration<double, std::milli>(t3 - t2).count();
-    std::printf("checkpoint @ %.0f s: cut %.0f ms + resume %.0f ms "
-                "(uninterrupted %.0f ms), sidecar %.0f kB\n\n",
-                cut_s, cut_ms, resume_ms, full_ms, sidecar_kb);
-    bench::record_metric("checkpoint_cut_ms", cut_ms);
-    bench::record_metric("checkpoint_resume_ms", resume_ms);
-    bench::record_metric("checkpoint_sidecar_kb", sidecar_kb);
-  }
+  const double full_ms =
+      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  const double cut_ms =
+      std::chrono::duration<double, std::milli>(t2 - t1).count();
+  const double resume_ms =
+      std::chrono::duration<double, std::milli>(t3 - t2).count();
+  std::printf("checkpoint @ %.0f s: cut %.0f ms + resume %.0f ms "
+              "(uninterrupted %.0f ms), sidecar %.0f kB, resumed metrics "
+              "identical: %s\n\n",
+              cut_s, cut_ms, resume_ms, full_ms, sidecar_kb,
+              identical ? "yes" : "NO");
+  bench::record_metric("checkpoint_cut_ms", cut_ms);
+  bench::record_metric("checkpoint_resume_ms", resume_ms);
+  bench::record_metric("checkpoint_sidecar_kb", sidecar_kb);
 }
 
 void BM_FleetCombinedFaults(benchmark::State& state) {

@@ -14,8 +14,9 @@
 //     tests/differential/) and with the fleet's quantized config, reporting
 //     the QoE / energy deltas of planning on bucket representatives.
 //
-// All cache/plan counters are deterministic in (config) — the CI perf smoke
-// pins the 1k-session values exactly; wall-clock is advisory only.
+// All cache/plan counters are deterministic in (config) —
+// tests/sim/pinned_counters_test.cpp pins the 1k-session values exactly;
+// wall-clock is advisory only.
 //
 // `--json-append BENCH_baseline.json` upserts the "fleet_planner_cache"
 // record the committed baseline carries.
@@ -127,7 +128,7 @@ void policy_comparison() {
       if (sessions == 10000 && row.policy == sim::FleetPolicy::kPlanner) {
         (row.capacity == 0 ? naive_10k : cached_10k) = run.sessions_per_sec;
       }
-      // The CI-pinned deterministic counters for the fixed 1k planner fleet.
+      // The deterministic counters of the fixed 1k planner fleet.
       if (sessions == 1000 && row.policy == sim::FleetPolicy::kPlanner &&
           row.capacity != 0) {
         bench::record_metric("planner_cache_hits_1k",

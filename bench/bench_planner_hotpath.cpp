@@ -4,9 +4,11 @@
 //
 // The certified claim is counter-based, not wall-clock: a cached plan
 // performs exactly N*(2M+1) QoE/power model evaluations (one table per
-// task), the reference formulation 4*(M + (N-1)*M^2) (four per edge). The
-// CI perf-smoke leg pins those counters from the --json output; the >= 5x
-// latency speedup is the local headline (see EXPERIMENTS.md).
+// task), the reference formulation 4*(M + (N-1)*M^2) (four per edge).
+// CostStatsCounters.CachedPlanDoesLinearModelEvals pins both formulas on
+// the 25 x 14 and 300 x 14 grids, and ParetoTest.SweepBuildsOneTablePerTask
+// pins the sweep's table count; the >= 5x latency speedup is the local
+// headline (see EXPERIMENTS.md).
 
 #include <chrono>
 #include <cinttypes>

@@ -4,16 +4,14 @@
 // virtual-dispatch, binary-search-per-lookup code), over the five Table V
 // sessions.
 //
-// Like bench_planner_hotpath, the certified claims are deterministic
-// counters plus a bit-identity check, not wall-clock: the analytic loop
-// consults the ABR policy exactly once per segment (policy_evals ==
-// segments), and the fast-path result must bit-match reference_mode
-// (tests/differential/ proves this across the whole scenario matrix; the CI
-// perf-smoke leg re-pins it from the --json output here). The per-session
-// latency is the local headline (see EXPERIMENTS.md).
+// The per-session latency is the local headline (see EXPERIMENTS.md). The
+// certified claims are not wall-clock and live in ctest: the analytic loop
+// consults the ABR policy exactly once per segment
+// (SessionEngineTest.FaultFreeEventOrdering), and the fast paths bit-match
+// reference_mode across the whole scenario matrix
+// (tests/differential/engine_diff_test.cpp).
 
 #include <chrono>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,28 +25,6 @@
 namespace {
 
 using namespace eacs;
-
-/// Delegating wrapper that counts choose_level consultations.
-class CountingPolicy final : public player::AbrPolicy {
- public:
-  explicit CountingPolicy(player::AbrPolicy& inner) : inner_(&inner) {}
-
-  std::string name() const override { return inner_->name(); }
-  std::size_t choose_level(const player::AbrContext& context) override {
-    ++calls_;
-    return inner_->choose_level(context);
-  }
-  void on_download_failure(const player::DownloadFailure& failure) override {
-    inner_->on_download_failure(failure);
-  }
-  void reset() override { inner_->reset(); }
-
-  std::uint64_t calls() const noexcept { return calls_; }
-
- private:
-  player::AbrPolicy* inner_;
-  std::uint64_t calls_ = 0;
-};
 
 const std::vector<trace::SessionTraces>& sessions() {
   static const std::vector<trace::SessionTraces> all = trace::build_all_sessions();
@@ -73,26 +49,6 @@ player::PlaybackResult run_solo(const trace::SessionTraces& session,
   return std::move(results.front());
 }
 
-bool results_identical(const player::PlaybackResult& a,
-                       const player::PlaybackResult& b) {
-  if (a.tasks.size() != b.tasks.size()) return false;
-  if (std::memcmp(&a.startup_delay_s, &b.startup_delay_s, sizeof(double)) != 0 ||
-      std::memcmp(&a.total_rebuffer_s, &b.total_rebuffer_s, sizeof(double)) != 0 ||
-      std::memcmp(&a.session_end_s, &b.session_end_s, sizeof(double)) != 0) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-    if (a.tasks[i].level != b.tasks[i].level ||
-        std::memcmp(&a.tasks[i].download_end_s, &b.tasks[i].download_end_s,
-                    sizeof(double)) != 0 ||
-        std::memcmp(&a.tasks[i].signal_dbm, &b.tasks[i].signal_dbm,
-                    sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 template <typename F>
 double best_of_ms(F&& fn, int reps) {
   double best = 1e300;
@@ -112,24 +68,11 @@ void print_reproduction() {
                 "Analytic solo loop: fast paths (devirtualized downloader, "
                 "signal cursor) vs. reference_mode, per Table V session");
 
-  std::printf("%8s %5s | %12s %12s %8s | %10s %12s %5s\n", "session", "segs",
-              "ref ms", "fast ms", "speedup", "policy ev", "ev/segment",
-              "bits");
+  std::printf("%8s %5s | %12s %12s %8s\n", "session", "segs", "ref ms",
+              "fast ms", "speedup");
   double best_fast_ms = 1e300;
-  bool all_identical = true;
   for (const auto& session : sessions()) {
     const media::VideoManifest manifest = manifest_for(session.spec);
-
-    // Deterministic counters + bit-identity (one instrumented run per path).
-    abr::Festive inner;
-    CountingPolicy counting(inner);
-    const auto fast = run_solo(session, manifest, counting, false);
-    const std::uint64_t policy_evals = counting.calls();
-    abr::Festive reference_inner;
-    const auto reference = run_solo(session, manifest, reference_inner, true);
-    const bool identical = results_identical(fast, reference);
-    if (!identical) all_identical = false;
-
     abr::Festive timed;
     const double fast_ms = best_of_ms(
         [&] { benchmark::DoNotOptimize(run_solo(session, manifest, timed, false)); },
@@ -139,35 +82,18 @@ void print_reproduction() {
         31);
     if (fast_ms < best_fast_ms) best_fast_ms = fast_ms;
 
-    const std::size_t segments = fast.tasks.size();
-    std::printf("%8d %5zu | %12.3f %12.3f %7.2fx | %10llu %12.3f %5s\n",
-                session.spec.id, segments, reference_ms, fast_ms,
-                fast_ms > 0.0 ? reference_ms / fast_ms : 0.0,
-                static_cast<unsigned long long>(policy_evals),
-                segments > 0
-                    ? static_cast<double>(policy_evals) / static_cast<double>(segments)
-                    : 0.0,
-                identical ? "yes" : "NO");
+    std::printf("%8d %5zu | %12.3f %12.3f %7.2fx\n", session.spec.id,
+                manifest.num_segments(), reference_ms, fast_ms,
+                fast_ms > 0.0 ? reference_ms / fast_ms : 0.0);
 
     const std::string suffix = "_s" + std::to_string(session.spec.id);
     bench::record_metric("solo_ms_reference" + suffix, reference_ms);
     bench::record_metric("solo_ms_fast" + suffix, fast_ms);
-    if (session.spec.id == sessions().front().spec.id) {
-      // The CI smoke pins the counter contract on one representative session
-      // (it is structural, not data-dependent): one policy consultation per
-      // segment, no hidden re-evaluations on the analytic path.
-      bench::record_metric("segments_per_session",
-                           static_cast<double>(segments));
-      bench::record_metric("policy_evals_per_session",
-                           static_cast<double>(policy_evals));
-    }
   }
   bench::record_metric("solo_session_ms_best", best_fast_ms);
-  bench::record_metric("fast_path_bit_identical", all_identical ? 1.0 : 0.0);
-  std::printf("\nbest fast-path session: %.3f ms; fast paths bit-identical to "
-              "reference_mode: %s\n(full-matrix certification: "
-              "tests/differential/engine_diff_test.cpp)\n",
-              best_fast_ms, all_identical ? "yes" : "NO");
+  std::printf("\nbest fast-path session: %.3f ms\n(bit-identity to "
+              "reference_mode: tests/differential/engine_diff_test.cpp)\n",
+              best_fast_ms);
 }
 
 void BM_SoloSessionFast(benchmark::State& state) {

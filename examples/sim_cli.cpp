@@ -52,15 +52,19 @@
 //
 // Fleet runs end with a one-line degradation banner (degraded time, escape
 // handoffs, retries, abandonments, planner sheds, wasted energy) and a
-// machine-parsable "fleet-counters:" line the CI resume smoke pins exactly.
+// machine-parsable "fleet-counters:" line that the kill-and-resume ctest
+// entries in examples/CMakeLists.txt pin exactly.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "eacs/abr/bba.h"
 #include "eacs/abr/bola.h"
@@ -122,6 +126,20 @@ struct CliOptions {
   std::exit(2);
 }
 
+/// Reads all of `text` as a T. A malformed token, a parsed prefix, an
+/// out-of-range integer, NaN or infinity is a usage error.
+template <typename T>
+T parse_number(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || stop != end || !std::isfinite(static_cast<double>(value))) {
+    const char* kind = std::is_integral_v<T> ? "an integer" : "a finite number";
+    usage_error((flag + " needs " + kind + ", got '" + text + "'").c_str());
+  }
+  return value;
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -130,11 +148,13 @@ CliOptions parse_cli(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(("missing value for " + arg).c_str());
       return argv[++i];
     };
-    if (arg == "--trace") options.trace_id = std::atoi(next_value());
+    const auto real = [&] { return parse_number<double>(arg, next_value()); };
+    const auto integer = [&] { return parse_number<int>(arg, next_value()); };
+    if (arg == "--trace") options.trace_id = integer();
     else if (arg == "--algo") options.algo = next_value();
-    else if (arg == "--alpha") options.alpha = std::atof(next_value());
-    else if (arg == "--segment") options.segment_s = std::atof(next_value());
-    else if (arg == "--buffer") options.buffer_s = std::atof(next_value());
+    else if (arg == "--alpha") options.alpha = real();
+    else if (arg == "--segment") options.segment_s = real();
+    else if (arg == "--buffer") options.buffer_s = real();
     else if (arg == "--no-context") options.context_aware = false;
     else if (arg == "--mpd") options.mpd_path = next_value();
     else if (arg == "--csv") options.csv_path = next_value();
@@ -145,7 +165,7 @@ CliOptions parse_cli(int argc, char** argv) {
     else if (arg == "--fleet") options.fleet = true;
     else if (arg == "--fleet-faults") options.fleet_faults = true;
     else if (arg == "--checkpoint") options.checkpoint_path = next_value();
-    else if (arg == "--checkpoint-at") options.checkpoint_at_s = std::atof(next_value());
+    else if (arg == "--checkpoint-at") options.checkpoint_at_s = real();
     else if (arg == "--resume") options.resume_path = next_value();
     else if (arg == "--policy") {
       options.fleet_policy = next_value();
@@ -155,7 +175,7 @@ CliOptions parse_cli(int argc, char** argv) {
       }
     }
     else if (arg == "--sessions" || arg == "--cells" || arg == "--regions") {
-      const int value = std::atoi(next_value());
+      const int value = integer();
       if (value < 1) usage_error((arg + " must be >= 1").c_str());
       (arg == "--sessions"  ? options.fleet_sessions
        : arg == "--cells"   ? options.fleet_cells
@@ -163,7 +183,7 @@ CliOptions parse_cli(int argc, char** argv) {
           static_cast<std::size_t>(value);
     }
     else if (arg == "--jobs") {
-      const int jobs = std::atoi(next_value());
+      const int jobs = integer();
       if (jobs < 0) usage_error("--jobs must be >= 0");
       options.jobs = static_cast<std::size_t>(jobs);
     }
@@ -375,7 +395,7 @@ int run_fleet_mode(const CliOptions& options) {
               metrics.events, metrics.requests, metrics.handoffs,
               metrics.stall_events, metrics.peak_live_sessions);
   // The degradation ladder in one line (DESIGN §14), plus the exact-counter
-  // line the CI kill-and-resume smoke pins.
+  // line the kill-and-resume ctest entries pin.
   std::printf("degraded: %.1f s in backoff, %zu escape handoffs, %zu retries, "
               "%zu abandoned, %zu sheds / %zu recoveries, %.1f J wasted\n",
               metrics.degraded_time_s, metrics.escape_handoffs,

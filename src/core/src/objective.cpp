@@ -11,10 +11,10 @@ namespace eacs::core {
 Objective::Objective(qoe::QoeModel qoe_model, power::PowerModel power_model,
                      ObjectiveConfig config)
     : qoe_(qoe_model), power_(power_model), config_(config) {
-  if (config_.alpha < 0.0 || config_.alpha > 1.0) {
+  if (!(config_.alpha >= 0.0 && config_.alpha <= 1.0)) {
     throw std::invalid_argument("Objective: alpha must be in [0, 1]");
   }
-  if (config_.buffer_threshold_s <= 0.0) {
+  if (!(config_.buffer_threshold_s > 0.0)) {
     throw std::invalid_argument("Objective: buffer threshold must be > 0");
   }
 }

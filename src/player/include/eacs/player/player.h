@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "eacs/media/manifest.h"
@@ -115,6 +116,11 @@ struct PlayerConfig {
 /// the jittered cap, and a pure function of its arguments.
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
                        std::size_t segment_index, std::size_t attempt);
+
+/// The single buffer rule, 0 < startup_s <= threshold_s < inf (NaN fails
+/// it); throws std::invalid_argument prefixed with `who` otherwise.
+void require_valid_buffer(const std::string& who, double threshold_s,
+                          double startup_s);
 
 /// The single buffer-drain / stall rule: plays `dt` seconds of wall time out
 /// of `buffer_s` and returns the stall incurred (0 before startup). Every

@@ -23,7 +23,7 @@ MultiClientSimulator::MultiClientSimulator(trace::TimeSeries shared_capacity_mbp
   if (capacity_.empty()) {
     throw std::invalid_argument("MultiClientSimulator: empty capacity trace");
   }
-  if (config_.step_s <= 0.0) {
+  if (!(config_.step_s > 0.0)) {
     throw std::invalid_argument("MultiClientSimulator: step must be > 0");
   }
 }

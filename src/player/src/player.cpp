@@ -26,15 +26,18 @@ double PlaybackResult::mean_bitrate_mbps() const noexcept {
   return duration > 0.0 ? weighted / duration : 0.0;
 }
 
+void require_valid_buffer(const std::string& who, double threshold_s,
+                          double startup_s) {
+  if (!(startup_s > 0.0 && startup_s <= threshold_s && std::isfinite(threshold_s))) {
+    throw std::invalid_argument(
+        who + ": buffer levels must satisfy 0 < startup <= threshold < inf");
+  }
+}
+
 PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig config)
     : manifest_(std::move(manifest)), config_(config) {
-  if (config_.buffer_threshold_s <= 0.0 || config_.startup_buffer_s <= 0.0) {
-    throw std::invalid_argument("PlayerSimulator: buffer parameters must be > 0");
-  }
-  if (config_.startup_buffer_s > config_.buffer_threshold_s) {
-    throw std::invalid_argument(
-        "PlayerSimulator: startup buffer cannot exceed the buffer threshold");
-  }
+  require_valid_buffer("PlayerSimulator", config_.buffer_threshold_s,
+                       config_.startup_buffer_s);
 }
 
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,

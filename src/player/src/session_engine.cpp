@@ -380,15 +380,9 @@ CellularLinkModel::CellularLinkModel(const trace::TimeSeries& capacity_mbps)
 // --- SessionEngine ----------------------------------------------------------
 
 SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
-  if (config_.player.buffer_threshold_s <= 0.0 ||
-      config_.player.startup_buffer_s <= 0.0) {
-    throw std::invalid_argument("SessionEngine: buffer parameters must be > 0");
-  }
-  if (config_.player.startup_buffer_s > config_.player.buffer_threshold_s) {
-    throw std::invalid_argument(
-        "SessionEngine: startup buffer cannot exceed the buffer threshold");
-  }
-  if (config_.step_s <= 0.0) {
+  require_valid_buffer("SessionEngine", config_.player.buffer_threshold_s,
+                       config_.player.startup_buffer_s);
+  if (!(config_.step_s > 0.0)) {
     throw std::invalid_argument("SessionEngine: step must be > 0");
   }
 }

@@ -140,7 +140,7 @@ struct FleetConfig {
                                           .capacity = 131072};
 
   /// Cells are split into this many contiguous shards; sessions are pinned
-  /// to region (id % regions). Clamped to num_cells. The region count is
+  /// to region (id % regions). Must be in [1, num_cells]. The region count is
   /// part of the *model* (mobility range), not an execution knob: changing
   /// it changes results; changing exec.jobs never does.
   std::size_t regions = 8;

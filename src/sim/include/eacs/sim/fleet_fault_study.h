@@ -7,9 +7,10 @@
 // cell outages, regional capacity brownouts, signal-floor collapses, and
 // flash-crowd arrival surges (fleet_faults.h), swept over scenario x
 // intensity x client policy. Each cell runs the full fleet simulator with
-// graceful degradation enabled (escape handoffs, bounded backoff,
-// planner-shed) and reports the population QoE / energy / rebuffer
-// aggregates next to the degradation-ladder counters — how much service
+// escape handoffs and bounded backoff (planner-shed only when the caller
+// sets the base fleet's shed triggers, which default to off) and reports the
+// population QoE / energy / rebuffer aggregates next to the
+// degradation-ladder counters — how much service
 // survives, what the recovery machinery did, and what it cost. Clean
 // per-policy baselines anchor the deltas. Deterministic in (config) at any
 // job count, like every §6 study.

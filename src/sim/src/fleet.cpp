@@ -55,9 +55,7 @@ struct EventAfter {
 /// run with a few hundred live at a time allocates a few hundred slots, and
 /// the bandwidth window needs no per-session allocation.
 struct SessionArena : FleetArenaState {
-  explicit SessionArena(std::size_t bandwidth_window) {
-    window = std::max<std::size_t>(1, bandwidth_window);
-  }
+  explicit SessionArena(std::size_t bandwidth_window) { window = bandwidth_window; }
 
   std::uint32_t acquire(int id, double now, std::size_t start_cell) {
     const bool grow = free_slots.empty();
@@ -733,6 +731,14 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
       throw std::invalid_argument(
           "run_fleet: ladder bitrates must be finite and > 0");
     }
+  }
+  player::require_valid_buffer("run_fleet", config.buffer_threshold_s,
+                               config.startup_buffer_s);
+  if (!(std::isfinite(config.abr_safety) && config.abr_safety > 0.0)) {
+    throw std::invalid_argument("run_fleet: abr_safety must be finite and > 0");
+  }
+  if (config.bandwidth_window == 0) {
+    throw std::invalid_argument("run_fleet: bandwidth_window must be >= 1");
   }
   if (config.regions == 0 || config.regions > config.network.num_cells) {
     throw std::invalid_argument(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "eacs/core/task.h"
 #include "../test_helpers.h"
 
@@ -35,6 +37,9 @@ TEST(ObjectiveTest, InvalidAlphaThrows) {
   EXPECT_THROW(Objective(qoe::QoeModel{}, power::PowerModel{}, config),
                std::invalid_argument);
   config.alpha = -0.1;
+  EXPECT_THROW(Objective(qoe::QoeModel{}, power::PowerModel{}, config),
+               std::invalid_argument);
+  config.alpha = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(Objective(qoe::QoeModel{}, power::PowerModel{}, config),
                std::invalid_argument);
 }

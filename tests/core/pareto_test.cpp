@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "eacs/core/cost_stats.h"
 #include "eacs/util/rng.h"
 
 namespace eacs::core {
@@ -80,6 +81,18 @@ TEST(ParetoTest, KneeIsInterior) {
   ASSERT_GE(front.points.size(), 3U);
   EXPECT_GT(front.knee_index, 0U);
   EXPECT_LT(front.knee_index, front.points.size() - 1);
+}
+
+TEST(ParetoTest, SweepBuildsOneTablePerTask) {
+  // Tables are built once and re-weighted per alpha sample, so a 21-alpha
+  // sweep builds N tables instead of 21*N.
+  const auto tasks = make_tasks(120, 3, 4.0);
+  CostStats stats;
+  {
+    CostStatsScope scope(stats);
+    compute_pareto_front(tasks, qoe::QoeModel{}, power::PowerModel{}, 21);
+  }
+  EXPECT_EQ(stats.tables_built, tasks.size());
 }
 
 TEST(ParetoTest, VibrationShiftsFrontDown) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "eacs/abr/fixed.h"
 #include "../test_helpers.h"
 
@@ -141,6 +143,10 @@ TEST(PlayerSimulatorTest, InvalidConfigThrows) {
   inverted.startup_buffer_s = 50.0;
   inverted.buffer_threshold_s = 30.0;
   EXPECT_THROW(PlayerSimulator(make_manifest(), inverted), std::invalid_argument);
+  PlayerConfig nan_threshold;
+  nan_threshold.buffer_threshold_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PlayerSimulator(make_manifest(), nan_threshold),
+               std::invalid_argument);
 }
 
 TEST(PlayerSimulatorTest, PolicyLevelClamped) {

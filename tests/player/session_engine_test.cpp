@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "eacs/abr/bba.h"
@@ -36,6 +37,28 @@ std::size_t first_index(const SessionTimeline& timeline, SessionEventType type) 
   return kNoIndex;
 }
 
+/// Delegating wrapper that counts choose_level consultations.
+class CountingPolicy final : public AbrPolicy {
+ public:
+  explicit CountingPolicy(AbrPolicy& inner) : inner_(&inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t choose_level(const AbrContext& context) override {
+    ++calls_;
+    return inner_->choose_level(context);
+  }
+  void on_download_failure(const DownloadFailure& failure) override {
+    inner_->on_download_failure(failure);
+  }
+  void reset() override { inner_->reset(); }
+
+  std::size_t calls() const noexcept { return calls_; }
+
+ private:
+  AbrPolicy* inner_;
+  std::size_t calls_ = 0;
+};
+
 TEST(SessionEngineTest, ConfigValidation) {
   SessionEngineConfig bad;
   bad.player.buffer_threshold_s = 0.0;
@@ -45,6 +68,12 @@ TEST(SessionEngineTest, ConfigValidation) {
   EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
   bad = SessionEngineConfig{};
   bad.step_s = 0.0;
+  EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  bad = SessionEngineConfig{};
+  bad.player.buffer_threshold_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  bad = SessionEngineConfig{};
+  bad.step_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
   EXPECT_NO_THROW(SessionEngine{SessionEngineConfig{}});
 }
@@ -98,7 +127,8 @@ TEST(SessionEngineTest, FaultFreeEventOrdering) {
   const auto manifest = make_manifest(60.0, 2.0);
   const auto session = make_session(60.0, 8.0);
   const PlayerSimulator simulator(manifest);
-  abr::Bba policy(5.0, 30.0);
+  abr::Bba bba(5.0, 30.0);
+  CountingPolicy policy(bba);
   SessionTimeline timeline;
   const auto result = simulator.run(policy, session, &timeline);
 
@@ -127,7 +157,8 @@ TEST(SessionEngineTest, FaultFreeEventOrdering) {
   EXPECT_EQ(timeline.count(SessionEventType::kBackoffExpiry), 0U);
   EXPECT_EQ(timeline.count(SessionEventType::kFaultTransition), 0U);
 
-  // One request and one completion per segment.
+  // One policy consultation, one request and one completion per segment.
+  EXPECT_EQ(policy.calls(), manifest.num_segments());
   EXPECT_EQ(timeline.count(SessionEventType::kRequestIssued),
             manifest.num_segments());
   EXPECT_EQ(timeline.count(SessionEventType::kDownloadComplete),

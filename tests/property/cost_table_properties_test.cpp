@@ -316,39 +316,41 @@ TEST(CostTableHorizon, SelectorMatchesLegacyTaskCostFormulation) {
 }
 
 TEST(CostStatsCounters, CachedPlanDoesLinearModelEvals) {
-  const std::size_t n = 25;
-  const std::size_t m = 14;
   const Objective objective = make_objective(0.5);
   OptimalPlanner planner(objective);
-  const auto tasks = random_tasks(n, m, 501);
+  // 300 x 14 is the paper's evaluation grid.
+  for (const std::uint64_t n : {25, 300}) {
+    const std::uint64_t m = 14;
+    const auto tasks = random_tasks(n, m, 501);
 
-  CostStats cached;
-  {
-    CostStatsScope scope(cached);
-    planner.plan(tasks, PlannerMethod::kDagDp);
+    CostStats cached;
+    {
+      CostStatsScope scope(cached);
+      planner.plan(tasks, PlannerMethod::kDagDp);
+    }
+    // One table per task: M power evals + (M+1) QoE evals each — O(N*M).
+    EXPECT_EQ(cached.power_model_evals, n * m) << n;
+    EXPECT_EQ(cached.qoe_model_evals, n * (m + 1)) << n;
+    EXPECT_EQ(cached.tables_built, n) << n;
+    EXPECT_EQ(cached.edge_evals, m + (n - 1) * m * m) << n;
+    EXPECT_EQ(cached.plans, 1U) << n;
+
+    CostStats reference;
+    {
+      CostStatsScope scope(reference);
+      planner.plan_reference(tasks);
+    }
+    // Uncached: every edge re-evaluates 2 energy + 2 QoE models — O(N*M^2).
+    const std::uint64_t edges = m + (n - 1) * m * m;
+    EXPECT_EQ(reference.edge_evals, edges) << n;
+    EXPECT_EQ(reference.power_model_evals, 2 * edges) << n;
+    EXPECT_EQ(reference.qoe_model_evals, 2 * edges) << n;
+    EXPECT_EQ(reference.tables_built, 0U) << n;
+
+    // The headline ratio: cached does strictly fewer model evaluations by an
+    // O(M) factor.
+    EXPECT_LT(cached.model_evals() * 20, reference.model_evals()) << n;
   }
-  // One table per task: M power evals + (M+1) QoE evals each — O(N*M).
-  EXPECT_EQ(cached.power_model_evals, n * m);
-  EXPECT_EQ(cached.qoe_model_evals, n * (m + 1));
-  EXPECT_EQ(cached.tables_built, n);
-  EXPECT_EQ(cached.edge_evals, m + (n - 1) * m * m);
-  EXPECT_EQ(cached.plans, 1U);
-
-  CostStats reference;
-  {
-    CostStatsScope scope(reference);
-    planner.plan_reference(tasks);
-  }
-  // Uncached: every edge re-evaluates 2 energy + 2 QoE models — O(N*M^2).
-  const std::uint64_t edges = m + (n - 1) * m * m;
-  EXPECT_EQ(reference.edge_evals, edges);
-  EXPECT_EQ(reference.power_model_evals, 2 * edges);
-  EXPECT_EQ(reference.qoe_model_evals, 2 * edges);
-  EXPECT_EQ(reference.tables_built, 0U);
-
-  // The headline ratio the CI perf-smoke pins: cached does strictly fewer
-  // model evaluations by an O(M) factor.
-  EXPECT_LT(cached.model_evals() * 20, reference.model_evals());
 }
 
 TEST(CostStatsCounters, ScopesNestAndRestore) {

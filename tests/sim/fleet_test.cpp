@@ -125,6 +125,19 @@ TEST(FleetTest, ValidatesConfig) {
   config = small_fleet();
   config.ladder_mbps = {1.0, -2.0};
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config = small_fleet();
+  config.buffer_threshold_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config = small_fleet();
+  config.bandwidth_window = 0;
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config = small_fleet();
+  config.abr_safety = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config = small_fleet();
+  config.policy = FleetPolicy::kPlanner;
+  config.planner_alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
 }
 
 TEST(FleetTest, ConservationInvariants) {
