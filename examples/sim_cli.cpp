@@ -465,22 +465,8 @@ int run_fleet_mode(const CliOptions& options) {
   return 0;
 }
 
-int main(int argc, char** argv) {
-  const CliOptions options = parse_cli(argc, argv);
-  if (options.sweep) return run_sweep(options);
-  if (options.sensor_faults) return run_sensor_faults(options);
-  if (options.cdn_faults) return run_cdn_faults(options);
-  if (options.fleet) {
-    // Surface checkpoint-layer failures (foreign fingerprint, truncated
-    // sidecar, malformed fault spec) as a clean diagnostic, not a terminate.
-    try {
-      return run_fleet_mode(options);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "sim_cli: %s\n", error.what());
-      return 1;
-    }
-  }
-
+/// Default mode: the chosen algorithms on one Table V trace.
+int run_trace(const CliOptions& options) {
   const auto& spec = media::evaluation_sessions()[options.trace_id - 1];
   std::printf("Trace %d: %.0f s video, avg vibration %.2f m/s^2\n", spec.id,
               spec.length_s, spec.avg_vibration);
@@ -545,4 +531,21 @@ int main(int argc, char** argv) {
     std::printf("Metrics CSV written to %s\n", options.csv_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  const CliOptions options = parse_cli(argc, argv);
+  // Surface library errors (a rejected config such as a negative buffer, a
+  // foreign fingerprint, a truncated sidecar) as a clean diagnostic, not a
+  // terminate.
+  try {
+    if (options.sweep) return run_sweep(options);
+    if (options.sensor_faults) return run_sensor_faults(options);
+    if (options.cdn_faults) return run_cdn_faults(options);
+    if (options.fleet) return run_fleet_mode(options);
+    return run_trace(options);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "sim_cli: %s\n", error.what());
+    return 1;
+  }
 }

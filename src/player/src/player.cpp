@@ -82,9 +82,6 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     const net::FaultInjector& faults,
                                     SessionObserver* observer) const {
-  // A disabled spec is a strict no-op pass-through: delegate to the plain
-  // solo link so results stay bit-identical to the fault-free overload.
-  if (!faults.active()) return run(policy, session, observer);
   return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
                     nullptr, observer);
 }
@@ -102,12 +99,8 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
                                     std::span<const net::SegmentSource> sources,
                                     SessionObserver* observer) const {
-  const CdnLinkModel link(sources);
-  // A single trivial source is a strict no-op pass-through: delegate to the
-  // plain solo link so results stay bit-identical to the fault-free overload.
-  if (!link.unreliable()) return run(policy, session, observer);
-  return run_engine(manifest_, config_, policy, session, link, nullptr,
-                    observer);
+  return run_engine(manifest_, config_, policy, session, CdnLinkModel(sources),
+                    nullptr, observer);
 }
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
@@ -115,7 +108,6 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const net::FaultInjector& faults,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
-  if (!faults.active()) return run(policy, session, sensor_faults, observer);
   return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
                     &sensor_faults, observer);
 }

@@ -10,14 +10,20 @@
 // margin (a handoff happens only when a neighbour beats the serving cell by
 // `hysteresis_db`), the classic guard against ping-pong handoffs.
 //
-// Every query is a pure function of (config, ids, time): two shards asking
-// about the same cell see identical answers, which is what lets the fleet
-// path shard by region under the DESIGN §6 determinism contract.
+// Every query takes an optional fault overlay (fleet_faults.h, DESIGN §14):
+// a null overlay is the healthy network, so faulted and clean fleets share
+// one signal, one capacity and one cell-choice rule.
+//
+// Every query is a pure function of (config, overlay, ids, time): two shards
+// asking about the same cell see identical answers, which is what lets the
+// fleet path shard by region under the DESIGN §6 determinism contract.
 
 #include <cstddef>
 #include <cstdint>
 
 namespace eacs::sim {
+
+class FleetFaultModel;
 
 /// Procedural network parameters. Defaults give a city-ish 16-cell layout
 /// with 25-55 Mbps cells swinging ±30% over a 90 s period.
@@ -40,36 +46,50 @@ struct CellNetworkConfig {
 /// The procedural network. Cheap to copy; all state is the config.
 class CellNetwork {
  public:
-  /// Throws std::invalid_argument when `num_cells` is zero.
+  /// Throws std::invalid_argument when `num_cells` is zero, a field is not
+  /// finite, a period or the mean capacity is not positive, or
+  /// `capacity_spread` is outside [0, 1] (a negative per-cell scale would
+  /// hold that cell at zero capacity forever).
   explicit CellNetwork(CellNetworkConfig config);
 
   const CellNetworkConfig& config() const noexcept { return config_; }
   std::size_t num_cells() const noexcept { return config_.num_cells; }
 
-  /// Cell capacity at time `t_s` [Mbps], always >= 0. Pure in (config,
-  /// cell, t_s).
-  double capacity_mbps(std::size_t cell, double t_s) const noexcept;
+  /// Cell capacity at time `t_s` [Mbps], always >= 0, times the overlay's
+  /// brownout factor. Pure in (config, overlay, cell, t_s).
+  double capacity_mbps(std::size_t cell, double t_s,
+                       const FleetFaultModel* faults = nullptr) const noexcept;
 
-  /// Signal strength session `session_id` sees from `cell` at `t_s` [dBm].
-  /// Each pair gets a stable base level plus a sinusoidal mobility swing
-  /// with pair-specific phase and period. Pure in (config, ids, t_s).
-  double signal_dbm(int session_id, std::size_t cell, double t_s) const noexcept;
+  /// Signal strength session `session_id` sees from `cell` at `t_s` [dBm],
+  /// plus the overlay's collapse offset: a stable per-pair base level plus a
+  /// sinusoidal mobility swing. The swing's phase is per cell and its period
+  /// draw repeats the base draw of (cell + 1, session), a known seeding flaw
+  /// (ROADMAP.md, "Fleet draws that are actually random"). Pure in (config,
+  /// overlay, ids, t_s).
+  double signal_dbm(int session_id, std::size_t cell, double t_s,
+                    const FleetFaultModel* faults = nullptr) const noexcept;
 
   /// Strongest cell for the session at `t_s` (lowest index wins ties).
   std::size_t best_cell(int session_id, double t_s) const noexcept;
 
   /// Best cell restricted to [first_cell, first_cell + count) — the region
   /// variant the sharded fleet path uses so mobility never crosses a shard.
-  std::size_t best_cell_in(int session_id, double t_s, std::size_t first_cell,
-                           std::size_t count) const noexcept;
+  /// Dead cells are never chosen; returns num_cells() when every cell in
+  /// the range is dead.
+  std::size_t best_cell_in(
+      int session_id, double t_s, std::size_t first_cell, std::size_t count,
+      const FleetFaultModel* faults = nullptr) const noexcept;
 
   /// Hysteresis handoff rule: returns the cell the session should be served
   /// by, given it is currently on `current`. Switches to the best in-range
   /// cell only when that cell's signal beats `current` by more than
-  /// `hysteresis_db`; otherwise sticks (anti-ping-pong).
-  std::size_t serving_cell(int session_id, std::size_t current, double t_s,
-                           double hysteresis_db, std::size_t first_cell,
-                           std::size_t count) const noexcept;
+  /// `hysteresis_db`; otherwise sticks (anti-ping-pong). A dead `current`
+  /// escapes to the best live cell with no margin, or returns num_cells()
+  /// when the whole range is dead.
+  std::size_t serving_cell(
+      int session_id, std::size_t current, double t_s, double hysteresis_db,
+      std::size_t first_cell, std::size_t count,
+      const FleetFaultModel* faults = nullptr) const noexcept;
 
  private:
   CellNetworkConfig config_;

@@ -148,8 +148,8 @@ struct FleetConfig {
   std::size_t reservoir_capacity = 1024;  ///< per-metric sample reservoir
 
   /// Fault overlay (outages / brownouts / collapses / surges). The default
-  /// (empty) spec is a certified no-op: run_fleet takes the exact clean code
-  /// path and results are bitwise unchanged.
+  /// (empty) spec is a certified no-op: run_fleet passes no overlay to the
+  /// CellNetwork queries and results are bitwise unchanged.
   FleetFaultSpec faults;
   /// Degradation ladder + overload-shed triggers (see above).
   FleetResilienceConfig resilience;
@@ -161,18 +161,18 @@ struct FleetConfig {
   ExecutionPolicy exec;
 };
 
-/// Per-region streaming aggregates (the shard-local view, kept in the
-/// result for locality analysis; P^2 medians are per-region because P^2
-/// markers cannot be merged across shards).
-struct FleetRegionMetrics {
-  std::size_t region = 0;
-  std::size_t first_cell = 0;
-  std::size_t num_cells = 0;
-  std::size_t sessions = 0;  ///< sessions that completed all their segments
-  std::size_t events = 0;
-  std::size_t requests = 0;
-  std::size_t handoffs = 0;
+/// The counters every region reports and the fleet reports as their sum
+/// (run_fleet merges them with += in region order).
+struct FleetCounters {
+  std::size_t sessions = 0;  ///< completed sessions; with faults,
+                             ///< sessions + abandoned_sessions == num_sessions
+  std::size_t events = 0;    ///< events processed
+  std::size_t requests = 0;  ///< segment requests issued
+  std::size_t handoffs = 0;  ///< serving-cell changes (hysteresis rule)
   std::size_t stall_events = 0;
+  /// Fleet-wide, the sum of per-region peak live counts: a conservative
+  /// bound on the global peak, and the quantity the O(live) memory claim is
+  /// about.
   std::size_t peak_live_sessions = 0;
   // Degradation ladder counters (DESIGN §14); all zero on a clean run.
   std::size_t escape_handoffs = 0;     ///< forced moves off a dead cell
@@ -183,47 +183,33 @@ struct FleetRegionMetrics {
   std::size_t shed_decisions = 0;      ///< decisions taken while shed
   double degraded_time_s = 0.0;        ///< total session-time in backoff
   double wasted_energy_j = 0.0;        ///< pause power burned in backoff
+  /// Planner-policy instrumentation of the cache shards (all zero under
+  /// kThroughput): cache hits/misses/evictions, plans, model evals.
+  /// cache_hits + cache_misses is the number of planner consultations,
+  /// plans the number of cold DP solves.
+  core::CostStats planner;
+
+  FleetCounters& operator+=(const FleetCounters& other);
+  bool operator==(const FleetCounters&) const = default;
+};
+
+/// Per-region streaming aggregates (the shard-local view, kept in the
+/// result for locality analysis; P^2 medians are per-region because P^2
+/// markers cannot be merged across shards). Deterministic in (config,
+/// region index).
+struct FleetRegionMetrics : FleetCounters {
+  std::size_t region = 0;
+  std::size_t first_cell = 0;
+  std::size_t num_cells = 0;
   double median_qoe = 0.0;        ///< P^2 streaming estimate
   double median_energy_j = 0.0;   ///< P^2 streaming estimate
-  /// Planner-policy instrumentation for this region's cache shard (all zero
-  /// under kThroughput): cache hits/misses/evictions, plans, model evals.
-  /// Deterministic in (config, region index), merged serially by run_fleet.
-  core::CostStats planner;
 
   bool operator==(const FleetRegionMetrics&) const = default;
 };
 
-/// Fleet-wide outcome: streaming moments + reservoir percentiles, no
-/// per-session storage.
-struct FleetMetrics {
-  std::size_t sessions = 0;  ///< completed sessions; with faults,
-                             ///< sessions + abandoned_sessions == num_sessions
-  std::size_t events = 0;    ///< total events processed across regions
-  std::size_t requests = 0;  ///< segment requests issued
-  std::size_t handoffs = 0;  ///< serving-cell changes (hysteresis rule)
-  std::size_t stall_events = 0;
-  /// Sum of per-region peak live counts: a conservative bound on the global
-  /// peak, and the quantity the O(live) memory claim is about.
-  std::size_t peak_live_sessions = 0;
-
-  // Degradation ladder totals (serial merge of the region counters; see
-  // FleetRegionMetrics). All zero on a clean run — pinned by the no-op
-  // certification tests.
-  std::size_t escape_handoffs = 0;
-  std::size_t backoff_retries = 0;
-  std::size_t abandoned_sessions = 0;
-  std::size_t policy_sheds = 0;
-  std::size_t policy_recoveries = 0;
-  std::size_t shed_decisions = 0;
-  double degraded_time_s = 0.0;
-  double wasted_energy_j = 0.0;
-
-  /// Fleet-wide planner instrumentation (serial merge of the per-region
-  /// CostStats; all zero under kThroughput). cache_hits + cache_misses is
-  /// the number of planner consultations, plans the number of cold DP
-  /// solves — the memoization headline is their ratio.
-  core::CostStats planner;
-
+/// Fleet-wide outcome: the regions' counters summed, streaming moments and
+/// reservoir percentiles, no per-session storage.
+struct FleetMetrics : FleetCounters {
   RunningStats qoe;
   RunningStats energy_j;
   RunningStats bitrate_mbps;
@@ -248,9 +234,10 @@ struct FleetMetrics {
 
 /// Runs the fleet. Deterministic in (config): bit-identical at any
 /// exec.jobs. Throws std::invalid_argument on an empty ladder, zero
-/// sessions, zero cells, zero segments, a non-finite or non-positive
-/// segment duration / arrival rate, more regions than cells (or zero
-/// regions), a malformed fault spec, or malformed resilience knobs.
+/// sessions or more than INT_MAX, zero cells or segments, a malformed
+/// network config, a non-finite or non-positive segment duration / arrival
+/// rate, more regions than cells (or zero regions), a malformed fault spec,
+/// or malformed resilience knobs.
 FleetMetrics run_fleet(const FleetConfig& config);
 
 }  // namespace eacs::sim

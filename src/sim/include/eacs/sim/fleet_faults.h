@@ -25,8 +25,10 @@
 // the smallest capacity factor applies, the most negative signal offset
 // applies, the largest surge multiplier applies.
 //
-// The empty spec is a certified no-op: run_fleet never calls into this layer
-// when `spec.empty()`, so clean-run results are bitwise unchanged.
+// The overlay is an optional argument of the CellNetwork queries. The empty
+// spec is a certified no-op: run_fleet passes a null overlay, so clean-run
+// results are bitwise unchanged; arrival_time, always called, is exactly
+// session / base_rate without surges.
 
 #include <cstddef>
 #include <cstdint>

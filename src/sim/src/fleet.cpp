@@ -118,22 +118,40 @@ struct Shard {
   }
 };
 
-/// One region's full simulation state: a pure function of (config, region
-/// index, optional checkpoint). Extracted from the old run_region free
-/// function so the same event loop can run to completion (run_fleet), stop
-/// at a checkpoint cut (run_fleet_until + capture), or continue from one
-/// (restore + resume_fleet). Sessions are pinned by id % regions; cells are
-/// the region's contiguous block.
-struct RegionSim {
+std::size_t validate_fleet_config(const FleetConfig& config);
+
+/// Everything a run builds from its config, once, for every region to
+/// share read-only.
+struct FleetWorld {
+  explicit FleetWorld(const FleetConfig& config_in)
+      : config(config_in),
+        regions(validate_fleet_config(config_in)),
+        network(config_in.network),
+        qoe_model(config_in.qoe),
+        power_model(config_in.power),
+        fault_model(config_in.faults, network.num_cells()),
+        overlay(fault_model.empty() ? nullptr : &fault_model) {}
+  FleetWorld(const FleetWorld&) = delete;  // `overlay` points into *this
+
   const FleetConfig& config;
-  const CellNetwork& network;
-  const qoe::QoeModel& qoe_model;
-  const power::PowerModel& power_model;
-  /// Non-null only when at least one fault episode exists. Every fault code
-  /// path is gated on this pointer, so the empty spec never executes a
-  /// single extra floating-point operation — the clean-run no-op guarantee.
-  const FleetFaultModel* faults;
-  std::size_t num_regions;
+  std::size_t regions;
+  CellNetwork network;
+  qoe::QoeModel qoe_model;
+  power::PowerModel power_model;
+  FleetFaultModel fault_model;
+  /// What the CellNetwork queries take: null when no episode exists, so a
+  /// clean run does the healthy arithmetic (DESIGN §14's certified no-op).
+  const FleetFaultModel* overlay;
+};
+
+/// One region's full simulation state: a pure function of (world, region
+/// index, optional checkpoint). One event loop runs to completion
+/// (run_fleet), stops at a checkpoint cut (run_fleet_until + capture), or
+/// continues from one (restore + resume_fleet). Sessions are pinned by
+/// id % regions; cells are the region's contiguous block.
+struct RegionSim {
+  const FleetWorld& world;
+  const FleetConfig& config;
   std::size_t region;
   std::size_t first_cell = 0;
   std::size_t cell_count = 0;
@@ -156,22 +174,13 @@ struct RegionSim {
 
   FleetShedState shed;  // DESIGN §14 degradation ladder
 
-  RegionSim(const FleetConfig& config_in, const CellNetwork& network_in,
-            const qoe::QoeModel& qoe_model_in,
-            const power::PowerModel& power_model_in,
-            const FleetFaultModel* faults_in, std::size_t region_in,
-            std::size_t num_regions_in)
-      : config(config_in),
-        network(network_in),
-        qoe_model(qoe_model_in),
-        power_model(power_model_in),
-        faults(faults_in != nullptr && !faults_in->empty() ? faults_in
-                                                           : nullptr),
-        num_regions(num_regions_in),
+  RegionSim(const FleetWorld& world_in, std::size_t region_in)
+      : world(world_in),
+        config(world_in.config),
         region(region_in),
-        arena(config_in.bandwidth_window) {
-    const std::size_t base = network.num_cells() / num_regions;
-    const std::size_t rem = network.num_cells() % num_regions;
+        arena(config.bandwidth_window) {
+    const std::size_t base = world.network.num_cells() / world.regions;
+    const std::size_t rem = world.network.num_cells() % world.regions;
     first_cell = region * base + std::min(region, rem);
     cell_count = base + (region < rem ? 1 : 0);
 
@@ -191,7 +200,7 @@ struct RegionSim {
 
     planner = config.policy == FleetPolicy::kPlanner;
     if (planner) {
-      objective.emplace(qoe_model, power_model,
+      objective.emplace(world.qoe_model, world.power_model,
                         core::ObjectiveConfig{
                             .alpha = config.planner_alpha,
                             .buffer_threshold_s = config.buffer_threshold_s,
@@ -216,22 +225,10 @@ struct RegionSim {
   /// s / rate whatever region it lands in — or at the surge-warped time when
   /// a flash crowd is configured.
   void seed_arrivals() {
-    const bool surges = faults != nullptr && faults->has_surges();
-    for (int s = static_cast<int>(region);
-         s < static_cast<int>(config.num_sessions);
-         s += static_cast<int>(num_regions)) {
-      const double t =
-          surges ? faults->arrival_time(static_cast<std::size_t>(s),
-                                        config.arrival_rate_per_s)
-                 : static_cast<double>(s) / config.arrival_rate_per_s;
-      heap.push({t, s, kArrive, 0});
+    for (std::size_t s = region; s < config.num_sessions; s += world.regions) {
+      heap.push({world.fault_model.arrival_time(s, config.arrival_rate_per_s),
+                 static_cast<int>(s), kArrive, 0});
     }
-  }
-
-  /// Signal with the fault overlay applied; only called when faults != null.
-  double fault_signal(int session_id, std::size_t cell, double t_s) const {
-    return network.signal_dbm(session_id, cell, t_s) +
-           faults->signal_offset_db(cell, t_s);
   }
 
   /// Advances playback to `now` by the engine's drain rule; accrues stalls.
@@ -246,73 +243,30 @@ struct RegionSim {
     ++shard.region.stall_events;
   }
 
-  /// Strongest live (non-dead) cell in the region by faulted signal, lowest
-  /// index winning ties; num_cells() sentinel when the whole region is dead.
-  std::size_t best_live_cell(int session_id, double now) const {
-    std::size_t best = network.num_cells();
-    double best_dbm = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = first_cell; c < first_cell + cell_count; ++c) {
-      if (faults->cell_dead(c, now)) continue;
-      const double dbm = fault_signal(session_id, c, now);
-      if (best == network.num_cells() || dbm > best_dbm) {
-        best_dbm = dbm;
-        best = c;
-      }
-    }
-    return best;
-  }
-
-  /// Fault-aware serving-cell maintenance at a request boundary. Returns
-  /// true when the request can proceed on a live cell; false when the
-  /// session backed off (re-enqueued) or was abandoned.
-  bool ensure_live_cell(const Event& event, double now) {
+  /// Whole region dead at a request boundary: bounded exponential backoff
+  /// (the request is re-enqueued), burning pause power (the screen is on,
+  /// the spinner spins — the rich player's stall pricing), then abandonment
+  /// once the retry budget is spent.
+  void back_off(const Event& event, double now) {
     const std::uint32_t slot = event.slot;
-    const std::size_t current = arena.cell[slot];
-    if (!faults->cell_dead(current, now)) {
-      // Healthy serving cell: the hysteresis handoff rule, restricted to
-      // live cells (mirrors CellNetwork::serving_cell).
-      const std::size_t best = best_live_cell(event.session, now);
-      if (best != current &&
-          fault_signal(event.session, best, now) -
-                  fault_signal(event.session, current, now) >
-              config.handoff_hysteresis_db) {
-        arena.cell[slot] = best;
-        ++shard.region.handoffs;
-      }
-      arena.retries[slot] = 0;
-      return true;
-    }
-    // Dead serving cell: escape to the strongest live cell in the region —
-    // no hysteresis, any live cell beats a dead one.
-    const std::size_t best = best_live_cell(event.session, now);
-    if (best != network.num_cells()) {
-      arena.cell[slot] = best;
-      ++shard.region.escape_handoffs;
-      arena.retries[slot] = 0;
-      return true;
-    }
-    // Whole region dead: bounded exponential backoff, burning pause power
-    // (the screen is on, the spinner spins — the rich player's stall
-    // pricing), then abandonment once the retry budget is spent.
     ++arena.retries[slot];
     if (arena.retries[slot] > config.resilience.max_retries) {
       ++shard.region.abandoned_sessions;
       --live;
       arena.release(slot);
-      return false;
+      return;
     }
     double backoff = config.resilience.backoff_base_s;
     for (std::uint32_t i = 1; i < arena.retries[slot]; ++i) {
       backoff *= config.resilience.backoff_factor;
     }
     backoff = std::min(backoff, config.resilience.backoff_max_s);
-    const double wasted = power_model.params().p_pause_w * backoff;
+    const double wasted = world.power_model.params().p_pause_w * backoff;
     arena.energy_j[slot] += wasted;
     shard.region.wasted_energy_j += wasted;
     shard.region.degraded_time_s += backoff;
     ++shard.region.backoff_retries;
     heap.push({now + backoff, event.session, kRequest, slot});
-    return false;
   }
 
   /// Overload-shed decision for this request, updating the trigger state
@@ -395,8 +349,10 @@ struct RegionSim {
       const double now = event.t_s;
 
       if (event.kind == kArrive) {
-        const std::size_t start =
-            network.best_cell_in(event.session, now, first_cell, cell_count);
+        // Arrivals attach by the healthy signal, dead cells included; the
+        // first request escapes a dead one.
+        const std::size_t start = world.network.best_cell_in(
+            event.session, now, first_cell, cell_count);
         const std::uint32_t slot = arena.acquire(event.session, now, start);
         ++live;
         shard.region.peak_live_sessions =
@@ -421,19 +377,23 @@ struct RegionSim {
             continue;
           }
         }
-        // Handoff check at every request boundary (hysteresis rule). With a
-        // fault overlay this also escapes dead cells, backs off, or abandons.
-        if (faults == nullptr) {
-          const std::size_t serving = network.serving_cell(
-              event.session, arena.cell[slot], now,
-              config.handoff_hysteresis_db, first_cell, cell_count);
-          if (serving != arena.cell[slot]) {
-            arena.cell[slot] = serving;
-            ++shard.region.handoffs;
-          }
-        } else if (!ensure_live_cell(event, now)) {
+        // Handoff check at every request boundary: the hysteresis rule,
+        // which under a fault overlay also escapes a dead serving cell.
+        const std::size_t current = arena.cell[slot];
+        const std::size_t serving = world.network.serving_cell(
+            event.session, current, now, config.handoff_hysteresis_db,
+            first_cell, cell_count, world.overlay);
+        if (serving == world.network.num_cells()) {
+          back_off(event, now);
           continue;
         }
+        if (serving != current) {
+          arena.cell[slot] = serving;
+          ++(world.fault_model.cell_dead(current, now)
+                 ? shard.region.escape_handoffs
+                 : shard.region.handoffs);
+        }
+        arena.retries[slot] = 0;
         std::size_t level = 0;
         if (planner) {
           // The paper's planner: rolling-horizon Eq. 11 DP on the session's
@@ -466,10 +426,8 @@ struct RegionSim {
             snapshot.buffer_s = arena.buffer_s[slot];
             snapshot.bandwidth_mbps = arena.estimate(slot);
             snapshot.vibration = session_vibration(config.seed, event.session);
-            snapshot.signal_dbm =
-                faults == nullptr
-                    ? network.signal_dbm(event.session, arena.cell[slot], now)
-                    : fault_signal(event.session, arena.cell[slot], now);
+            snapshot.signal_dbm = world.network.signal_dbm(
+                event.session, arena.cell[slot], now, world.overlay);
             snapshot.segments_remaining = window;
             if (arena.prev_level[slot] >= 0) {
               snapshot.prev_level =
@@ -519,13 +477,10 @@ struct RegionSim {
         const double bitrate = config.ladder_mbps[level];
         // Quasi-stationary processor sharing: the share is frozen at request
         // time (fleet-scale approximation; the rich engine re-shares per
-        // step). Brownouts scale the capacity; outages never reach here —
-        // ensure_live_cell gates them.
+        // step). Brownouts scale the capacity; a dead cell never serves.
         const std::size_t local = arena.cell[slot] - first_cell;
-        double capacity = network.capacity_mbps(arena.cell[slot], now);
-        if (faults != nullptr) {
-          capacity *= faults->capacity_factor(arena.cell[slot], now);
-        }
+        const double capacity =
+            world.network.capacity_mbps(arena.cell[slot], now, world.overlay);
         const double share = std::max(
             capacity / static_cast<double>(cell_active[local] + 1), 1e-6);
         ++cell_active[local];
@@ -555,22 +510,19 @@ struct RegionSim {
       segment.vibration = vibration;
       segment.prev_bitrate_mbps = arena.prev_bitrate[slot];
       segment.rebuffer_s = arena.seg_rebuffer_s[slot];
-      arena.qoe_sum[slot] += qoe_model.segment_qoe(segment);
+      arena.qoe_sum[slot] += world.qoe_model.segment_qoe(segment);
 
       power::TaskEnergyInput task;
       task.size_mb = arena.size_mb[slot];
       task.bitrate_mbps = bitrate;
-      task.signal_dbm =
-          faults == nullptr
-              ? network.signal_dbm(event.session, arena.cell[slot],
-                                   0.5 * (arena.request_s[slot] + now))
-              : fault_signal(event.session, arena.cell[slot],
-                             0.5 * (arena.request_s[slot] + now));
+      task.signal_dbm = world.network.signal_dbm(
+          event.session, arena.cell[slot], 0.5 * (arena.request_s[slot] + now),
+          world.overlay);
       task.play_s = arena.playing[slot] != 0
                         ? std::max(0.0, elapsed - arena.seg_rebuffer_s[slot])
                         : 0.0;
       task.rebuffer_s = arena.seg_rebuffer_s[slot];
-      arena.energy_j[slot] += power_model.task_energy(task);
+      arena.energy_j[slot] += world.power_model.task_energy(task);
 
       arena.bitrate_sum[slot] += bitrate;
       arena.prev_bitrate[slot] = bitrate;
@@ -593,7 +545,7 @@ struct RegionSim {
         arena.startup_s[slot] = now - arena.arrival_s[slot];
       }
       arena.energy_j[slot] +=
-          power_model.playback_power(bitrate) * arena.buffer_s[slot];
+          world.power_model.playback_power(bitrate) * arena.buffer_s[slot];
       const double segments = static_cast<double>(config.segments_per_session);
       const double session_qoe = arena.qoe_sum[slot] / segments;
       const double session_energy = arena.energy_j[slot];
@@ -716,6 +668,10 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
   if (config.num_sessions == 0 || config.segments_per_session == 0) {
     throw std::invalid_argument("run_fleet: zero sessions or segments");
   }
+  if (config.num_sessions >
+      static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("run_fleet: more than INT_MAX sessions");
+  }
   if (!(std::isfinite(config.arrival_rate_per_s) &&
         config.arrival_rate_per_s > 0.0)) {
     throw std::invalid_argument(
@@ -776,21 +732,15 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
 
 /// The common driver: fresh start or checkpoint resume, then the serial
 /// region-order merge (bit-identical at any job count).
-FleetMetrics run_fleet_impl(const FleetConfig& config,
+FleetMetrics run_fleet_impl(const FleetWorld& world,
                             const FleetCheckpoint* checkpoint) {
-  const std::size_t regions = validate_fleet_config(config);
-  const CellNetwork network(config.network);
-  const qoe::QoeModel qoe_model(config.qoe);
-  const power::PowerModel power_model(config.power);
-  const FleetFaultModel fault_model(config.faults, network.num_cells());
-  const FleetFaultModel* faults = fault_model.empty() ? nullptr : &fault_model;
-
+  const FleetConfig& config = world.config;
   if (checkpoint != nullptr) {
     if (checkpoint->config_fingerprint != fleet_config_fingerprint(config)) {
       throw std::invalid_argument(
           "resume_fleet: checkpoint fingerprint does not match the config");
     }
-    if (checkpoint->regions.size() != regions) {
+    if (checkpoint->regions.size() != world.regions) {
       throw std::invalid_argument(
           "resume_fleet: checkpoint region count mismatch");
     }
@@ -799,9 +749,8 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
   // Regions are the parallel unit; each is pure in (config, region index,
   // checkpoint region).
   const auto shards = util::parallel_map(
-      config.exec.resolved_jobs(), regions, [&](std::size_t region) {
-        RegionSim sim(config, network, qoe_model, power_model, faults, region,
-                      regions);
+      config.exec.resolved_jobs(), world.regions, [&](std::size_t region) {
+        RegionSim sim(world, region);
         if (checkpoint != nullptr) {
           sim.restore(checkpoint->regions[region]);
         } else {
@@ -821,21 +770,7 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
       config.reservoir_capacity, seed_mix(config.seed, kReservoirLane, -5));
   metrics.regions.reserve(shards.size());
   for (const Shard& shard : shards) {
-    metrics.sessions += shard.region.sessions;
-    metrics.events += shard.region.events;
-    metrics.requests += shard.region.requests;
-    metrics.handoffs += shard.region.handoffs;
-    metrics.stall_events += shard.region.stall_events;
-    metrics.peak_live_sessions += shard.region.peak_live_sessions;
-    metrics.escape_handoffs += shard.region.escape_handoffs;
-    metrics.backoff_retries += shard.region.backoff_retries;
-    metrics.abandoned_sessions += shard.region.abandoned_sessions;
-    metrics.policy_sheds += shard.region.policy_sheds;
-    metrics.policy_recoveries += shard.region.policy_recoveries;
-    metrics.shed_decisions += shard.region.shed_decisions;
-    metrics.degraded_time_s += shard.region.degraded_time_s;
-    metrics.wasted_energy_j += shard.region.wasted_energy_j;
-    metrics.planner.merge(shard.region.planner);
+    metrics += shard.region;
     metrics.qoe.merge(shard.qoe);
     metrics.energy_j.merge(shard.energy_j);
     metrics.bitrate_mbps.merge(shard.bitrate_mbps);
@@ -851,8 +786,27 @@ FleetMetrics run_fleet_impl(const FleetConfig& config,
 
 }  // namespace
 
+FleetCounters& FleetCounters::operator+=(const FleetCounters& other) {
+  sessions += other.sessions;
+  events += other.events;
+  requests += other.requests;
+  handoffs += other.handoffs;
+  stall_events += other.stall_events;
+  peak_live_sessions += other.peak_live_sessions;
+  escape_handoffs += other.escape_handoffs;
+  backoff_retries += other.backoff_retries;
+  abandoned_sessions += other.abandoned_sessions;
+  policy_sheds += other.policy_sheds;
+  policy_recoveries += other.policy_recoveries;
+  shed_decisions += other.shed_decisions;
+  degraded_time_s += other.degraded_time_s;
+  wasted_energy_j += other.wasted_energy_j;
+  planner.merge(other.planner);
+  return *this;
+}
+
 FleetMetrics run_fleet(const FleetConfig& config) {
-  return run_fleet_impl(config, nullptr);
+  return run_fleet_impl(FleetWorld(config), nullptr);
 }
 
 FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
@@ -860,20 +814,13 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
     throw std::invalid_argument(
         "run_fleet_until: checkpoint time must be finite and > 0");
   }
-  const std::size_t regions = validate_fleet_config(config);
-  const CellNetwork network(config.network);
-  const qoe::QoeModel qoe_model(config.qoe);
-  const power::PowerModel power_model(config.power);
-  const FleetFaultModel fault_model(config.faults, network.num_cells());
-  const FleetFaultModel* faults = fault_model.empty() ? nullptr : &fault_model;
-
+  const FleetWorld world(config);
   FleetCheckpoint checkpoint;
   checkpoint.config_fingerprint = fleet_config_fingerprint(config);
   checkpoint.checkpoint_t_s = t_s;
   checkpoint.regions = util::parallel_map(
-      config.exec.resolved_jobs(), regions, [&](std::size_t region) {
-        RegionSim sim(config, network, qoe_model, power_model, faults, region,
-                      regions);
+      config.exec.resolved_jobs(), world.regions, [&](std::size_t region) {
+        RegionSim sim(world, region);
         sim.seed_arrivals();
         sim.run(t_s);
         return sim.capture();
@@ -883,7 +830,7 @@ FleetCheckpoint run_fleet_until(const FleetConfig& config, double t_s) {
 
 FleetMetrics resume_fleet(const FleetConfig& config,
                           const FleetCheckpoint& checkpoint) {
-  return run_fleet_impl(config, &checkpoint);
+  return run_fleet_impl(FleetWorld(config), &checkpoint);
 }
 
 }  // namespace eacs::sim

@@ -272,5 +272,24 @@ TEST(StudyDigestTest, FleetFaultStudy) {
                 0x3ba272842cb338b5ULL);
 }
 
+// 32 cells per region, as in the fleet_city workload: the serving-cell scan
+// has real choices to make around dead and collapsed cells.
+TEST(StudyDigestTest, FleetFaultStudyDenseRegions) {
+  FleetFaultStudyConfig config;
+  config.fleet.network.num_cells = 64;
+  config.fleet.num_sessions = 400;
+  config.fleet.segments_per_session = 10;
+  config.fleet.regions = 2;
+  config.outage_prob = 0.9;  // whole-region outages happen: backoff runs too
+  config.scenarios = {FleetFaultScenario::kCellOutages,
+                      FleetFaultScenario::kSignalCollapse};
+  config.intensities = {1.0};
+  config.fleet.exec.jobs = 1;
+  const std::string serial = dump(run_fleet_fault_study(config));
+  config.fleet.exec.jobs = 4;
+  expect_digest(serial, dump(run_fleet_fault_study(config)),
+                0xbefe370f79548b57ULL);
+}
+
 }  // namespace
 }  // namespace eacs::sim

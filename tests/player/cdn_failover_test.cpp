@@ -8,6 +8,7 @@
 #include <cmath>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -87,17 +88,27 @@ TEST(CdnFailoverTest, SingleTrivialSourceIsBitIdenticalToPlainRun) {
   const PlayerSimulator simulator(make_manifest(60.0, 2.0));
 
   abr::Bba plain_policy(5.0, simulator.config().buffer_threshold_s);
-  const auto plain = simulator.run(plain_policy, session);
+  SessionTimeline plain_timeline;
+  const auto plain = simulator.run(plain_policy, session, &plain_timeline);
 
   std::vector<net::SegmentSource> sources;
   sources.emplace_back(session.throughput_mbps, net::CdnSourceConfig{},
                        &session.signal_dbm);
   ASSERT_TRUE(sources.front().trivial());
   abr::Bba cdn_policy(5.0, simulator.config().buffer_threshold_s);
-  const auto cdn = simulator.run(cdn_policy, session,
-                                 std::span<const net::SegmentSource>(sources));
+  SessionTimeline cdn_timeline;
+  const auto cdn = simulator.run(
+      cdn_policy, session, std::span<const net::SegmentSource>(sources),
+      &cdn_timeline);
 
   expect_results_bit_identical(plain, cdn);
+  // The link, not PlayerSimulator, carries the no-op: the event streams
+  // match too.
+  std::ostringstream plain_csv;
+  std::ostringstream cdn_csv;
+  plain_timeline.write_csv(plain_csv);
+  cdn_timeline.write_csv(cdn_csv);
+  EXPECT_EQ(plain_csv.str(), cdn_csv.str());
   // CDN counters specifically must stay untouched on the no-op path.
   EXPECT_EQ(cdn.total_hedges, 0U);
   EXPECT_EQ(cdn.total_failovers, 0U);

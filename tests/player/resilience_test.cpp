@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "eacs/abr/fixed.h"
 #include "eacs/core/objective.h"
 #include "eacs/core/online.h"
 #include "eacs/player/player.h"
+#include "eacs/player/session_engine.h"
 #include "../test_helpers.h"
 
 namespace eacs::player {
@@ -65,11 +67,21 @@ TEST(ResilienceTest, InactiveInjectorIsBitIdenticalToPlainRun) {
   const auto session = make_session(60.0, 12.0);
   const net::FaultInjector faults(session.throughput_mbps, net::FaultSpec{});
 
+  // The link, not PlayerSimulator, carries the no-op: the event streams
+  // match too.
   abr::FixedBitrate plain_policy(5, "Mid");
   abr::FixedBitrate faulty_policy(5, "Mid");
-  const auto plain = simulator.run(plain_policy, session);
-  const auto routed = simulator.run(faulty_policy, session, faults);
+  SessionTimeline plain_timeline;
+  SessionTimeline routed_timeline;
+  const auto plain = simulator.run(plain_policy, session, &plain_timeline);
+  const auto routed =
+      simulator.run(faulty_policy, session, faults, &routed_timeline);
   expect_identical(plain, routed);
+  std::ostringstream plain_csv;
+  std::ostringstream routed_csv;
+  plain_timeline.write_csv(plain_csv);
+  routed_timeline.write_csv(routed_csv);
+  EXPECT_EQ(plain_csv.str(), routed_csv.str());
   EXPECT_EQ(routed.total_retries, 0U);
   EXPECT_EQ(routed.total_wasted_mb, 0.0);
 }

@@ -11,6 +11,7 @@
 
 #include "eacs/sim/cell_network.h"
 #include "eacs/sim/fleet.h"
+#include "eacs/sim/fleet_faults.h"
 
 namespace eacs::sim {
 namespace {
@@ -35,6 +36,49 @@ TEST(CellNetworkTest, ValidatesConfig) {
   CellNetworkConfig config;
   config.num_cells = 0;
   EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  // Configs that would run at zero or NaN capacity or signal.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double CellNetworkConfig::*field :
+       {&CellNetworkConfig::mean_capacity_mbps,
+        &CellNetworkConfig::capacity_spread, &CellNetworkConfig::capacity_sway,
+        &CellNetworkConfig::capacity_period_s,
+        &CellNetworkConfig::signal_best_dbm,
+        &CellNetworkConfig::signal_worst_dbm,
+        &CellNetworkConfig::signal_swing_db,
+        &CellNetworkConfig::signal_period_s}) {
+    for (const double bad : {nan, inf}) {
+      config = CellNetworkConfig{};
+      config.*field = bad;
+      EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+    }
+  }
+  for (const double bad : {0.0, -5.0}) {
+    config = CellNetworkConfig{};
+    config.capacity_period_s = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+    config = CellNetworkConfig{};
+    config.signal_period_s = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+    config = CellNetworkConfig{};
+    config.mean_capacity_mbps = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  }
+  for (const double bad : {-0.1, 1.5}) {
+    config = CellNetworkConfig{};
+    config.capacity_spread = bad;
+    EXPECT_THROW(CellNetwork{config}, std::invalid_argument);
+  }
+  // A constant network (no spread, sway or swing) stays valid.
+  config = CellNetworkConfig{};
+  config.capacity_spread = 0.0;
+  config.capacity_sway = 0.0;
+  config.signal_swing_db = 0.0;
+  EXPECT_NO_THROW(CellNetwork{config});
+  // run_fleet rejects a malformed network the same way.
+  FleetConfig fleet = small_fleet();
+  fleet.network.capacity_period_s = 0.0;
+  EXPECT_THROW(run_fleet(fleet), std::invalid_argument);
 }
 
 TEST(CellNetworkTest, CapacityIsNonNegativeAndVaries) {
@@ -109,6 +153,92 @@ TEST(CellNetworkTest, ServingCellHysteresisBlocksSmallGains) {
   }
 }
 
+// A scripted overlay on the 8-cell network: cells 4-7 are dead over
+// [0, 100) s, cells 0-1 collapse by 18 dB and cells 2-3 brown out to a third
+// over [0, 200) s.
+FleetFaultModel scripted_faults() {
+  FleetFaultSpec spec;
+  spec.outages.push_back(
+      {.t0_s = 0.0, .t1_s = 100.0, .first_cell = 4, .num_cells = 4});
+  spec.collapses.push_back({.t0_s = 0.0,
+                            .t1_s = 200.0,
+                            .first_cell = 0,
+                            .num_cells = 2,
+                            .offset_db = -18.0});
+  spec.brownouts.push_back({.t0_s = 0.0,
+                            .t1_s = 200.0,
+                            .first_cell = 2,
+                            .num_cells = 2,
+                            .capacity_factor = 1.0 / 3.0});
+  return FleetFaultModel(spec, 8);
+}
+
+TEST(CellNetworkTest, OverlayNeverChoosesADeadCell) {
+  const CellNetwork network(small_network());
+  const FleetFaultModel faults = scripted_faults();
+  for (int session = 0; session < 40; ++session) {
+    for (const double t : {5.0, 50.0, 99.0}) {
+      const std::size_t best = network.best_cell_in(session, t, 2, 6, &faults);
+      EXPECT_TRUE(best == 2 || best == 3) << "session " << session;
+      // The live winner is the strongest live cell by overlaid signal.
+      EXPECT_GE(network.signal_dbm(session, best, t, &faults),
+                network.signal_dbm(session, 5 - best, t, &faults));
+      for (std::size_t current = 0; current < 8; ++current) {
+        EXPECT_LT(network.serving_cell(session, current, t, 3.0, 0, 8, &faults),
+                  4U);
+      }
+    }
+    // Once the outage ends the dead block is eligible again, as on the
+    // healthy network.
+    EXPECT_EQ(network.best_cell_in(session, 150.0, 4, 4, &faults),
+              network.best_cell_in(session, 150.0, 4, 4));
+  }
+}
+
+TEST(CellNetworkTest, DeadServingCellEscapesWithoutMargin) {
+  const CellNetwork network(small_network());
+  const FleetFaultModel faults = scripted_faults();
+  for (int session = 0; session < 40; ++session) {
+    const double t = 10.0;
+    const std::size_t best = network.best_cell_in(session, t, 0, 8, &faults);
+    // No hysteresis margin holds a session on a dead cell...
+    EXPECT_EQ(network.serving_cell(session, 6, t, 1e9, 0, 8, &faults), best);
+    // ...but a live serving cell still sticks under a huge margin.
+    EXPECT_EQ(network.serving_cell(session, 1, t, 1e9, 0, 8, &faults), 1U);
+  }
+}
+
+TEST(CellNetworkTest, AllDeadRangeReturnsNumCells) {
+  const CellNetwork network(small_network());
+  const FleetFaultModel faults = scripted_faults();
+  for (int session = 0; session < 10; ++session) {
+    EXPECT_EQ(network.best_cell_in(session, 20.0, 4, 4, &faults),
+              network.num_cells());
+    EXPECT_EQ(network.serving_cell(session, 5, 20.0, 3.0, 4, 4, &faults),
+              network.num_cells());
+    EXPECT_LT(network.best_cell_in(session, 100.0, 4, 4, &faults),
+              network.num_cells());
+  }
+}
+
+TEST(CellNetworkTest, OverlaidSignalAndCapacityAreExact) {
+  const CellNetwork network(small_network());
+  const FleetFaultModel faults = scripted_faults();
+  for (std::size_t cell = 0; cell < 8; ++cell) {
+    for (const double t : {0.0, 37.0, 150.0, 250.0}) {
+      const double offset = cell < 2 && t < 200.0 ? -18.0 : 0.0;
+      const double factor =
+          cell >= 2 && cell < 4 && t < 200.0 ? 1.0 / 3.0 : 1.0;
+      for (const int session : {0, 7, 12345}) {
+        EXPECT_EQ(network.signal_dbm(session, cell, t, &faults),
+                  network.signal_dbm(session, cell, t) + offset);
+      }
+      EXPECT_EQ(network.capacity_mbps(cell, t, &faults),
+                network.capacity_mbps(cell, t) * factor);
+    }
+  }
+}
+
 TEST(FleetTest, ValidatesConfig) {
   FleetConfig config = small_fleet();
   config.ladder_mbps.clear();
@@ -137,6 +267,14 @@ TEST(FleetTest, ValidatesConfig) {
   config = small_fleet();
   config.policy = FleetPolicy::kPlanner;
   config.planner_alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  // Session ids are int: a count past INT_MAX throws instead of wrapping
+  // (2^32 + 6 once ran 6 sessions).
+  config = small_fleet();
+  config.num_sessions = (std::size_t{1} << 32) + 6;
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config.num_sessions =
+      static_cast<std::size_t>(std::numeric_limits<int>::max()) + 1;
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
 }
 
