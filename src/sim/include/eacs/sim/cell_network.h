@@ -3,12 +3,14 @@
 //
 // A CellNetwork is a procedural model of many base stations: each cell has
 // its own capacity trajectory (per-cell scale and phase over a shared
-// sinusoidal profile) and every (session, cell) pair has its own signal
-// trajectory, both derived statelessly from sim::seed_mix — no traces are
-// stored, so memory is O(cells) however long the run and however many
-// sessions attach. Sessions pick a serving cell by signal with a hysteresis
-// margin (a handoff happens only when a neighbour beats the serving cell by
-// `hysteresis_db`), the classic guard against ping-pong handoffs.
+// sinusoidal profile), and a session's signal from a cell is a per-(session,
+// cell) base level plus a mobility swing whose phase is per cell (ROADMAP.md,
+// "Fleet draws that are actually random"). Both derive statelessly from
+// sim::seed_mix — no traces are stored, so memory is O(cells) however long
+// the run and however many sessions attach. Sessions pick a serving cell by
+// signal with a hysteresis margin (a handoff happens only when a neighbour
+// beats the serving cell by `hysteresis_db`), the classic guard against
+// ping-pong handoffs.
 //
 // Every query takes an optional fault overlay (fleet_faults.h, DESIGN §14):
 // a null overlay is the healthy network, so faulted and clean fleets share
@@ -69,23 +71,25 @@ class CellNetwork {
   double signal_dbm(int session_id, std::size_t cell, double t_s,
                     const FleetFaultModel* faults = nullptr) const noexcept;
 
-  /// Strongest cell for the session at `t_s` (lowest index wins ties).
-  std::size_t best_cell(int session_id, double t_s) const noexcept;
-
-  /// Best cell restricted to [first_cell, first_cell + count) — the region
-  /// variant the sharded fleet path uses so mobility never crosses a shard.
-  /// Dead cells are never chosen; returns num_cells() when every cell in
-  /// the range is dead.
+  /// Strongest cell for the session at `t_s` in [first_cell, first_cell +
+  /// count), lowest index winning ties — the region scan the sharded fleet
+  /// path uses so mobility never crosses a shard. Dead cells are never
+  /// chosen; returns num_cells() when every cell in the range is dead. The
+  /// answer equals an exhaustive scan of every cell's signal_dbm; the scan
+  /// skips cells whose signal bound cannot beat the best so far (DESIGN §12).
   std::size_t best_cell_in(
       int session_id, double t_s, std::size_t first_cell, std::size_t count,
       const FleetFaultModel* faults = nullptr) const noexcept;
 
   /// Hysteresis handoff rule: returns the cell the session should be served
-  /// by, given it is currently on `current`. Switches to the best in-range
-  /// cell only when that cell's signal beats `current` by more than
-  /// `hysteresis_db`; otherwise sticks (anti-ping-pong). A dead `current`
-  /// escapes to the best live cell with no margin, or returns num_cells()
-  /// when the whole range is dead.
+  /// by, given it is currently on `current`, a cell of the range. Switches
+  /// to the best in-range cell only when that cell's signal beats `current`
+  /// by more than `hysteresis_db`; otherwise sticks (anti-ping-pong). A dead
+  /// `current` escapes to the best live cell with no margin, or returns
+  /// num_cells() when the whole range is dead. For every margin, NaN and
+  /// negative included, the answer equals the exhaustive rule's
+  /// (best_cell_in, then `signal(best) - signal(current) > hysteresis_db`);
+  /// cells that cannot clear the margin are skipped unpriced (DESIGN §12).
   std::size_t serving_cell(
       int session_id, std::size_t current, double t_s, double hysteresis_db,
       std::size_t first_cell, std::size_t count,

@@ -116,13 +116,13 @@ struct FleetConfig {
   std::size_t vibration_rung_cap = 2;    ///< max rung index while vibrating
 
   // Mobility: serving cell re-evaluated at every request boundary.
-  double handoff_hysteresis_db = 3.0;
+  double handoff_hysteresis_db = 3.0;  ///< finite and >= 0
 
   /// Which client policy the sessions run.
   FleetPolicy policy = FleetPolicy::kThroughput;
   // Planner-policy knobs (ignored under kThroughput).
   std::size_t planner_horizon = 5;        ///< rolling-horizon window (tasks)
-  std::size_t planner_startup_level = 0;  ///< rung before any throughput sample
+  std::size_t planner_startup_level = 0;  ///< first segment's rung (< ladder)
   double planner_alpha = 0.5;             ///< Eq. 11 energy weight
   /// Per-region decision-cache shard configuration. The fleet default is the
   /// quantized mode: population hit rates need bucket coalescing, and the
@@ -236,8 +236,9 @@ struct FleetMetrics : FleetCounters {
 /// exec.jobs. Throws std::invalid_argument on an empty ladder, zero
 /// sessions or more than INT_MAX, zero cells or segments, a malformed
 /// network config, a non-finite or non-positive segment duration / arrival
-/// rate, more regions than cells (or zero regions), a malformed fault spec,
-/// or malformed resilience knobs.
+/// rate, more regions than cells (or zero regions), a negative or
+/// non-finite handoff hysteresis, a planner startup level beyond the ladder
+/// (under kPlanner), a malformed fault spec, or malformed resilience knobs.
 FleetMetrics run_fleet(const FleetConfig& config);
 
 }  // namespace eacs::sim

@@ -12,24 +12,56 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// The cell-choice rule: the strongest cell in [first, first + count) by
-/// `dbm` that is not `dead`, lowest index winning ties; `none` when every
-/// cell is dead. best_cell_in instantiates it once per overlay kind, so the
-/// healthy scan has no fault-layer call in its loop.
-template <typename Dead, typename Dbm>
-std::size_t strongest_cell(std::size_t first, std::size_t count,
-                           std::size_t none, Dead dead, Dbm dbm) {
-  std::size_t best = none;
-  double best_dbm = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = first; c < first + count; ++c) {
-    if (dead(c)) continue;
-    const double v = dbm(c);
-    if (v > best_dbm) {  // strict: lowest index wins ties
-      best_dbm = v;
-      best = c;
+/// A signal's per-(session, cell) base level, drawn from
+/// h = seed_mix(seed, cell, session).
+double signal_base(const CellNetworkConfig& c, std::uint64_t h) noexcept {
+  return c.signal_worst_dbm +
+         (c.signal_best_dbm - c.signal_worst_dbm) * seed_unit(h);
+}
+
+/// A cell and its signal; {num_cells(), -inf} when no cell qualified.
+struct Choice {
+  std::size_t cell;
+  double dbm;
+};
+
+/// The cell-choice rule: the strongest cell in [first, first + count) other
+/// than `exclude` that is live and whose signal `admit` accepts, lowest
+/// index winning ties. Pruned to the exhaustive scan's answer (DESIGN §12):
+/// base + |swing| is never below a cell's signal in IEEE arithmetic (a
+/// collapse offset is <= 0), and `admit` is monotone (admit(v) and w >= v
+/// imply admit(w)), so a cell whose ceiling does not beat the running best
+/// or is not admitted can neither win nor tie, and its signal is never
+/// evaluated. The scan is instantiated once per overlay kind, so the healthy
+/// loop has no fault-layer call.
+template <typename Admit>
+Choice strongest_cell(const CellNetwork& network, int session, double t_s,
+                      std::size_t first, std::size_t count,
+                      std::size_t exclude, const FleetFaultModel* faults,
+                      Admit admit) {
+  const CellNetworkConfig& config = network.config();
+  const double reach = std::fabs(config.signal_swing_db);
+  const auto scan = [&](auto dead, auto dbm) {
+    Choice best{network.num_cells(), -std::numeric_limits<double>::infinity()};
+    for (std::size_t c = first; c < first + count; ++c) {
+      if (c == exclude || dead(c)) continue;
+      const double ceiling =
+          signal_base(config, seed_mix(config.seed, c, session)) + reach;
+      if (!(ceiling > best.dbm && admit(ceiling))) continue;
+      const double v = dbm(c);
+      if (v > best.dbm && admit(v)) best = {c, v};  // strict: lowest index
     }
+    return best;
+  };
+  if (faults == nullptr) {
+    return scan(
+        [](std::size_t) { return false; },
+        [&](std::size_t c) { return network.signal_dbm(session, c, t_s); });
   }
-  return best;
+  return scan([&](std::size_t c) { return faults->cell_dead(c, t_s); },
+              [&](std::size_t c) {
+                return network.signal_dbm(session, c, t_s, faults);
+              });
 }
 
 }  // namespace
@@ -78,9 +110,7 @@ double CellNetwork::capacity_mbps(
 double CellNetwork::signal_dbm(int session_id, std::size_t cell, double t_s,
                                const FleetFaultModel* faults) const noexcept {
   const std::uint64_t h = seed_mix(config_.seed, cell, session_id);
-  const double base =
-      config_.signal_worst_dbm +
-      (config_.signal_best_dbm - config_.signal_worst_dbm) * seed_unit(h);
+  const double base = signal_base(config_, h);
   // Phase and a period jittered in [0.75, 1.25] of the mean. The session
   // term cancels in h2, so the phase is per cell, and the period draw
   // repeats the base draw of (cell + 1, session).
@@ -93,36 +123,37 @@ double CellNetwork::signal_dbm(int session_id, std::size_t cell, double t_s,
   return faults == nullptr ? dbm : dbm + faults->signal_offset_db(cell, t_s);
 }
 
-std::size_t CellNetwork::best_cell(int session_id, double t_s) const noexcept {
-  return best_cell_in(session_id, t_s, 0, config_.num_cells);
-}
-
 std::size_t CellNetwork::best_cell_in(
     int session_id, double t_s, std::size_t first_cell, std::size_t count,
     const FleetFaultModel* faults) const noexcept {
-  if (faults == nullptr) {
-    return strongest_cell(
-        first_cell, count, num_cells(), [](std::size_t) { return false; },
-        [&](std::size_t c) { return signal_dbm(session_id, c, t_s); });
-  }
-  return strongest_cell(
-      first_cell, count, num_cells(),
-      [&](std::size_t c) { return faults->cell_dead(c, t_s); },
-      [&](std::size_t c) { return signal_dbm(session_id, c, t_s, faults); });
+  const std::size_t no_cell = std::numeric_limits<std::size_t>::max();
+  return strongest_cell(*this, session_id, t_s, first_cell, count, no_cell,
+                        faults, [](double) { return true; })
+      .cell;
 }
 
 std::size_t CellNetwork::serving_cell(
     int session_id, std::size_t current, double t_s, double hysteresis_db,
     std::size_t first_cell, std::size_t count,
     const FleetFaultModel* faults) const noexcept {
-  const std::size_t best =
-      best_cell_in(session_id, t_s, first_cell, count, faults);
-  if (best == current) return current;
   // A dead serving cell escapes with no margin: any live cell beats it.
-  if (faults != nullptr && faults->cell_dead(current, t_s)) return best;
-  const double gain = signal_dbm(session_id, best, t_s, faults) -
-                      signal_dbm(session_id, current, t_s, faults);
-  return gain > hysteresis_db ? best : current;
+  if (faults != nullptr && faults->cell_dead(current, t_s)) {
+    return best_cell_in(session_id, t_s, first_cell, count, faults);
+  }
+  // Price the serving cell once, then admit only cells that clear the
+  // margin against it (fl(v - cur) is monotone in v).
+  const double cur = signal_dbm(session_id, current, t_s, faults);
+  const Choice best = strongest_cell(
+      *this, session_id, t_s, first_cell, count, current, faults,
+      [&](double v) { return v - cur > hysteresis_db; });
+  // The serving cell stays when no cell clears the margin, or when it would
+  // have won the exhaustive scan itself: it beats the winner or ties it at
+  // a lower index, which only a negative margin allows.
+  if (best.cell == num_cells() || cur > best.dbm ||
+      (cur == best.dbm && current < best.cell)) {
+    return current;
+  }
+  return best.cell;
 }
 
 }  // namespace eacs::sim

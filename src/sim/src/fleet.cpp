@@ -340,7 +340,6 @@ struct RegionSim {
   void run(double limit) {
     core::CostStatsScope stats_scope(shard.region.planner);
     const double seg_s = config.segment_duration_s;
-    const std::size_t top_level = config.ladder_mbps.size() - 1;
 
     while (!heap.empty() && heap.top().t_s < limit) {
       const Event event = heap.top();
@@ -403,7 +402,7 @@ struct RegionSim {
           // bypasses the cache. No vibration rung cap here — the objective
           // itself prices vibration via the QoE impairment.
           if (arena.seen[slot] == 0) {
-            level = std::min(config.planner_startup_level, top_level);
+            level = config.planner_startup_level;
           } else if (shed_active(now)) {
             // Overload: degrade to the throughput policy for this decision.
             level = throughput_level(slot, event.session);
@@ -700,6 +699,11 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
     throw std::invalid_argument(
         "run_fleet: regions must be in [1, num_cells]");
   }
+  if (!(std::isfinite(config.handoff_hysteresis_db) &&
+        config.handoff_hysteresis_db >= 0.0)) {
+    throw std::invalid_argument(
+        "run_fleet: handoff hysteresis must be finite and >= 0 dB");
+  }
   const FleetResilienceConfig& r = config.resilience;
   if (!(std::isfinite(r.backoff_base_s) && r.backoff_base_s > 0.0) ||
       !(std::isfinite(r.backoff_factor) && r.backoff_factor >= 1.0) ||
@@ -719,6 +723,10 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
   if (config.policy == FleetPolicy::kPlanner) {
     if (config.planner_horizon == 0) {
       throw std::invalid_argument("run_fleet: planner horizon must be > 0");
+    }
+    if (config.planner_startup_level >= config.ladder_mbps.size()) {
+      throw std::invalid_argument(
+          "run_fleet: planner startup level must be a ladder rung");
     }
     // Validate the shard cache config up front (width checks live in the
     // DecisionCache ctor) so a bad config throws here, not inside a worker.

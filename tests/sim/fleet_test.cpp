@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,7 +120,8 @@ TEST(CellNetworkTest, BestCellRespectsRangeRestriction) {
   const CellNetwork network(small_network());
   for (int session : {3, 77}) {
     for (double t : {0.0, 31.0, 93.0}) {
-      const std::size_t best = network.best_cell(session, t);
+      const std::size_t best =
+          network.best_cell_in(session, t, 0, network.num_cells());
       EXPECT_LT(best, network.num_cells());
       const std::size_t restricted = network.best_cell_in(session, t, 4, 4);
       EXPECT_GE(restricted, 4U);
@@ -136,7 +139,8 @@ TEST(CellNetworkTest, ServingCellHysteresisBlocksSmallGains) {
   const CellNetwork network(small_network());
   for (int session = 0; session < 40; ++session) {
     for (double t : {5.0, 50.0, 110.0}) {
-      const std::size_t current = network.best_cell(session, 0.0);
+      const std::size_t current =
+          network.best_cell_in(session, 0.0, 0, network.num_cells());
       const std::size_t serving = network.serving_cell(
           session, current, t, 3.0, 0, network.num_cells());
       if (serving != current) {
@@ -145,7 +149,8 @@ TEST(CellNetworkTest, ServingCellHysteresisBlocksSmallGains) {
                   network.signal_dbm(session, current, t) + 3.0);
       } else {
         // Sticking is only allowed when no cell clears the margin.
-        const std::size_t best = network.best_cell(session, t);
+        const std::size_t best =
+            network.best_cell_in(session, t, 0, network.num_cells());
         EXPECT_LE(network.signal_dbm(session, best, t),
                   network.signal_dbm(session, current, t) + 3.0);
       }
@@ -153,10 +158,10 @@ TEST(CellNetworkTest, ServingCellHysteresisBlocksSmallGains) {
   }
 }
 
-// A scripted overlay on the 8-cell network: cells 4-7 are dead over
+// A scripted overlay on the first 8 cells: cells 4-7 are dead over
 // [0, 100) s, cells 0-1 collapse by 18 dB and cells 2-3 brown out to a third
 // over [0, 200) s.
-FleetFaultModel scripted_faults() {
+FleetFaultModel scripted_faults(std::size_t num_cells = 8) {
   FleetFaultSpec spec;
   spec.outages.push_back(
       {.t0_s = 0.0, .t1_s = 100.0, .first_cell = 4, .num_cells = 4});
@@ -170,7 +175,7 @@ FleetFaultModel scripted_faults() {
                             .first_cell = 2,
                             .num_cells = 2,
                             .capacity_factor = 1.0 / 3.0});
-  return FleetFaultModel(spec, 8);
+  return FleetFaultModel(spec, num_cells);
 }
 
 TEST(CellNetworkTest, OverlayNeverChoosesADeadCell) {
@@ -239,6 +244,108 @@ TEST(CellNetworkTest, OverlaidSignalAndCapacityAreExact) {
   }
 }
 
+// The cell-choice rule written out as an exhaustive scan: every live cell's
+// signal_dbm, strict `>` so the lowest index wins ties; num_cells() when
+// every cell in the range is dead.
+std::size_t exhaustive_best(const CellNetwork& network, int session, double t,
+                            std::size_t first, std::size_t count,
+                            const FleetFaultModel* faults) {
+  std::size_t best = network.num_cells();
+  double best_dbm = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = first; c < first + count; ++c) {
+    if (faults != nullptr && faults->cell_dead(c, t)) continue;
+    const double v = network.signal_dbm(session, c, t, faults);
+    if (v > best_dbm) {
+      best_dbm = v;
+      best = c;
+    }
+  }
+  return best;
+}
+
+// The hysteresis rule on top of it: stay when the serving cell wins the
+// scan, escape a dead serving cell, otherwise switch only when the winner's
+// gain clears the margin.
+std::size_t exhaustive_serving(const CellNetwork& network, int session,
+                               std::size_t current, double t,
+                               double hysteresis_db, std::size_t first,
+                               std::size_t count,
+                               const FleetFaultModel* faults) {
+  const std::size_t best =
+      exhaustive_best(network, session, t, first, count, faults);
+  if (best == current) return current;
+  if (faults != nullptr && faults->cell_dead(current, t)) return best;
+  const double gain = network.signal_dbm(session, best, t, faults) -
+                      network.signal_dbm(session, current, t, faults);
+  return gain > hysteresis_db ? best : current;
+}
+
+TEST(CellNetworkTest, PrunedChoiceMatchesExhaustiveScan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const FleetFaultModel faults = scripted_faults(256);
+  // (first, count): ranges of 1, 2, 32 and 256 cells, some inside the
+  // scripted outage block 4-7 and collapse block 0-1.
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 1}, {5, 1}, {0, 2}, {4, 2}, {0, 32}, {3, 32}, {224, 32}, {0, 256}};
+  std::vector<CellNetworkConfig> configs;
+  for (const double swing : {12.0, 0.0, -12.0}) {
+    CellNetworkConfig config;
+    config.num_cells = 256;
+    config.signal_swing_db = swing;
+    configs.push_back(config);
+  }
+  CellNetworkConfig ties;  // every cell has the same signal at every instant
+  ties.num_cells = 256;
+  ties.signal_best_dbm = ties.signal_worst_dbm = -80.0;
+  ties.signal_swing_db = 0.0;
+  configs.push_back(ties);
+
+  for (const CellNetworkConfig& config : configs) {
+    const CellNetwork network(config);
+    const bool all_ties = config.signal_best_dbm == config.signal_worst_dbm;
+    for (const FleetFaultModel* overlay :
+         {static_cast<const FleetFaultModel*>(nullptr), &faults}) {
+      for (const int session : {0, 1, 7, 42, 12345}) {
+        for (const double t : {0.0, 10.0, 55.5, 150.0, 250.0}) {
+          for (const auto& [first, count] : ranges) {
+            const std::size_t best =
+                exhaustive_best(network, session, t, first, count, overlay);
+            ASSERT_EQ(network.best_cell_in(session, t, first, count, overlay),
+                      best)
+                << "session " << session << " t " << t << " range " << first
+                << "+" << count;
+            if (all_ties && overlay == nullptr) {
+              EXPECT_EQ(best, first);  // the lowest index wins a tie
+            }
+            // Serving cells: the strongest, an arbitrary one, and one the
+            // overlay kills before t = 100 s.
+            std::vector<std::size_t> currents = {
+                first + (static_cast<std::size_t>(session) * 7 + 3) % count};
+            if (best < network.num_cells()) currents.push_back(best);
+            const std::size_t dead = std::max<std::size_t>(first, 4);
+            if (dead < 8 && dead < first + count) currents.push_back(dead);
+            for (const std::size_t current : currents) {
+              for (const double margin : {0.0, 3.0, 1e9, -1.0, nan}) {
+                const std::size_t serving = network.serving_cell(
+                    session, current, t, margin, first, count, overlay);
+                ASSERT_EQ(serving,
+                          exhaustive_serving(network, session, current, t,
+                                             margin, first, count, overlay))
+                    << "session " << session << " current " << current
+                    << " t " << t << " margin " << margin << " range "
+                    << first << "+" << count;
+                if (all_ties && overlay == nullptr && !(margin < 0.0)) {
+                  EXPECT_EQ(serving, current);  // a tie never clears a margin
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(FleetTest, ValidatesConfig) {
   FleetConfig config = small_fleet();
   config.ladder_mbps.clear();
@@ -276,6 +383,28 @@ TEST(FleetTest, ValidatesConfig) {
   config.num_sessions =
       static_cast<std::size_t>(std::numeric_limits<int>::max()) + 1;
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  // A NaN or infinite margin used to turn off every margin handoff, and a
+  // negative one acted as 0.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    config = small_fleet();
+    config.handoff_hysteresis_db = bad;
+    EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  }
+  config = small_fleet();
+  config.handoff_hysteresis_db = 0.0;
+  EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
+  // A startup rung beyond the ladder used to be clamped to the top rung;
+  // the throughput policy never reads it.
+  config = small_fleet();
+  config.policy = FleetPolicy::kPlanner;
+  config.planner_startup_level = config.ladder_mbps.size();
+  EXPECT_THROW(run_fleet(config), std::invalid_argument);
+  config.planner_startup_level = config.ladder_mbps.size() - 1;
+  EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
+  config.policy = FleetPolicy::kThroughput;
+  config.planner_startup_level = config.ladder_mbps.size();
+  EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
 }
 
 TEST(FleetTest, ConservationInvariants) {
