@@ -15,6 +15,7 @@
 #include "eacs/core/online.h"
 #include "eacs/qoe/session_qoe.h"
 #include "eacs/sim/metrics.h"
+#include "eacs/sim/study.h"
 #include "eacs/trace/session.h"
 
 namespace {
@@ -25,16 +26,14 @@ void print_reproduction() {
   bench::banner("Ablation: session-level QoE",
                 "Per-task mean vs. session aggregator (recency/startup/stalls)");
 
-  const auto sessions = trace::build_all_sessions();
-  const qoe::QoeModel qoe_model;
-  const power::PowerModel power_model;
-  core::Objective objective(qoe_model, power_model, core::ObjectiveConfig{});
+  const sim::StudySessions fixture(sim::EvaluationConfig{},
+                                   player::PlayerConfig{});
 
   abr::FixedBitrate youtube;
   abr::Festive festive;
   abr::Bba bba(5.0, 30.0);
   abr::PidController pid;
-  core::OnlineBitrateSelector ours(objective, {.startup_level = 3});
+  core::OnlineBitrateSelector ours(fixture.objective, {.startup_level = 3});
   std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba, &pid, &ours};
 
   AsciiTable table("Five-trace means under both QoE aggregations");
@@ -55,18 +54,14 @@ void print_reproduction() {
     double startup_pen = 0.0;
     double oscillation_pen = 0.0;
     double energy = 0.0;
-    for (const auto& session : sessions) {
-      const media::VideoManifest manifest(
-          "trace" + std::to_string(session.spec.id), session.spec.length_s, 2.0,
-          media::BitrateLadder::evaluation14());
-      const player::PlayerSimulator simulator(manifest);
-      const auto playback = simulator.run(*policy, session);
-      task_qoe += sim::session_mean_qoe(playback, qoe_model) / 5.0;
-      const auto breakdown = qoe::session_qoe(playback, qoe_model);
+    for (std::size_t s = 0; s < fixture.size(); ++s) {
+      const auto playback = fixture.simulators[s].run(*policy, fixture.sessions[s]);
+      task_qoe += sim::session_mean_qoe(playback, fixture.qoe_model) / 5.0;
+      const auto breakdown = qoe::session_qoe(playback, fixture.qoe_model);
       session_mos += breakdown.mos / 5.0;
       startup_pen += breakdown.startup_penalty / 5.0;
       oscillation_pen += breakdown.oscillation_penalty / 5.0;
-      energy += sim::session_energy_j(playback, power_model);
+      energy += sim::session_energy_j(playback, fixture.power_model);
     }
     table.add_row({policy->name(), AsciiTable::num(task_qoe, 2),
                    AsciiTable::num(session_mos, 2), AsciiTable::num(startup_pen, 3),

@@ -13,7 +13,7 @@
 #include "eacs/abr/mpc.h"
 #include "eacs/core/horizon.h"
 #include "eacs/core/online.h"
-#include "eacs/sim/evaluation.h"
+#include "eacs/sim/study.h"
 
 namespace {
 
@@ -23,10 +23,8 @@ void print_reproduction() {
   bench::banner("Extension: baseline zoo",
                 "BOLA / MPC / rolling-horizon vs. the paper's algorithms");
 
-  const qoe::QoeModel qoe_model;
-  const power::PowerModel power_model;
-  core::ObjectiveConfig objective_config;
-  const core::Objective objective(qoe_model, power_model, objective_config);
+  const sim::StudySessions fixture(sim::EvaluationConfig{},
+                                   player::PlayerConfig{});
 
   struct Totals {
     double energy = 0.0;
@@ -36,25 +34,19 @@ void print_reproduction() {
   };
   std::vector<std::pair<std::string, Totals>> rows;
 
-  const auto sessions = trace::build_all_sessions();
   abr::FixedBitrate youtube;
   abr::Bola bola(5.0, 30.0);
   abr::Mpc mpc;
-  core::OnlineBitrateSelector ours(objective, {.startup_level = 3});
-  core::RollingHorizonSelector horizon(objective, {.horizon = 5, .startup_level = 3});
+  core::OnlineBitrateSelector ours(fixture.objective, {.startup_level = 3});
+  core::RollingHorizonSelector horizon(fixture.objective,
+                                       {.horizon = 5, .startup_level = 3});
   std::vector<player::AbrPolicy*> policies = {&youtube, &bola, &mpc, &ours, &horizon};
 
   for (player::AbrPolicy* policy : policies) {
     Totals totals;
-    for (const auto& session : sessions) {
-      const media::VideoManifest manifest(
-          "trace" + std::to_string(session.spec.id), session.spec.length_s, 2.0,
-          media::BitrateLadder::evaluation14());
-      const player::PlayerSimulator simulator(manifest);
-      const auto playback = simulator.run(*policy, session);
-      const auto metrics = sim::compute_metrics(policy->name(), session.spec.id,
-                                                playback, manifest, qoe_model,
-                                                power_model);
+    for (std::size_t s = 0; s < fixture.size(); ++s) {
+      const auto playback = fixture.simulators[s].run(*policy, fixture.sessions[s]);
+      const auto metrics = fixture.metrics(policy->name(), s, playback);
       totals.energy += metrics.total_energy_j;
       totals.qoe += metrics.mean_qoe;
       totals.rebuffer += metrics.rebuffer_s;

@@ -9,7 +9,7 @@
 #include "eacs/abr/fixed.h"
 #include "eacs/abr/learned.h"
 #include "eacs/core/online.h"
-#include "eacs/sim/evaluation.h"
+#include "eacs/sim/study.h"
 #include "eacs/sim/training.h"
 
 namespace {
@@ -40,13 +40,11 @@ void print_reproduction() {
   std::printf("]\n  (order: bias, bandwidth, buffer, prev-level, vibration, signal)\n\n");
 
   // Evaluate on the default Table V sessions alongside the core algorithms.
-  const auto sessions = trace::build_all_sessions();
-  const qoe::QoeModel qoe_model;
-  const power::PowerModel power_model;
-  core::Objective objective(qoe_model, power_model, core::ObjectiveConfig{});
+  const sim::StudySessions fixture(sim::EvaluationConfig{},
+                                   player::PlayerConfig{});
 
   abr::FixedBitrate youtube;
-  core::OnlineBitrateSelector ours(objective, {.startup_level = 3});
+  core::OnlineBitrateSelector ours(fixture.objective, {.startup_level = 3});
   abr::LinearPolicy learned(trained.weights);
 
   AsciiTable table("Test-set comparison (five Table V traces)");
@@ -59,15 +57,9 @@ void print_reproduction() {
     double energy = 0.0;
     double qoe = 0.0;
     double rebuffer = 0.0;
-    for (const auto& session : sessions) {
-      const media::VideoManifest manifest(
-          "trace" + std::to_string(session.spec.id), session.spec.length_s, 2.0,
-          media::BitrateLadder::evaluation14());
-      const player::PlayerSimulator simulator(manifest);
-      const auto playback = simulator.run(*policy, session);
-      const auto metrics = sim::compute_metrics(policy->name(), session.spec.id,
-                                                playback, manifest, qoe_model,
-                                                power_model);
+    for (std::size_t s = 0; s < fixture.size(); ++s) {
+      const auto playback = fixture.simulators[s].run(*policy, fixture.sessions[s]);
+      const auto metrics = fixture.metrics(policy->name(), s, playback);
       energy += metrics.total_energy_j;
       qoe += metrics.mean_qoe;
       rebuffer += metrics.rebuffer_s;

@@ -122,6 +122,15 @@ double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
 void require_valid_buffer(const std::string& who, double threshold_s,
                           double startup_s);
 
+/// The resilience knobs' ranges: the deadline, backoff base, abandon factor
+/// and probe finite and > 0; the backoff factor finite and >= 1; the backoff
+/// cap finite and >= the base; the jitter, hedge fraction and abandon buffer
+/// finite and >= 0. Throws std::invalid_argument prefixed with `who` and
+/// naming the field otherwise (a negative backoff runs the clock backwards,
+/// a NaN deadline turns every timeout off).
+void require_valid_resilience(const std::string& who,
+                              const ResilienceConfig& config);
+
 /// The single buffer-drain / stall rule: plays `dt` seconds of wall time out
 /// of `buffer_s` and returns the stall incurred (0 before startup). Every
 /// engine link mode and the fleet's sessions route their playback through

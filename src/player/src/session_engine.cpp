@@ -382,6 +382,7 @@ CellularLinkModel::CellularLinkModel(const trace::TimeSeries& capacity_mbps)
 SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
   require_valid_buffer("SessionEngine", config_.player.buffer_threshold_s,
                        config_.player.startup_buffer_s);
+  require_valid_resilience("SessionEngine", config_.player.resilience);
   if (!(config_.step_s > 0.0)) {
     throw std::invalid_argument("SessionEngine: step must be > 0");
   }

@@ -237,8 +237,10 @@ struct FleetMetrics : FleetCounters {
 /// sessions or more than INT_MAX, zero cells or segments, a malformed
 /// network config, a non-finite or non-positive segment duration / arrival
 /// rate, more regions than cells (or zero regions), a negative or
-/// non-finite handoff hysteresis, a planner startup level beyond the ladder
-/// (under kPlanner), a malformed fault spec, or malformed resilience knobs.
+/// non-finite handoff hysteresis, a NaN vibration cap threshold (+inf, which
+/// disables the cap, is valid), a zero reservoir capacity, a planner startup
+/// level beyond the ladder or a planner alpha outside [0, 1] (both under
+/// kPlanner), a malformed fault spec, or malformed resilience knobs.
 FleetMetrics run_fleet(const FleetConfig& config);
 
 }  // namespace eacs::sim

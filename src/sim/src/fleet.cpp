@@ -704,6 +704,14 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
     throw std::invalid_argument(
         "run_fleet: handoff hysteresis must be finite and >= 0 dB");
   }
+  // +inf is the documented way to disable the rung cap; NaN did the same
+  // silently.
+  if (std::isnan(config.vibration_cap_threshold)) {
+    throw std::invalid_argument("run_fleet: vibration cap threshold is NaN");
+  }
+  if (config.reservoir_capacity == 0) {
+    throw std::invalid_argument("run_fleet: reservoir capacity must be > 0");
+  }
   const FleetResilienceConfig& r = config.resilience;
   if (!(std::isfinite(r.backoff_base_s) && r.backoff_base_s > 0.0) ||
       !(std::isfinite(r.backoff_factor) && r.backoff_factor >= 1.0) ||
@@ -727,6 +735,9 @@ std::size_t validate_fleet_config(const FleetConfig& config) {
     if (config.planner_startup_level >= config.ladder_mbps.size()) {
       throw std::invalid_argument(
           "run_fleet: planner startup level must be a ladder rung");
+    }
+    if (!(config.planner_alpha >= 0.0 && config.planner_alpha <= 1.0)) {
+      throw std::invalid_argument("run_fleet: planner alpha must be in [0, 1]");
     }
     // Validate the shard cache config up front (width checks live in the
     // DecisionCache ctor) so a bad config throws here, not inside a worker.

@@ -80,10 +80,12 @@ TrainingResult CemTrainer::train(const CemConfig& config) const {
       }
       scored[p] = {0.0, std::move(candidate)};
     }
-    util::parallel_for(config.exec.resolved_jobs(), config.population,
-                       [&](std::size_t p) {
-                         scored[p].first = evaluate(scored[p].second);
-                       });
+    const auto rewards = util::parallel_map(
+        config.exec.resolved_jobs(), config.population,
+        [&](std::size_t p) { return evaluate(scored[p].second); });
+    for (std::size_t p = 0; p < config.population; ++p) {
+      scored[p].first = rewards[p];
+    }
     std::sort(scored.begin(), scored.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     result.reward_history.push_back(scored.front().first);

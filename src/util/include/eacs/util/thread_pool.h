@@ -1,18 +1,22 @@
 #pragma once
-// Fixed-size worker pool with deterministic parallel-for/map helpers.
+// Deterministic fan-out: parallel_map and the worker clamp it runs under.
 //
-// The pool exists to make embarrassingly parallel sweeps (evaluation
-// sessions, fault-study cells, robustness runs, CEM rollouts) fast without
-// changing their results. The contract (see DESIGN.md, "Parallel execution
-// model"): parallel_for(jobs, n, fn) calls fn(i) exactly once for every
-// index i in [0, n); fn must be a pure function of its index that writes
-// only state owned by that index; the caller reduces in index order
-// afterwards. Under that contract the output is bit-identical at any
-// worker count. jobs <= 1 runs the plain serial loop on the calling thread
-// — no pool, no locks, exactly the pre-parallel code path.
+// parallel_map exists to make embarrassingly parallel sweeps (evaluation
+// sessions, fault-study cells, robustness runs, CEM rollouts, fleet
+// regions) fast without changing their results. The contract (see
+// DESIGN.md, "Parallel execution model"): fn(i) is called exactly once for
+// every index i in [0, n); fn must be a pure function of its index that
+// writes only state owned by that index; out[i] = fn(i), and the caller
+// reduces in index order afterwards. Under that contract the output is
+// bit-identical at any worker count. jobs <= 1 runs the plain serial loop
+// on the calling thread — no threads, no atomics, exactly the pre-parallel
+// code path.
 
+#include <atomic>
 #include <cstddef>
-#include <functional>
+#include <exception>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,76 +29,32 @@ namespace eacs::util {
 /// platform this project targets.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
-/// Fixed worker-count thread pool. Tasks are run in submission order by
-/// whichever worker is free; wait() blocks until the queue drains and
-/// rethrows the first exception any task threw.
-class ThreadPool {
- public:
-  /// Spawns `workers` threads (clamped to at least 1).
-  explicit ThreadPool(std::size_t workers);
-
-  /// Joins all workers. Pending tasks are still executed first.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t worker_count() const noexcept;
-
-  /// Enqueues one task.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished; rethrows the first
-  /// exception captured from a task (later exceptions are dropped).
-  void wait();
-
-  /// Runs fn(i) for every i in [0, n) across the workers and blocks until
-  /// done. Indices are handed out dynamically (work stealing via a shared
-  /// counter); remaining indices are skipped after the first exception,
-  /// which wait() rethrows.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Like parallel_for, but hands fn a stable runner index in
-  /// [0, min(worker_count(), n)) alongside the work-item index, so callers
-  /// can give each runner a private, cache-line-padded result arena and
-  /// merge deterministically by work-item index afterwards. Which runner
-  /// executes which item is scheduling-dependent; only the (runner, item)
-  /// pairing varies, never the set of items run.
-  void parallel_for_workers(
-      std::size_t n,
-      const std::function<void(std::size_t worker, std::size_t i)>& fn);
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
-
-/// Number of concurrent runners the free parallel helpers actually use for
-/// `n` items at a requested `jobs` level: 1 when the request or the work is
-/// serial, otherwise min(jobs, n) clamped to the hardware concurrency.
+/// Number of concurrent runners parallel_map actually starts for `n` items
+/// at a requested `jobs` level: 1 when the request or the work is serial,
+/// otherwise min(jobs, n) clamped to the hardware concurrency.
 /// Oversubscribing threads beyond the physical cores only adds contention
 /// (the sweeps are CPU-bound), and under the DESIGN §6 purity contract the
 /// worker count never affects results, so the clamp is output-neutral.
 std::size_t effective_workers(std::size_t jobs, std::size_t n) noexcept;
 
-/// Calls fn(i) for i in [0, n). jobs <= 1 (or n <= 1) is the serial loop on
-/// the calling thread; otherwise a transient pool of min(jobs, n) workers
-/// runs the indices and the call blocks until all finish. Exceptions from fn
-/// propagate to the caller on both paths.
-void parallel_for(std::size_t jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
-
 /// Maps fn over [0, n) into a vector ordered by index — the deterministic
 /// fan-out primitive: out[i] depends only on i, never on scheduling. The
 /// result type must be default-constructible.
 ///
-/// Workers never touch the shared output vector: each runner appends
-/// (index, result) pairs to a private cache-line-padded arena, and the
-/// arenas are merged into `out` by work-item index after the pool drains.
-/// The merge is deterministic regardless of arena visitation order because
-/// indices are unique and out[i] depends only on fn(i) (DESIGN §6). This
-/// removes the false sharing of adjacent out[i] slots that serialized small
-/// result types.
+/// With one effective worker (jobs <= 1, n <= 1 or a one-core machine) the
+/// items run in index order on the calling thread. Otherwise the call starts
+/// effective_workers(jobs, n) runner threads and the calling thread runs no
+/// item, so items never see its thread-local state (an installed
+/// core::CostStatsScope, say). Runners claim indices from one shared counter
+/// and append (index, result) pairs to private cache-line-padded arenas; the
+/// caller joins them and merges the arenas into `out` by index. The merge is
+/// deterministic regardless of arena visitation order because indices are
+/// unique and out[i] depends only on fn(i) (DESIGN §6).
+///
+/// After an item throws, no runner claims another index; the first
+/// exception caught is rethrown once every runner has joined. If a runner
+/// thread fails to start, the runners already started are joined and the
+/// std::system_error propagates.
 template <typename Fn>
 auto parallel_map(std::size_t jobs, std::size_t n, Fn&& fn)
     -> std::vector<std::decay_t<decltype(fn(std::size_t{0}))>> {
@@ -108,13 +68,38 @@ auto parallel_map(std::size_t jobs, std::size_t n, Fn&& fn)
   struct alignas(kCacheLineBytes) Arena {
     std::vector<std::pair<std::size_t, Result>> items;
   };
+  // The claim counter and the failure flag live on separate cache lines:
+  // `next` takes every runner's fetch_add while `failed` is read-mostly, and
+  // sharing a line would make each abort check miss on the claim line.
+  struct Dispatch {
+    alignas(kCacheLineBytes) std::atomic<std::size_t> next{0};
+    alignas(kCacheLineBytes) std::atomic<bool> failed{false};
+    std::exception_ptr error;  // written only by the runner that set `failed`
+  };
   std::vector<Arena> arenas(workers);
-  // Declared after the arenas so the pool (and with it every worker thread)
-  // is destroyed first if an exception unwinds this scope.
-  ThreadPool pool(workers);
-  pool.parallel_for_workers(n, [&](std::size_t worker, std::size_t i) {
-    arenas[worker].items.emplace_back(i, fn(i));
-  });
+  Dispatch dispatch;
+  const auto run = [&](Arena* arena) {
+    while (!dispatch.failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = dispatch.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        arena->items.emplace_back(i, fn(i));
+      } catch (...) {
+        if (!dispatch.failed.exchange(true, std::memory_order_relaxed)) {
+          dispatch.error = std::current_exception();
+        }
+        return;
+      }
+    }
+  };
+  {
+    // Destroying the vector joins every runner it holds, on the normal path
+    // and when a later thread fails to start.
+    std::vector<std::jthread> runners;
+    runners.reserve(workers);
+    for (Arena& arena : arenas) runners.emplace_back(run, &arena);
+  }
+  if (dispatch.error) std::rethrow_exception(dispatch.error);
   for (auto& arena : arenas) {
     for (auto& [i, value] : arena.items) out[i] = std::move(value);
   }

@@ -1,148 +1,14 @@
 #include "eacs/util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <thread>
 
 namespace eacs::util {
-
-struct ThreadPool::Impl {
-  std::mutex mutex;
-  std::condition_variable work_cv;   // workers wait for tasks / stop
-  std::condition_variable idle_cv;   // wait() waits for pending == 0
-  std::deque<std::function<void()>> queue;
-  std::size_t pending = 0;           // queued + running tasks
-  bool stop = false;
-  std::exception_ptr error;
-  std::vector<std::thread> threads;
-
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        work_cv.wait(lock, [&] { return stop || !queue.empty(); });
-        if (queue.empty()) return;  // stop requested and nothing left to run
-        task = std::move(queue.front());
-        queue.pop_front();
-      }
-      try {
-        task();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (--pending == 0) idle_cv.notify_all();
-      }
-    }
-  }
-};
-
-ThreadPool::ThreadPool(std::size_t workers) : impl_(new Impl) {
-  const std::size_t count = std::max<std::size_t>(1, workers);
-  impl_->threads.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    impl_->threads.emplace_back([this] { impl_->worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->work_cv.notify_all();
-  for (auto& thread : impl_->threads) thread.join();
-  delete impl_;
-}
-
-std::size_t ThreadPool::worker_count() const noexcept {
-  return impl_->threads.size();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->queue.push_back(std::move(task));
-    ++impl_->pending;
-  }
-  impl_->work_cv.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  impl_->idle_cv.wait(lock, [&] { return impl_->pending == 0; });
-  if (impl_->error) {
-    std::exception_ptr error = std::exchange(impl_->error, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-namespace {
-
-// Shared dispatch state for one parallel_for call. The dispatch counter and
-// the failure flag live on separate cache lines: `next` is hammered by every
-// runner's fetch_add while `failed` is read-mostly, and co-locating them made
-// each abort-check invalidate the dispatch line on every claim.
-struct DispatchControl {
-  alignas(kCacheLineBytes) std::atomic<std::size_t> next{0};
-  alignas(kCacheLineBytes) std::atomic<bool> failed{false};
-};
-
-}  // namespace
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  parallel_for_workers(n, [&fn](std::size_t, std::size_t i) { fn(i); });
-}
-
-void ThreadPool::parallel_for_workers(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  // Shared state outlives this call only via the runner tasks, which wait()
-  // drains before returning; shared_ptr keeps it valid if wait() throws.
-  auto control = std::make_shared<DispatchControl>();
-  const std::size_t runners = std::min(worker_count(), n);
-  for (std::size_t r = 0; r < runners; ++r) {
-    submit([control, r, n, &fn] {
-      while (!control->failed.load(std::memory_order_relaxed)) {
-        const std::size_t i = control->next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        try {
-          fn(r, i);
-        } catch (...) {
-          control->failed.store(true, std::memory_order_relaxed);
-          throw;  // recorded by the worker loop, rethrown by wait()
-        }
-      }
-    });
-  }
-  wait();
-}
 
 std::size_t effective_workers(std::size_t jobs, std::size_t n) noexcept {
   if (jobs <= 1 || n <= 1) return 1;
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   return std::min({jobs, n, hw});
-}
-
-void parallel_for(std::size_t jobs, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  const std::size_t workers = effective_workers(jobs, n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(workers);
-  pool.parallel_for(n, fn);
 }
 
 }  // namespace eacs::util

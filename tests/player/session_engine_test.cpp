@@ -78,6 +78,50 @@ TEST(SessionEngineTest, ConfigValidation) {
   EXPECT_NO_THROW(SessionEngine{SessionEngineConfig{}});
 }
 
+TEST(SessionEngineTest, RejectsMalformedResilienceConfig) {
+  // A negative backoff base or jitter used to run the session clock
+  // backwards, and a NaN deadline turned every timeout off. Both
+  // constructors now reject each bad field by name.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    double ResilienceConfig::*field;
+    double value;
+    const char* name;
+  };
+  const Bad cases[] = {
+      {&ResilienceConfig::attempt_deadline_s, nan, "attempt_deadline_s"},
+      {&ResilienceConfig::attempt_deadline_s, 0.0, "attempt_deadline_s"},
+      {&ResilienceConfig::backoff_base_s, -1.0, "backoff_base_s"},
+      {&ResilienceConfig::backoff_factor, 0.5, "backoff_factor"},
+      {&ResilienceConfig::backoff_max_s, 0.1, "backoff_max_s"},  // < base
+      {&ResilienceConfig::backoff_max_s, inf, "backoff_max_s"},
+      {&ResilienceConfig::backoff_jitter, -5.0, "backoff_jitter"},
+      {&ResilienceConfig::abandon_factor, 0.0, "abandon_factor"},
+      {&ResilienceConfig::abandon_probe_s, nan, "abandon_probe_s"},
+      {&ResilienceConfig::abandon_min_buffer_s, -1.0, "abandon_min_buffer_s"},
+      {&ResilienceConfig::hedge_fraction, inf, "hedge_fraction"},
+  };
+  for (const Bad& bad : cases) {
+    SessionEngineConfig config;
+    config.player.resilience.*bad.field = bad.value;
+    try {
+      const SessionEngine engine{config};
+      ADD_FAILURE() << bad.name << " = " << bad.value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(bad.name), std::string::npos)
+          << error.what();
+    }
+    EXPECT_THROW(PlayerSimulator(make_manifest(20.0, 2.0), config.player),
+                 std::invalid_argument)
+        << bad.name;
+  }
+  // The defaults and the zero jitter the property tests use stay valid.
+  SessionEngineConfig config;
+  config.player.resilience.backoff_jitter = 0.0;
+  EXPECT_NO_THROW(SessionEngine{config});
+}
+
 TEST(SessionEngineTest, AnalyticLinksTakeExactlyOneClient) {
   const auto manifest = make_manifest(20.0, 2.0);
   const auto session = make_session(20.0, 10.0);

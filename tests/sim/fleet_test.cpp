@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -371,10 +372,6 @@ TEST(FleetTest, ValidatesConfig) {
   config = small_fleet();
   config.abr_safety = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(run_fleet(config), std::invalid_argument);
-  config = small_fleet();
-  config.policy = FleetPolicy::kPlanner;
-  config.planner_alpha = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(run_fleet(config), std::invalid_argument);
   // Session ids are int: a count past INT_MAX throws instead of wrapping
   // (2^32 + 6 once ran 6 sessions).
   config = small_fleet();
@@ -404,6 +401,34 @@ TEST(FleetTest, ValidatesConfig) {
   EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
   config.policy = FleetPolicy::kThroughput;
   config.planner_startup_level = config.ladder_mbps.size();
+  EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
+  // A NaN cap threshold used to switch the rung cap off silently, and a zero
+  // reservoir or an out-of-range planner alpha threw from inside a region
+  // worker without run_fleet's context. All are rejected up front now.
+  const auto expect_rejected = [](const FleetConfig& bad) {
+    try {
+      (void)run_fleet(bad);
+      ADD_FAILURE() << "config accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind("run_fleet: ", 0), 0U)
+          << error.what();
+    }
+  };
+  config = small_fleet();
+  config.vibration_cap_threshold = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(config);
+  config = small_fleet();
+  config.reservoir_capacity = 0;
+  expect_rejected(config);
+  config = small_fleet();
+  config.policy = FleetPolicy::kPlanner;
+  for (const double alpha : {1.5, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    config.planner_alpha = alpha;
+    expect_rejected(config);
+  }
+  // +inf is how a caller disables the cap (cross_engine_test does).
+  config = small_fleet();
+  config.vibration_cap_threshold = std::numeric_limits<double>::infinity();
   EXPECT_EQ(run_fleet(config).sessions, config.num_sessions);
 }
 

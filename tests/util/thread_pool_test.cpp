@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -15,134 +16,6 @@
 
 namespace eacs::util {
 namespace {
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4U);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 1U);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-    pool.wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 10);
-  }
-}
-
-TEST(ThreadPoolTest, MemberParallelForVisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> visits(1000);
-  pool.parallel_for(visits.size(), [&](std::size_t i) { ++visits[i]; });
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The pool survives an exception and keeps working.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { ++counter; });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 42) throw std::invalid_argument("42");
-                                 }),
-               std::invalid_argument);
-}
-
-TEST(FreeParallelForTest, SerialWhenJobsIsOne) {
-  // jobs<=1 must run inline on the calling thread, in index order.
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::size_t> order;
-  parallel_for(1, 8, [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  const std::vector<std::size_t> expected = {0, 1, 2, 3, 4, 5, 6, 7};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(FreeParallelForTest, SingleItemRunsInline) {
-  const auto caller = std::this_thread::get_id();
-  bool ran = false;
-  parallel_for(8, 1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0U);
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    ran = true;
-  });
-  EXPECT_TRUE(ran);
-}
-
-TEST(FreeParallelForTest, ZeroItemsIsANoOp) {
-  parallel_for(4, 0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
-TEST(FreeParallelForTest, CoversAllIndicesAtManyJobCounts) {
-  for (const std::size_t jobs : {1U, 2U, 3U, 8U, 16U}) {
-    std::vector<std::atomic<int>> visits(257);
-    parallel_for(jobs, visits.size(), [&](std::size_t i) { ++visits[i]; });
-    long long total = 0;
-    for (auto& v : visits) total += v.load();
-    EXPECT_EQ(total, 257) << "jobs=" << jobs;
-  }
-}
-
-TEST(ParallelMapTest, PreservesIndexOrder) {
-  for (const std::size_t jobs : {1U, 2U, 8U}) {
-    const auto squares =
-        parallel_map(jobs, 100, [](std::size_t i) { return i * i; });
-    ASSERT_EQ(squares.size(), 100U) << "jobs=" << jobs;
-    for (std::size_t i = 0; i < squares.size(); ++i) {
-      EXPECT_EQ(squares[i], i * i) << "jobs=" << jobs;
-    }
-  }
-}
-
-TEST(ParallelMapTest, WorksWithNonTrivialValueTypes) {
-  const auto words = parallel_map(
-      4, 10, [](std::size_t i) { return std::string(i, 'x'); });
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    EXPECT_EQ(words[i].size(), i);
-  }
-}
-
-TEST(ParallelMapTest, ExceptionPropagates) {
-  EXPECT_THROW(parallel_map(4, 16,
-                            [](std::size_t i) -> int {
-                              if (i == 7) throw std::runtime_error("seven");
-                              return 0;
-                            }),
-               std::runtime_error);
-}
-
-// --- effective_workers / arena-merge stress ---------------------------------
 
 // A work item with deliberately non-associative floating-point content: any
 // reordering of the reduction would change low-order bits.
@@ -158,7 +31,134 @@ std::uint64_t bits_of(double x) {
   return out;
 }
 
-TEST(FreeParallelForTest, EffectiveWorkersClampsSerialAndHardware) {
+thread_local int caller_marker = 0;
+
+TEST(ParallelMapTest, PreservesIndexOrder) {
+  for (const std::size_t jobs : {1U, 2U, 8U}) {
+    const auto squares =
+        parallel_map(jobs, 100, [](std::size_t i) { return i * i; });
+    ASSERT_EQ(squares.size(), 100U) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < squares.size(); ++i) {
+      EXPECT_EQ(squares[i], i * i) << "jobs=" << jobs;
+    }
+  }
+}
+
+TEST(ParallelMapTest, SerialWhenJobsIsOne) {
+  // jobs<=1 must run inline on the calling thread, in index order.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  const auto out = parallel_map(1, 8, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+    return i;
+  });
+  const std::vector<std::size_t> expected = {0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(out, expected);
+}
+
+TEST(ParallelMapTest, SingleItemRunsInline) {
+  const auto caller = std::this_thread::get_id();
+  const auto out = parallel_map(8, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0U);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    return 7;
+  });
+  EXPECT_EQ(out, std::vector<int>{7});
+}
+
+TEST(ParallelMapTest, ZeroItemsIsANoOp) {
+  const auto out = parallel_map(4, 0, [](std::size_t) {
+    ADD_FAILURE() << "must not be called";
+    return 0;
+  });
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(ParallelMapTest, ParallelItemsNeverRunOnTheCallingThread) {
+  // Items must not see the caller's thread-local state (an installed
+  // core::CostStatsScope, say), so with more than one runner the calling
+  // thread only joins and merges.
+  const bool serial = effective_workers(4, 64) == 1;
+  const auto caller = std::this_thread::get_id();
+  caller_marker = 1;
+  const auto seen = parallel_map(4, 64, [&](std::size_t) {
+    return std::pair{std::this_thread::get_id() == caller, caller_marker};
+  });
+  caller_marker = 0;
+  for (const auto& [on_caller, marker] : seen) {
+    EXPECT_EQ(on_caller, serial);
+    EXPECT_EQ(marker, serial ? 1 : 0);
+  }
+}
+
+TEST(ParallelMapTest, WorksWithNonTrivialValueTypes) {
+  const auto words = parallel_map(
+      4, 10, [](std::size_t i) { return std::string(i, 'x'); });
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(words[i].size(), i);
+  }
+}
+
+TEST(ParallelMapTest, ExceptionPropagates) {
+  for (const std::size_t jobs : {1U, 4U}) {
+    EXPECT_THROW(parallel_map(jobs, 16,
+                              [](std::size_t i) -> int {
+                                if (i == 7) throw std::runtime_error("seven");
+                                return 0;
+                              }),
+                 std::runtime_error)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelMapTest, EveryItemThrowingStillReturns) {
+  // Every runner records a failure; exactly one exception comes back and the
+  // call returns instead of hanging or terminating.
+  for (const std::size_t jobs : {1U, 2U, 8U}) {
+    EXPECT_THROW(parallel_map(jobs, 64,
+                              [](std::size_t i) -> int {
+                                throw std::out_of_range(std::to_string(i));
+                              }),
+                 std::out_of_range)
+        << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelMapTest, StopsClaimingAfterTheFirstException) {
+  // Index 0 is claimed first and throws. Every other item holds its runner
+  // until that throw has happened, then long enough for the failure to be
+  // recorded, so each runner sees it before its next claim: at most one item
+  // per runner runs, never the rest of the range.
+  constexpr std::size_t kItems = 256;
+  for (const std::size_t jobs : {1U, 4U}) {
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(parallel_map(jobs, kItems,
+                              [&](std::size_t i) -> int {
+                                ++ran;
+                                if (i == 0) {
+                                  thrown = true;
+                                  throw std::runtime_error("first");
+                                }
+                                const auto give_up = std::chrono::steady_clock::now() +
+                                                     std::chrono::seconds(5);
+                                while (!thrown &&
+                                       std::chrono::steady_clock::now() < give_up) {
+                                  std::this_thread::yield();
+                                }
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(50));
+                                return 0;
+                              }),
+                 std::runtime_error)
+        << "jobs=" << jobs;
+    EXPECT_LE(ran.load(), effective_workers(jobs, kItems)) << "jobs=" << jobs;
+  }
+}
+
+TEST(ParallelMapTest, EffectiveWorkersClampsSerialAndHardware) {
   EXPECT_EQ(effective_workers(1, 100), 1U);
   EXPECT_EQ(effective_workers(0, 100), 1U);
   EXPECT_EQ(effective_workers(8, 1), 1U);
@@ -168,66 +168,6 @@ TEST(FreeParallelForTest, EffectiveWorkersClampsSerialAndHardware) {
   EXPECT_LE(effective_workers(64, 1000), hw);
   EXPECT_LE(effective_workers(8, 4), 4U);
   EXPECT_GE(effective_workers(8, 4), 1U);
-}
-
-TEST(ThreadPoolTest, ParallelForWorkersHandsOutStableRunnerIndices) {
-  ThreadPool pool(4);
-  constexpr std::size_t kItems = 200;
-  std::vector<std::atomic<int>> visits(kItems);
-  std::vector<std::atomic<std::size_t>> runner(kItems);
-  pool.parallel_for_workers(kItems, [&](std::size_t worker, std::size_t i) {
-    EXPECT_LT(worker, 4U);
-    runner[i].store(worker);
-    ++visits[i];
-  });
-  for (std::size_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-    EXPECT_LT(runner[i].load(), 4U);
-  }
-}
-
-// The arena pattern parallel_map uses, run raw on a real pool with
-// sleep-jittered item latencies so items land in the arenas in a
-// scheduling-dependent order — the index merge must erase that.
-TEST(ThreadPoolTest, ArenaMergeIsDeterministicUnderJitteredLatencies) {
-  constexpr std::size_t kItems = 64;
-  std::vector<double> expected(kItems);
-  for (std::size_t i = 0; i < kItems; ++i) expected[i] = noisy_work(i);
-
-  for (int round = 0; round < 3; ++round) {
-    struct alignas(kCacheLineBytes) Arena {
-      std::vector<std::pair<std::size_t, double>> items;
-    };
-    std::vector<Arena> arenas(4);
-    ThreadPool pool(4);
-    pool.parallel_for_workers(kItems, [&](std::size_t worker, std::size_t i) {
-      std::this_thread::sleep_for(std::chrono::microseconds((i * 97) % 500));
-      arenas[worker].items.emplace_back(i, noisy_work(i));
-    });
-    std::vector<double> out(kItems);
-    for (auto& arena : arenas) {
-      for (auto& [i, value] : arena.items) out[i] = value;
-    }
-    for (std::size_t i = 0; i < kItems; ++i) {
-      EXPECT_EQ(bits_of(out[i]), bits_of(expected[i]))
-          << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForWorkersPropagatesFirstException) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.parallel_for_workers(100,
-                                [&](std::size_t, std::size_t i) {
-                                  ++ran;
-                                  if (i == 13) throw std::logic_error("13");
-                                }),
-      std::logic_error);
-  // The pool is still serviceable afterwards.
-  pool.parallel_for_workers(8, [&](std::size_t, std::size_t) { ++ran; });
-  EXPECT_GE(ran.load(), 9);
 }
 
 TEST(ParallelMapTest, BitIdenticalAcrossJobCounts) {
@@ -253,14 +193,69 @@ TEST(ParallelMapTest, SleepJitteredItemsStillLandAtTheirIndex) {
 }
 
 TEST(ParallelMapTest, ExceptionWithArenasStillPropagates) {
-  // Force the arena path with a real pool regardless of this machine's core
-  // count: jobs > 1 and n > 1, fn throws mid-stream.
+  // jobs > 1 and n > 1 take the arena path on any multi-core machine; fn
+  // throws mid-stream.
   EXPECT_THROW(parallel_map(8, 64,
                             [](std::size_t i) -> double {
                               if (i == 31) throw std::runtime_error("31");
                               return noisy_work(i);
                             }),
                std::runtime_error);
+}
+
+// The ThreadPoolTest and FreeParallelForTest suites keep the names of the
+// pool and free parallel_for checks that parallel_map replaced; each now runs
+// the same property on parallel_map.
+
+TEST(ThreadPoolTest, MemberParallelForVisitsEveryIndexOnce) {
+  std::vector<std::atomic<int>> visits(1000);
+  const auto counts = parallel_map(
+      4, visits.size(), [&](std::size_t i) { return ++visits[i]; });
+  for (std::size_t i = 0; i < visits.size(); ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(counts[i], 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForPropagatesException) {
+  EXPECT_THROW(parallel_map(4, 100,
+                            [](std::size_t i) -> int {
+                              if (i == 42) throw std::invalid_argument("42");
+                              return 0;
+                            }),
+               std::invalid_argument);
+}
+
+TEST(ThreadPoolTest, ArenaMergeIsDeterministicUnderJitteredLatencies) {
+  // Sleep-jittered latencies make items land in the arenas in a
+  // scheduling-dependent order; the index merge must erase that, bit for bit.
+  constexpr std::size_t kItems = 64;
+  for (const std::size_t jobs : {2U, 4U, 8U}) {
+    for (int round = 0; round < 3; ++round) {
+      const auto out = parallel_map(jobs, kItems, [](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::microseconds((i * 97) % 500));
+        return noisy_work(i);
+      });
+      ASSERT_EQ(out.size(), kItems);
+      for (std::size_t i = 0; i < kItems; ++i) {
+        EXPECT_EQ(bits_of(out[i]), bits_of(noisy_work(i)))
+            << "jobs=" << jobs << " round " << round << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(FreeParallelForTest, CoversAllIndicesAtManyJobCounts) {
+  for (const std::size_t jobs : {1U, 2U, 3U, 8U, 16U}) {
+    std::vector<std::atomic<int>> visits(257);
+    parallel_map(jobs, visits.size(), [&](std::size_t i) { return ++visits[i]; });
+    long long total = 0;
+    for (std::size_t i = 0; i < visits.size(); ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "jobs=" << jobs << " index " << i;
+      total += visits[i].load();
+    }
+    EXPECT_EQ(total, 257) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace
