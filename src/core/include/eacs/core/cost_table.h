@@ -24,6 +24,7 @@
 
 #include "eacs/core/objective.h"
 #include "eacs/core/task.h"
+#include "eacs/qoe/model.h"
 
 namespace eacs::core {
 
@@ -36,6 +37,15 @@ class TaskCostTable {
   /// empty ladder.
   TaskCostTable(const Objective& objective, const TaskEnvironment& env,
                 double buffer_s);
+
+  /// The same table, reading q0(r) and r^beta_r from `rungs` and computing
+  /// v^alpha_v once (DESIGN §8). `rungs` must be the QoE model's rung_terms
+  /// of this task's bitrates, size / max(1e-9, duration); build_cost_tables
+  /// shares one set across the tasks of one ladder. The counted evaluations
+  /// are the same. Throws std::invalid_argument on an empty ladder or rung
+  /// terms of another length.
+  TaskCostTable(const Objective& objective, const TaskEnvironment& env,
+                double buffer_s, const qoe::RungTerms& rungs);
 
   std::size_t num_levels() const noexcept { return energy_.size(); }
 
@@ -100,7 +110,9 @@ class TaskCostTable {
 /// an empty ladder, or a ragged ladder (tasks with differing level counts).
 /// Takes a span so callers can price a window of a larger task sequence
 /// without copying (the rolling-horizon planner and the decision cache both
-/// slice prebuilt windows).
+/// slice prebuilt windows). The tasks whose duration and candidate sizes
+/// equal the first task's, as bit patterns, share one set of rung terms;
+/// any other task builds its own.
 std::vector<TaskCostTable> build_cost_tables(
     const Objective& objective, std::span<const TaskEnvironment> tasks,
     double buffer_s);

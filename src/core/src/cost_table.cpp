@@ -1,20 +1,58 @@
 #include "eacs/core/cost_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "eacs/core/cost_stats.h"
 
 namespace eacs::core {
+namespace {
+
+/// The rung terms of a task's ladder at task_qoe's bitrates.
+qoe::RungTerms task_rungs(const Objective& objective,
+                          const TaskEnvironment& env) {
+  std::vector<double> bitrates;
+  bitrates.reserve(env.size_megabits.size());
+  for (const double size_megabits : env.size_megabits) {
+    bitrates.push_back(size_megabits / std::max(1e-9, env.duration_s));
+  }
+  return objective.qoe_model().rung_terms(bitrates);
+}
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Equal durations and candidate sizes as bit patterns, hence bitwise equal
+/// bitrates and rung terms.
+bool same_ladder(const TaskEnvironment& a, const TaskEnvironment& b) noexcept {
+  return same_bits(a.duration_s, b.duration_s) &&
+         std::equal(a.size_megabits.begin(), a.size_megabits.end(),
+                    b.size_megabits.begin(), b.size_megabits.end(), same_bits);
+}
+
+}  // namespace
 
 TaskCostTable::TaskCostTable(const Objective& objective,
-                             const TaskEnvironment& env, double buffer_s) {
+                             const TaskEnvironment& env, double buffer_s)
+    : TaskCostTable(objective, env, buffer_s, task_rungs(objective, env)) {}
+
+TaskCostTable::TaskCostTable(const Objective& objective,
+                             const TaskEnvironment& env, double buffer_s,
+                             const qoe::RungTerms& rungs) {
   if (env.size_megabits.empty()) {
     throw std::invalid_argument(
         "TaskCostTable: empty bitrate ladder (no candidate sizes)");
   }
   const std::size_t m = env.size_megabits.size();
+  if (rungs.quality.size() != m || rungs.bitrate_mbps.size() != m ||
+      rungs.rate_factor.size() != m) {
+    throw std::invalid_argument(
+        "TaskCostTable: rung terms do not match the task's ladder");
+  }
   const qoe::QoeModel& qoe = objective.qoe_model();
   const qoe::QoeModelParams& qoe_params = qoe.params();
   const ObjectiveConfig& config = objective.config();
@@ -34,21 +72,23 @@ TaskCostTable::TaskCostTable(const Objective& objective,
   rebuffer_s_.resize(m);
   rebuffer_impair_.resize(m);
 
-  // Exactly the vibration input task_qoe builds (context_aware ablation).
+  // Exactly the vibration input task_qoe builds (context_aware ablation),
+  // and the table's one pow: kappa * v^alpha_v.
   const double vibration = config.context_aware ? env.vibration : 0.0;
+  const double weight = qoe.vibration_weight(vibration);
   CostStats* stats = CostStatsScope::current();
   for (std::size_t level = 0; level < m; ++level) {
     // task_energy's model call, verbatim (counted inside task_energy).
     energy_[level] = objective.task_energy(env, level, buffer_s);
-    // task_qoe's subexpressions, verbatim: bitrate, q0, I(v, r), rebuffer.
-    const double size_megabits = env.size_megabits[level];
-    const double bitrate = size_megabits / std::max(1e-9, env.duration_s);
-    bitrate_mbps_[level] = bitrate;
-    original_quality_[level] = qoe.original_quality(bitrate);
+    // task_qoe's subexpressions, verbatim: q0 and I(v, r) from the rung
+    // terms, then the rebuffer estimate.
+    bitrate_mbps_[level] = rungs.bitrate_mbps[level];
+    original_quality_[level] = rungs.quality[level];
     quality_base_[level] =
-        original_quality_[level] - qoe.vibration_impairment(vibration, bitrate);
-    rebuffer_s_[level] =
-        objective.expected_rebuffer_s(size_megabits, env.bandwidth_mbps, buffer_s);
+        original_quality_[level] -
+        qoe.vibration_impairment(rungs, level, vibration, weight);
+    rebuffer_s_[level] = objective.expected_rebuffer_s(
+        env.size_megabits[level], env.bandwidth_mbps, buffer_s);
     rebuffer_impair_[level] =
         qoe_params.rebuffer_penalty_per_s * std::max(0.0, rebuffer_s_[level]);
     if (stats) ++stats->qoe_model_evals;  // q0 + I together = one segment eval
@@ -56,10 +96,15 @@ TaskCostTable::TaskCostTable(const Objective& objective,
 
   // task_cost's normalisers: energy at the top rung with the same buffer
   // (bitwise the energy_[m-1] just computed — same call, same arguments),
-  // and the top rung's QoE with no switch context at the config threshold.
+  // and task_qoe(env, m - 1, nullopt, threshold): the top rung's q0 - I with
+  // no switch term and the config threshold's rebuffer estimate.
   energy_max_ = energy_[m - 1];
-  quality_max_ =
-      objective.task_qoe(env, m - 1, std::nullopt, config.buffer_threshold_s);
+  quality_max_ = qoe.segment_qoe_from_base(
+      quality_base_[m - 1], 0.0,
+      objective.expected_rebuffer_s(env.size_megabits[m - 1],
+                                    env.bandwidth_mbps,
+                                    config.buffer_threshold_s));
+  if (stats) ++stats->qoe_model_evals;
 
   for (std::size_t level = 0; level < m; ++level) {
     e_term_[level] = energy_max_ > 0.0 ? energy_[level] / energy_max_ : 0.0;
@@ -97,14 +142,22 @@ std::vector<TaskCostTable> build_cost_tables(
   if (tasks.empty()) {
     throw std::invalid_argument("build_cost_tables: no tasks");
   }
-  const std::size_t m = tasks.front().size_megabits.size();
+  const TaskEnvironment& first = tasks.front();
+  const std::size_t m = first.size_megabits.size();
+  // One set of rung terms for every task on the first task's ladder; a VBR
+  // task or a shorter last segment builds its own.
+  const qoe::RungTerms shared = task_rungs(objective, first);
   std::vector<TaskCostTable> tables;
   tables.reserve(tasks.size());
   for (const TaskEnvironment& env : tasks) {
     if (env.size_megabits.size() != m) {
       throw std::invalid_argument("build_cost_tables: ragged task ladder");
     }
-    tables.emplace_back(objective, env, buffer_s);
+    if (same_ladder(env, first)) {
+      tables.emplace_back(objective, env, buffer_s, shared);
+    } else {
+      tables.emplace_back(objective, env, buffer_s);
+    }
   }
   return tables;
 }

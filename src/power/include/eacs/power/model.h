@@ -59,6 +59,10 @@ struct TaskEnergyInput {
 /// Evaluates the power model.
 class PowerModel {
  public:
+  /// Throws std::invalid_argument, naming the field, unless every field is
+  /// finite, e_ref_j_per_mb and p_base_w are > 0, k_per_db, c1_w_per_mbps,
+  /// p_pause_w and tail_energy_j are >= 0, and e_min_j_per_mb <=
+  /// e_max_j_per_mb.
   explicit PowerModel(PowerModelParams params = {});
 
   const PowerModelParams& params() const noexcept { return params_; }

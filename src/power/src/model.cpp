@@ -3,14 +3,43 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace eacs::power {
 
 PowerModel::PowerModel(PowerModelParams params) : params_(params) {
-  if (params_.e_ref_j_per_mb <= 0.0 || params_.p_base_w <= 0.0 ||
-      params_.k_per_db < 0.0 || params_.c1_w_per_mbps < 0.0 ||
-      params_.tail_energy_j < 0.0) {
-    throw std::invalid_argument("PowerModel: invalid parameters");
+  const PowerModelParams& p = params_;
+  const auto reject = [](const char* field, const char* rule) {
+    throw std::invalid_argument(std::string("PowerModel: ") + field + rule);
+  };
+  const std::pair<const char*, double> fields[] = {
+      {"e_ref_j_per_mb", p.e_ref_j_per_mb},
+      {"s_ref_dbm", p.s_ref_dbm},
+      {"k_per_db", p.k_per_db},
+      {"e_min_j_per_mb", p.e_min_j_per_mb},
+      {"e_max_j_per_mb", p.e_max_j_per_mb},
+      {"p_base_w", p.p_base_w},
+      {"c0_w", p.c0_w},
+      {"c1_w_per_mbps", p.c1_w_per_mbps},
+      {"p_pause_w", p.p_pause_w},
+      {"tail_energy_j", p.tail_energy_j}};
+  for (const auto& [field, value] : fields) {
+    if (!std::isfinite(value)) reject(field, " must be finite");
+  }
+  if (p.e_ref_j_per_mb <= 0.0) reject("e_ref_j_per_mb", " must be > 0");
+  if (p.p_base_w <= 0.0) reject("p_base_w", " must be > 0");
+  const std::pair<const char*, double> non_negative[] = {
+      {"k_per_db", p.k_per_db},
+      {"c1_w_per_mbps", p.c1_w_per_mbps},
+      {"p_pause_w", p.p_pause_w},
+      {"tail_energy_j", p.tail_energy_j}};
+  for (const auto& [field, value] : non_negative) {
+    if (value < 0.0) reject(field, " must be >= 0");
+  }
+  // std::clamp's bounds: reversed ones are undefined behaviour.
+  if (p.e_min_j_per_mb > p.e_max_j_per_mb) {
+    reject("e_min_j_per_mb", " must be <= e_max_j_per_mb");
   }
 }
 

@@ -21,6 +21,9 @@
 //   * I grows with both v and r; I ~ 0 at very low bitrate or vibration.
 
 #include <cstddef>
+#include <optional>
+#include <span>
+#include <vector>
 
 namespace eacs::qoe {
 
@@ -52,9 +55,21 @@ struct SegmentContext {
   double rebuffer_s = 0.0;         ///< stall time attributed to this segment
 };
 
+/// The terms of segment_qoe that depend only on the rung, for one bitrate
+/// ladder (DESIGN §8): q0(r) and r^beta_r, computed once per ladder instead
+/// of once per segment. Built by QoeModel::rung_terms.
+struct RungTerms {
+  std::vector<double> bitrate_mbps;  ///< r; guards the impairment and switch
+  std::vector<double> quality;       ///< original_quality(r)
+  std::vector<double> rate_factor;   ///< r^beta_r
+};
+
 /// Evaluates the QoE model.
 class QoeModel {
  public:
+  /// Throws std::invalid_argument, naming the field, unless every field is
+  /// finite, mos_min < mos_max, and a, kappa, switch_penalty and
+  /// rebuffer_penalty_per_s are >= 0.
   explicit QoeModel(QoeModelParams params = {});
 
   const QoeModelParams& params() const noexcept { return params_; }
@@ -73,6 +88,30 @@ class QoeModel {
 
   /// Bitrate-switch impairment term alone.
   double switch_impairment(double bitrate_mbps, double prev_bitrate_mbps) const noexcept;
+
+  /// q0(r) and r^beta_r for every rung of `bitrates_mbps`.
+  RungTerms rung_terms(std::span<const double> bitrates_mbps) const;
+
+  /// kappa * v^alpha_v, the rung-free factor of I(v, r); 0 when v <= 0.
+  double vibration_weight(double vibration) const noexcept;
+
+  /// I(v, r) at rung `level` of `rungs`, given w = vibration_weight(v):
+  /// bitwise equal to vibration_impairment(v, rungs.bitrate_mbps[level]).
+  double vibration_impairment(const RungTerms& rungs, std::size_t level,
+                              double vibration, double weight) const noexcept;
+
+  /// segment_qoe at rung `level` of `rungs` after rung `prev_level` (none for
+  /// a first segment), with one pow per call (v^alpha_v): bitwise equal to
+  /// segment_qoe(SegmentContext) on the rungs' bitrates.
+  double segment_qoe(const RungTerms& rungs, std::size_t level,
+                     std::optional<std::size_t> prev_level, double vibration,
+                     double rebuffer_s) const noexcept;
+
+  /// The tail of segment_qoe's subtraction chain, shared by every path:
+  /// (base - switch_term) - mu * max(0, rebuffer_s), clamped to the MOS
+  /// range, where base = q0(r) - I(v, r).
+  double segment_qoe_from_base(double base, double switch_term,
+                               double rebuffer_s) const noexcept;
 
  private:
   QoeModelParams params_;

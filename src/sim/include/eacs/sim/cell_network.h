@@ -22,10 +22,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace eacs::sim {
 
 class FleetFaultModel;
+
+/// A chosen cell and its signal [dBm]: {num_cells(), -inf} when no cell
+/// qualified.
+struct CellChoice {
+  std::size_t cell;
+  double dbm;
+};
 
 /// Procedural network parameters. Defaults give a city-ish 16-cell layout
 /// with 25-55 Mbps cells swinging ±30% over a 90 s period.
@@ -71,15 +79,33 @@ class CellNetwork {
   double signal_dbm(int session_id, std::size_t cell, double t_s,
                     const FleetFaultModel* faults = nullptr) const noexcept;
 
+  /// Writes the cells of [first_cell, first_cell + count) to `out` in the
+  /// order the cell choice walks them: highest per-(session, cell) base
+  /// level first, the lower index first among equal bases. The order is a
+  /// pure function of (config, session, range) and holds at every instant,
+  /// so a caller ranks once per session and keeps it (the fleet keeps one
+  /// per arena slot, DESIGN §12). Throws std::invalid_argument unless `out`
+  /// holds exactly `count` entries.
+  void rank_cells(int session_id, std::size_t first_cell, std::size_t count,
+                  std::span<std::size_t> out) const;
+
   /// Strongest cell for the session at `t_s` in [first_cell, first_cell +
   /// count), lowest index winning ties — the region scan the sharded fleet
   /// path uses so mobility never crosses a shard. Dead cells are never
   /// chosen; returns num_cells() when every cell in the range is dead. The
-  /// answer equals an exhaustive scan of every cell's signal_dbm; the scan
-  /// skips cells whose signal bound cannot beat the best so far (DESIGN §12).
-  std::size_t best_cell_in(
-      int session_id, double t_s, std::size_t first_cell, std::size_t count,
-      const FleetFaultModel* faults = nullptr) const noexcept;
+  /// answer equals an exhaustive scan of every cell's signal_dbm. Ranks the
+  /// range, then takes the ranked overload.
+  std::size_t best_cell_in(int session_id, double t_s, std::size_t first_cell,
+                           std::size_t count,
+                           const FleetFaultModel* faults = nullptr) const;
+
+  /// best_cell_in over `ranked`, rank_cells' order for this session and
+  /// range, returning the cell with its signal. Walks the order and stops
+  /// at the first live cell whose signal bound cannot reach the best so far
+  /// (DESIGN §12), so its answer is the range overload's, bit for bit.
+  CellChoice best_cell_in(int session_id, double t_s,
+                          std::span<const std::size_t> ranked,
+                          const FleetFaultModel* faults = nullptr) const noexcept;
 
   /// Hysteresis handoff rule: returns the cell the session should be served
   /// by, given it is currently on `current`, a cell of the range. Switches
@@ -88,12 +114,22 @@ class CellNetwork {
   /// `current` escapes to the best live cell with no margin, or returns
   /// num_cells() when the whole range is dead. For every margin, NaN and
   /// negative included, the answer equals the exhaustive rule's
-  /// (best_cell_in, then `signal(best) - signal(current) > hysteresis_db`);
-  /// cells that cannot clear the margin are skipped unpriced (DESIGN §12).
-  std::size_t serving_cell(
-      int session_id, std::size_t current, double t_s, double hysteresis_db,
-      std::size_t first_cell, std::size_t count,
-      const FleetFaultModel* faults = nullptr) const noexcept;
+  /// (best_cell_in, then `signal(best) - signal(current) > hysteresis_db`).
+  /// Ranks the range, then takes the ranked overload.
+  std::size_t serving_cell(int session_id, std::size_t current, double t_s,
+                           double hysteresis_db, std::size_t first_cell,
+                           std::size_t count,
+                           const FleetFaultModel* faults = nullptr) const;
+
+  /// serving_cell over `ranked`, rank_cells' order for this session and
+  /// range, returning the cell with its signal at `t_s` (the serving cell's
+  /// own when it stays). Prices `current` once and walks the order only
+  /// while a cell can still clear the margin (DESIGN §12), so its answer is
+  /// the range overload's, bit for bit.
+  CellChoice serving_cell(int session_id, std::size_t current, double t_s,
+                          double hysteresis_db,
+                          std::span<const std::size_t> ranked,
+                          const FleetFaultModel* faults = nullptr) const noexcept;
 
  private:
   CellNetworkConfig config_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -128,6 +129,7 @@ struct FleetWorld {
         regions(validate_fleet_config(config_in)),
         network(config_in.network),
         qoe_model(config_in.qoe),
+        rungs(qoe_model.rung_terms(config_in.ladder_mbps)),
         power_model(config_in.power),
         fault_model(config_in.faults, network.num_cells()),
         overlay(fault_model.empty() ? nullptr : &fault_model) {}
@@ -137,6 +139,7 @@ struct FleetWorld {
   std::size_t regions;
   CellNetwork network;
   qoe::QoeModel qoe_model;
+  qoe::RungTerms rungs;  ///< the ladder's per-rung QoE terms (DESIGN §8)
   power::PowerModel power_model;
   FleetFaultModel fault_model;
   /// What the CellNetwork queries take: null when no episode exists, so a
@@ -158,6 +161,11 @@ struct RegionSim {
 
   Shard shard;
   SessionArena arena;
+  /// Each slot's region cells in rank_cells order ([slot * cell_count + i]):
+  /// a pure function of the slot's session id, so it is derived state kept
+  /// beside the arena, rebuilt by restore() and never checkpointed.
+  std::vector<std::size_t> ranks;
+  std::vector<std::size_t> arrival_rank;  // the arriving session's, pre-slot
   std::vector<std::size_t> cell_active;  // in-flight downloads per cell
   std::priority_queue<Event, std::vector<Event>, EventAfter> heap;
   std::size_t live = 0;
@@ -197,6 +205,7 @@ struct RegionSim {
         config.reservoir_capacity,
         seed_mix(config.seed, kReservoirLane, static_cast<int>(region * 3 + 2)));
     cell_active.assign(cell_count, 0);
+    arrival_rank.resize(cell_count);
 
     planner = config.policy == FleetPolicy::kPlanner;
     if (planner) {
@@ -219,6 +228,10 @@ struct RegionSim {
         ladder_ids[k] = core::hash_task_ladder({window_tasks.data(), k + 1});
       }
     }
+  }
+
+  std::span<std::size_t> ranked(std::size_t slot) {
+    return std::span(ranks).subspan(slot * cell_count, cell_count);
   }
 
   /// Constant-rate arrival schedule, shared fleet-wide: session s arrives at
@@ -348,11 +361,17 @@ struct RegionSim {
       const double now = event.t_s;
 
       if (event.kind == kArrive) {
-        // Arrivals attach by the healthy signal, dead cells included; the
-        // first request escapes a dead one.
-        const std::size_t start = world.network.best_cell_in(
-            event.session, now, first_cell, cell_count);
+        // An arrival ranks its region's cells once, for every later choice.
+        // It attaches by the healthy signal, dead cells included; the first
+        // request escapes a dead one.
+        world.network.rank_cells(event.session, first_cell, cell_count,
+                                 arrival_rank);
+        const std::size_t start =
+            world.network.best_cell_in(event.session, now, arrival_rank).cell;
         const std::uint32_t slot = arena.acquire(event.session, now, start);
+        ranks.resize(arena.slots() * cell_count);
+        std::copy(arrival_rank.begin(), arrival_rank.end(),
+                  ranked(slot).begin());
         ++live;
         shard.region.peak_live_sessions =
             std::max(shard.region.peak_live_sessions, live);
@@ -379,15 +398,15 @@ struct RegionSim {
         // Handoff check at every request boundary: the hysteresis rule,
         // which under a fault overlay also escapes a dead serving cell.
         const std::size_t current = arena.cell[slot];
-        const std::size_t serving = world.network.serving_cell(
+        const CellChoice serving = world.network.serving_cell(
             event.session, current, now, config.handoff_hysteresis_db,
-            first_cell, cell_count, world.overlay);
-        if (serving == world.network.num_cells()) {
+            ranked(slot), world.overlay);
+        if (serving.cell == world.network.num_cells()) {
           back_off(event, now);
           continue;
         }
-        if (serving != current) {
-          arena.cell[slot] = serving;
+        if (serving.cell != current) {
+          arena.cell[slot] = serving.cell;
           ++(world.fault_model.cell_dead(current, now)
                  ? shard.region.escape_handoffs
                  : shard.region.handoffs);
@@ -425,8 +444,7 @@ struct RegionSim {
             snapshot.buffer_s = arena.buffer_s[slot];
             snapshot.bandwidth_mbps = arena.estimate(slot);
             snapshot.vibration = session_vibration(config.seed, event.session);
-            snapshot.signal_dbm = world.network.signal_dbm(
-                event.session, arena.cell[slot], now, world.overlay);
+            snapshot.signal_dbm = serving.dbm;
             snapshot.segments_remaining = window;
             if (arena.prev_level[slot] >= 0) {
               snapshot.prev_level =
@@ -503,13 +521,14 @@ struct RegionSim {
       arena.observe(slot, arena.size_mb[slot] * 8.0 / elapsed);
       arena.buffer_s[slot] += seg_s;
 
-      const double vibration = session_vibration(config.seed, event.session);
-      qoe::SegmentContext segment;
-      segment.bitrate_mbps = bitrate;
-      segment.vibration = vibration;
-      segment.prev_bitrate_mbps = arena.prev_bitrate[slot];
-      segment.rebuffer_s = arena.seg_rebuffer_s[slot];
-      arena.qoe_sum[slot] += world.qoe_model.segment_qoe(segment);
+      // prev_level is -1 exactly when prev_bitrate is 0: no switch term.
+      const int prev = arena.prev_level[slot];
+      arena.qoe_sum[slot] += world.qoe_model.segment_qoe(
+          world.rungs, arena.level[slot],
+          prev >= 0 ? std::optional(static_cast<std::size_t>(prev))
+                    : std::nullopt,
+          session_vibration(config.seed, event.session),
+          arena.seg_rebuffer_s[slot]);
 
       power::TaskEnergyInput task;
       task.size_mb = arena.size_mb[slot];
@@ -524,7 +543,7 @@ struct RegionSim {
       arena.energy_j[slot] += world.power_model.task_energy(task);
 
       arena.bitrate_sum[slot] += bitrate;
-      arena.prev_bitrate[slot] = bitrate;
+      arena.prev_bitrate[slot] = bitrate;  // unread; a sidecar column
       arena.prev_level[slot] = static_cast<int>(arena.level[slot]);
       if (arena.playing[slot] == 0 &&
           arena.buffer_s[slot] >= config.startup_buffer_s) {
@@ -631,6 +650,11 @@ struct RegionSim {
 
     for (const Event& e : ckpt.events) heap.push(e);
     static_cast<FleetArenaState&>(arena) = a;
+    ranks.resize(slots * cell_count);
+    for (std::size_t s = 0; s < slots; ++s) {
+      world.network.rank_cells(a.session[s], first_cell, cell_count,
+                               ranked(s));
+    }
     cell_active = ckpt.cell_active;
     live = ckpt.live;
     shard.region = ckpt.metrics;

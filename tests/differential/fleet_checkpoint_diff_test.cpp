@@ -185,6 +185,43 @@ TEST(FleetCheckpointDiff, ResumeMatchesUninterruptedAcrossMatrix) {
   }
 }
 
+// A city-shaped fleet, 32 cells per region: here the order a slot's cells
+// are ranked in decides which cells the cell choice prices, and restore()
+// rebuilds that order from each slot's session id rather than reading it
+// from the checkpoint. A rank rebuilt in any other order diverges.
+TEST(FleetCheckpointDiff, CityShapedResumeMatchesUninterrupted) {
+  FleetFaultSpec faulted;
+  faulted.outages.push_back(
+      {.t0_s = 20.0, .t1_s = 70.0, .first_cell = 0, .num_cells = 8});
+  faulted.collapses.push_back({.t0_s = 10.0,
+                               .t1_s = 90.0,
+                               .first_cell = 32,
+                               .num_cells = 16,
+                               .offset_db = -15.0});
+  const FaultGridCell cells[] = {{"healthy", {}}, {"faulted", faulted}};
+  for (const FleetPolicy policy :
+       {FleetPolicy::kThroughput, FleetPolicy::kPlanner}) {
+    for (const FaultGridCell& cell : cells) {
+      FleetConfig config = base_fleet(policy);
+      config.network.num_cells = 64;
+      config.regions = 2;
+      config.num_sessions = 400;
+      config.faults = cell.spec;
+      config.exec = ExecutionPolicy{1};
+      const std::string reference = serialize(run_fleet(config));
+      const FleetCheckpoint checkpoint = run_fleet_until(config, 35.0);
+      for (const std::size_t jobs : {1, 4}) {
+        config.exec = ExecutionPolicy{jobs};
+        expect_dump_eq(
+            serialize(resume_fleet(config, checkpoint)), reference,
+            std::string(cell.name) + "/" +
+                (policy == FleetPolicy::kPlanner ? "planner" : "throughput") +
+                "/jobs=" + std::to_string(jobs));
+      }
+    }
+  }
+}
+
 TEST(FleetCheckpointDiff, SidecarRoundTripMatchesInMemoryResume) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "fleet_diff_ckpt.txt")

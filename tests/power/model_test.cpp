@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::power {
 namespace {
@@ -128,6 +130,50 @@ TEST(PowerModelTest, InvalidParamsThrow) {
   PowerModelParams negative_tail;
   negative_tail.tail_energy_j = -1.0;
   EXPECT_THROW(PowerModel{negative_tail}, std::invalid_argument);
+
+  // Every field must be finite: a NaN k_per_db or s_ref_dbm made every task
+  // energy NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double PowerModelParams::*const fields[] = {
+      &PowerModelParams::e_ref_j_per_mb, &PowerModelParams::s_ref_dbm,
+      &PowerModelParams::k_per_db,       &PowerModelParams::e_min_j_per_mb,
+      &PowerModelParams::e_max_j_per_mb, &PowerModelParams::p_base_w,
+      &PowerModelParams::c0_w,           &PowerModelParams::c1_w_per_mbps,
+      &PowerModelParams::p_pause_w,      &PowerModelParams::tail_energy_j};
+  for (double PowerModelParams::*const field : fields) {
+    for (const double bad : {nan, inf, -inf}) {
+      PowerModelParams p;
+      p.*field = bad;
+      EXPECT_THROW(PowerModel{p}, std::invalid_argument) << bad;
+    }
+  }
+  // Reversed clamp bounds are undefined in std::clamp; they returned the
+  // ceiling at every signal.
+  PowerModelParams reversed;
+  reversed.e_min_j_per_mb = 9.0;
+  reversed.e_max_j_per_mb = 8.0;
+  EXPECT_THROW(PowerModel{reversed}, std::invalid_argument);
+  // A negative pause power earned energy back during stalls.
+  PowerModelParams earning;
+  earning.p_pause_w = -1.8;
+  EXPECT_THROW(PowerModel{earning}, std::invalid_argument);
+  // The message names the field.
+  try {
+    PowerModelParams p;
+    p.k_per_db = nan;
+    (void)PowerModel{p};
+    ADD_FAILURE() << "k_per_db = NaN accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("k_per_db"), std::string::npos)
+        << e.what();
+  }
+  // Equal bounds pin e(s) to one value; a zero pause power is a free stall.
+  PowerModelParams flat;
+  flat.e_min_j_per_mb = flat.e_max_j_per_mb = 0.5;
+  flat.p_pause_w = 0.0;
+  EXPECT_NO_THROW(PowerModel{flat});
+  EXPECT_NO_THROW(PowerModel{});
 }
 
 }  // namespace

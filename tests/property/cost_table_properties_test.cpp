@@ -17,6 +17,7 @@
 #include "eacs/core/graph.h"
 #include "eacs/core/horizon.h"
 #include "eacs/core/optimal.h"
+#include "eacs/media/bitrate_ladder.h"
 #include "eacs/util/rng.h"
 
 namespace eacs::core {
@@ -350,6 +351,73 @@ TEST(CostStatsCounters, CachedPlanDoesLinearModelEvals) {
     // The headline ratio: cached does strictly fewer model evaluations by an
     // O(M) factor.
     EXPECT_LT(cached.model_evals() * 20, reference.model_evals()) << n;
+  }
+}
+
+// build_cost_tables shares one set of rung terms among the tasks on the
+// first task's ladder (same duration and sizes) and builds its own for any
+// other task. Each window kind must still price every edge exactly as
+// task_cost does, with the counters of one table per task.
+TEST(CostStatsCounters, SharedRungTermsKeepTablesAndCounters) {
+  const Objective objective = make_objective(0.5);
+  const std::vector<double> ladder =
+      media::BitrateLadder::evaluation14().bitrates();
+  const std::size_t m = ladder.size();
+  const std::size_t n = 5;
+  const auto segment = [&](double duration_s) {
+    std::vector<double> sizes;
+    for (const double mbps : ladder) sizes.push_back(mbps * duration_s);
+    return sizes;
+  };
+  // One ladder: the fleet's and the CBR evaluation's windows. Context and
+  // bandwidth vary per task.
+  std::vector<TaskEnvironment> one_ladder = random_tasks(n, m, 601);
+  for (TaskEnvironment& env : one_ladder) {
+    env.duration_s = 2.0;
+    env.size_megabits = segment(2.0);
+  }
+  // VBR: every other task's sizes scaled, at the same duration.
+  std::vector<TaskEnvironment> vbr = one_ladder;
+  for (std::size_t i = 1; i < n; i += 2) {
+    for (double& size : vbr[i].size_megabits) size *= 1.0 + 0.1 * i;
+  }
+  // A short last segment: shorter, with the sizes of that duration.
+  std::vector<TaskEnvironment> short_last = one_ladder;
+  short_last.back().duration_s = 0.75;
+  short_last.back().size_megabits = segment(0.75);
+  // The first task's sizes over another duration: the bitrates differ.
+  std::vector<TaskEnvironment> other_duration = one_ladder;
+  other_duration.back().duration_s = 1.5;
+
+  for (const auto* window : {&one_ladder, &vbr, &short_last, &other_duration}) {
+    for (const double buffer_s : {5.0, 30.0}) {
+      CostStats stats;
+      std::vector<TaskCostTable> tables;
+      {
+        CostStatsScope scope(stats);
+        tables = build_cost_tables(objective, *window, buffer_s);
+      }
+      EXPECT_EQ(stats.power_model_evals, n * m);
+      EXPECT_EQ(stats.qoe_model_evals, n * (m + 1));
+      EXPECT_EQ(stats.tables_built, n);
+      ASSERT_EQ(tables.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const TaskEnvironment& env = (*window)[i];
+        EXPECT_EQ(tables[i].quality_max(),
+                  objective.task_qoe(env, m - 1, std::nullopt,
+                                     objective.config().buffer_threshold_s));
+        for (std::size_t j = 0; j < m; ++j) {
+          EXPECT_EQ(tables[i].edge_cost(j),
+                    objective.task_cost(env, j, std::nullopt, buffer_s))
+              << "task " << i << " level " << j;
+          for (std::size_t jp = 0; jp < m; ++jp) {
+            EXPECT_EQ(tables[i].edge_cost(j, jp),
+                      objective.task_cost(env, j, jp, buffer_s))
+                << "task " << i << " level " << j << " prev " << jp;
+          }
+        }
+      }
+    }
   }
 }
 

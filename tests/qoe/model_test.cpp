@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "eacs/media/bitrate_ladder.h"
+#include "eacs/sim/fleet.h"
 
 namespace eacs::qoe {
 namespace {
@@ -130,6 +138,82 @@ TEST(QoeModelTest, InvalidParamsThrow) {
   QoeModelParams negative;
   negative.kappa = -1.0;
   EXPECT_THROW(QoeModel{negative}, std::invalid_argument);
+
+  // Every field must be finite: a NaN or infinite coefficient made every
+  // segment_qoe NaN, and a NaN mos_min passed the ordering check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  double QoeModelParams::*const fields[] = {
+      &QoeModelParams::a,       &QoeModelParams::b,
+      &QoeModelParams::kappa,   &QoeModelParams::alpha_v,
+      &QoeModelParams::beta_r,  &QoeModelParams::switch_penalty,
+      &QoeModelParams::rebuffer_penalty_per_s,
+      &QoeModelParams::mos_min, &QoeModelParams::mos_max};
+  for (double QoeModelParams::*const field : fields) {
+    for (const double bad : {nan, inf, -inf}) {
+      QoeModelParams p;
+      p.*field = bad;
+      EXPECT_THROW(QoeModel{p}, std::invalid_argument) << bad;
+    }
+  }
+  QoeModelParams equal_bounds;
+  equal_bounds.mos_min = equal_bounds.mos_max = 3.0;
+  EXPECT_THROW(QoeModel{equal_bounds}, std::invalid_argument);
+  QoeModelParams negative_switch;
+  negative_switch.switch_penalty = -0.5;
+  EXPECT_THROW(QoeModel{negative_switch}, std::invalid_argument);
+  // The message names the field.
+  try {
+    QoeModelParams p;
+    p.a = nan;
+    (void)QoeModel{p};
+    ADD_FAILURE() << "a = NaN accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("a must be finite"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(QoeModel{});
+}
+
+// The rung-term path: q0(r) and r^beta_r tabulated per ladder, v^alpha_v
+// once per call, bitwise equal to the SegmentContext path.
+TEST(QoeModelTest, TabulatedSegmentQoeEqualsContextPath) {
+  const QoeModel model;
+  const std::vector<std::vector<double>> ladders = {
+      sim::FleetConfig{}.ladder_mbps,
+      media::BitrateLadder::evaluation14().bitrates()};
+  for (const std::vector<double>& ladder : ladders) {
+    const RungTerms rungs = model.rung_terms(ladder);
+    ASSERT_EQ(rungs.quality.size(), ladder.size());
+    for (std::size_t level = 0; level < ladder.size(); ++level) {
+      EXPECT_EQ(rungs.quality[level], model.original_quality(ladder[level]));
+      EXPECT_EQ(rungs.rate_factor[level],
+                std::pow(ladder[level], model.params().beta_r));
+      for (const double vibration : {0.0, 0.3, 1.2, 3.0}) {
+        EXPECT_EQ(model.vibration_impairment(
+                      rungs, level, vibration,
+                      model.vibration_weight(vibration)),
+                  model.vibration_impairment(vibration, ladder[level]));
+        std::vector<std::optional<std::size_t>> prevs = {std::nullopt};
+        for (std::size_t p = 0; p < ladder.size(); ++p) prevs.push_back(p);
+        for (const std::optional<std::size_t> prev : prevs) {
+          for (const double rebuffer : {0.0, 0.7, -1.0}) {
+            SegmentContext context;
+            context.bitrate_mbps = ladder[level];
+            context.vibration = vibration;
+            context.prev_bitrate_mbps = prev ? ladder[*prev] : 0.0;
+            context.rebuffer_s = rebuffer;
+            EXPECT_EQ(model.segment_qoe(rungs, level, prev, vibration,
+                                        rebuffer),
+                      model.segment_qoe(context))
+                << "rung " << level << " v " << vibration << " rebuffer "
+                << rebuffer;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -281,9 +281,84 @@ std::size_t exhaustive_serving(const CellNetwork& network, int session,
   return gain > hysteresis_db ? best : current;
 }
 
+// Cell c's per-session base level: the signal of the same network with no
+// swing, which is the base exactly (base + 0 * sin).
+double base_dbm(CellNetworkConfig config, int session, std::size_t cell) {
+  config.signal_swing_db = 0.0;
+  return CellNetwork(config).signal_dbm(session, cell, 0.0);
+}
+
+// A network whose bases take two values one ulp apart, -80 and -80 + 2^-46,
+// with no swing; and an overlay that collapses cells 1-255 by exactly that
+// gap over [0, 200) s. A collapsed high-base cell then ties a low-base cell
+// of lower index that the ranked walk visits after it: the walk must price
+// a ceiling equal to the best and keep the tie at the lower index.
+CellNetworkConfig two_level_network() {
+  CellNetworkConfig config;
+  config.num_cells = 256;
+  config.signal_worst_dbm = -80.0;
+  config.signal_best_dbm = -80.0 + 0x1p-46;
+  config.signal_swing_db = 0.0;
+  return config;
+}
+
+FleetFaultModel gap_collapse() {
+  FleetFaultSpec spec;
+  spec.collapses.push_back({.t0_s = 0.0,
+                            .t1_s = 200.0,
+                            .first_cell = 1,
+                            .num_cells = 255,
+                            .offset_db = -0x1p-46});
+  return FleetFaultModel(spec, 256);
+}
+
+TEST(CellNetworkTest, RankCellsOrdersByBaseThenIndex) {
+  CellNetworkConfig swung;
+  swung.num_cells = 256;
+  CellNetworkConfig ties = swung;
+  ties.signal_best_dbm = ties.signal_worst_dbm = -80.0;
+  for (const CellNetworkConfig& config : {swung, ties, two_level_network()}) {
+    const CellNetwork network(config);
+    for (const int session : {0, 1, 7, 42, 12345}) {
+      for (const auto& [first, count] :
+           {std::pair<std::size_t, std::size_t>{0, 1}, {0, 2}, {3, 32},
+            {0, 256}}) {
+        std::vector<std::size_t> ranked(count);
+        network.rank_cells(session, first, count, ranked);
+        std::vector<std::size_t> sorted = ranked;
+        std::sort(sorted.begin(), sorted.end());
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(sorted[i], first + i) << "not a permutation of the range";
+        }
+        for (std::size_t i = 1; i < count; ++i) {
+          const double hi = base_dbm(config, session, ranked[i - 1]);
+          const double lo = base_dbm(config, session, ranked[i]);
+          EXPECT_TRUE(hi > lo || (hi == lo && ranked[i - 1] < ranked[i]))
+              << "session " << session << " position " << i;
+        }
+      }
+    }
+  }
+  // The two-level network has exactly its two levels, and the all-ties one
+  // ranks in index order.
+  std::vector<double> levels;
+  for (std::size_t c = 0; c < 256; ++c) {
+    levels.push_back(base_dbm(two_level_network(), 7, c));
+  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  EXPECT_EQ(levels, (std::vector<double>{-80.0, -80.0 + 0x1p-46}));
+  std::vector<std::size_t> ranked(32);
+  CellNetwork(ties).rank_cells(7, 3, 32, ranked);
+  for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(ranked[i], 3 + i);
+  EXPECT_THROW(CellNetwork(ties).rank_cells(7, 3, 31, ranked),
+               std::invalid_argument);
+}
+
 TEST(CellNetworkTest, PrunedChoiceMatchesExhaustiveScan) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const FleetFaultModel faults = scripted_faults(256);
+  const FleetFaultModel gap = gap_collapse();
   // (first, count): ranges of 1, 2, 32 and 256 cells, some inside the
   // scripted outage block 4-7 and collapse block 0-1.
   const std::pair<std::size_t, std::size_t> ranges[] = {
@@ -300,21 +375,44 @@ TEST(CellNetworkTest, PrunedChoiceMatchesExhaustiveScan) {
   ties.signal_best_dbm = ties.signal_worst_dbm = -80.0;
   ties.signal_swing_db = 0.0;
   configs.push_back(ties);
+  configs.push_back(two_level_network());
 
+  std::size_t lower_index_ties = 0;  // ties the walk meets out of index order
   for (const CellNetworkConfig& config : configs) {
     const CellNetwork network(config);
     const bool all_ties = config.signal_best_dbm == config.signal_worst_dbm;
     for (const FleetFaultModel* overlay :
-         {static_cast<const FleetFaultModel*>(nullptr), &faults}) {
+         {static_cast<const FleetFaultModel*>(nullptr), &faults, &gap}) {
       for (const int session : {0, 1, 7, 42, 12345}) {
         for (const double t : {0.0, 10.0, 55.5, 150.0, 250.0}) {
           for (const auto& [first, count] : ranges) {
+            std::vector<std::size_t> ranked(count);
+            network.rank_cells(session, first, count, ranked);
+            // The returned signal is the returned cell's; none without one.
+            const auto expect_signal = [&](const CellChoice& choice) {
+              if (choice.cell < network.num_cells()) {
+                EXPECT_EQ(choice.dbm, network.signal_dbm(session, choice.cell,
+                                                         t, overlay));
+              } else {
+                EXPECT_EQ(choice.dbm,
+                          -std::numeric_limits<double>::infinity());
+              }
+            };
             const std::size_t best =
                 exhaustive_best(network, session, t, first, count, overlay);
             ASSERT_EQ(network.best_cell_in(session, t, first, count, overlay),
                       best)
                 << "session " << session << " t " << t << " range " << first
                 << "+" << count;
+            const CellChoice ranked_best =
+                network.best_cell_in(session, t, ranked, overlay);
+            ASSERT_EQ(ranked_best.cell, best);
+            expect_signal(ranked_best);
+            if (overlay == &gap && ranked.front() != best &&
+                network.signal_dbm(session, ranked.front(), t, overlay) ==
+                    ranked_best.dbm) {
+              ++lower_index_ties;
+            }
             if (all_ties && overlay == nullptr) {
               EXPECT_EQ(best, first);  // the lowest index wins a tie
             }
@@ -327,16 +425,21 @@ TEST(CellNetworkTest, PrunedChoiceMatchesExhaustiveScan) {
             if (dead < 8 && dead < first + count) currents.push_back(dead);
             for (const std::size_t current : currents) {
               for (const double margin : {0.0, 3.0, 1e9, -1.0, nan}) {
-                const std::size_t serving = network.serving_cell(
-                    session, current, t, margin, first, count, overlay);
-                ASSERT_EQ(serving,
-                          exhaustive_serving(network, session, current, t,
-                                             margin, first, count, overlay))
+                const std::size_t want = exhaustive_serving(
+                    network, session, current, t, margin, first, count,
+                    overlay);
+                ASSERT_EQ(network.serving_cell(session, current, t, margin,
+                                               first, count, overlay),
+                          want)
                     << "session " << session << " current " << current
                     << " t " << t << " margin " << margin << " range "
                     << first << "+" << count;
+                const CellChoice serving = network.serving_cell(
+                    session, current, t, margin, ranked, overlay);
+                ASSERT_EQ(serving.cell, want);
+                expect_signal(serving);
                 if (all_ties && overlay == nullptr && !(margin < 0.0)) {
-                  EXPECT_EQ(serving, current);  // a tie never clears a margin
+                  EXPECT_EQ(want, current);  // a tie never clears a margin
                 }
               }
             }
@@ -345,6 +448,9 @@ TEST(CellNetworkTest, PrunedChoiceMatchesExhaustiveScan) {
       }
     }
   }
+  // The two-level network under the gap collapse produced ties the walk
+  // meets after a higher-index cell.
+  EXPECT_GT(lower_index_ties, 0U);
 }
 
 TEST(FleetTest, ValidatesConfig) {
