@@ -1,7 +1,9 @@
 #include "eacs/sim/fleet.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -606,6 +608,75 @@ struct RegionSim {
     throw std::invalid_argument("resume_fleet: checkpoint " + what);
   }
 
+  /// The event ledger (DESIGN §14): every session of the region is finished,
+  /// abandoned, live with exactly one pending request or completion, or
+  /// pending as exactly one arrival at its scheduled time. A set that breaks
+  /// it would resume into a fleet that finishes more or fewer sessions than
+  /// num_sessions. Runs after the index checks, so every slot is in range.
+  void check_ledger(const FleetRegionCheckpoint& ckpt) const {
+    const FleetArenaState& a = ckpt.arena;
+    const std::size_t slots = a.slots();
+    std::vector<unsigned char> is_free(slots, 0);
+    for (const std::uint32_t slot : a.free_slots) {
+      if (is_free[slot] != 0) reject("free_slots holds a slot twice");
+      is_free[slot] = 1;
+    }
+    if (ckpt.live != slots - a.free_slots.size()) {
+      reject("live differs from the occupied-slot count");
+    }
+
+    // The region's ids are region + k * regions below num_sessions.
+    const std::size_t ids =
+        config.num_sessions > region
+            ? (config.num_sessions - region - 1) / world.regions + 1
+            : 0;
+    std::vector<unsigned char> arriving(ids, 0);
+    std::vector<unsigned char> pending(slots, 0);
+    std::size_t arrivals = 0;
+    for (const Event& e : ckpt.events) {
+      if (e.kind != kArrive) {
+        if (is_free[e.slot] != 0) reject("event on a free slot");
+        if (e.session != a.session[e.slot]) {
+          reject("event session differs from its slot's session");
+        }
+        if (pending[e.slot]++ != 0) {
+          reject("slot with more than one pending request or completion");
+        }
+        continue;
+      }
+      const auto id = static_cast<std::size_t>(e.session);
+      if (e.session < 0 || id >= config.num_sessions) {
+        reject("arrival id beyond num_sessions");
+      }
+      if (id % world.regions != region) reject("arrival id outside the region");
+      if (arriving[id / world.regions] != 0) {
+        reject("pending arrival listed twice");
+      }
+      arriving[id / world.regions] = 1;
+      const double at =
+          world.fault_model.arrival_time(id, config.arrival_rate_per_s);
+      if (std::bit_cast<std::uint64_t>(e.t_s) != std::bit_cast<std::uint64_t>(at)) {
+        reject("arrival off its scheduled arrival_time");
+      }
+      ++arrivals;
+    }
+    for (std::size_t s = 0; s < slots; ++s) {
+      if (is_free[s] != 0) continue;
+      if (pending[s] == 0) {
+        reject("occupied slot without a pending request or completion");
+      }
+      const auto id = static_cast<std::size_t>(a.session[s]);
+      if (a.session[s] >= 0 && id < config.num_sessions &&
+          id % world.regions == region && arriving[id / world.regions] != 0) {
+        reject("pending arrival for a live session");
+      }
+    }
+    const FleetRegionMetrics& m = ckpt.metrics;
+    if (arrivals + m.sessions + m.abandoned_sessions + ckpt.live != ids) {
+      reject("pending arrival count breaks the session ledger");
+    }
+  }
+
   /// Reinstates a captured region state. Throws std::invalid_argument,
   /// naming the field, on a checkpoint that does not fit this region (wrong
   /// region, cell count or window, a ragged arena column) or that holds an
@@ -644,6 +715,7 @@ struct RegionSim {
         reject("event slot beyond the arena");
       }
     }
+    check_ledger(ckpt);
     for (const core::DecisionCacheState::Entry& e : ckpt.cache.entries) {
       if (e.level >= rungs) reject("cache entry level beyond the ladder");
     }

@@ -13,6 +13,7 @@
 // reproducing Table V's per-session averages.
 
 #include <cstdint>
+#include <vector>
 
 #include "eacs/sensors/accel.h"
 #include "eacs/sensors/vibration.h"
@@ -50,17 +51,35 @@ class AccelGenerator {
   /// Generates a trace whose *mean* vibration level (per
   /// sensors::mean_vibration_level with `config`) is within `tolerance`
   /// (relative) of `target_level`. Uses secant iteration on the waveform
-  /// scale; typically 2-3 generations. A target of 0 returns a quiet trace.
+  /// scale: one synthesis, then a rescale of the stored waveform per secant
+  /// step. A target of 0 returns a quiet trace.
   sensors::AccelTrace generate_calibrated(double duration_s, double target_level,
                                           sensors::VibrationConfig config = {},
                                           double tolerance = 0.03);
 
  private:
-  sensors::AccelTrace generate_scaled(double duration_s, double vibration_scale,
-                                      std::uint64_t stream_seed);
+  /// One sample with the waveform's scale factored out: every RNG draw and
+  /// `sin` of the stream lands here, and the scale enters each axis once.
+  struct SampleParts {
+    double t_s;
+    double vib;      ///< the unscaled vibration waveform
+    double x_base;   ///< sway + x noise
+    double y_base;   ///< 0.5 * sway + y noise
+    double z_noise;
+  };
+
+  /// Draws the stream's scale-independent parts (the one generation loop).
+  /// Reserves `out`, the trace the parts recombine into, before the parts
+  /// themselves, so the short-lived parts are the later allocation.
+  std::vector<SampleParts> synthesize(double duration_s, std::uint64_t stream_seed,
+                                      sensors::AccelTrace& out) const;
+  /// Writes the trace at `vibration_scale` into `out`, with the operand
+  /// order of a direct generation at that scale, so every sample keeps its
+  /// bits (DESIGN §2).
+  static void recombine(const std::vector<SampleParts>& parts,
+                        double vibration_scale, sensors::AccelTrace& out);
 
   AccelModel model_;
-  std::uint64_t seed_;
   eacs::Rng rng_;
 };
 

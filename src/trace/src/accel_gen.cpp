@@ -40,15 +40,14 @@ AccelModel AccelModel::walking() {
 }
 
 AccelGenerator::AccelGenerator(AccelModel model, std::uint64_t seed)
-    : model_(model), seed_(seed), rng_(seed) {
+    : model_(model), rng_(seed) {
   if (model_.sample_rate_hz <= 0.0) {
     throw std::invalid_argument("AccelGenerator: sample rate must be > 0");
   }
 }
 
-sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
-                                                    double vibration_scale,
-                                                    std::uint64_t stream_seed) {
+std::vector<AccelGenerator::SampleParts> AccelGenerator::synthesize(
+    double duration_s, std::uint64_t stream_seed, sensors::AccelTrace& out) const {
   if (duration_s <= 0.0) throw std::invalid_argument("AccelGenerator: bad duration");
   eacs::Rng rng(stream_seed);
   const double dt = 1.0 / model_.sample_rate_hz;
@@ -69,9 +68,15 @@ sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
                            rng.uniform(0.0, 2.0 * kPi)});
     }
   }
+  // Pure in their arguments: computed once, they give a per-sample call's bits.
+  const double bump_prob = 1.0 - std::exp(-model_.bump_rate_per_s * dt);
+  const double bump_decay = std::exp(-dt / 0.25);  // ~0.25 s decay constant
 
-  sensors::AccelTrace out;
+  // The kept trace is allocated before the scratch parts, so freeing the
+  // parts leaves no hole beneath the trace.
   out.reserve(count);
+  std::vector<SampleParts> parts;
+  parts.reserve(count);
   double bump_level = 0.0;  // decaying bump envelope
   double bump_sign = 1.0;
   double sway_phase = rng.uniform(0.0, 2.0 * kPi);
@@ -99,33 +104,48 @@ sensors::AccelTrace AccelGenerator::generate_scaled(double duration_s,
     }
 
     // Bumps: decaying oscillatory transient.
-    if (model_.bump_rate_per_s > 0.0 &&
-        rng.bernoulli(1.0 - std::exp(-model_.bump_rate_per_s * dt))) {
+    if (model_.bump_rate_per_s > 0.0 && rng.bernoulli(bump_prob)) {
       bump_level = model_.bump_amplitude * (0.5 + rng.uniform());
       bump_sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
     }
     if (bump_level > 1e-3) {
       vib += bump_sign * bump_level * std::sin(2.0 * kPi * 9.0 * t);
-      bump_level *= std::exp(-dt / 0.25);  // ~0.25 s decay constant
+      bump_level *= bump_decay;
     }
-    vib *= vibration_scale;
 
     // Handheld sway: slow, survives in x/y.
     sway_phase += 2.0 * kPi * 0.3 * dt;
     const double sway = model_.sway_amplitude * std::sin(sway_phase);
 
-    sensors::AccelSample sample;
-    sample.t_s = t;
-    sample.x = sway + rng.normal(0.0, model_.sensor_noise) + 0.3 * vib;
-    sample.y = 0.5 * sway + rng.normal(0.0, model_.sensor_noise) + 0.2 * vib;
-    sample.z = sensors::kGravity + vib + rng.normal(0.0, model_.sensor_noise);
-    out.push_back(sample);
+    SampleParts part;
+    part.t_s = t;
+    part.vib = vib;
+    part.x_base = sway + rng.normal(0.0, model_.sensor_noise);
+    part.y_base = 0.5 * sway + rng.normal(0.0, model_.sensor_noise);
+    part.z_noise = rng.normal(0.0, model_.sensor_noise);
+    parts.push_back(part);
   }
-  return out;
+  return parts;
+}
+
+void AccelGenerator::recombine(const std::vector<SampleParts>& parts,
+                               double vibration_scale, sensors::AccelTrace& out) {
+  out.resize(parts.size());
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const SampleParts& part = parts[i];
+    const double vib = part.vib * vibration_scale;
+    sensors::AccelSample& sample = out[i];
+    sample.t_s = part.t_s;
+    sample.x = part.x_base + 0.3 * vib;
+    sample.y = part.y_base + 0.2 * vib;
+    sample.z = sensors::kGravity + vib + part.z_noise;
+  }
 }
 
 sensors::AccelTrace AccelGenerator::generate(double duration_s) {
-  return generate_scaled(duration_s, 1.0, rng_.next_u64());
+  sensors::AccelTrace trace;
+  recombine(synthesize(duration_s, rng_.next_u64(), trace), 1.0, trace);
+  return trace;
 }
 
 sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
@@ -135,8 +155,12 @@ sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
   // The stream seed is fixed across calibration iterations so that changing
   // the scale rescales the *same* waveform rather than sampling a new one.
   const std::uint64_t stream_seed = rng_.next_u64();
+  sensors::AccelTrace trace;
 
-  if (target_level <= 0.0) return generate_scaled(duration_s, 0.0, stream_seed);
+  if (target_level <= 0.0) {
+    recombine(synthesize(duration_s, stream_seed, trace), 0.0, trace);
+    return trace;
+  }
 
   // A model with no vibration waveform (quiet room: noise and sway only)
   // cannot reach a positive target by scaling; bootstrap a unit harmonic
@@ -149,9 +173,11 @@ sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
   }
 
   // The measured level is monotone (affine up to the noise floor) in the
-  // scale, so a secant iteration converges in a couple of steps.
+  // scale, so a secant iteration converges in a couple of steps. Each step
+  // recombines the one synthesis at the new scale into the same buffer.
+  const std::vector<SampleParts> parts = synthesize(duration_s, stream_seed, trace);
   double scale = 1.0;
-  auto trace = generate_scaled(duration_s, scale, stream_seed);
+  recombine(parts, scale, trace);
   double measured = sensors::mean_vibration_level(trace, config);
   if (measured <= 1e-9) return trace;  // defensive: nothing to scale
 
@@ -159,7 +185,7 @@ sensors::AccelTrace AccelGenerator::generate_calibrated(double duration_s,
     const double relative_error = std::fabs(measured - target_level) / target_level;
     if (relative_error <= tolerance) break;
     scale *= target_level / measured;
-    trace = generate_scaled(duration_s, scale, stream_seed);
+    recombine(parts, scale, trace);
     measured = sensors::mean_vibration_level(trace, config);
   }
   return trace;

@@ -18,12 +18,11 @@ SessionTraces build_session(const media::SessionSpec& spec,
   ThroughputGenerator throughput_gen(ThroughputModel{}, spec.seed ^ 0x7417ULL);
   session.throughput_mbps = throughput_gen.generate(session.signal_dbm);
 
-  AccelModel accel_model =
-      spec.on_vehicle ? AccelModel::moving_vehicle() : AccelModel::moving_vehicle();
+  // Every session takes the vehicle model, whatever spec.on_vehicle says:
   // Table V's five sessions were all recorded on the move; session 2's low
   // average (2.46) corresponds to a smooth ride, which calibration handles by
   // scaling the same vehicle waveform down.
-  AccelGenerator accel_gen(accel_model, spec.seed ^ 0xACCE1ULL);
+  AccelGenerator accel_gen(AccelModel::moving_vehicle(), spec.seed ^ 0xACCE1ULL);
   session.accel =
       accel_gen.generate_calibrated(duration, spec.avg_vibration, options.vibration);
 

@@ -397,9 +397,10 @@ TEST(FleetCheckpointTest, LoadRejectsTrailingData) {
 // slot. Both hold cache entries.
 template <typename Mutate>
 void expect_resume_rejects(std::size_t region, Mutate mutate,
-                           const std::string& field) {
-  const FleetConfig config = pinned_fleet();
-  FleetCheckpoint checkpoint = run_fleet_until(config, 8.0);
+                           const std::string& field,
+                           const FleetConfig& config = pinned_fleet(),
+                           double cut_s = 8.0) {
+  FleetCheckpoint checkpoint = run_fleet_until(config, cut_s);
   mutate(checkpoint.regions[region]);
   try {
     (void)resume_fleet(config, checkpoint);
@@ -501,6 +502,50 @@ TEST(FleetCheckpointTest, RestoreNamesTheRaggedColumn) {
   expect_resume_rejects(
       1, [](FleetRegionCheckpoint& r) { r.arena.qoe_sum.pop_back(); },
       "arena column qoe_sum");
+}
+
+// The event ledger (DESIGN §14). A 2000-session default fleet cut at
+// t = 100 s has sessions finished, live and not yet arrived in region 0.
+// Without the ledger check each of these edits resumes without error and
+// finishes 1999 or 2001 sessions.
+FleetConfig ledger_fleet() {
+  FleetConfig config;
+  config.num_sessions = 2000;
+  return config;
+}
+
+void erase_first(FleetRegionCheckpoint& r, std::uint8_t kind) {
+  r.events.erase(r.events.begin() + (&first_event(r, kind) - r.events.data()));
+}
+
+void duplicate_first(FleetRegionCheckpoint& r, std::uint8_t kind) {
+  const FleetEventState copy = first_event(r, kind);
+  r.events.push_back(copy);
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsDroppedPendingArrival) {
+  expect_resume_rejects(
+      0, [](FleetRegionCheckpoint& r) { erase_first(r, 0); },
+      "pending arrival count", ledger_fleet(), 100.0);
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsDuplicatedPendingArrival) {
+  expect_resume_rejects(
+      0, [](FleetRegionCheckpoint& r) { duplicate_first(r, 0); },
+      "pending arrival listed twice", ledger_fleet(), 100.0);
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsDroppedPendingCompletion) {
+  expect_resume_rejects(
+      0, [](FleetRegionCheckpoint& r) { erase_first(r, 2); },
+      "occupied slot without a pending request or completion", ledger_fleet(),
+      100.0);
+}
+
+TEST(FleetCheckpointTest, RestoreRejectsDuplicatedPendingCompletion) {
+  expect_resume_rejects(
+      0, [](FleetRegionCheckpoint& r) { duplicate_first(r, 2); },
+      "more than one pending request or completion", ledger_fleet(), 100.0);
 }
 
 TEST(FleetCheckpointTest, RegionCountMismatchThrows) {
