@@ -18,6 +18,8 @@
 // asserts EXPECT_EQ on doubles for every consumer; do not "simplify" the
 // arithmetic here without re-certifying.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -83,8 +85,20 @@ class TaskCostTable {
   double alpha() const noexcept { return alpha_; }
 
  private:
-  double switch_impair(std::size_t level, std::size_t prev_level) const noexcept;
-  double weigh(std::size_t level, double quality) const noexcept;
+  // Inline, with edge_cost, so the planners' DP loops make no calls.
+  double switch_impair(std::size_t level, std::size_t prev_level) const noexcept {
+    // switch_impairment guards on the *previous* bitrate only.
+    if (bitrate_mbps_[prev_level] <= 0.0) return 0.0;
+    return switch_penalty_ *
+           std::fabs(original_quality_[level] - original_quality_[prev_level]);
+  }
+
+  double weigh(std::size_t level, double quality) const noexcept {
+    // segment_qoe's final clamp, then task_cost's weighted sum, verbatim.
+    quality = std::clamp(quality, mos_min_, mos_max_);
+    const double q_term = quality_max_ > 0.0 ? quality / quality_max_ : 0.0;
+    return e_cost_[level] - one_minus_alpha_ * q_term;
+  }
 
   // Per-level components (SoA, contiguous).
   std::vector<double> energy_;            ///< task_energy(env, j, buffer_s)

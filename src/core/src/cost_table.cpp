@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -111,21 +110,6 @@ TaskCostTable::TaskCostTable(const Objective& objective,
     e_cost_[level] = alpha_ * e_term_[level];
   }
   if (stats) ++stats->tables_built;
-}
-
-double TaskCostTable::switch_impair(std::size_t level,
-                                    std::size_t prev_level) const noexcept {
-  // switch_impairment guards on the *previous* bitrate only.
-  if (bitrate_mbps_[prev_level] <= 0.0) return 0.0;
-  return switch_penalty_ *
-         std::fabs(original_quality_[level] - original_quality_[prev_level]);
-}
-
-double TaskCostTable::weigh(std::size_t level, double quality) const noexcept {
-  // segment_qoe's final clamp, then task_cost's weighted sum, verbatim.
-  quality = std::clamp(quality, mos_min_, mos_max_);
-  const double q_term = quality_max_ > 0.0 ? quality / quality_max_ : 0.0;
-  return e_cost_[level] - one_minus_alpha_ * q_term;
 }
 
 void TaskCostTable::reweight(double alpha) noexcept {

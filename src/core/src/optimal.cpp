@@ -42,8 +42,8 @@ OptimalPlan plan_over_cost_tables(const std::vector<TaskCostTable>& tables) {
   // dp[j] = best cost of a prefix ending with task i at level j.
   std::vector<double> dp(m, kInfinity);
   std::vector<double> next(m, kInfinity);
-  // parent[i][j] = level chosen for task i-1 on the best path to (i, j).
-  std::vector<std::vector<std::size_t>> parent(n, std::vector<std::size_t>(m, 0));
+  // parent[i * m + j] = level chosen for task i-1 on the best path to (i, j).
+  std::vector<std::size_t> parent(n * m, 0);
 
   for (std::size_t j = 0; j < m; ++j) {
     dp[j] = tables[0].edge_cost(j);
@@ -58,7 +58,7 @@ OptimalPlan plan_over_cost_tables(const std::vector<TaskCostTable>& tables) {
         const double candidate = dp[jp] + weight;
         if (candidate < next[j]) {
           next[j] = candidate;
-          parent[i][j] = jp;
+          parent[i * m + j] = jp;
         }
       }
     }
@@ -74,7 +74,7 @@ OptimalPlan plan_over_cost_tables(const std::vector<TaskCostTable>& tables) {
   plan.total_cost = dp[best];
   plan.levels[n - 1] = best;
   for (std::size_t i = n - 1; i > 0; --i) {
-    plan.levels[i - 1] = parent[i][plan.levels[i]];
+    plan.levels[i - 1] = parent[i * m + plan.levels[i]];
   }
   if (CostStats* stats = CostStatsScope::current()) {
     stats->edge_evals += m + (n - 1) * m * m;

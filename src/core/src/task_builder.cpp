@@ -1,6 +1,6 @@
 #include "eacs/core/task.h"
 
-#include "eacs/sensors/vibration.h"
+#include "eacs/player/session_engine.h"
 
 namespace eacs::core {
 
@@ -10,16 +10,7 @@ std::vector<TaskEnvironment> build_task_environments(
   tasks.reserve(manifest.num_segments());
 
   // Stream the vibration estimator along the playback timeline once.
-  sensors::VibrationEstimator vibration;
-  std::size_t accel_cursor = 0;
-  const auto vibration_at = [&](double t_s) {
-    while (accel_cursor < session.accel.size() &&
-           session.accel[accel_cursor].t_s <= t_s) {
-      vibration.update(session.accel[accel_cursor]);
-      ++accel_cursor;
-    }
-    return vibration.level();
-  };
+  player::VibrationClock vibration(session.accel, sensors::VibrationConfig{});
 
   const std::size_t levels = manifest.ladder().size();
   for (std::size_t i = 0; i < manifest.num_segments(); ++i) {
@@ -30,7 +21,7 @@ std::vector<TaskEnvironment> build_task_environments(
     const double t1 = t0 + env.duration_s;
     env.signal_dbm = session.signal_dbm.mean_over(t0, t1);
     env.bandwidth_mbps = session.throughput_mbps.mean_over(t0, t1);
-    env.vibration = vibration_at(t0);
+    env.vibration = vibration.advance_to(t0);
     env.size_megabits.reserve(levels);
     for (std::size_t level = 0; level < levels; ++level) {
       env.size_megabits.push_back(manifest.segment_size_megabits(i, level));

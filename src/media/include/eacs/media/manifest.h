@@ -28,7 +28,7 @@ struct Segment {
 /// nominal-R segment larger or smaller than R*duration. We model size as
 /// nominal * (1 + vbr_amplitude * w(index)) where w is a deterministic smooth
 /// pseudo-random waveform in [-1, 1] derived from (video id, segment index) —
-/// so sizes are reproducible without storing them.
+/// so sizes are reproducible from the manifest's fields alone.
 struct VbrModel {
   double amplitude = 0.0;  ///< 0 disables VBR (CBR sizes)
 
@@ -39,7 +39,16 @@ struct VbrModel {
 /// Immutable description of one adaptive stream.
 class VideoManifest {
  public:
-  /// Throws std::invalid_argument on non-positive durations.
+  /// The most segments a manifest may have. It tabulates one size factor
+  /// per segment at construction, so the cap bounds that table at 8 MB and
+  /// keeps a hostile MPD from sizing one it cannot allocate; a million
+  /// segments is 11.6 days of 1 s segments (the longest Table V video is
+  /// 612 s).
+  static constexpr std::size_t kMaxSegments = 1'000'000;
+
+  /// Throws std::invalid_argument on durations that are not finite and
+  /// positive, an amplitude outside [0, 1) (NaN included), or more than
+  /// kMaxSegments segments.
   VideoManifest(std::string video_id, double total_duration_s, double segment_duration_s,
                 BitrateLadder ladder, VbrModel vbr = {});
 
@@ -81,6 +90,7 @@ class VideoManifest {
   VbrModel vbr_;
   std::size_t num_segments_;
   std::uint64_t video_hash_;
+  std::vector<double> size_factor_;  ///< 1 + amplitude * waveform(i), per segment
 };
 
 }  // namespace eacs::media

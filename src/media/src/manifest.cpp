@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::media {
 namespace {
@@ -36,14 +37,25 @@ VideoManifest::VideoManifest(std::string video_id, double total_duration_s,
       vbr_(vbr),
       num_segments_(0),
       video_hash_(fnv1a(video_id_)) {
-  if (total_duration_s_ <= 0.0 || segment_duration_s_ <= 0.0) {
-    throw std::invalid_argument("VideoManifest: durations must be positive");
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(total_duration_s_) || !positive(segment_duration_s_)) {
+    throw std::invalid_argument("VideoManifest: durations must be finite and positive");
   }
-  if (vbr_.amplitude < 0.0 || vbr_.amplitude >= 1.0) {
+  if (!(vbr_.amplitude >= 0.0 && vbr_.amplitude < 1.0)) {
     throw std::invalid_argument("VideoManifest: vbr amplitude must be in [0, 1)");
   }
-  num_segments_ = static_cast<std::size_t>(
-      std::ceil(total_duration_s_ / segment_duration_s_ - 1e-9));
+  const double segments = std::ceil(total_duration_s_ / segment_duration_s_ - 1e-9);
+  if (!(segments <= static_cast<double>(kMaxSegments))) {
+    throw std::invalid_argument("VideoManifest: more than " +
+                                std::to_string(kMaxSegments) + " segments");
+  }
+  num_segments_ = static_cast<std::size_t>(segments);
+  // One size factor per segment, so a size query costs one multiply instead
+  // of the waveform's two sin calls.
+  size_factor_.reserve(num_segments_);
+  for (std::size_t i = 0; i < num_segments_; ++i) {
+    size_factor_.push_back(1.0 + vbr_.amplitude * VbrModel::waveform(video_hash_, i));
+  }
 }
 
 double VideoManifest::segment_duration(std::size_t index) const {
@@ -53,9 +65,9 @@ double VideoManifest::segment_duration(std::size_t index) const {
 }
 
 double VideoManifest::segment_size_megabits(std::size_t index, std::size_t level) const {
+  // segment_duration checks `index` before the table is read.
   const double nominal = ladder_.bitrate(level) * segment_duration(index);
-  const double factor = 1.0 + vbr_.amplitude * VbrModel::waveform(video_hash_, index);
-  return nominal * factor;
+  return nominal * size_factor_[index];
 }
 
 Segment VideoManifest::segment(std::size_t index, std::size_t level) const {

@@ -1,8 +1,10 @@
 #include "eacs/media/mpd.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace eacs::media {
@@ -65,7 +67,17 @@ double parse_iso8601_duration(std::string_view text) {
       throw std::runtime_error("parse_iso8601_duration: malformed '" +
                                std::string(text) + "'");
     }
-    const double value = std::stod(std::string(text.substr(pos, digits_end - pos)));
+    // strtod, not stod: an out-of-range or dot-only number is a malformed
+    // duration (std::runtime_error), not a std::out_of_range or a
+    // std::invalid_argument escaping the parser.
+    const std::string number(text.substr(pos, digits_end - pos));
+    char* number_end = nullptr;
+    errno = 0;
+    const double value = std::strtod(number.c_str(), &number_end);
+    if (number_end != number.c_str() + number.size() || errno == ERANGE) {
+      throw std::runtime_error("parse_iso8601_duration: bad number in '" +
+                               std::string(text) + "'");
+    }
     const char unit = text[digits_end];
     switch (unit) {
       case 'H': total += value * 3600.0; break;

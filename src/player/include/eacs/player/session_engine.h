@@ -149,13 +149,13 @@ class VibrationClock {
   VibrationClock(const sensors::AccelTrace& trace, sensors::VibrationConfig config)
       : trace_(&trace), estimator_(config) {}
 
-  /// Consumes all samples with timestamp <= t_s and returns the level.
+  /// Consumes all samples with timestamp <= t_s, as one run, and returns
+  /// the level.
   double advance_to(double t_s) {
-    while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) {
-      estimator_.update((*trace_)[cursor_]);
-      ++cursor_;
-    }
-    return estimator_.level();
+    const std::size_t begin = cursor_;
+    while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) ++cursor_;
+    return estimator_.consume(
+        std::span(*trace_).subspan(begin, cursor_ - begin));
   }
 
   /// Current level without consuming further samples.

@@ -68,6 +68,7 @@ PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig con
   require_valid_buffer("PlayerSimulator", config_.buffer_threshold_s,
                        config_.startup_buffer_s);
   require_valid_resilience("PlayerSimulator", config_.resilience);
+  sensors::require_valid_vibration("PlayerSimulator", config_.vibration);
 }
 
 double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,

@@ -94,11 +94,13 @@ class PerceivedContext {
   /// Consumes every delivered sample/reading up to `t_s`.
   void advance_to(double t_s) {
     const auto& accel = faults_->accel();
+    const std::size_t begin = accel_cursor_;
     while (accel_cursor_ < accel.size() && accel[accel_cursor_].t_s <= t_s) {
-      estimator_.update(accel[accel_cursor_]);
-      health_.observe_accel(accel[accel_cursor_]);
       ++accel_cursor_;
     }
+    const auto run = std::span(accel).subspan(begin, accel_cursor_ - begin);
+    estimator_.consume(run);
+    for (const auto& sample : run) health_.observe_accel(sample);
     const auto& signal = faults_->signal();
     while (signal_cursor_ < signal.size() && signal[signal_cursor_].t_s <= t_s) {
       health_.observe_signal(signal[signal_cursor_].t_s,
@@ -383,6 +385,7 @@ SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
   require_valid_buffer("SessionEngine", config_.player.buffer_threshold_s,
                        config_.player.startup_buffer_s);
   require_valid_resilience("SessionEngine", config_.player.resilience);
+  sensors::require_valid_vibration("SessionEngine", config_.player.vibration);
   if (!(config_.step_s > 0.0)) {
     throw std::invalid_argument("SessionEngine: step must be > 0");
   }

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 
 #include "eacs/sensors/accel.h"
 #include "eacs/util/filters.h"
@@ -37,11 +38,21 @@ struct VibrationConfig {
   double prior_vibration = 4.0;
   double prior_tau_s = 10.0;
 
+  /// Meaningful only for a config require_valid_vibration accepts.
   std::size_t window_samples() const noexcept {
     const double n = window_s * sample_rate_hz;
     return n < 1.0 ? 1 : static_cast<std::size_t>(n);
   }
 };
+
+/// The config's ranges: the window and the rate finite and > 0, with a
+/// product below 2^64 (a sample count window_samples() can represent); the
+/// high-pass cutoff finite in (0, rate / 2); quiet_after_s and the prior
+/// finite and >= 0; the prior's time constant finite and > 0. Throws
+/// std::invalid_argument prefixed with `who` and naming the field otherwise
+/// (a NaN cutoff reads 0 on a vibrating stream, a NaN prior or a negative
+/// time constant makes level_at() non-finite).
+void require_valid_vibration(const std::string& who, const VibrationConfig& config);
 
 /// Streaming vibration-level estimator.
 ///
@@ -49,6 +60,8 @@ struct VibrationConfig {
 /// level over the trailing window. O(1) per sample.
 class VibrationEstimator {
  public:
+  /// Throws std::invalid_argument unless require_valid_vibration accepts
+  /// `config`.
   explicit VibrationEstimator(VibrationConfig config = {});
 
   /// Consumes one raw sample and returns the updated level. Samples with any
@@ -57,6 +70,12 @@ class VibrationEstimator {
   /// window_samples() updates); rejected samples are counted but return the
   /// unchanged level.
   double update(const AccelSample& sample);
+
+  /// Consumes a run of samples and returns the level after the last one:
+  /// bit for bit what update() on each sample in turn leaves, counters
+  /// included. The filter states stay in registers across the run, and the
+  /// level is computed once, at its end.
+  double consume(std::span<const AccelSample> samples);
 
   /// Current vibration level (m/s^2). 0 before any sample.
   double level() const noexcept;

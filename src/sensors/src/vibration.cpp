@@ -3,34 +3,81 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "eacs/util/stats.h"
 
 namespace eacs::sensors {
 
-VibrationEstimator::VibrationEstimator(VibrationConfig config)
-    : config_(config),
-      highpass_(config.highpass_cutoff_hz, config.sample_rate_hz),
-      rms_(config.window_samples()) {
-  if (config_.window_s <= 0.0 || config_.sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("VibrationEstimator: non-positive window/rate");
+namespace {
+
+/// `config`, once require_valid_vibration accepts it: the estimator checks
+/// before its filters size themselves from the fields.
+const VibrationConfig& checked(const VibrationConfig& config) {
+  require_valid_vibration("VibrationEstimator", config);
+  return config;
+}
+
+}  // namespace
+
+void require_valid_vibration(const std::string& who, const VibrationConfig& config) {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto non_negative = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  const double samples = config.window_s * config.sample_rate_hz;
+  const std::pair<bool, const char*> rules[] = {
+      {positive(config.window_s), "window_s must be finite and > 0"},
+      {positive(config.sample_rate_hz), "sample_rate_hz must be finite and > 0"},
+      {samples < 0x1p64,
+       "window_s * sample_rate_hz must be a representable sample count (< 2^64)"},
+      {positive(config.highpass_cutoff_hz) &&
+           config.highpass_cutoff_hz < config.sample_rate_hz / 2.0,
+       "highpass_cutoff_hz must be finite and in (0, sample_rate_hz / 2)"},
+      {non_negative(config.quiet_after_s), "quiet_after_s must be finite and >= 0"},
+      {non_negative(config.prior_vibration),
+       "prior_vibration must be finite and >= 0"},
+      {positive(config.prior_tau_s), "prior_tau_s must be finite and > 0"},
+  };
+  for (const auto& [ok, rule] : rules) {
+    if (!ok) throw std::invalid_argument(who + ": vibration." + rule);
   }
 }
 
+VibrationEstimator::VibrationEstimator(VibrationConfig config)
+    : config_(checked(config)),
+      highpass_(config.highpass_cutoff_hz, config.sample_rate_hz),
+      rms_(config.window_samples()) {}
+
 double VibrationEstimator::update(const AccelSample& sample) {
-  ++samples_seen_;
-  if (!std::isfinite(sample.x) || !std::isfinite(sample.y) ||
-      !std::isfinite(sample.z)) {
-    ++rejected_samples_;
-    return level();
+  return consume({&sample, 1});
+}
+
+double VibrationEstimator::consume(std::span<const AccelSample> samples) {
+  // Per valid sample, update()'s steps in its order, on local copies of the
+  // filter states and the time rule's fields; written back after the run.
+  eacs::HighPassFilter highpass = highpass_;
+  eacs::MovingRms::Batch rms(rms_);
+  double last_valid_t_s = last_valid_t_s_;
+  bool have_valid = have_valid_;
+  std::size_t rejected = 0;
+  for (const AccelSample& sample : samples) {
+    if (!std::isfinite(sample.x) || !std::isfinite(sample.y) ||
+        !std::isfinite(sample.z)) {
+      ++rejected;
+      continue;
+    }
+    if (std::isfinite(sample.t_s)) {
+      last_valid_t_s = have_valid ? std::max(last_valid_t_s, sample.t_s) : sample.t_s;
+      have_valid = true;
+    }
+    rms.push(highpass.update(sample.magnitude()));
   }
-  if (std::isfinite(sample.t_s)) {
-    last_valid_t_s_ =
-        have_valid_ ? std::max(last_valid_t_s_, sample.t_s) : sample.t_s;
-    have_valid_ = true;
-  }
-  const double ac_component = highpass_.update(sample.magnitude());
-  return rms_.update(ac_component);
+  highpass_ = highpass;
+  rms.commit();
+  samples_seen_ += samples.size();
+  rejected_samples_ += rejected;
+  last_valid_t_s_ = last_valid_t_s;
+  have_valid_ = have_valid;
+  return level();
 }
 
 double VibrationEstimator::level() const noexcept { return rms_.value(); }

@@ -36,7 +36,22 @@ class HighPassFilter {
   /// `cutoff_hz` must be > 0 and < sample_rate_hz / 2.
   HighPassFilter(double cutoff_hz, double sample_rate_hz);
 
-  double update(double x) noexcept;
+  /// Inline, so a batch loop can run it on a local copy of the filter (two
+  /// doubles and a flag, kept in registers) and assign the copy back.
+  double update(double x) noexcept {
+    if (!primed_) {
+      // Start with zero output so a constant input (gravity) is rejected from
+      // the first sample instead of producing a large transient.
+      prev_input_ = x;
+      prev_output_ = 0.0;
+      primed_ = true;
+      return 0.0;
+    }
+    const double y = r_ * (prev_output_ + x - prev_input_);
+    prev_input_ = x;
+    prev_output_ = y;
+    return y;
+  }
   void reset() noexcept;
 
  private:
@@ -48,19 +63,63 @@ class HighPassFilter {
 
 /// Fixed-size moving RMS over the last `window` samples.
 class MovingRms {
+  /// The running sums over the ring of squared samples.
+  struct Sums {
+    std::size_t count = 0;
+    std::size_t head = 0;  // oldest slot once the window is full
+    double sum_squares = 0.0;
+  };
+
  public:
   explicit MovingRms(std::size_t window);
 
-  double update(double x);
+  double update(double x) {
+    push(sums_, storage_.data(), window_, x);
+    return value();
+  }
   double value() const noexcept;
-  std::size_t count() const noexcept { return count_; }
+  std::size_t count() const noexcept { return sums_.count; }
   void reset() noexcept;
 
+  /// update() over a run of samples without the per-sample value: the
+  /// running sums stay in this local copy (registers, which the ring stores
+  /// cannot alias) until commit(). value() then reads what the last of the
+  /// same update() calls would have returned, bit for bit: it is a function
+  /// of the sums alone.
+  class Batch {
+   public:
+    explicit Batch(MovingRms& rms) noexcept
+        : rms_(&rms), ring_(rms.storage_.data()), window_(rms.window_),
+          sums_(rms.sums_) {}
+
+    void push(double x) noexcept { MovingRms::push(sums_, ring_, window_, x); }
+    void commit() noexcept { rms_->sums_ = sums_; }
+
+   private:
+    MovingRms* rms_;
+    double* ring_;
+    std::size_t window_;
+    Sums sums_;
+  };
+
  private:
+  /// The window update, the one place it is written: adds x^2 to the sum
+  /// while the window fills, then replaces the oldest square.
+  static void push(Sums& sums, double* ring, std::size_t window, double x) noexcept {
+    const double squared = x * x;
+    if (sums.count < window) {
+      ring[sums.count] = squared;
+      sums.sum_squares += squared;
+      ++sums.count;
+    } else {
+      sums.sum_squares += squared - ring[sums.head];
+      ring[sums.head] = squared;
+      sums.head = sums.head + 1 == window ? 0 : sums.head + 1;
+    }
+  }
+
   std::size_t window_;
-  std::size_t count_ = 0;
-  std::size_t head_ = 0;
-  double sum_squares_ = 0.0;
+  Sums sums_;
   std::vector<double> storage_;  // ring buffer of squared samples
 };
 

@@ -112,7 +112,6 @@ class SlidingWindow {
 
   double mean() const noexcept;
   double harmonic_mean() const noexcept;
-  double rms() const noexcept;
 
  private:
   std::size_t capacity_;

@@ -27,28 +27,14 @@ void EmaFilter::reset() noexcept {
 }
 
 HighPassFilter::HighPassFilter(double cutoff_hz, double sample_rate_hz) {
-  if (cutoff_hz <= 0.0 || sample_rate_hz <= 0.0 || cutoff_hz >= sample_rate_hz / 2.0) {
+  if (!(cutoff_hz > 0.0 && cutoff_hz < sample_rate_hz / 2.0 &&
+        std::isfinite(sample_rate_hz))) {
     throw std::invalid_argument("HighPassFilter: invalid cutoff/sample rate");
   }
   constexpr double kPi = 3.14159265358979323846;
   const double rc = 1.0 / (2.0 * kPi * cutoff_hz);
   const double dt = 1.0 / sample_rate_hz;
   r_ = rc / (rc + dt);
-}
-
-double HighPassFilter::update(double x) noexcept {
-  if (!primed_) {
-    // Start with zero output so a constant input (gravity) is rejected from
-    // the first sample instead of producing a large transient.
-    prev_input_ = x;
-    prev_output_ = 0.0;
-    primed_ = true;
-    return 0.0;
-  }
-  const double y = r_ * (prev_output_ + x - prev_input_);
-  prev_input_ = x;
-  prev_output_ = y;
-  return y;
 }
 
 void HighPassFilter::reset() noexcept {
@@ -61,33 +47,18 @@ MovingRms::MovingRms(std::size_t window) : window_(window), storage_(window, 0.0
   if (window == 0) throw std::invalid_argument("MovingRms: window must be > 0");
 }
 
-double MovingRms::update(double x) {
-  const double squared = x * x;
-  if (count_ < window_) {
-    storage_[count_] = squared;
-    sum_squares_ += squared;
-    ++count_;
-  } else {
-    sum_squares_ += squared - storage_[head_];
-    storage_[head_] = squared;
-    head_ = (head_ + 1) % window_;
-  }
-  return value();
-}
-
 double MovingRms::value() const noexcept {
-  if (count_ == 0) return 0.0;
+  if (sums_.count == 0) return 0.0;
   // Guard against tiny negative drift from floating-point cancellation.
-  const double mean_square = sum_squares_ > 0.0
-                                 ? sum_squares_ / static_cast<double>(count_)
-                                 : 0.0;
+  const double mean_square =
+      sums_.sum_squares > 0.0
+          ? sums_.sum_squares / static_cast<double>(sums_.count)
+          : 0.0;
   return std::sqrt(mean_square);
 }
 
 void MovingRms::reset() noexcept {
-  count_ = 0;
-  head_ = 0;
-  sum_squares_ = 0.0;
+  sums_ = {};
   for (auto& s : storage_) s = 0.0;
 }
 

@@ -142,8 +142,6 @@ double SlidingWindow::mean() const noexcept { return eacs::mean(items_); }
 
 double SlidingWindow::harmonic_mean() const noexcept { return eacs::harmonic_mean(items_); }
 
-double SlidingWindow::rms() const noexcept { return eacs::rms(items_); }
-
 P2Quantile::P2Quantile(double p) {
   if (!(p > 0.0 && p < 1.0)) {
     throw std::invalid_argument("P2Quantile p must be in (0, 1)");

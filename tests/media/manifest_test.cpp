@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace eacs::media {
@@ -96,6 +97,19 @@ TEST(VideoManifestTest, InvalidArgumentsThrow) {
   EXPECT_THROW(make_manifest(10.0, 0.0), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, 2.0, 1.5), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, 2.0, -0.1), std::invalid_argument);
+  // Non-finite durations and amplitudes, and more segments than the size
+  // table may hold.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(make_manifest(nan, 2.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(inf, 2.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, nan), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, inf), std::invalid_argument);
+  EXPECT_THROW(make_manifest(10.0, 2.0, nan), std::invalid_argument);
+  const auto cap = static_cast<double>(VideoManifest::kMaxSegments);
+  EXPECT_EQ(make_manifest(cap, 1.0).num_segments(), VideoManifest::kMaxSegments);
+  EXPECT_THROW(make_manifest(cap + 1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(make_manifest(1e9, 1e-6), std::invalid_argument);  // 10^15
 }
 
 TEST(VbrModelTest, WaveformBounded) {

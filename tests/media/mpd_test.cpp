@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace eacs::media {
 namespace {
@@ -21,6 +22,11 @@ TEST(Iso8601Test, MalformedThrows) {
   EXPECT_THROW(parse_iso8601_duration("PT"), std::runtime_error);
   EXPECT_THROW(parse_iso8601_duration("PT5X"), std::runtime_error);
   EXPECT_THROW(parse_iso8601_duration("PTS"), std::runtime_error);
+  // Numbers strtod cannot take whole: out of range, a lone dot, two dots.
+  EXPECT_THROW(parse_iso8601_duration("PT1" + std::string(400, '0') + "S"),
+               std::runtime_error);
+  EXPECT_THROW(parse_iso8601_duration("PT.S"), std::runtime_error);
+  EXPECT_THROW(parse_iso8601_duration("PT1.2.3S"), std::runtime_error);
   EXPECT_THROW(iso8601_duration(-1.0), std::invalid_argument);
 }
 
@@ -156,6 +162,25 @@ TEST(MpdTest, RejectsMalformedDocuments) {
   <Period><AdaptationSet><SegmentTemplate duration="2000" timescale="1000"/>
   </AdaptationSet></Period></MPD>)";
   EXPECT_THROW(from_mpd_xml(no_reps), std::runtime_error);
+
+  // Well-formed documents whose manifest the size table cannot hold.
+  const auto mpd = [](const std::string& duration, const std::string& tmpl,
+                      const std::string& extra = "") {
+    return "<MPD mediaPresentationDuration=\"" + duration + "\"" + extra +
+           "><Period><AdaptationSet><SegmentTemplate " + tmpl +
+           "/><Representation id=\"r0\" bandwidth=\"500000\"/>"
+           "</AdaptationSet></Period></MPD>";
+  };
+  EXPECT_THROW(from_mpd_xml(mpd("PT60S", "duration=\"nan\"")),
+               std::invalid_argument);
+  EXPECT_THROW(from_mpd_xml(mpd("PT1000000000S",
+                                "timescale=\"1000000\" duration=\"1\"")),
+               std::invalid_argument);  // 10^15 segments
+  EXPECT_THROW(from_mpd_xml(mpd("PT60S", "duration=\"2\"",
+                                " eacs:vbrAmplitude=\"nan\"")),
+               std::invalid_argument);
+  EXPECT_NO_THROW(from_mpd_xml(mpd("PT60S", "duration=\"2\"",
+                                   " eacs:vbrAmplitude=\"0.2\"")));
 }
 
 }  // namespace

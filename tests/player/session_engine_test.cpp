@@ -75,6 +75,13 @@ TEST(SessionEngineTest, ConfigValidation) {
   bad = SessionEngineConfig{};
   bad.step_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  // The vibration estimator's config is checked up front, not at the first
+  // run that builds an estimator.
+  bad = SessionEngineConfig{};
+  bad.player.vibration.highpass_cutoff_hz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  EXPECT_THROW(PlayerSimulator(make_manifest(20.0, 2.0), bad.player),
+               std::invalid_argument);
   EXPECT_NO_THROW(SessionEngine{SessionEngineConfig{}});
 }
 

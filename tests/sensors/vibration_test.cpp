@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "eacs/sensors/accel.h"
+#include "eacs/util/filters.h"
 
 namespace eacs::sensors {
 namespace {
@@ -97,6 +103,151 @@ TEST(VibrationEstimatorTest, InvalidConfigThrows) {
   VibrationConfig config;
   config.window_s = -1.0;
   EXPECT_THROW(VibrationEstimator{config}, std::invalid_argument);
+  // Each field's bad values throw before the filters are sized, naming the
+  // field. A NaN rate used to escape as std::length_error from the window's
+  // allocation; a NaN cutoff read 0 on a vibrating stream; a NaN quiet time
+  // or prior, or a negative time constant, made level_at() non-finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    double VibrationConfig::*field;
+    double value;
+    const char* name;
+  };
+  const Bad cases[] = {
+      {&VibrationConfig::window_s, nan, "window_s"},
+      {&VibrationConfig::window_s, 0.0, "window_s"},
+      {&VibrationConfig::window_s, inf, "window_s"},
+      {&VibrationConfig::sample_rate_hz, nan, "sample_rate_hz"},
+      {&VibrationConfig::sample_rate_hz, -50.0, "sample_rate_hz"},
+      {&VibrationConfig::sample_rate_hz, inf, "sample_rate_hz"},
+      // 1e300 s at 50 Hz is no representable sample count.
+      {&VibrationConfig::window_s, 1e300, "window_s * sample_rate_hz"},
+      {&VibrationConfig::highpass_cutoff_hz, nan, "highpass_cutoff_hz"},
+      {&VibrationConfig::highpass_cutoff_hz, 0.0, "highpass_cutoff_hz"},
+      {&VibrationConfig::highpass_cutoff_hz, 25.0, "highpass_cutoff_hz"},
+      {&VibrationConfig::highpass_cutoff_hz, inf, "highpass_cutoff_hz"},
+      {&VibrationConfig::quiet_after_s, nan, "quiet_after_s"},
+      {&VibrationConfig::quiet_after_s, -1.0, "quiet_after_s"},
+      {&VibrationConfig::quiet_after_s, inf, "quiet_after_s"},
+      {&VibrationConfig::prior_vibration, nan, "prior_vibration"},
+      {&VibrationConfig::prior_vibration, -0.5, "prior_vibration"},
+      {&VibrationConfig::prior_vibration, inf, "prior_vibration"},
+      {&VibrationConfig::prior_tau_s, nan, "prior_tau_s"},
+      {&VibrationConfig::prior_tau_s, 0.0, "prior_tau_s"},
+      {&VibrationConfig::prior_tau_s, -1.0, "prior_tau_s"},
+      {&VibrationConfig::prior_tau_s, inf, "prior_tau_s"},
+  };
+  for (const Bad& bad : cases) {
+    VibrationConfig config;
+    config.*bad.field = bad.value;
+    try {
+      const VibrationEstimator estimator{config};
+      ADD_FAILURE() << bad.name << " = " << bad.value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(bad.name), std::string::npos)
+          << error.what();
+    }
+  }
+  // The defaults and the zero quiet time and prior stay valid.
+  EXPECT_NO_THROW(VibrationEstimator{VibrationConfig{}});
+  VibrationConfig edges;
+  edges.quiet_after_s = 0.0;
+  edges.prior_vibration = 0.0;
+  EXPECT_NO_THROW(VibrationEstimator{edges});
+}
+
+/// The estimator's steps one sample at a time on the filters' own per-sample
+/// updates: the oracle for the batch kernel.
+struct PerSampleChain {
+  explicit PerSampleChain(const VibrationConfig& config)
+      : highpass(config.highpass_cutoff_hz, config.sample_rate_hz),
+        rms(config.window_samples()) {}
+
+  void update(const AccelSample& sample) {
+    ++seen;
+    if (!std::isfinite(sample.x) || !std::isfinite(sample.y) ||
+        !std::isfinite(sample.z)) {
+      ++rejected;
+      return;
+    }
+    level = rms.update(highpass.update(sample.magnitude()));
+  }
+
+  eacs::HighPassFilter highpass;
+  eacs::MovingRms rms;
+  std::size_t seen = 0;
+  std::size_t rejected = 0;
+  double level = 0.0;
+};
+
+TEST(VibrationBatchTest, ConsumeMatchesPerSampleUpdates) {
+  // A noisy vibrating stream with NaN and infinite axes, non-finite and
+  // out-of-order timestamps, cut into runs at random points (empty runs
+  // included). After every run, the batch-fed estimator must hold exactly
+  // the per-sample chain's level and counters, and the same level_at() as
+  // an estimator fed by update() one sample at a time.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> noise(-0.5, 0.5);
+  std::uniform_int_distribution<int> kind(0, 39);
+  AccelTrace trace;
+  for (std::size_t k = 0; k < 4000; ++k) {
+    const double t = 0.02 * static_cast<double>(k);
+    AccelSample sample{t, noise(rng),
+                       noise(rng) + 3.0 * std::sin(2.0 * kPi * 4.0 * t),
+                       kGravity + noise(rng)};
+    switch (kind(rng)) {
+      case 0: sample.x = nan; break;
+      case 1: sample.y = inf; break;
+      case 2: sample.z = -inf; break;
+      case 3: sample.t_s = nan; break;   // valid axes, no time
+      case 4: sample.t_s = -inf; break;  // valid axes, no time
+      case 5: sample.t_s = t - 3.0; break;  // late sample: the max rule
+      default: break;
+    }
+    trace.push_back(sample);
+  }
+
+  // Window 1 (every sample replaces the only slot), a 7-sample window whose
+  // runs are also cut at the fill-to-wrap edge, and the default 300.
+  std::vector<VibrationConfig> configs(3);
+  configs[0].window_s = 0.02;
+  configs[1].window_s = 0.14;
+  ASSERT_EQ(configs[0].window_samples(), 1U);
+  ASSERT_EQ(configs[1].window_samples(), 7U);
+  for (const VibrationConfig& config : configs) {
+    std::vector<std::size_t> cuts = {0, 0, 6, 7, 8, 13, 14, 14, 15,
+                                     299, 300, 301, trace.size()};
+    std::uniform_int_distribution<std::size_t> cut(0, trace.size());
+    for (int k = 0; k < 200; ++k) cuts.push_back(cut(rng));
+    std::sort(cuts.begin(), cuts.end());
+
+    VibrationEstimator batched(config);
+    VibrationEstimator stepped(config);
+    PerSampleChain chain(config);
+    std::size_t begin = 0;
+    for (const std::size_t end : cuts) {
+      const std::span<const AccelSample> run(trace.data() + begin, end - begin);
+      const double level = batched.consume(run);
+      for (const AccelSample& sample : run) {
+        stepped.update(sample);
+        chain.update(sample);
+      }
+      begin = end;
+      ASSERT_EQ(level, chain.level) << "after " << end << " samples";
+      EXPECT_EQ(batched.level(), chain.level);
+      EXPECT_EQ(batched.samples_seen(), chain.seen);
+      EXPECT_EQ(batched.rejected_samples(), chain.rejected);
+      EXPECT_EQ(stepped.level(), chain.level);
+      for (const double now : {0.0, 0.02 * static_cast<double>(end), 1e3}) {
+        EXPECT_EQ(batched.level_at(now), stepped.level_at(now)) << now;
+      }
+    }
+    EXPECT_EQ(batched.samples_seen(), trace.size());
+    EXPECT_GT(batched.rejected_samples(), 0U);
+  }
 }
 
 TEST(MeanVibrationTest, StationarySignalMeanNearFinal) {

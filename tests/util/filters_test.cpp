@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace eacs {
@@ -80,6 +81,13 @@ TEST(HighPassFilterTest, InvalidParametersThrow) {
   EXPECT_THROW(HighPassFilter(0.0, 50.0), std::invalid_argument);
   EXPECT_THROW(HighPassFilter(30.0, 50.0), std::invalid_argument);  // >= Nyquist
   EXPECT_THROW(HighPassFilter(1.0, 0.0), std::invalid_argument);
+  // NaN in either argument, and an infinite rate (coefficient 1: no
+  // filtering).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(HighPassFilter(nan, 50.0), std::invalid_argument);
+  EXPECT_THROW(HighPassFilter(0.5, nan), std::invalid_argument);
+  EXPECT_THROW(HighPassFilter(0.5, inf), std::invalid_argument);
 }
 
 TEST(HighPassFilterTest, GravityPlusVibrationKeepsVibration) {
