@@ -10,9 +10,10 @@
 #include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
 #include "eacs/core/online.h"
-#include "eacs/player/multi_client.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/sim/metrics.h"
 #include "eacs/trace/session.h"
+#include "eacs/util/stats.h"
 
 namespace {
 
@@ -33,14 +34,15 @@ FleetOutcome run_fleet(const media::VideoManifest& manifest,
                        const trace::SessionTraces& session,
                        const trace::TimeSeries& capacity, Args&&... args) {
   std::vector<std::unique_ptr<player::AbrPolicy>> policies;
-  std::vector<player::ClientSetup> clients;
+  std::vector<player::SessionClient> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
     policies.push_back(std::make_unique<PolicyType>(args...));
     clients.push_back({&manifest, policies.back().get(), &session,
                        static_cast<double>(i) * 1.0});
   }
-  player::MultiClientSimulator simulator(capacity);
-  const auto results = simulator.run(clients);
+  const player::CellularLinkModel link(capacity);
+  const auto results =
+      player::SessionEngine{player::SessionEngineConfig{}}.run(clients, link);
 
   const qoe::QoeModel qoe_model;
   const power::PowerModel power_model;
@@ -55,7 +57,7 @@ FleetOutcome run_fleet(const media::VideoManifest& manifest,
     bitrates.push_back(result.mean_bitrate_mbps());
     outcome.mean_bitrate += result.mean_bitrate_mbps() / kClients;
   }
-  outcome.fairness = player::jain_fairness(bitrates);
+  outcome.fairness = jain_fairness(bitrates);
   return outcome;
 }
 
@@ -109,15 +111,16 @@ void BM_MultiClientRun(benchmark::State& state) {
   const auto session = trace::build_session(spec);
   const media::VideoManifest manifest("shared", spec.length_s, 2.0,
                                       media::BitrateLadder::evaluation14());
+  const player::CellularLinkModel link(session.throughput_mbps);
+  const player::SessionEngine engine{player::SessionEngineConfig{}};
   for (auto _ : state) {
     std::vector<std::unique_ptr<player::AbrPolicy>> policies;
-    std::vector<player::ClientSetup> clients;
+    std::vector<player::SessionClient> clients;
     for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
       policies.push_back(std::make_unique<abr::Festive>());
       clients.push_back({&manifest, policies.back().get(), &session, 0.0});
     }
-    player::MultiClientSimulator simulator(session.throughput_mbps);
-    benchmark::DoNotOptimize(simulator.run(clients));
+    benchmark::DoNotOptimize(engine.run(clients, link));
   }
 }
 BENCHMARK(BM_MultiClientRun)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);

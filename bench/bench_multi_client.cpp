@@ -11,8 +11,9 @@
 #include "bench_common.h"
 #include "eacs/abr/festive.h"
 #include "eacs/media/manifest.h"
-#include "eacs/player/multi_client.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/trace/session.h"
+#include "eacs/util/stats.h"
 
 namespace {
 
@@ -29,7 +30,7 @@ struct FleetRun {
 FleetRun run_fleet(const media::VideoManifest& manifest,
                    const trace::SessionTraces& session, std::size_t num_clients) {
   std::vector<std::unique_ptr<player::AbrPolicy>> policies;
-  std::vector<player::ClientSetup> clients;
+  std::vector<player::SessionClient> clients;
   for (std::size_t i = 0; i < num_clients; ++i) {
     policies.push_back(std::make_unique<abr::Festive>());
     // Stagger joins by 1 s so the fleet ramps like real viewers, not in
@@ -37,11 +38,12 @@ FleetRun run_fleet(const media::VideoManifest& manifest,
     clients.push_back({&manifest, policies.back().get(), &session,
                        static_cast<double>(i) * 1.0});
   }
-  player::MultiClientSimulator simulator(session.throughput_mbps);
+  const player::CellularLinkModel link(session.throughput_mbps);
+  const player::SessionEngine engine{player::SessionEngineConfig{}};
 
   player::SessionTimeline timeline;
   const auto start = std::chrono::steady_clock::now();
-  const auto results = simulator.run(clients, &timeline);
+  const auto results = engine.run(clients, link, &timeline);
   const auto end = std::chrono::steady_clock::now();
 
   FleetRun run;
@@ -53,7 +55,7 @@ FleetRun run_fleet(const media::VideoManifest& manifest,
     run.mean_bitrate += result.mean_bitrate_mbps() / static_cast<double>(num_clients);
     run.total_rebuffer += result.total_rebuffer_s;
   }
-  run.fairness = player::jain_fairness(bitrates);
+  run.fairness = jain_fairness(bitrates);
   return run;
 }
 
@@ -98,16 +100,17 @@ void BM_SessionEngineStepped(benchmark::State& state) {
   const media::VideoManifest manifest("shared", spec.length_s, 2.0,
                                       media::BitrateLadder::evaluation14());
   const auto num_clients = static_cast<std::size_t>(state.range(0));
+  const player::CellularLinkModel link(session.throughput_mbps);
+  const player::SessionEngine engine{player::SessionEngineConfig{}};
   for (auto _ : state) {
     std::vector<std::unique_ptr<player::AbrPolicy>> policies;
-    std::vector<player::ClientSetup> clients;
+    std::vector<player::SessionClient> clients;
     for (std::size_t i = 0; i < num_clients; ++i) {
       policies.push_back(std::make_unique<abr::Festive>());
       clients.push_back({&manifest, policies.back().get(), &session,
                          static_cast<double>(i) * 1.0});
     }
-    player::MultiClientSimulator simulator(session.throughput_mbps);
-    benchmark::DoNotOptimize(simulator.run(clients));
+    benchmark::DoNotOptimize(engine.run(clients, link));
   }
 }
 BENCHMARK(BM_SessionEngineStepped)
@@ -123,17 +126,18 @@ void BM_SessionEngineSteppedWithTimeline(benchmark::State& state) {
   const auto session = trace::build_session(spec);
   const media::VideoManifest manifest("shared", spec.length_s, 2.0,
                                       media::BitrateLadder::evaluation14());
+  const player::CellularLinkModel link(session.throughput_mbps);
+  const player::SessionEngine engine{player::SessionEngineConfig{}};
   for (auto _ : state) {
     std::vector<std::unique_ptr<player::AbrPolicy>> policies;
-    std::vector<player::ClientSetup> clients;
+    std::vector<player::SessionClient> clients;
     for (std::size_t i = 0; i < 4; ++i) {
       policies.push_back(std::make_unique<abr::Festive>());
       clients.push_back({&manifest, policies.back().get(), &session,
                          static_cast<double>(i) * 1.0});
     }
-    player::MultiClientSimulator simulator(session.throughput_mbps);
     player::SessionTimeline timeline;
-    benchmark::DoNotOptimize(simulator.run(clients, &timeline));
+    benchmark::DoNotOptimize(engine.run(clients, link, &timeline));
     benchmark::DoNotOptimize(timeline.events().size());
   }
 }

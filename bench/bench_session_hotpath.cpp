@@ -12,7 +12,6 @@
 // (tests/differential/engine_diff_test.cpp).
 
 #include <chrono>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -44,9 +43,7 @@ player::PlaybackResult run_solo(const trace::SessionTraces& session,
   player::SessionEngineConfig config;
   config.reference_mode = reference_mode;
   const player::SessionEngine engine(config);
-  auto results =
-      engine.run(std::span<const player::SessionClient>(&client, 1), link);
-  return std::move(results.front());
+  return engine.run(client, link);
 }
 
 template <typename F>

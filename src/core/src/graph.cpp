@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "eacs/core/cost_table.h"
 
@@ -65,9 +67,11 @@ SelectionGraph build_selection_graph(const Objective& objective,
   graph.source = 0;
   for (std::size_t task = 0; task < n; ++task) {
     for (std::size_t level = 0; level < m; ++level) {
-      graph.nodes.push_back({"T" + std::to_string(task + 1) + "R" +
-                                 std::to_string(level + 1),
-                             task, level, false});
+      std::string label = "T";
+      label += std::to_string(task + 1);
+      label += 'R';
+      label += std::to_string(level + 1);
+      graph.nodes.push_back({std::move(label), task, level, false});
     }
   }
   graph.nodes.push_back({"D", 0, 0, true});

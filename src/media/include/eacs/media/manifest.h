@@ -47,7 +47,8 @@ class VideoManifest {
   static constexpr std::size_t kMaxSegments = 1'000'000;
 
   /// Throws std::invalid_argument on durations that are not finite and
-  /// positive, an amplitude outside [0, 1) (NaN included), or more than
+  /// positive, an amplitude outside [0, 1) (NaN included), no segment at
+  /// all (a total duration within 1e-9 segments of zero), or more than
   /// kMaxSegments segments.
   VideoManifest(std::string video_id, double total_duration_s, double segment_duration_s,
                 BitrateLadder ladder, VbrModel vbr = {});

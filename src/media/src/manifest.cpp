@@ -45,6 +45,9 @@ VideoManifest::VideoManifest(std::string video_id, double total_duration_s,
     throw std::invalid_argument("VideoManifest: vbr amplitude must be in [0, 1)");
   }
   const double segments = std::ceil(total_duration_s_ / segment_duration_s_ - 1e-9);
+  if (!(segments >= 1.0)) {
+    throw std::invalid_argument("VideoManifest: durations give no segment");
+  }
   if (!(segments <= static_cast<double>(kMaxSegments))) {
     throw std::invalid_argument("VideoManifest: more than " +
                                 std::to_string(kMaxSegments) + " segments");

@@ -137,7 +137,9 @@ eacs::XmlNode to_mpd_tree(const VideoManifest& manifest) {
   const auto& ladder = manifest.ladder();
   for (std::size_t level = 0; level < ladder.size(); ++level) {
     auto& representation = adaptation.add_child("Representation");
-    representation.set_attribute("id", "r" + std::to_string(level));
+    std::string id = "r";
+    id += std::to_string(level);
+    representation.set_attribute("id", std::move(id));
     representation.set_attribute(
         "bandwidth",
         std::to_string(static_cast<long long>(

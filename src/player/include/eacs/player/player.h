@@ -16,17 +16,18 @@
 // failing. Aborted attempts are accounted as wasted bytes / wasted wall
 // time, which eacs::sim prices as wasted download energy.
 //
-// A further overload replays the session against N CDN sources (one per
-// manifest BaseURL): per-source server faults, deterministic circuit
-// breakers, health-scored failover and hedged requests — the multi-source
-// delivery machinery of segment_source.h driven by the engine's CDN state
-// machine.
+// A third overload corrupts the policy's sensing through a
+// sensors::SensorFaultInjector while the link stays clean, and a fourth
+// replays the session against N CDN sources (one per manifest BaseURL):
+// per-source server faults, deterministic circuit breakers, health-scored
+// failover and hedged requests — the multi-source delivery machinery of
+// segment_source.h driven by the engine's CDN state machine.
 //
-// All overloads are thin configurations of the unified player::SessionEngine
-// (session_engine.h): the fault-free path runs a SoloLinkModel, the
-// fault-injected path a FaultLinkModel, the multi-source path a
-// CdnLinkModel. Pass a SessionObserver (e.g. SessionTimeline) to receive the
-// structured per-event log of a run.
+// Each overload is one analytic player::SessionEngine run of one client
+// (session_engine.h): the fault-free and sensor-fault paths run a
+// SoloLinkModel, the fault-injected path a FaultLinkModel, the multi-source
+// path a CdnLinkModel. Pass a SessionObserver (e.g. SessionTimeline) to
+// receive the structured per-event log of a run.
 
 #include <cstddef>
 #include <cstdint>
@@ -239,12 +240,6 @@ class PlayerSimulator {
   /// context (which the energy/QoE accounting prices) are untouched. An
   /// inactive injector is a strict no-op.
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
-                     const sensors::SensorFaultInjector& sensor_faults,
-                     SessionObserver* observer = nullptr) const;
-
-  /// Link faults and sensor faults together.
-  PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
-                     const net::FaultInjector& faults,
                      const sensors::SensorFaultInjector& sensor_faults,
                      SessionObserver* observer = nullptr) const;
 

@@ -1,33 +1,33 @@
 #pragma once
 // The unified playback session engine.
 //
-// One event-driven core replaces the three playback loops the repo used to
-// carry (fault-free PlayerSimulator::run, the fault-injected resilience
-// overload, and MultiClientSimulator's stepped shared-link loop). The engine
-// owns the single implementation of buffer drain / stall accounting, startup
+// One event-driven core plays every session in the repo. The engine owns the
+// single implementation of buffer drain / stall accounting, startup
 // transitions, the buffer-threshold throttle and the per-segment resilience
-// state machine. What varies between scenarios is the link, and the link's
-// type chooses the engine mode. Analytic links derive from LinkModel, resolve
-// each attempt in closed form and carry exactly one client:
+// state machines. What varies between scenarios is the link, and the link's
+// type chooses the engine mode. The analytic run plays one client over a
+// LinkModel, resolving each attempt in closed form:
 //
 //  * SoloLinkModel    — trace-driven dedicated link; every attempt completes
 //                       (the fault-free player semantics);
 //  * FaultLinkModel   — wraps net::FaultInjector; attempts can fail, stall or
-//                       time out, engaging ResilienceConfig's state machine
+//                       time out, engaging ResilienceConfig's single-source
+//                       state machine, which runs on the injector itself
 //                       (deadlines, bounded retries, backoff, degradation,
 //                       abandonment, rescue fetch);
 //  * CdnLinkModel     — multi-source CDN delivery: N SegmentSources with
-//                       per-source server faults; the engine adds circuit
+//                       per-source server faults; the engine's CDN machine
+//                       calls the sources directly and adds circuit
 //                       breakers, health-scored failover and hedged requests
 //                       (first successful finisher wins, the loser's bytes
 //                       are priced as wasted energy).
 //
-// The stepped link is CellularLinkModel: one processor-shared bottleneck per
-// base station, integrated on a fixed step grid with sub-step completions
-// resolved exactly. Clients attach per cell and follow handoff routes, and
-// the engine advances cells through a global (step, cell) event heap so
-// finished or empty cells cost nothing. One cell is the classic shared
-// bottleneck that MultiClientSimulator runs.
+// The stepped run plays any number of clients over a CellularLinkModel: one
+// processor-shared bottleneck per base station, integrated on a fixed step
+// grid with sub-step completions resolved exactly. Clients join at their
+// join times, attach per cell and follow handoff routes, and the engine
+// advances cells through a global (step, cell) event heap so finished or
+// empty cells cost nothing. One cell is the classic shared bottleneck.
 //
 // Every state transition is surfaced to SessionObserver hooks as a typed
 // SessionEvent; SessionTimeline is the bundled observer that records the full
@@ -41,7 +41,6 @@
 // perturb a result.
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -142,7 +141,7 @@ class SessionTimeline final : public SessionObserver {
 
 /// Streams accelerometer samples into a vibration estimator in lockstep with
 /// the engine clock — the one vibration-seeding helper shared by every link
-/// mode (previously duplicated between player.cpp and multi_client.cpp).
+/// mode and by core::build_task_environments.
 class VibrationClock {
  public:
   /// `trace` is unowned and must outlive the clock.
@@ -150,13 +149,10 @@ class VibrationClock {
       : trace_(&trace), estimator_(config) {}
 
   /// Consumes all samples with timestamp <= t_s, as one run, and returns
-  /// the level.
-  double advance_to(double t_s) {
-    const std::size_t begin = cursor_;
-    while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) ++cursor_;
-    return estimator_.consume(
-        std::span(*trace_).subspan(begin, cursor_ - begin));
-  }
+  /// the level. Throws std::invalid_argument, naming the sample, when the
+  /// walk stops at a NaN timestamp (the clock would otherwise stall there
+  /// for the rest of the trace).
+  double advance_to(double t_s);
 
   /// Current level without consuming further samples.
   double level() const noexcept { return estimator_.level(); }
@@ -167,33 +163,29 @@ class VibrationClock {
   std::size_t cursor_ = 0;
 };
 
-/// How the engine reaches the network on an analytic run: the link resolves
-/// one attempt in closed form via attempt()/rescue(), and unreliable()
-/// decides whether the engine engages the resilience state machine around
-/// those attempts. Stepped runs take a CellularLinkModel instead.
+/// How the engine reaches the network on an analytic run. Every link
+/// resolves a plain attempt() in closed form; unreliable() decides whether
+/// the engine engages a resilience state machine, and the link then names
+/// what that machine runs on: sources() for the CDN machine, else faults()
+/// for the single-source machine. Stepped runs take a CellularLinkModel
+/// instead.
 class LinkModel {
  public:
   virtual ~LinkModel() = default;
 
+  /// True only for a link whose sources() is non-empty or whose faults()
+  /// is non-null.
   virtual bool unreliable() const noexcept { return false; }
 
-  /// Outcome of attempt `attempt` of `segment` started at `start_s`.
+  /// Outcome of attempt `attempt` of `segment` started at `start_s`. The
+  /// engine calls it on reliable links only, and there only when
+  /// fast_downloader() is null or reference_mode is set.
   virtual net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                                       double start_s,
                                       double size_megabits) const = 0;
-  /// Rescue fetch: a held-open transfer that always completes.
-  virtual net::DownloadResult rescue(double start_s,
-                                     double size_megabits) const = 0;
-  /// Megabits the link moves over [t0, t1] (waste accounting for aborts).
-  virtual double megabits_over(double t0, double t1) const = 0;
-  /// True if `t_s` is inside a link outage.
-  virtual bool in_outage(double /*t_s*/) const noexcept { return false; }
-  /// Seed for the deterministic retry-backoff jitter.
-  virtual std::uint64_t fault_seed() const noexcept { return 0; }
-  /// Sorted outage schedule for kFaultTransition events (may be null).
-  virtual const std::vector<net::OutageWindow>* outage_schedule() const noexcept {
-    return nullptr;
-  }
+  /// Fault links only: the injector the single-source resilience machine
+  /// runs on (attempts, rescue fetch, waste, outages and backoff seed).
+  virtual const net::FaultInjector* faults() const noexcept { return nullptr; }
   /// CDN links only: the session's segment sources. Non-empty together with
   /// unreliable() engages the engine's multi-source failover machine
   /// (per-source breakers, health-scored selection, hedged requests)
@@ -210,9 +202,7 @@ class LinkModel {
   /// segment instead of dispatching through attempt(), which is
   /// bit-identical by construction (the virtual path wraps the same call).
   /// Unreliable links return null and take the full machinery.
-  virtual const net::SegmentDownloader* fast_downloader() const noexcept {
-    return nullptr;
-  }
+  virtual const net::SegmentDownloader* fast_downloader() const noexcept = 0;
 };
 
 /// Dedicated trace-driven link: every attempt completes, nothing times out.
@@ -228,13 +218,9 @@ class SoloLinkModel final : public LinkModel {
 
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
-  net::DownloadResult rescue(double start_s, double size_megabits) const override;
-  double megabits_over(double t0, double t1) const override;
   const net::SegmentDownloader* fast_downloader() const noexcept override {
     return &downloader_;
   }
-
-  const net::SegmentDownloader& downloader() const noexcept { return downloader_; }
 
  private:
   net::SegmentDownloader downloader_;
@@ -250,11 +236,7 @@ class FaultLinkModel final : public LinkModel {
   bool unreliable() const noexcept override { return faults_->active(); }
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
-  net::DownloadResult rescue(double start_s, double size_megabits) const override;
-  double megabits_over(double t0, double t1) const override;
-  bool in_outage(double t_s) const noexcept override;
-  std::uint64_t fault_seed() const noexcept override;
-  const std::vector<net::OutageWindow>* outage_schedule() const noexcept override;
+  const net::FaultInjector* faults() const noexcept override { return faults_; }
   /// Inactive injector: attempt() is exactly downloader().download(...).
   const net::SegmentDownloader* fast_downloader() const noexcept override {
     return faults_->active() ? nullptr : &faults_->downloader();
@@ -269,11 +251,11 @@ class FaultLinkModel final : public LinkModel {
 /// *trivial* source (default CdnFaultSpec, scale 1, RTT 0) — the engine then
 /// takes the plain fast path over that source's downloader, which is the
 /// certified no-op the sim studies' baselines rely on. Otherwise the engine
-/// runs the CDN failover machine: per-source circuit breakers, health-scored
-/// source selection and hedged requests (ResilienceConfig's CDN knobs).
-/// The analytic LinkModel methods delegate to source 0 (the origin), which
-/// also provides the fault seed for backoff jitter and the outage schedule
-/// surfaced as kFaultTransition events.
+/// runs the CDN failover machine on the sources: per-source circuit
+/// breakers, health-scored source selection and hedged requests
+/// (ResilienceConfig's CDN knobs). Source 0 (the origin) provides the fault
+/// seed for backoff jitter and the outage schedule surfaced as
+/// kFaultTransition events.
 class CdnLinkModel final : public LinkModel {
  public:
   /// Throws std::invalid_argument on an empty source list.
@@ -282,11 +264,6 @@ class CdnLinkModel final : public LinkModel {
   bool unreliable() const noexcept override;
   net::AttemptOutcome attempt(std::size_t segment, std::size_t attempt,
                               double start_s, double size_megabits) const override;
-  net::DownloadResult rescue(double start_s, double size_megabits) const override;
-  double megabits_over(double t0, double t1) const override;
-  bool in_outage(double t_s) const noexcept override;
-  std::uint64_t fault_seed() const noexcept override;
-  const std::vector<net::OutageWindow>* outage_schedule() const noexcept override;
   std::span<const net::SegmentSource> sources() const noexcept override {
     return sources_;
   }
@@ -381,25 +358,22 @@ class SessionEngine {
 
   const SessionEngineConfig& config() const noexcept { return config_; }
 
-  /// Analytic run: plays the one client in `clients` against `link`;
-  /// result[0] is its playback (join_time_s, home_cell and route ignored).
-  /// The policy is reset() first. Throws std::invalid_argument unless
-  /// exactly one client is given, or on null client fields.
-  std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
-                                  const LinkModel& link,
-                                  SessionObserver* observer = nullptr) const;
+  /// Analytic run: plays `client` against `link` (join_time_s, home_cell
+  /// and route ignored). The policy is reset() first. Throws
+  /// std::invalid_argument on null client fields.
+  PlaybackResult run(const SessionClient& client, const LinkModel& link,
+                     SessionObserver* observer = nullptr) const;
 
   /// Stepped run: every client to completion over the cells of `link`;
   /// result[i] corresponds to clients[i]. Policies are reset() first.
-  /// Throws std::invalid_argument on null client fields, or on a home cell,
-  /// route cell or route order that does not fit `link`.
+  /// Throws std::invalid_argument on null client fields, a NaN join time,
+  /// or a home cell, route cell, NaN route time or route order that does
+  /// not fit `link`.
   std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
                                   const CellularLinkModel& link,
                                   SessionObserver* observer = nullptr) const;
 
  private:
-  PlaybackResult run_analytic(const SessionClient& client, const LinkModel& link,
-                              SessionObserver* observer) const;
   /// The pre-refactor single-bottleneck stepping loop, kept verbatim so the
   /// differential harness can certify the cellular path against it. One-cell
   /// runs in reference_mode take it.

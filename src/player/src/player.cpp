@@ -94,10 +94,9 @@ PlaybackResult run_engine(const media::VideoManifest& manifest,
                           const LinkModel& link,
                           const sensors::SensorFaultInjector* sensor_faults,
                           SessionObserver* observer) {
-  SessionClient client{&manifest, &policy, &session, 0.0};
-  client.sensor_faults = sensor_faults;
+  const SessionClient client{&manifest, &policy, &session, 0.0, sensor_faults};
   const SessionEngine engine(SessionEngineConfig{config, 0.05, 7200.0});
-  return std::move(engine.run({&client, 1}, link, observer).front());
+  return engine.run(client, link, observer);
 }
 
 }  // namespace
@@ -132,15 +131,6 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     SessionObserver* observer) const {
   return run_engine(manifest_, config_, policy, session, CdnLinkModel(sources),
                     nullptr, observer);
-}
-
-PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
-                                    const trace::SessionTraces& session,
-                                    const net::FaultInjector& faults,
-                                    const sensors::SensorFaultInjector& sensor_faults,
-                                    SessionObserver* observer) const {
-  return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
-                    &sensor_faults, observer);
 }
 
 }  // namespace eacs::player

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -73,6 +74,18 @@ class OutageTransitionEmitter {
   bool inside_ = false;
 };
 
+/// Throws std::invalid_argument when a time walk over `stream` stopped at
+/// `index` because that sample's timestamp is NaN: every later walk would
+/// stall there too.
+template <typename Stream>
+void reject_nan_stop(const Stream& stream, std::size_t index,
+                     const char* what) {
+  if (index < stream.size() && std::isnan(stream[index].t_s)) {
+    throw std::invalid_argument(std::string(what) + " " +
+                                std::to_string(index) + " has a NaN timestamp");
+  }
+}
+
 long long signed_index(std::size_t value) {
   return value == kNoIndex ? -1 : static_cast<long long>(value);
 }
@@ -98,6 +111,8 @@ class PerceivedContext {
     while (accel_cursor_ < accel.size() && accel[accel_cursor_].t_s <= t_s) {
       ++accel_cursor_;
     }
+    reject_nan_stop(accel, accel_cursor_,
+                    "SessionEngine: perceived accel sample");
     const auto run = std::span(accel).subspan(begin, accel_cursor_ - begin);
     estimator_.consume(run);
     for (const auto& sample : run) health_.observe_accel(sample);
@@ -107,6 +122,8 @@ class PerceivedContext {
                              signal[signal_cursor_].dbm);
       ++signal_cursor_;
     }
+    reject_nan_stop(signal, signal_cursor_,
+                    "SessionEngine: perceived signal reading");
   }
 
   /// Perceived vibration at `t_s` (decays to the conservative prior while
@@ -270,6 +287,15 @@ void SessionTimeline::write_json(const std::string& path) const {
   if (!out.good()) throw std::runtime_error("SessionTimeline: failed writing " + path);
 }
 
+// --- VibrationClock ---------------------------------------------------------
+
+double VibrationClock::advance_to(double t_s) {
+  const std::size_t begin = cursor_;
+  while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) ++cursor_;
+  reject_nan_stop(*trace_, cursor_, "VibrationClock: accel sample");
+  return estimator_.consume(std::span(*trace_).subspan(begin, cursor_ - begin));
+}
+
 // --- Links ------------------------------------------------------------------
 
 net::AttemptOutcome SoloLinkModel::attempt(std::size_t, std::size_t,
@@ -280,41 +306,10 @@ net::AttemptOutcome SoloLinkModel::attempt(std::size_t, std::size_t,
   return outcome;
 }
 
-net::DownloadResult SoloLinkModel::rescue(double start_s,
-                                          double size_megabits) const {
-  return downloader_.download(start_s, size_megabits);
-}
-
-double SoloLinkModel::megabits_over(double t0, double t1) const {
-  return downloader_.trace().integral_over(t0, t1);
-}
-
 net::AttemptOutcome FaultLinkModel::attempt(std::size_t segment,
                                             std::size_t attempt, double start_s,
                                             double size_megabits) const {
   return faults_->attempt(segment, attempt, start_s, size_megabits);
-}
-
-net::DownloadResult FaultLinkModel::rescue(double start_s,
-                                           double size_megabits) const {
-  return faults_->downloader().download(start_s, size_megabits);
-}
-
-double FaultLinkModel::megabits_over(double t0, double t1) const {
-  return faults_->megabits_over(t0, t1);
-}
-
-bool FaultLinkModel::in_outage(double t_s) const noexcept {
-  return faults_->in_outage(t_s);
-}
-
-std::uint64_t FaultLinkModel::fault_seed() const noexcept {
-  return faults_->spec().seed;
-}
-
-const std::vector<net::OutageWindow>* FaultLinkModel::outage_schedule()
-    const noexcept {
-  return &faults_->outage_schedule();
 }
 
 CdnLinkModel::CdnLinkModel(std::span<const net::SegmentSource> sources)
@@ -338,28 +333,6 @@ net::AttemptOutcome CdnLinkModel::attempt(std::size_t segment,
   outcome.result =
       sources_[0].attempt(segment, attempt, start_s, size_megabits).result;
   return outcome;
-}
-
-net::DownloadResult CdnLinkModel::rescue(double start_s,
-                                         double size_megabits) const {
-  return sources_[0].rescue(start_s, size_megabits);
-}
-
-double CdnLinkModel::megabits_over(double t0, double t1) const {
-  return sources_[0].megabits_over(t0, t1);
-}
-
-bool CdnLinkModel::in_outage(double t_s) const noexcept {
-  return sources_[0].in_outage(t_s);
-}
-
-std::uint64_t CdnLinkModel::fault_seed() const noexcept {
-  return sources_[0].config().faults.seed;
-}
-
-const std::vector<net::OutageWindow>* CdnLinkModel::outage_schedule()
-    const noexcept {
-  return &sources_[0].outage_schedule();
 }
 
 CellularLinkModel::CellularLinkModel(
@@ -404,19 +377,6 @@ void require_fields(std::span<const SessionClient> clients) {
 
 }  // namespace
 
-std::vector<PlaybackResult> SessionEngine::run(
-    std::span<const SessionClient> clients, const LinkModel& link,
-    SessionObserver* observer) const {
-  require_fields(clients);
-  if (clients.size() != 1) {
-    throw std::invalid_argument(
-        "SessionEngine: analytic links take exactly one client");
-  }
-  std::vector<PlaybackResult> results;
-  results.push_back(run_analytic(clients[0], link, observer));
-  return results;
-}
-
 // Stepped links: completion times depend on who else is downloading, so the
 // engine integrates on a fixed grid (sub-step completions resolved exactly)
 // and splits each cell's capacity equally among its in-flight clients. The
@@ -432,10 +392,16 @@ std::vector<PlaybackResult> SessionEngine::run(
     if (client.home_cell >= cells.size()) {
       throw std::invalid_argument("SessionEngine: home_cell out of range");
     }
+    if (std::isnan(client.join_time_s)) {
+      throw std::invalid_argument("SessionEngine: join_time_s is NaN");
+    }
     double prev_hop_s = -std::numeric_limits<double>::infinity();
     for (const auto& hop : client.route) {
       if (hop.cell >= cells.size()) {
         throw std::invalid_argument("SessionEngine: route cell out of range");
+      }
+      if (std::isnan(hop.t_s)) {
+        throw std::invalid_argument("SessionEngine: route t_s is NaN");
       }
       if (hop.t_s < prev_hop_s) {
         throw std::invalid_argument("SessionEngine: route not sorted by time");
@@ -451,12 +417,14 @@ std::vector<PlaybackResult> SessionEngine::run(
 
 // Analytic links: segments resolve sequentially in closed form. With a
 // reliable link every attempt completes (the fault-free player semantics);
-// an unreliable link engages the per-segment resilience state machine
+// an unreliable link engages a per-segment resilience state machine
 // (deadlines, bounded retries with backoff, degradation, abandonment and the
-// terminal rescue fetch).
-PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
-                                           const LinkModel& link,
-                                           SessionObserver* observer) const {
+// terminal rescue fetch): the CDN machine over the link's sources, else the
+// single-source machine over its fault injector.
+PlaybackResult SessionEngine::run(const SessionClient& client,
+                                  const LinkModel& link,
+                                  SessionObserver* observer) const {
+  require_fields({&client, 1});
   AbrPolicy& policy = *client.policy;
   const media::VideoManifest& manifest = *client.manifest;
   const trace::SessionTraces& session = *client.context;
@@ -489,14 +457,26 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
   bool playing = false;
   std::optional<std::size_t> prev_level;
 
-  OutageTransitionEmitter outages(unreliable ? link.outage_schedule() : nullptr,
-                                  observer, 0);
+  // What the engaged machine runs on. The CDN machine calls the sources,
+  // and the origin (source 0) seeds its backoff jitter and carries the
+  // outage schedule; the single-source machine calls the fault injector.
+  const std::span<const net::SegmentSource> cdn_sources = link.sources();
+  const bool cdn = unreliable && !cdn_sources.empty();
+  const net::FaultInjector* const faults = link.faults();
+  const std::vector<net::OutageWindow>* outage_schedule = nullptr;
+  std::uint64_t backoff_seed = 0;
+  if (cdn) {
+    outage_schedule = &cdn_sources[0].outage_schedule();
+    backoff_seed = cdn_sources[0].config().faults.seed;
+  } else if (unreliable) {
+    outage_schedule = &faults->outage_schedule();
+    backoff_seed = faults->spec().seed;
+  }
+  OutageTransitionEmitter outages(outage_schedule, observer, 0);
 
   // Multi-source CDN runs: per-run failover state (breakers + EWMA scores)
   // lives in the selector; constructed only when the machine is engaged so
   // every other path stays untouched.
-  const std::span<const net::SegmentSource> cdn_sources = link.sources();
-  const bool cdn = unreliable && !cdn_sources.empty();
   std::optional<net::SourceSelector> selector;
   std::vector<net::BreakerState> breaker_seen;
   std::size_t active_source = 0;
@@ -611,9 +591,9 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
              transfer.duration_s() > res.abandon_factor * buffer &&
              now + res.abandon_probe_s < transfer.end_s;
     };
-    // The abandon step: probe briefly over `carrier` (the link or the CDN
-    // source), give the attempt up and re-request one rung lower with no
-    // backoff.
+    // The abandon step: probe briefly over `carrier` (the fault injector or
+    // the CDN source), give the attempt up and re-request one rung lower
+    // with no backoff.
     const auto abandon = [&](const auto& carrier, double size_megabits,
                              std::size_t source) {
       const double probe_end = now + res.abandon_probe_s;
@@ -642,7 +622,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
     };
     // Backoff before the next attempt; playback keeps draining the buffer.
     const auto back_off = [&] {
-      const double wait = retry_backoff_s(res, link.fault_seed(), i, attempt);
+      const double wait = retry_backoff_s(res, backoff_seed, i, attempt);
       outages.advance_to(now + wait);
       drain(wait);
       now += wait;
@@ -840,6 +820,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
       // ------------------------------------------------------------------
     } else {
       // --- Per-segment resilience state machine -------------------------
+      const net::FaultInjector& injector = *faults;
       for (;;) {
         const double size_megabits = step_down();
         emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
@@ -849,11 +830,11 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
           // Rescue fetch: lowest-rung request held open until it completes
           // (no per-request faults; outages still slow it via the effective
           // trace). Guarantees bounded retries and session termination.
-          success = link.rescue(now, size_megabits);
+          success = injector.downloader().download(now, size_megabits);
           break;
         }
 
-        const auto outcome = link.attempt(i, attempt, now, size_megabits);
+        const auto outcome = injector.attempt(i, attempt, now, size_megabits);
         const double deadline = now + res.attempt_deadline_s;
         const double resolves_at =
             outcome.failed ? outcome.fail_at_s : outcome.result.end_s;
@@ -864,7 +845,7 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
             success = outcome.result;
             break;
           }
-          abandon(link, size_megabits, kNoIndex);
+          abandon(injector, size_megabits, kNoIndex);
           continue;
         }
 
@@ -878,8 +859,8 @@ PlaybackResult SessionEngine::run_analytic(const SessionClient& client,
                                          outcome.result.mean_throughput_mbps *
                                              res.attempt_deadline_s)
                               : std::min(size_megabits,
-                                         link.megabits_over(now, deadline));
-        report_abort(link, timeout, abort_at, moved, kNoIndex);
+                                         injector.megabits_over(now, deadline));
+        report_abort(injector, timeout, abort_at, moved, kNoIndex);
         add_waste(moved, now, abort_at);
         advance_abort(abort_at, moved);
         back_off();

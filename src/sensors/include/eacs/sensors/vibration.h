@@ -12,6 +12,7 @@
 // A quiet room yields v close to 0 (sensor noise only); a moving vehicle
 // yields v of several m/s^2, matching Table V's 2.46..6.83 averages.
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -38,10 +39,14 @@ struct VibrationConfig {
   double prior_vibration = 4.0;
   double prior_tau_s = 10.0;
 
-  /// Meaningful only for a config require_valid_vibration accepts.
+  /// window_s * sample_rate_hz rounded to the nearest count, at least 1
+  /// (0.29 s at 100 Hz is 29 samples, though the product reads
+  /// 28.999999999999996). Meaningful only for a config
+  /// require_valid_vibration accepts: a product below 2^64 rounds to at
+  /// most 2^64 - 2048, so the cast is exact.
   std::size_t window_samples() const noexcept {
     const double n = window_s * sample_rate_hz;
-    return n < 1.0 ? 1 : static_cast<std::size_t>(n);
+    return n < 1.0 ? 1 : static_cast<std::size_t>(std::round(n));
   }
 };
 

@@ -1,8 +1,9 @@
 #pragma once
-// Descriptive statistics helpers used across the evaluation pipeline, plus
-// the streaming aggregators the fleet simulator folds per-session metrics
-// into (P^2 online quantiles, seeded reservoir sampling) so 100k-session
-// runs report percentiles without retaining per-session results.
+// Descriptive statistics helpers used across the evaluation pipeline (Jain's
+// fairness index for the shared-bottleneck runs among them), plus the
+// streaming aggregators the fleet simulator folds per-session metrics into
+// (P^2 online quantiles, seeded reservoir sampling) so 100k-session runs
+// report percentiles without retaining per-session results.
 
 #include <array>
 #include <cstddef>
@@ -45,6 +46,12 @@ inline double harmonic_mean(std::span<const double> xs) noexcept {
   if (positives == 0) return 0.0;
   return static_cast<double>(positives) / denom;
 }
+
+/// Jain's fairness index, (sum x)^2 / (n * sum x^2): 1 when every sample is
+/// equal, 1/n when one sample holds everything. Returns 1 for an empty span
+/// or an all-zero one. The shared-bottleneck benches and tests score the
+/// clients' mean bitrates with it.
+double jain_fairness(std::span<const double> xs) noexcept;
 
 /// Linear-interpolated percentile, p in [0, 100]. Returns 0 for empty input.
 double percentile(std::vector<double> xs, double p) noexcept;

@@ -30,6 +30,18 @@ double rms(std::span<const double> xs) noexcept {
   return std::sqrt(accum / static_cast<double>(xs.size()));
 }
 
+double jain_fairness(std::span<const double> xs) noexcept {
+  if (xs.empty()) return 1.0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (double x : xs) {
+    sum += x;
+    sum_sq += x * x;
+  }
+  if (sum_sq <= 0.0) return 1.0;
+  return sum * sum / (static_cast<double>(xs.size()) * sum_sq);
+}
+
 double percentile(std::vector<double> xs, double p) noexcept {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "eacs/util/rng.h"
 #include "../test_helpers.h"
@@ -180,6 +182,16 @@ TEST(OptimalPlannerTest, BuiltFromRealSessionTasks) {
   OptimalPlanner planner(make_objective());
   const auto plan = planner.plan(tasks);
   EXPECT_EQ(plan.levels.size(), tasks.size());
+}
+
+TEST(OptimalPlannerTest, TaskBuilderRejectsNanAccelTimestamp) {
+  // The builder's vibration walk would stall at the NaN sample and price
+  // every later task with the level frozen there.
+  const auto manifest = eacs::testing::make_manifest(60.0, 2.0);
+  auto session = eacs::testing::make_session(60.0, 10.0, -100.0, 3.0);
+  session.accel[100].t_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(build_task_environments(manifest, session),
+               std::invalid_argument);
 }
 
 TEST(PlannedPolicyTest, ReplaysPlanAndFloorsBeyondIt) {

@@ -102,26 +102,34 @@ struct RunOutput {
   bool operator==(const RunOutput&) const = default;
 };
 
-template <typename Link>
-RunOutput run_clients(bool reference_mode, std::span<const SessionClient> clients,
-                      const Link& link) {
+SessionEngine engine_for(bool reference_mode) {
   SessionEngineConfig config;
   config.reference_mode = reference_mode;
-  const SessionEngine engine(config);
-  SessionTimeline timeline;
-  const auto results = engine.run(clients, link, &timeline);
+  return SessionEngine(config);
+}
+
+RunOutput dump(const std::vector<PlaybackResult>& results,
+               const SessionTimeline& timeline) {
   std::ostringstream csv;
   timeline.write_csv(csv);
   return {serialize(results), csv.str()};
+}
+
+RunOutput run_clients(bool reference_mode, std::span<const SessionClient> clients,
+                      const CellularLinkModel& link) {
+  SessionTimeline timeline;
+  const auto results = engine_for(reference_mode).run(clients, link, &timeline);
+  return dump(results, timeline);
 }
 
 RunOutput run_single(bool reference_mode, const media::VideoManifest& manifest,
                      const trace::SessionTraces& session, AbrPolicy& policy,
                      const LinkModel& link,
                      const sensors::SensorFaultInjector* sensor_faults = nullptr) {
-  std::vector<SessionClient> clients = {
-      {&manifest, &policy, &session, 0.0, sensor_faults}};
-  return run_clients(reference_mode, clients, link);
+  const SessionClient client{&manifest, &policy, &session, 0.0, sensor_faults};
+  SessionTimeline timeline;
+  const auto result = engine_for(reference_mode).run(client, link, &timeline);
+  return dump({result}, timeline);
 }
 
 // --- the scenario matrix ----------------------------------------------------

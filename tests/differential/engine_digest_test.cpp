@@ -4,12 +4,13 @@
 // float (%a: every bit of every double), then its full SessionTimeline CSV,
 // and hashes the text with 64-bit FNV-1a. The hash must equal a constant
 // recorded from the engine as it stands, so a refactor of the engine, its
-// link models or its entry points (PlayerSimulator, MultiClientSimulator,
-// SessionEngine on a cellular link) cannot move a single bit unnoticed.
+// link models or its entry points (PlayerSimulator's four overloads, whose
+// analytic SessionEngine runs play one client each, and SessionEngine's
+// stepped run on a cellular link) cannot move a single bit unnoticed.
 // The runs cover the solo, link-fault, sensor-fault and hedged-CDN analytic
-// paths, the stepped multi-client and multi-cell paths, and the stepped
-// reference loop. A deliberate change to the engine's numbers must re-pin
-// the constants and say why.
+// paths, the stepped shared-bottleneck (one cell) and multi-cell paths, and
+// the stepped reference loop. A deliberate change to the engine's numbers
+// must re-pin the constants and say why.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,6 @@
 #include "eacs/abr/fixed.h"
 #include "eacs/net/fault_injector.h"
 #include "eacs/net/segment_source.h"
-#include "eacs/player/multi_client.h"
 #include "eacs/player/player.h"
 #include "eacs/player/session_engine.h"
 #include "eacs/sensors/sensor_faults.h"
@@ -204,14 +204,15 @@ TEST(EngineDigestTest, MultiClientStaggered) {
   abr::FixedBitrate fixed(6, "fixed6");
   abr::Festive festive_late;
   AbrPolicy* policies[] = {&bba, &festive, &fixed, &festive_late};
-  std::vector<ClientSetup> clients;
+  std::vector<SessionClient> clients;
   for (std::size_t c = 0; c < 4; ++c) {
     clients.push_back({&manifest, policies[c], &sessions[c],
                        2.5 * static_cast<double>(c)});
   }
-  const MultiClientSimulator simulator(capacity_owner.throughput_mbps);
+  const CellularLinkModel link(capacity_owner.throughput_mbps);
+  const SessionEngine engine(SessionEngineConfig{});
   SessionTimeline timeline;
-  const auto results = simulator.run(clients, &timeline);
+  const auto results = engine.run(clients, link, &timeline);
   expect_digest(dump(results, timeline), 0xe310df046dcbcbb4ULL);
 }
 

@@ -106,6 +106,8 @@ TEST(VideoManifestTest, InvalidArgumentsThrow) {
   EXPECT_THROW(make_manifest(10.0, nan), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, inf), std::invalid_argument);
   EXPECT_THROW(make_manifest(10.0, 2.0, nan), std::invalid_argument);
+  // A duration inside the 1e-9-segment tolerance would give no segment.
+  EXPECT_THROW(make_manifest(1e-10, 1.0), std::invalid_argument);
   const auto cap = static_cast<double>(VideoManifest::kMaxSegments);
   EXPECT_EQ(make_manifest(cap, 1.0).num_segments(), VideoManifest::kMaxSegments);
   EXPECT_THROW(make_manifest(cap + 1.0, 1.0), std::invalid_argument);

@@ -2,8 +2,10 @@
 // event-heap path must survive (mid-download crossings, zero-capacity cells,
 // simultaneous handoffs on one step edge, dormant-cell wake). Bit-identity of
 // the single-cell configuration lives in tests/differential/.
+#include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,6 +65,24 @@ TEST(CellularLinkModelTest, RouteAndHomeCellValidated) {
   const std::vector<CellHop> unsorted = {{9.0, 1}, {5.0, 0}};
   client.route = unsorted;
   EXPECT_THROW(engine.run({&client, 1}, link), std::invalid_argument);
+
+  // NaN compares false both ways, so neither slips past as "sorted" or as
+  // a join at t = 0; each is rejected by name.
+  const auto rejected_naming = [&](const std::string& field) {
+    try {
+      engine.run({&client, 1}, link);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<CellHop> nan_hop = {{5.0, 1}, {nan, 0}, {3.0, 1}};
+  client.route = nan_hop;
+  EXPECT_TRUE(rejected_naming("route t_s"));
+  client.route = {};
+  client.join_time_s = nan;
+  EXPECT_TRUE(rejected_naming("join_time_s"));
 }
 
 TEST(CellularTest, SingleCellMatchesSharedLink) {

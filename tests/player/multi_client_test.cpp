@@ -1,9 +1,12 @@
-#include "eacs/player/multi_client.h"
+// Shared-bottleneck runs: SessionEngine's stepped run over a one-cell
+// CellularLinkModel, every client splitting the cell's capacity.
 
 #include <gtest/gtest.h>
 
 #include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
+#include "eacs/player/session_engine.h"
+#include "eacs/util/stats.h"
 #include "../test_helpers.h"
 
 namespace eacs::player {
@@ -19,25 +22,16 @@ trace::TimeSeries constant_capacity(double mbps, double duration = 2000.0) {
   return series;
 }
 
-TEST(JainFairnessTest, Extremes) {
-  EXPECT_DOUBLE_EQ(jain_fairness(std::vector<double>{}), 1.0);
-  EXPECT_DOUBLE_EQ(jain_fairness(std::vector<double>{3.0, 3.0, 3.0}), 1.0);
-  // One client hogging everything among n: J = 1/n.
-  EXPECT_NEAR(jain_fairness(std::vector<double>{6.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
-  const double mixed = jain_fairness(std::vector<double>{4.0, 2.0});
-  EXPECT_GT(mixed, 0.5);
-  EXPECT_LT(mixed, 1.0);
-}
-
 TEST(MultiClientTest, InvalidInputsThrow) {
-  EXPECT_THROW(MultiClientSimulator(trace::TimeSeries{}), std::invalid_argument);
-  MultiClientConfig config;
+  EXPECT_THROW(CellularLinkModel{trace::TimeSeries{}}, std::invalid_argument);
+  SessionEngineConfig config;
   config.step_s = 0.0;
-  EXPECT_THROW(MultiClientSimulator(constant_capacity(10.0), config),
-               std::invalid_argument);
-  MultiClientSimulator simulator(constant_capacity(10.0));
-  std::vector<ClientSetup> bad = {{nullptr, nullptr, nullptr, 0.0}};
-  EXPECT_THROW(simulator.run(bad), std::invalid_argument);
+  EXPECT_THROW(SessionEngine{config}, std::invalid_argument);
+  const auto capacity = constant_capacity(10.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> bad = {{nullptr, nullptr, nullptr, 0.0}};
+  EXPECT_THROW(engine.run(bad, link), std::invalid_argument);
 }
 
 TEST(MultiClientTest, SingleClientMatchesSinglePlayerApproximately) {
@@ -48,9 +42,11 @@ TEST(MultiClientTest, SingleClientMatchesSinglePlayerApproximately) {
   const PlayerSimulator single(manifest);
   const auto single_result = single.run(fixed, session);
 
-  MultiClientSimulator multi(constant_capacity(12.0));
-  std::vector<ClientSetup> clients = {{&manifest, &fixed, &session, 0.0}};
-  const auto multi_results = multi.run(clients);
+  const auto capacity = constant_capacity(12.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &fixed, &session, 0.0}};
+  const auto multi_results = engine.run(clients, link);
   ASSERT_EQ(multi_results.size(), 1U);
   const auto& multi_result = multi_results[0];
 
@@ -74,11 +70,13 @@ TEST(MultiClientTest, EqualClientsShareFairly) {
   abr::Festive a;
   abr::Festive b;
   abr::Festive c;
-  MultiClientSimulator simulator(constant_capacity(24.0));
-  std::vector<ClientSetup> clients = {{&manifest, &a, &session, 0.0},
-                                      {&manifest, &b, &session, 0.0},
-                                      {&manifest, &c, &session, 0.0}};
-  const auto results = simulator.run(clients);
+  const auto capacity = constant_capacity(24.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &a, &session, 0.0},
+                                        {&manifest, &b, &session, 0.0},
+                                        {&manifest, &c, &session, 0.0}};
+  const auto results = engine.run(clients, link);
   ASSERT_EQ(results.size(), 3U);
   std::vector<double> bitrates;
   for (const auto& result : results) bitrates.push_back(result.mean_bitrate_mbps());
@@ -97,21 +95,23 @@ TEST(MultiClientTest, MoreClientsMeanLowerBitrates) {
   // link, four-way sharing ~5 Mbps each -> FESTIVE settles at 4.3.
   const auto manifest = make_manifest(240.0, 2.0);
   const auto session = make_session(240.0, 20.0);
-  MultiClientSimulator simulator(constant_capacity(20.0));
+  const auto capacity = constant_capacity(20.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
 
   abr::Festive solo_policy;
-  std::vector<ClientSetup> solo = {{&manifest, &solo_policy, &session, 0.0}};
-  const auto solo_results = simulator.run(solo);
+  std::vector<SessionClient> solo = {{&manifest, &solo_policy, &session, 0.0}};
+  const auto solo_results = engine.run(solo, link);
 
   abr::Festive p1;
   abr::Festive p2;
   abr::Festive p3;
   abr::Festive p4;
-  std::vector<ClientSetup> four = {{&manifest, &p1, &session, 0.0},
-                                   {&manifest, &p2, &session, 0.0},
-                                   {&manifest, &p3, &session, 0.0},
-                                   {&manifest, &p4, &session, 0.0}};
-  const auto four_results = simulator.run(four);
+  std::vector<SessionClient> four = {{&manifest, &p1, &session, 0.0},
+                                     {&manifest, &p2, &session, 0.0},
+                                     {&manifest, &p3, &session, 0.0},
+                                     {&manifest, &p4, &session, 0.0}};
+  const auto four_results = engine.run(four, link);
 
   double four_mean = 0.0;
   for (const auto& result : four_results) four_mean += result.mean_bitrate_mbps();
@@ -124,10 +124,12 @@ TEST(MultiClientTest, LateJoinerStartsLater) {
   const auto session = make_session(40.0, 20.0);
   abr::FixedBitrate early(3, "Early");
   abr::FixedBitrate late(3, "Late");
-  MultiClientSimulator simulator(constant_capacity(20.0));
-  std::vector<ClientSetup> clients = {{&manifest, &early, &session, 0.0},
-                                      {&manifest, &late, &session, 30.0}};
-  const auto results = simulator.run(clients);
+  const auto capacity = constant_capacity(20.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &early, &session, 0.0},
+                                        {&manifest, &late, &session, 30.0}};
+  const auto results = engine.run(clients, link);
   EXPECT_LT(results[0].tasks.front().download_start_s, 1.0);
   EXPECT_GE(results[1].tasks.front().download_start_s, 30.0);
   EXPECT_GT(results[1].startup_delay_s, results[0].startup_delay_s + 25.0);
@@ -138,10 +140,12 @@ TEST(MultiClientTest, TightLinkCausesStallsForGreedyClients) {
   const auto session = make_session(60.0, 6.0);
   abr::FixedBitrate a;  // 5.8 Mbps each over a 6 Mbps shared link
   abr::FixedBitrate b;
-  MultiClientSimulator simulator(constant_capacity(6.0));
-  std::vector<ClientSetup> clients = {{&manifest, &a, &session, 0.0},
-                                      {&manifest, &b, &session, 0.0}};
-  const auto results = simulator.run(clients);
+  const auto capacity = constant_capacity(6.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &a, &session, 0.0},
+                                        {&manifest, &b, &session, 0.0}};
+  const auto results = engine.run(clients, link);
   EXPECT_GT(results[0].total_rebuffer_s + results[1].total_rebuffer_s, 10.0);
 }
 
@@ -151,14 +155,16 @@ TEST(MultiClientTest, StaggeredJoinersNeverDownloadBeforeTheirJoinTime) {
   abr::FixedBitrate p1(3, "A");
   abr::FixedBitrate p2(3, "B");
   abr::FixedBitrate p3(3, "C");
-  MultiClientSimulator simulator(constant_capacity(30.0));
+  const auto capacity = constant_capacity(30.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
   const std::vector<double> joins = {0.0, 7.5, 21.0};
-  std::vector<ClientSetup> clients = {{&manifest, &p1, &session, joins[0]},
-                                      {&manifest, &p2, &session, joins[1]},
-                                      {&manifest, &p3, &session, joins[2]}};
-  const auto results = simulator.run(clients);
+  std::vector<SessionClient> clients = {{&manifest, &p1, &session, joins[0]},
+                                        {&manifest, &p2, &session, joins[1]},
+                                        {&manifest, &p3, &session, joins[2]}};
+  const auto results = engine.run(clients, link);
   ASSERT_EQ(results.size(), 3U);
-  const double step = simulator.config().step_s;
+  const double step = engine.config().step_s;
   for (std::size_t c = 0; c < results.size(); ++c) {
     ASSERT_EQ(results[c].tasks.size(), manifest.num_segments());
     // First request lands on the first integration step at/after the join.
@@ -175,11 +181,13 @@ TEST(MultiClientTest, MaxSessionHardStopTruncatesTheRun) {
   const auto manifest = make_manifest(120.0, 2.0);
   const auto session = make_session(120.0, 0.5);
   abr::FixedBitrate greedy(13, "Top");  // far more than the link can carry
-  MultiClientConfig config;
+  SessionEngineConfig config;
   config.max_session_s = 30.0;
-  MultiClientSimulator simulator(constant_capacity(0.5), config);
-  std::vector<ClientSetup> clients = {{&manifest, &greedy, &session, 0.0}};
-  const auto results = simulator.run(clients);
+  const auto capacity = constant_capacity(0.5);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine(config);
+  std::vector<SessionClient> clients = {{&manifest, &greedy, &session, 0.0}};
+  const auto results = engine.run(clients, link);
   ASSERT_EQ(results.size(), 1U);
   // The run stops at the hard stop with the video unfinished: no task can
   // end after the stop, and the session ends at stop + residual buffer.
@@ -198,11 +206,13 @@ TEST(MultiClientTest, MaxSessionHardStopPinsStartupForSilentClients) {
   const auto manifest = make_manifest(60.0, 2.0);
   const auto session = make_session(60.0, 0.1);
   abr::FixedBitrate greedy(13, "Top");
-  MultiClientConfig config;
+  SessionEngineConfig config;
   config.max_session_s = 5.0;
-  MultiClientSimulator simulator(constant_capacity(0.1), config);
-  std::vector<ClientSetup> clients = {{&manifest, &greedy, &session, 0.0}};
-  const auto results = simulator.run(clients);
+  const auto capacity = constant_capacity(0.1);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine(config);
+  std::vector<SessionClient> clients = {{&manifest, &greedy, &session, 0.0}};
+  const auto results = engine.run(clients, link);
   ASSERT_EQ(results.size(), 1U);
   EXPECT_TRUE(results[0].tasks.empty());
   EXPECT_GE(results[0].startup_delay_s, config.max_session_s);
@@ -214,10 +224,12 @@ TEST(MultiClientTest, EveryClientDownloadsEverySegment) {
   const auto session = make_session(30.0, 15.0);
   abr::Festive p1;
   abr::Festive p2;
-  MultiClientSimulator simulator(constant_capacity(15.0));
-  std::vector<ClientSetup> clients = {{&manifest, &p1, &session, 0.0},
-                                      {&manifest, &p2, &session, 0.0}};
-  for (const auto& result : simulator.run(clients)) {
+  const auto capacity = constant_capacity(15.0);
+  const CellularLinkModel link(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &p1, &session, 0.0},
+                                        {&manifest, &p2, &session, 0.0}};
+  for (const auto& result : engine.run(clients, link)) {
     ASSERT_EQ(result.tasks.size(), manifest.num_segments());
     for (std::size_t i = 0; i < result.tasks.size(); ++i) {
       EXPECT_EQ(result.tasks[i].segment_index, i);

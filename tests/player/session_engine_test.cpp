@@ -6,13 +6,16 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "eacs/abr/bba.h"
 #include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
 #include "eacs/net/fault_injector.h"
-#include "eacs/player/multi_client.h"
 #include "eacs/player/player.h"
 #include "../test_helpers.h"
 
@@ -129,18 +132,64 @@ TEST(SessionEngineTest, RejectsMalformedResilienceConfig) {
   EXPECT_NO_THROW(SessionEngine{config});
 }
 
+template <typename Clients, typename Link>
+concept EngineRuns = requires(const SessionEngine& engine,
+                              const Clients& clients, const Link& link) {
+  engine.run(clients, link);
+};
+
 TEST(SessionEngineTest, AnalyticLinksTakeExactlyOneClient) {
+  // The analytic run's type admits one client; a list of them compiles
+  // only against the stepped link.
+  static_assert(EngineRuns<SessionClient, SoloLinkModel>);
+  static_assert(!EngineRuns<std::span<const SessionClient>, SoloLinkModel>);
+  static_assert(!EngineRuns<std::vector<SessionClient>, SoloLinkModel>);
+  static_assert(EngineRuns<std::vector<SessionClient>, CellularLinkModel>);
   const auto manifest = make_manifest(20.0, 2.0);
   const auto session = make_session(20.0, 10.0);
   abr::FixedBitrate a(3, "A");
-  abr::FixedBitrate b(3, "B");
   const SoloLinkModel link(session.throughput_mbps);
   const SessionEngine engine{SessionEngineConfig{}};
-  std::vector<SessionClient> two = {{&manifest, &a, &session, 0.0},
-                                    {&manifest, &b, &session, 0.0}};
-  EXPECT_THROW(engine.run(two, link), std::invalid_argument);
-  std::vector<SessionClient> null_client = {{nullptr, &a, &session, 0.0}};
+  const SessionClient null_client{nullptr, &a, &session, 0.0};
   EXPECT_THROW(engine.run(null_client, link), std::invalid_argument);
+}
+
+TEST(SessionEngineTest, NanSampleTimestampsThrowNamingTheSample) {
+  // Every comparison with NaN is false, so a time walk that reaches a NaN
+  // timestamp would stop there for good and freeze what it feeds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto names_index = [](const std::invalid_argument& error,
+                              const char* index) {
+    return std::string(error.what()).find(index) != std::string::npos;
+  };
+  auto shaky = make_session(60.0, 8.0, -90.0, 3.0);
+  shaky.accel[100].t_s = nan;  // between the 1.98 s and 2.02 s samples
+  VibrationClock clock(shaky.accel, sensors::VibrationConfig{});
+  EXPECT_NO_THROW(clock.advance_to(1.0));
+  try {
+    clock.advance_to(1e9);
+    ADD_FAILURE() << "the clock walked past a NaN timestamp";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_TRUE(names_index(error, "accel sample 100 ")) << error.what();
+  }
+
+  // The perceived signal stream of a sensor-fault run, whose throttled
+  // decisions walk well past the 5 s reading.
+  const auto manifest = make_manifest(60.0, 2.0);
+  const auto session = make_session(60.0, 10.0);
+  auto readings = trace::signal_samples(session.signal_dbm);
+  readings[10].t_s = nan;
+  sensors::SensorFaultSpec spec;
+  spec.signal_dropout_rate_per_min = 1.0;
+  const sensors::SensorFaultInjector injector(session.accel, readings, spec);
+  ASSERT_TRUE(injector.active());
+  abr::Festive policy;
+  try {
+    PlayerSimulator(manifest).run(policy, session, injector);
+    ADD_FAILURE() << "the perceived walk passed a NaN timestamp";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_TRUE(names_index(error, "signal reading 10 ")) << error.what();
+  }
 }
 
 TEST(SessionEngineTest, WrongModeLinkCallsThrow) {
@@ -293,11 +342,12 @@ TEST(SessionEngineTest, SteppedTimelineOrderingAndJoins) {
   // download spans several 50 ms steps and emits progress events.
   abr::FixedBitrate early(13, "Early");
   abr::FixedBitrate late(13, "Late");
-  MultiClientSimulator simulator(session.throughput_mbps);
-  std::vector<ClientSetup> clients = {{&manifest, &early, &session, 0.0},
-                                      {&manifest, &late, &session, 12.0}};
+  const CellularLinkModel link(session.throughput_mbps);
+  const SessionEngine engine{SessionEngineConfig{}};
+  std::vector<SessionClient> clients = {{&manifest, &early, &session, 0.0},
+                                        {&manifest, &late, &session, 12.0}};
   SessionTimeline timeline;
-  const auto results = simulator.run(clients, &timeline);
+  const auto results = engine.run(clients, link, &timeline);
   ASSERT_EQ(results.size(), 2U);
 
   // One join per client, at (or on the step after) its join time.
@@ -311,7 +361,7 @@ TEST(SessionEngineTest, SteppedTimelineOrderingAndJoins) {
   }
   EXPECT_DOUBLE_EQ(join0, 0.0);
   EXPECT_GE(join1, 12.0);
-  EXPECT_LT(join1, 12.0 + 2.0 * simulator.config().step_s);
+  EXPECT_LT(join1, 12.0 + 2.0 * engine.config().step_s);
 
   // Per-client: no stall event before that client's startup event, and the
   // first request never precedes the join.

@@ -1,5 +1,5 @@
-// Property suite: multi-client simulator invariants over random fleet
-// configurations.
+// Property suite: invariants of the session engine's shared-bottleneck run
+// (a one-cell CellularLinkModel) over random fleet configurations.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 #include "eacs/abr/bba.h"
 #include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
-#include "eacs/player/multi_client.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/util/rng.h"
 #include "../test_helpers.h"
 
@@ -26,7 +26,7 @@ TEST_P(MultiClientProperties, PerClientInvariantsHold) {
   // Random fleet: 2-5 clients with mixed policies and join times.
   const auto fleet_size = static_cast<std::size_t>(rng.uniform_int(2, 5));
   std::vector<std::unique_ptr<AbrPolicy>> policies;
-  std::vector<ClientSetup> clients;
+  std::vector<SessionClient> clients;
   for (std::size_t i = 0; i < fleet_size; ++i) {
     switch (rng.uniform_int(0, 2)) {
       case 0: policies.push_back(std::make_unique<abr::Festive>()); break;
@@ -42,8 +42,9 @@ TEST_P(MultiClientProperties, PerClientInvariantsHold) {
   trace::TimeSeries capacity;
   capacity.append(0.0, rng.uniform(8.0, 30.0));
   capacity.append(4000.0, rng.uniform(8.0, 30.0));
-  MultiClientSimulator simulator(capacity);
-  const auto results = simulator.run(clients);
+  const CellularLinkModel shared(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  const auto results = engine.run(clients, shared);
   ASSERT_EQ(results.size(), fleet_size);
 
   for (std::size_t c = 0; c < fleet_size; ++c) {
@@ -81,10 +82,11 @@ TEST_P(MultiClientProperties, AggregateThroughputBoundedByCapacity) {
 
   abr::FixedBitrate a(10, "A");
   abr::FixedBitrate b(10, "B");
-  std::vector<ClientSetup> clients = {{&manifest, &a, &session, 0.0},
-                                      {&manifest, &b, &session, 0.0}};
-  MultiClientSimulator simulator(capacity);
-  const auto results = simulator.run(clients);
+  std::vector<SessionClient> clients = {{&manifest, &a, &session, 0.0},
+                                        {&manifest, &b, &session, 0.0}};
+  const CellularLinkModel shared(capacity);
+  const SessionEngine engine{SessionEngineConfig{}};
+  const auto results = engine.run(clients, shared);
 
   // Total bits delivered cannot exceed capacity * elapsed time.
   double total_megabits = 0.0;

@@ -97,6 +97,10 @@ TEST(VibrationEstimatorTest, ConfigWindowSamples) {
   EXPECT_EQ(config.window_samples(), 300U);
   config.window_s = 0.001;
   EXPECT_EQ(config.window_samples(), 1U);
+  // Rounded, not truncated: the product reads 28.999999999999996.
+  config.window_s = 0.29;
+  config.sample_rate_hz = 100.0;
+  EXPECT_EQ(config.window_samples(), 29U);
 }
 
 TEST(VibrationEstimatorTest, InvalidConfigThrows) {

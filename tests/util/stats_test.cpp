@@ -49,6 +49,16 @@ TEST(StatsTest, HarmonicMeanDampsSpikes) {
   EXPECT_GT(mean(spiky), 20.0);
 }
 
+TEST(JainFairnessTest, Extremes) {
+  EXPECT_DOUBLE_EQ(jain_fairness(std::vector<double>{}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_fairness(std::vector<double>{3.0, 3.0, 3.0}), 1.0);
+  // One client hogging everything among n: J = 1/n.
+  EXPECT_NEAR(jain_fairness(std::vector<double>{6.0, 0.0, 0.0}), 1.0 / 3.0, 1e-12);
+  const double mixed = jain_fairness(std::vector<double>{4.0, 2.0});
+  EXPECT_GT(mixed, 0.5);
+  EXPECT_LT(mixed, 1.0);
+}
+
 TEST(StatsTest, PercentileInterpolates) {
   std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
