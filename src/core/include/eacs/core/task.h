@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "eacs/media/manifest.h"
+#include "eacs/sensors/vibration.h"
 #include "eacs/trace/session.h"
 
 namespace eacs::core {
@@ -27,6 +28,17 @@ struct TaskEnvironment {
 /// mean throughput and streamed vibration level, sampled along the nominal
 /// playback timeline (task i spans [i*D, (i+1)*D)). Used by the optimal
 /// planner, which the paper defines as having perfect future knowledge.
+/// The vibration is read from `track`, a track over `session.accel`
+/// (the same object; std::invalid_argument otherwise) under the config the
+/// engine senses with, so the plan prices the vibration the playback does.
+/// A caller that also plays the session shares the track with the engine's
+/// clients (player::SessionClient::vibration_track).
+std::vector<TaskEnvironment> build_task_environments(
+    const media::VideoManifest& manifest, const trace::SessionTraces& session,
+    sensors::VibrationTrack& track);
+
+/// The same under the default sensors::VibrationConfig, on a track of its
+/// own.
 std::vector<TaskEnvironment> build_task_environments(
     const media::VideoManifest& manifest, const trace::SessionTraces& session);
 

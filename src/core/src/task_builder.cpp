@@ -1,16 +1,24 @@
 #include "eacs/core/task.h"
 
+#include <stdexcept>
+
 #include "eacs/player/session_engine.h"
 
 namespace eacs::core {
 
 std::vector<TaskEnvironment> build_task_environments(
-    const media::VideoManifest& manifest, const trace::SessionTraces& session) {
+    const media::VideoManifest& manifest, const trace::SessionTraces& session,
+    sensors::VibrationTrack& track) {
+  if (&track.trace() != &session.accel) {
+    throw std::invalid_argument(
+        "build_task_environments: the vibration track reads another trace "
+        "than session.accel");
+  }
   std::vector<TaskEnvironment> tasks;
   tasks.reserve(manifest.num_segments());
 
-  // Stream the vibration estimator along the playback timeline once.
-  player::VibrationClock vibration(session.accel, sensors::VibrationConfig{});
+  // Read the vibration track along the playback timeline.
+  player::VibrationClock vibration(track);
 
   const std::size_t levels = manifest.ladder().size();
   for (std::size_t i = 0; i < manifest.num_segments(); ++i) {
@@ -29,6 +37,12 @@ std::vector<TaskEnvironment> build_task_environments(
     tasks.push_back(std::move(env));
   }
   return tasks;
+}
+
+std::vector<TaskEnvironment> build_task_environments(
+    const media::VideoManifest& manifest, const trace::SessionTraces& session) {
+  sensors::VibrationTrack track(session.accel, sensors::VibrationConfig{});
+  return build_task_environments(manifest, session, track);
 }
 
 }  // namespace eacs::core

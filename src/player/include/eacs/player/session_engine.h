@@ -139,28 +139,28 @@ class SessionTimeline final : public SessionObserver {
   std::vector<SessionEvent> events_;
 };
 
-/// Streams accelerometer samples into a vibration estimator in lockstep with
-/// the engine clock — the one vibration-seeding helper shared by every link
-/// mode and by core::build_task_environments.
+/// A cursor over a sensors::VibrationTrack that moves in lockstep with the
+/// engine clock — the one vibration-seeding helper shared by every link mode
+/// and by core::build_task_environments. Clocks on one track share its fill,
+/// so the trace is streamed once however many clocks read it.
 class VibrationClock {
  public:
-  /// `trace` is unowned and must outlive the clock.
-  VibrationClock(const sensors::AccelTrace& trace, sensors::VibrationConfig config)
-      : trace_(&trace), estimator_(config) {}
+  /// `track` is unowned and must outlive the clock.
+  explicit VibrationClock(sensors::VibrationTrack& track) : track_(&track) {}
 
-  /// Consumes all samples with timestamp <= t_s, as one run, and returns
-  /// the level. Throws std::invalid_argument, naming the sample, when the
-  /// walk stops at a NaN timestamp (the clock would otherwise stall there
-  /// for the rest of the trace).
+  /// Moves the cursor past every sample with timestamp <= t_s and returns
+  /// the track's level after them. Throws std::invalid_argument, naming the
+  /// sample, when the walk stops at a NaN timestamp (the clock would
+  /// otherwise stall there for the rest of the trace).
   double advance_to(double t_s);
 
-  /// Current level without consuming further samples.
-  double level() const noexcept { return estimator_.level(); }
+  /// The level advance_to() last returned (0 before the first call).
+  double level() const noexcept { return level_; }
 
  private:
-  const sensors::AccelTrace* trace_;
-  sensors::VibrationEstimator estimator_;
+  sensors::VibrationTrack* track_;
   std::size_t cursor_ = 0;
+  double level_ = 0.0;
 };
 
 /// How the engine reaches the network on an analytic run. Every link
@@ -324,6 +324,16 @@ struct SessionClient {
   /// the policy saw. Null or inactive: strict no-op, bit-identical results.
   const sensors::SensorFaultInjector* sensor_faults = nullptr;
 
+  /// Optional vibration track (unowned, must outlive the run) that the
+  /// client's clock reads. Set, it must read `context->accel` (the same
+  /// object) under SessionEngineConfig::player.vibration; a caller that
+  /// plays one context several times (policies, or a planner's task
+  /// environments) shares one track and streams the trace once. Null: the
+  /// analytic run builds a track for the run, a stepped run one per
+  /// distinct context among its null-track clients. Results are bit for
+  /// bit the same either way.
+  sensors::VibrationTrack* vibration_track = nullptr;
+
   // --- stepped (CellularLinkModel) runs only ------------------------------
   /// Cell the client attaches to before its first handoff.
   std::size_t home_cell = 0;
@@ -360,15 +370,17 @@ class SessionEngine {
 
   /// Analytic run: plays `client` against `link` (join_time_s, home_cell
   /// and route ignored). The policy is reset() first. Throws
-  /// std::invalid_argument on null client fields.
+  /// std::invalid_argument on null client fields or a vibration track over
+  /// another trace or under another config.
   PlaybackResult run(const SessionClient& client, const LinkModel& link,
                      SessionObserver* observer = nullptr) const;
 
   /// Stepped run: every client to completion over the cells of `link`;
   /// result[i] corresponds to clients[i]. Policies are reset() first.
-  /// Throws std::invalid_argument on null client fields, a NaN join time,
-  /// or a home cell, route cell, NaN route time or route order that does
-  /// not fit `link`.
+  /// Throws std::invalid_argument on null client fields, a vibration track
+  /// over another trace or under another config, a NaN join time, or a
+  /// home cell, route cell, NaN route time or route order that does not fit
+  /// `link`.
   std::vector<PlaybackResult> run(std::span<const SessionClient> clients,
                                   const CellularLinkModel& link,
                                   SessionObserver* observer = nullptr) const;

@@ -12,6 +12,7 @@
 #include <ostream>
 #include <queue>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace eacs::player {
@@ -156,6 +157,26 @@ std::string format_double(double value) {
   return buffer;
 }
 
+/// The vibration track each client of a run reads: the client's own when
+/// set, else one the run builds per distinct context and shares among the
+/// clients on it. Tracks only read their trace, and a level after k samples
+/// is the same whichever client fills it, so sharing moves no bits.
+class RunTracks {
+ public:
+  explicit RunTracks(const sensors::VibrationConfig& config) : config_(config) {}
+
+  sensors::VibrationTrack& for_client(const SessionClient& client) {
+    if (client.vibration_track != nullptr) return *client.vibration_track;
+    return built_.try_emplace(client.context, client.context->accel, config_)
+        .first->second;
+  }
+
+ private:
+  sensors::VibrationConfig config_;
+  /// Node-based, so a track stays put while later contexts are added.
+  std::unordered_map<const trace::SessionTraces*, sensors::VibrationTrack> built_;
+};
+
 /// The per-session adaptation runtime every mode shares — bandwidth
 /// estimator, vibration clock, optional perceived-context rewire and the
 /// optional stateful signal cursor. One construction path (this factory)
@@ -169,10 +190,9 @@ struct SessionRuntime {
   /// to the cursorless linear_at.
   std::optional<trace::TimeSeriesCursor> signal_cursor;
 
-  SessionRuntime(const SessionClient& client, const PlayerConfig& config,
-                 bool reference_mode)
-      : bandwidth(config.bandwidth_window),
-        vibration(client.context->accel, config.vibration) {
+  SessionRuntime(const SessionClient& client, sensors::VibrationTrack& track,
+                 const PlayerConfig& config, bool reference_mode)
+      : bandwidth(config.bandwidth_window), vibration(track) {
     if (client.sensor_faults != nullptr && client.sensor_faults->active()) {
       perceived.emplace(*client.sensor_faults, config);
     }
@@ -290,10 +310,11 @@ void SessionTimeline::write_json(const std::string& path) const {
 // --- VibrationClock ---------------------------------------------------------
 
 double VibrationClock::advance_to(double t_s) {
-  const std::size_t begin = cursor_;
-  while (cursor_ < trace_->size() && (*trace_)[cursor_].t_s <= t_s) ++cursor_;
-  reject_nan_stop(*trace_, cursor_, "VibrationClock: accel sample");
-  return estimator_.consume(std::span(*trace_).subspan(begin, cursor_ - begin));
+  const sensors::AccelTrace& trace = track_->trace();
+  while (cursor_ < trace.size() && trace[cursor_].t_s <= t_s) ++cursor_;
+  reject_nan_stop(trace, cursor_, "VibrationClock: accel sample");
+  level_ = track_->level_after(cursor_);
+  return level_;
 }
 
 // --- Links ------------------------------------------------------------------
@@ -366,11 +387,24 @@ SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
 
 namespace {
 
-void require_fields(std::span<const SessionClient> clients) {
+void require_fields(std::span<const SessionClient> clients,
+                    const sensors::VibrationConfig& vibration) {
   for (const auto& client : clients) {
     if (client.manifest == nullptr || client.policy == nullptr ||
         client.context == nullptr) {
       throw std::invalid_argument("SessionEngine: null client fields");
+    }
+    const sensors::VibrationTrack* track = client.vibration_track;
+    if (track == nullptr) continue;
+    if (&track->trace() != &client.context->accel) {
+      throw std::invalid_argument(
+          "SessionEngine: vibration_track reads another trace than "
+          "context->accel");
+    }
+    if (!(track->config() == vibration)) {
+      throw std::invalid_argument(
+          "SessionEngine: vibration_track has another config than "
+          "player.vibration");
     }
   }
 }
@@ -386,7 +420,7 @@ void require_fields(std::span<const SessionClient> clients) {
 std::vector<PlaybackResult> SessionEngine::run(
     std::span<const SessionClient> clients, const CellularLinkModel& link,
     SessionObserver* observer) const {
-  require_fields(clients);
+  require_fields(clients, config_.player.vibration);
   const auto cells = link.cells();
   for (const auto& client : clients) {
     if (client.home_cell >= cells.size()) {
@@ -424,7 +458,7 @@ std::vector<PlaybackResult> SessionEngine::run(
 PlaybackResult SessionEngine::run(const SessionClient& client,
                                   const LinkModel& link,
                                   SessionObserver* observer) const {
-  require_fields({&client, 1});
+  require_fields({&client, 1}, config_.player.vibration);
   AbrPolicy& policy = *client.policy;
   const media::VideoManifest& manifest = *client.manifest;
   const trace::SessionTraces& session = *client.context;
@@ -446,7 +480,9 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
   // Estimators, vibration clock, signal cursor and (when sensor faults are
   // attached AND active) the perceived-context rewire, all built by the one
   // construction path every mode shares.
-  SessionRuntime runtime(client, config, config_.reference_mode);
+  RunTracks tracks(config.vibration);
+  SessionRuntime runtime(client, tracks.for_client(client), config,
+                         config_.reference_mode);
   const std::size_t lowest = manifest.ladder().lowest_level();
 
   PlaybackResult result;
@@ -965,10 +1001,10 @@ struct SteppedClientState {
 
   PlaybackResult result;
 
-  SteppedClientState(const SessionClient& client, const PlayerConfig& config,
-                     bool reference_mode)
+  SteppedClientState(const SessionClient& client, sensors::VibrationTrack& track,
+                     const PlayerConfig& config, bool reference_mode)
       : setup(&client),
-        runtime(client, config, reference_mode),
+        runtime(client, track, config, reference_mode),
         cell(client.home_cell) {}
 };
 
@@ -1070,10 +1106,12 @@ std::vector<PlaybackResult> SessionEngine::run_stepped_reference(
     std::span<const SessionClient> clients,
     const trace::TimeSeries& capacity_mbps, SessionObserver* observer) const {
   const PlayerConfig& player_config = config_.player;
+  RunTracks tracks(player_config.vibration);
   std::vector<SteppedClientState> states;
   states.reserve(clients.size());
   for (const auto& client : clients) {
-    states.emplace_back(client, player_config, config_.reference_mode);
+    states.emplace_back(client, tracks.for_client(client), player_config,
+                        config_.reference_mode);
     client.policy->reset();
   }
 
@@ -1197,10 +1235,12 @@ std::vector<PlaybackResult> SessionEngine::run_cells(
   const PlayerConfig& player_config = config_.player;
   const double dt = config_.step_s;
 
+  RunTracks tracks(player_config.vibration);
   std::vector<SteppedClientState> states;
   states.reserve(clients.size());
   for (const auto& client : clients) {
-    states.emplace_back(client, player_config, config_.reference_mode);
+    states.emplace_back(client, tracks.for_client(client), player_config,
+                        config_.reference_mode);
     client.policy->reset();
   }
 

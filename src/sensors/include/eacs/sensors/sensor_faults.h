@@ -105,7 +105,9 @@ class SensorFaultInjector {
  public:
   /// `accel` and `signal` are the clean streams the client would have seen;
   /// they are copied, so the injector owns its outputs. Throws
-  /// std::invalid_argument on malformed episodes or parameters.
+  /// std::invalid_argument on malformed episodes or parameters, and naming
+  /// the stream and index of the first accel sample or signal reading whose
+  /// timestamp is NaN.
   SensorFaultInjector(const AccelTrace& accel, std::vector<SignalSample> signal,
                       SensorFaultSpec spec);
 

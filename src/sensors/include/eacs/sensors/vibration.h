@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -48,6 +49,9 @@ struct VibrationConfig {
     const double n = window_s * sample_rate_hz;
     return n < 1.0 ? 1 : static_cast<std::size_t>(std::round(n));
   }
+
+  /// Field by field; the engine checks a shared VibrationTrack with it.
+  bool operator==(const VibrationConfig&) const = default;
 };
 
 /// The config's ranges: the window and the rate finite and > 0, with a
@@ -79,8 +83,13 @@ class VibrationEstimator {
   /// Consumes a run of samples and returns the level after the last one:
   /// bit for bit what update() on each sample in turn leaves, counters
   /// included. The filter states stay in registers across the run, and the
-  /// level is computed once, at its end.
-  double consume(std::span<const AccelSample> samples);
+  /// level is computed once, at its end. With `windows` non-null, it also
+  /// writes the RMS window after each sample to windows[i] (a rejected
+  /// sample repeats the window before it), so MovingRms::rms(windows[i]) is
+  /// the level after samples[0..i]; `windows` then has room for
+  /// samples.size() entries.
+  double consume(std::span<const AccelSample> samples,
+                 eacs::MovingRms::Window* windows = nullptr);
 
   /// Current vibration level (m/s^2). 0 before any sample.
   double level() const noexcept;
@@ -109,6 +118,40 @@ class VibrationEstimator {
   std::size_t rejected_samples_ = 0;
   double last_valid_t_s_ = 0.0;
   bool have_valid_ = false;
+};
+
+/// The estimator's level after every prefix of one accelerometer trace under
+/// one config, filled lazily: a read past the furthest sample any reader has
+/// reached streams the estimator on to it, recording the RMS window after
+/// each sample; a read behind it looks the window up. However many readers
+/// share a track, its trace is streamed once.
+///
+/// The level after a prefix is a pure function of that prefix (consume()
+/// over any cut equals per-sample updates), so level_after(k) holds the bits
+/// an estimator fed the first k samples would return, whatever order the
+/// reads come in.
+///
+/// Not thread-safe: a read can fill. Build one track per trace per thread.
+class VibrationTrack {
+ public:
+  /// `trace` is unowned and must outlive the track. Throws
+  /// std::invalid_argument unless require_valid_vibration accepts `config`.
+  VibrationTrack(const AccelTrace& trace, VibrationConfig config);
+
+  const AccelTrace& trace() const noexcept { return *trace_; }
+  const VibrationConfig& config() const noexcept { return estimator_.config(); }
+
+  /// Level after the first `k` samples; 0.0 for k = 0. Throws
+  /// std::out_of_range when k > trace().size().
+  double level_after(std::size_t k);
+
+ private:
+  const AccelTrace* trace_;
+  VibrationEstimator estimator_;  ///< state after the first filled_ samples
+  /// windows_[i] is the window after i + 1 samples; entries from filled_ on
+  /// are unwritten (the buffer is never value-initialized).
+  std::unique_ptr<eacs::MovingRms::Window[]> windows_;
+  std::size_t filled_ = 0;
 };
 
 /// Batch helper: vibration level over the trailing window of a whole trace.

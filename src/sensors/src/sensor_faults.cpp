@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "eacs/util/rng.h"
 
@@ -48,6 +49,20 @@ void validate_spec(const SensorFaultSpec& spec) {
         throw std::invalid_argument(
             "SensorFaultSpec: episodes need finite 0 <= start < end");
       }
+    }
+  }
+}
+
+// Throws std::invalid_argument naming the first sample of `stream` stamped
+// NaN: the schedule lookups binary-search the times and the engine's walks
+// stop at the first time past `now`, and a NaN breaks both.
+template <typename Stream>
+void reject_nan_times(const Stream& stream, const char* what) {
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (std::isnan(stream[i].t_s)) {
+      throw std::invalid_argument(std::string("SensorFaultInjector: ") + what +
+                                  " " + std::to_string(i) +
+                                  " has a NaN timestamp");
     }
   }
 }
@@ -118,6 +133,8 @@ SensorFaultInjector::SensorFaultInjector(const AccelTrace& accel,
                                          SensorFaultSpec spec)
     : spec_(std::move(spec)) {
   validate_spec(spec_);
+  reject_nan_times(accel, "accel sample");
+  reject_nan_times(signal, "signal reading");
 
   const double accel_horizon = accel.empty() ? 0.0 : accel.back().t_s;
   const double signal_horizon = signal.empty() ? 0.0 : signal.back().t_s;

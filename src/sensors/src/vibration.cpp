@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "eacs/util/stats.h"
@@ -51,7 +53,8 @@ double VibrationEstimator::update(const AccelSample& sample) {
   return consume({&sample, 1});
 }
 
-double VibrationEstimator::consume(std::span<const AccelSample> samples) {
+double VibrationEstimator::consume(std::span<const AccelSample> samples,
+                                   eacs::MovingRms::Window* windows) {
   // Per valid sample, update()'s steps in its order, on local copies of the
   // filter states and the time rule's fields; written back after the run.
   eacs::HighPassFilter highpass = highpass_;
@@ -59,17 +62,20 @@ double VibrationEstimator::consume(std::span<const AccelSample> samples) {
   double last_valid_t_s = last_valid_t_s_;
   bool have_valid = have_valid_;
   std::size_t rejected = 0;
-  for (const AccelSample& sample : samples) {
-    if (!std::isfinite(sample.x) || !std::isfinite(sample.y) ||
-        !std::isfinite(sample.z)) {
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const AccelSample& sample = samples[i];
+    if (std::isfinite(sample.x) && std::isfinite(sample.y) &&
+        std::isfinite(sample.z)) {
+      if (std::isfinite(sample.t_s)) {
+        last_valid_t_s =
+            have_valid ? std::max(last_valid_t_s, sample.t_s) : sample.t_s;
+        have_valid = true;
+      }
+      rms.push(highpass.update(sample.magnitude()));
+    } else {
       ++rejected;
-      continue;
     }
-    if (std::isfinite(sample.t_s)) {
-      last_valid_t_s = have_valid ? std::max(last_valid_t_s, sample.t_s) : sample.t_s;
-      have_valid = true;
-    }
-    rms.push(highpass.update(sample.magnitude()));
+    if (windows != nullptr) windows[i] = rms.window();
   }
   highpass_ = highpass;
   rms.commit();
@@ -97,6 +103,26 @@ void VibrationEstimator::reset() {
   rejected_samples_ = 0;
   last_valid_t_s_ = 0.0;
   have_valid_ = false;
+}
+
+VibrationTrack::VibrationTrack(const AccelTrace& trace, VibrationConfig config)
+    : trace_(&trace),
+      estimator_(config),
+      windows_(std::make_unique_for_overwrite<eacs::MovingRms::Window[]>(
+          trace.size())) {}
+
+double VibrationTrack::level_after(std::size_t k) {
+  if (k > trace_->size()) {
+    throw std::out_of_range("VibrationTrack: level after " + std::to_string(k) +
+                            " samples of a " + std::to_string(trace_->size()) +
+                            "-sample trace");
+  }
+  if (k > filled_) {
+    estimator_.consume(std::span(*trace_).subspan(filled_, k - filled_),
+                       windows_.get() + filled_);
+    filled_ = k;
+  }
+  return k == 0 ? 0.0 : eacs::MovingRms::rms(windows_[k - 1]);
 }
 
 double vibration_level(std::span<const AccelSample> trace, VibrationConfig config) {

@@ -8,6 +8,7 @@
 #include "eacs/abr/fixed.h"
 #include "eacs/core/online.h"
 #include "eacs/core/optimal.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/util/thread_pool.h"
 
 namespace eacs::sim {
@@ -139,12 +140,19 @@ EvaluationResult Evaluation::run(
   const core::Objective objective = make_objective(config_);
 
   // One unit of work per session: everything a unit touches (manifest,
-  // simulator, policies, optimal plan) is built inside it from the session
-  // alone, so units are pure in their index and can run on any worker.
+  // engine, vibration track, policies, optimal plan) is built inside it from
+  // the session alone, so units are pure in their index and can run on any
+  // worker.
   const auto run_session = [&](std::size_t s) {
     const auto& session = sessions[s];
     const media::VideoManifest manifest = manifest_for(session.spec);
-    const player::PlayerSimulator simulator(manifest, config_.player);
+    // What PlayerSimulator::run plays, with one vibration track shared by the
+    // planner's task environments and every policy's run: the trace is
+    // streamed once per unit, under the config the engine senses with.
+    const player::SessionEngine engine(
+        player::SessionEngineConfig{.player = config_.player});
+    sensors::VibrationTrack track(session.accel, config_.player.vibration);
+    const player::SoloLinkModel link(session.throughput_mbps);
 
     // Fresh policy instances per session; the optimal plan is per-session.
     abr::FixedBitrate youtube;
@@ -156,7 +164,7 @@ EvaluationResult Evaluation::run(
          .cache = config_.online_cache ? std::make_shared<core::DecisionCache>(
                                              *config_.online_cache)
                                        : nullptr});
-    const auto tasks = core::build_task_environments(manifest, session);
+    const auto tasks = core::build_task_environments(manifest, session, track);
     core::OptimalPlanner planner(objective);
     core::PlannedPolicy optimal(planner.plan(tasks));
 
@@ -168,7 +176,9 @@ EvaluationResult Evaluation::run(
     std::vector<SessionMetrics> rows;
     rows.reserve(policies.size());
     for (player::AbrPolicy* policy : policies) {
-      const auto playback = simulator.run(*policy, session);
+      player::SessionClient client{&manifest, policy, &session};
+      client.vibration_track = &track;
+      const auto playback = engine.run(client, link);
       rows.push_back(compute_metrics(policy->name(), session.spec.id, playback,
                                      manifest, qoe_model, power_model));
     }

@@ -35,13 +35,16 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   const StudySessions fixture(config.evaluation, config.evaluation.player);
   const std::size_t n_sessions = fixture.size();
 
-  // Optimal plans are built once and shared across the whole grid.
+  // Optimal plans are built once and shared across the whole grid, each on
+  // the vibration the engine senses (and the accounting prices).
   std::vector<core::OptimalPlan> plans;
   plans.reserve(n_sessions);
   for (std::size_t s = 0; s < n_sessions; ++s) {
     core::OptimalPlanner planner(fixture.objective);
+    sensors::VibrationTrack track(fixture.sessions[s].accel,
+                                  config.evaluation.player.vibration);
     plans.push_back(planner.plan(core::build_task_environments(
-        fixture.manifests[s], fixture.sessions[s])));
+        fixture.manifests[s], fixture.sessions[s], track)));
   }
 
   // One unit of work: replay every policy over one session (optionally

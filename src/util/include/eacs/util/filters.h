@@ -5,6 +5,7 @@
 // accelerometer magnitudes with a single-pole high-pass filter and then takes
 // a windowed RMS; the bandwidth path uses an EMA smoother for diagnostics.
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -71,13 +72,34 @@ class MovingRms {
   };
 
  public:
+  /// What the RMS reads of the window: the sum of its squares and how many
+  /// it holds. No member initializers, so an array of them can be allocated
+  /// without being written.
+  struct Window {
+    double sum_squares;
+    std::size_t count;
+  };
+
+  /// The RMS of `window`, the one place the expression is written: value()
+  /// reads it on the live sums, sensors::VibrationTrack on a recorded
+  /// Batch::window().
+  static double rms(Window window) noexcept {
+    if (window.count == 0) return 0.0;
+    // Guard against tiny negative drift from floating-point cancellation.
+    const double mean_square =
+        window.sum_squares > 0.0
+            ? window.sum_squares / static_cast<double>(window.count)
+            : 0.0;
+    return std::sqrt(mean_square);
+  }
+
   explicit MovingRms(std::size_t window);
 
   double update(double x) {
     push(sums_, storage_.data(), window_, x);
     return value();
   }
-  double value() const noexcept;
+  double value() const noexcept { return rms({sums_.sum_squares, sums_.count}); }
   std::size_t count() const noexcept { return sums_.count; }
   void reset() noexcept;
 
@@ -93,6 +115,9 @@ class MovingRms {
           sums_(rms.sums_) {}
 
     void push(double x) noexcept { MovingRms::push(sums_, ring_, window_, x); }
+    /// The window as the last push() left it; rms() of it is what value()
+    /// would read after commit().
+    Window window() const noexcept { return {sums_.sum_squares, sums_.count}; }
     void commit() noexcept { rms_->sums_ = sums_; }
 
    private:

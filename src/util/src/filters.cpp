@@ -47,16 +47,6 @@ MovingRms::MovingRms(std::size_t window) : window_(window), storage_(window, 0.0
   if (window == 0) throw std::invalid_argument("MovingRms: window must be > 0");
 }
 
-double MovingRms::value() const noexcept {
-  if (sums_.count == 0) return 0.0;
-  // Guard against tiny negative drift from floating-point cancellation.
-  const double mean_square =
-      sums_.sum_squares > 0.0
-          ? sums_.sum_squares / static_cast<double>(sums_.count)
-          : 0.0;
-  return std::sqrt(mean_square);
-}
-
 void MovingRms::reset() noexcept {
   sums_ = {};
   for (auto& s : storage_) s = 0.0;

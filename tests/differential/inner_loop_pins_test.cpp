@@ -95,7 +95,8 @@ TEST(InnerLoopPinsTest, VibrationClockAtIrregularSteps) {
   for (const trace::SessionTraces& session : table_v_sessions()) {
     const double end_s = session.accel.back().t_s + 1.0;
     for (const sensors::VibrationConfig& config : configs) {
-      player::VibrationClock clock(session.accel, config);
+      sensors::VibrationTrack track(session.accel, config);
+      player::VibrationClock clock(track);
       out << "session " << session.spec.id << " window " << hex(config.window_s)
           << "\n";
       for (double t = 0.0; t <= end_s; t += 0.37) {

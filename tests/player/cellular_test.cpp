@@ -4,6 +4,7 @@
 // the single-cell configuration lives in tests/differential/.
 #include <limits>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -83,6 +84,99 @@ TEST(CellularLinkModelTest, RouteAndHomeCellValidated) {
   client.route = {};
   client.join_time_s = nan;
   EXPECT_TRUE(rejected_naming("join_time_s"));
+}
+
+/// Every field of `result`, doubles as hex floats (every bit).
+std::string dump(const PlaybackResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const TaskRecord& t : result.tasks) {
+    out << t.segment_index << ' ' << t.level << ' ' << t.bitrate_mbps << ' '
+        << t.size_mb << ' ' << t.duration_s << ' ' << t.download_start_s << ' '
+        << t.download_end_s << ' ' << t.throughput_mbps << ' ' << t.signal_dbm
+        << ' ' << t.vibration << ' ' << t.perceived_vibration << ' '
+        << t.buffer_before_s << ' ' << t.rebuffer_s << ' ' << t.startup << ' '
+        << t.retries << ' ' << t.abandoned << ' ' << t.wasted_mb << ' '
+        << t.wasted_download_s << ' ' << t.wasted_signal_dbm << ' '
+        << t.backoff_s << ' ' << t.source << ' ' << t.hedges << '\n';
+  }
+  out << result.startup_delay_s << ' ' << result.total_rebuffer_s << ' '
+      << result.rebuffer_events << ' ' << result.switch_count << ' '
+      << result.session_end_s << ' ' << result.total_retries << ' '
+      << result.abandoned_segments << ' ' << result.total_wasted_mb << ' '
+      << result.total_backoff_s << ' ' << result.total_hedges << ' '
+      << result.total_failovers << ' ' << result.breaker_transitions << ' '
+      << result.cell_handoffs << '\n';
+  return out.str();
+}
+
+TEST(CellularLinkModelTest, SharedContextMatchesPrivateCopies) {
+  // Clients on one context share one vibration track per run. Staggered
+  // joins and routes make them read it out of order, behind its fill and
+  // ahead of it, and the vibration swells and fades (a 30 s sawtooth
+  // envelope), so a reading at the wrong sample would show. Every field and
+  // every timeline event must match the same run with each client on its
+  // own copy of the context, in the routed cellular path and in the
+  // one-cell reference loop.
+  const auto manifest = make_manifest(60.0, 2.0);
+  auto context = make_session(60.0, 8.0, -95.0, 3.0);
+  for (std::size_t k = 0; k < context.accel.size(); ++k) {
+    auto& sample = context.accel[k];
+    sample.z = sensors::kGravity + (sample.z - sensors::kGravity) *
+                                       (0.2 + static_cast<double>(k % 1500) / 500.0);
+  }
+  constexpr std::size_t kClients = 4;
+  const std::vector<trace::SessionTraces> copies(kClients, context);
+  const std::vector<std::vector<CellHop>> routes = {
+      {{5.0, 1}, {17.0, 0}}, {{9.0, 0}}, {}, {{3.0, 1}, {12.5, 0}, {21.0, 1}}};
+  const auto cap_a = constant_capacity(5.0);
+  const auto cap_b = constant_capacity(12.0);
+  const trace::TimeSeries* two_cells[] = {&cap_a, &cap_b};
+  const trace::TimeSeries* one_cell[] = {&cap_a};
+
+  for (const bool reference_mode : {false, true}) {
+    SessionEngineConfig config = quick_config();
+    config.reference_mode = reference_mode;
+    const SessionEngine engine(config);
+    const CellularLinkModel link(reference_mode
+                                     ? std::span<const trace::TimeSeries* const>(one_cell)
+                                     : std::span<const trace::TimeSeries* const>(two_cells));
+    const auto play = [&](bool shared, SessionTimeline& timeline) {
+      std::vector<abr::FixedBitrate> policies;
+      policies.reserve(kClients);
+      std::vector<SessionClient> clients;
+      for (std::size_t c = 0; c < kClients; ++c) {
+        policies.emplace_back(3 + 2 * c, "F");
+        SessionClient client{&manifest, &policies[c],
+                             shared ? &context : &copies[c],
+                             4.0 * static_cast<double>(kClients - 1 - c)};
+        if (!reference_mode) {
+          client.home_cell = c % 2;
+          client.route = routes[c];
+        }
+        clients.push_back(client);
+      }
+      return engine.run(clients, link, &timeline);
+    };
+    SessionTimeline shared_timeline;
+    SessionTimeline private_timeline;
+    const auto shared = play(true, shared_timeline);
+    const auto private_copies = play(false, private_timeline);
+    ASSERT_EQ(shared.size(), kClients);
+    ASSERT_EQ(private_copies.size(), kClients);
+    for (std::size_t c = 0; c < kClients; ++c) {
+      ASSERT_EQ(shared[c].tasks.size(), manifest.num_segments());
+      EXPECT_EQ(dump(shared[c]), dump(private_copies[c]))
+          << "client " << c << (reference_mode ? " (reference mode)" : "");
+    }
+    std::ostringstream shared_csv;
+    std::ostringstream private_csv;
+    shared_timeline.write_csv(shared_csv);
+    private_timeline.write_csv(private_csv);
+    EXPECT_EQ(shared_csv.str(), private_csv.str());
+    // The envelope reaches the tasks: vibrations differ along the session.
+    EXPECT_NE(shared[0].tasks[5].vibration, shared[0].tasks[20].vibration);
+  }
 }
 
 TEST(CellularTest, SingleCellMatchesSharedLink) {

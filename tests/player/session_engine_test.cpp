@@ -164,7 +164,8 @@ TEST(SessionEngineTest, NanSampleTimestampsThrowNamingTheSample) {
   };
   auto shaky = make_session(60.0, 8.0, -90.0, 3.0);
   shaky.accel[100].t_s = nan;  // between the 1.98 s and 2.02 s samples
-  VibrationClock clock(shaky.accel, sensors::VibrationConfig{});
+  sensors::VibrationTrack track(shaky.accel, sensors::VibrationConfig{});
+  VibrationClock clock(track);
   EXPECT_NO_THROW(clock.advance_to(1.0));
   try {
     clock.advance_to(1e9);
@@ -173,23 +174,68 @@ TEST(SessionEngineTest, NanSampleTimestampsThrowNamingTheSample) {
     EXPECT_TRUE(names_index(error, "accel sample 100 ")) << error.what();
   }
 
-  // The perceived signal stream of a sensor-fault run, whose throttled
-  // decisions walk well past the 5 s reading.
-  const auto manifest = make_manifest(60.0, 2.0);
+  // The perceived signal stream of a sensor-fault run: the injector refuses
+  // the NaN-stamped reading before any run can walk to it.
   const auto session = make_session(60.0, 10.0);
   auto readings = trace::signal_samples(session.signal_dbm);
   readings[10].t_s = nan;
   sensors::SensorFaultSpec spec;
   spec.signal_dropout_rate_per_min = 1.0;
-  const sensors::SensorFaultInjector injector(session.accel, readings, spec);
-  ASSERT_TRUE(injector.active());
-  abr::Festive policy;
   try {
-    PlayerSimulator(manifest).run(policy, session, injector);
-    ADD_FAILURE() << "the perceived walk passed a NaN timestamp";
+    const sensors::SensorFaultInjector injector(session.accel, readings, spec);
+    ADD_FAILURE() << "the injector accepted a NaN timestamp";
   } catch (const std::invalid_argument& error) {
     EXPECT_TRUE(names_index(error, "signal reading 10 ")) << error.what();
   }
+}
+
+TEST(SessionEngineTest, RejectsAForeignVibrationTrack) {
+  // A client's track must read its context's accel trace, the same object,
+  // under the engine's vibration config: a track over an equal copy could
+  // drift from the context it claims, and one under another window prices
+  // another vibration. Both run modes refuse either and name which.
+  const auto manifest = make_manifest(20.0, 2.0);
+  const auto session = make_session(20.0, 10.0, -90.0, 3.0);
+  const auto copy = session;
+  abr::FixedBitrate policy(3, "A");
+  const SessionEngine engine{SessionEngineConfig{}};
+  const SoloLinkModel link(session.throughput_mbps);
+  const CellularLinkModel cell(session.throughput_mbps);
+  const auto rejected_naming = [&](sensors::VibrationTrack& track,
+                                   const std::string& what) {
+    SessionClient client{&manifest, &policy, &session};
+    client.vibration_track = &track;
+    int named = 0;
+    try {
+      engine.run(client, link);
+    } catch (const std::invalid_argument& error) {
+      named += std::string(error.what()).find(what) != std::string::npos;
+    }
+    try {
+      engine.run({&client, 1}, cell);
+    } catch (const std::invalid_argument& error) {
+      named += std::string(error.what()).find(what) != std::string::npos;
+    }
+    return named == 2;
+  };
+  sensors::VibrationTrack foreign(copy.accel, sensors::VibrationConfig{});
+  EXPECT_TRUE(rejected_naming(foreign, "another trace than context->accel"));
+  sensors::VibrationConfig wide;
+  wide.window_s = 12.0;
+  sensors::VibrationTrack other_config(session.accel, wide);
+  EXPECT_TRUE(rejected_naming(other_config, "another config than player.vibration"));
+
+  // The matching track plays, and reads what a run-built track reads.
+  sensors::VibrationTrack own(session.accel, sensors::VibrationConfig{});
+  SessionClient client{&manifest, &policy, &session};
+  const auto built = engine.run(client, link);
+  client.vibration_track = &own;
+  const auto shared = engine.run(client, link);
+  ASSERT_EQ(built.tasks.size(), shared.tasks.size());
+  for (std::size_t i = 0; i < built.tasks.size(); ++i) {
+    EXPECT_EQ(built.tasks[i].vibration, shared.tasks[i].vibration) << i;
+  }
+  EXPECT_GT(shared.tasks.back().vibration, 1.0);
 }
 
 TEST(SessionEngineTest, WrongModeLinkCallsThrow) {

@@ -10,6 +10,9 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "eacs/sensors/sensor_health.h"
 
@@ -248,6 +251,40 @@ TEST(SensorFaultInjectorTest, MalformedSpecsThrow) {
   zero_keep.accel_episodes = {{SensorFaultType::kRateCollapse, 0.0, 1.0}};
   zero_keep.rate_collapse_keep = 0;
   EXPECT_THROW(SensorFaultInjector(accel, {}, zero_keep), std::invalid_argument);
+}
+
+TEST(SensorFaultInjectorTest, NanTimestampsThrowNamingTheSample) {
+  // The lookups binary-search the delivered readings by time, which a NaN
+  // stamp breaks: with reading 30 (t = 15 s) stamped NaN, signal_at(14.9)
+  // would return reading 30's -110 dBm at age 0, not reading 29's -109 dBm
+  // at age 0.4. The constructor refuses such a stream and names the sample.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejected_naming = [](const AccelTrace& accel,
+                                  const std::vector<SignalSample>& signal,
+                                  const std::string& what) {
+    try {
+      const SensorFaultInjector injector(accel, signal, {});
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(what) != std::string::npos;
+    }
+    return false;
+  };
+  std::vector<SignalSample> signal;
+  for (int i = 0; i < 60; ++i) {
+    signal.push_back({0.5 * i, -80.0 - static_cast<double>(i)});
+  }
+  const auto accel = quiet_trace(20.0);
+  EXPECT_NO_THROW(SensorFaultInjector(accel, signal, {}));
+
+  auto stamped = signal;
+  stamped[30].t_s = nan;
+  EXPECT_TRUE(rejected_naming(accel, stamped, "signal reading 30 "));
+  stamped[45].t_s = nan;  // the first NaN is the one named
+  EXPECT_TRUE(rejected_naming(accel, stamped, "signal reading 30 "));
+
+  auto shaky = accel;
+  shaky[100].t_s = nan;
+  EXPECT_TRUE(rejected_naming(shaky, signal, "accel sample 100 "));
 }
 
 // -- SensorHealthMonitor --

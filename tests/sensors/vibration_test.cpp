@@ -5,12 +5,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "eacs/media/catalogue.h"
 #include "eacs/sensors/accel.h"
+#include "eacs/trace/session.h"
 #include "eacs/util/filters.h"
 
 namespace eacs::sensors {
@@ -251,6 +255,59 @@ TEST(VibrationBatchTest, ConsumeMatchesPerSampleUpdates) {
     }
     EXPECT_EQ(batched.samples_seen(), trace.size());
     EXPECT_GT(batched.rejected_samples(), 0U);
+  }
+}
+
+TEST(VibrationTrackTest, LevelAfterEveryPrefixMatchesTheEstimator) {
+  // The first 1500 samples of Table V session 1's trace with non-finite axes
+  // injected. Every prefix length is read, in shuffled order with repeats,
+  // so reads land behind the fill and ahead of it; a second track is read
+  // forward in short random strides, each followed by a read back. Every
+  // read must hold the bits a fresh estimator returns after consuming that
+  // prefix in one run.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const trace::SessionTraces session =
+      trace::build_session(media::evaluation_sessions().front());
+  AccelTrace trace(session.accel.begin(), session.accel.begin() + 1500);
+  for (std::size_t k = 0; k < trace.size(); k += 37) trace[k].x = nan;
+  for (std::size_t k = 11; k < trace.size(); k += 53) trace[k].y = inf;
+  for (std::size_t k = 29; k < trace.size(); k += 91) trace[k].z = -inf;
+
+  // Windows of 1, 7 and the default 300 samples.
+  std::vector<VibrationConfig> configs(3);
+  configs[0].window_s = 0.02;
+  configs[1].window_s = 0.14;
+  ASSERT_EQ(configs[0].window_samples(), 1U);
+  ASSERT_EQ(configs[1].window_samples(), 7U);
+  std::mt19937_64 rng(20261018);
+  for (const VibrationConfig& config : configs) {
+    std::vector<double> expected(trace.size() + 1);
+    for (std::size_t k = 0; k <= trace.size(); ++k) {
+      expected[k] = VibrationEstimator(config).consume({trace.data(), k});
+    }
+
+    std::vector<std::size_t> reads(trace.size() + 1);
+    std::iota(reads.begin(), reads.end(), std::size_t{0});
+    for (std::size_t k = 0; k <= trace.size(); k += 7) reads.push_back(k);
+    std::shuffle(reads.begin(), reads.end(), rng);
+    VibrationTrack shuffled(trace, config);
+    for (const std::size_t k : reads) {
+      ASSERT_EQ(shuffled.level_after(k), expected[k]) << "after " << k;
+    }
+
+    VibrationTrack strided(trace, config);
+    std::uniform_int_distribution<std::size_t> stride(0, 40);
+    for (std::size_t k = 0; k <= trace.size(); k += stride(rng)) {
+      ASSERT_EQ(strided.level_after(k), expected[k]) << "after " << k;
+      const std::size_t back = std::uniform_int_distribution<std::size_t>(0, k)(rng);
+      ASSERT_EQ(strided.level_after(back), expected[back]) << "after " << back;
+    }
+    EXPECT_EQ(strided.level_after(trace.size()), expected.back());
+    EXPECT_EQ(strided.level_after(0), 0.0);
+    EXPECT_THROW(strided.level_after(trace.size() + 1), std::out_of_range);
+    EXPECT_EQ(&strided.trace(), &trace);
+    EXPECT_TRUE(strided.config() == config);
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "eacs/abr/fixed.h"
+#include "eacs/core/optimal.h"
+#include "eacs/core/task.h"
+#include "eacs/sensors/vibration.h"
 #include "../test_helpers.h"
 
 namespace eacs::sim {
@@ -165,6 +168,50 @@ TEST(EvaluationTest, ExactKeyOnlineCacheIsBitIdenticalToUncached) {
     EXPECT_EQ(a.mean_bitrate_mbps, b.mean_bitrate_mbps);
     EXPECT_EQ(a.rebuffer_s, b.rebuffer_s);
     EXPECT_EQ(a.switch_count, b.switch_count);
+  }
+}
+
+/// `session`'s Optimal row as the player prices it under `config`, with the
+/// plan built on the vibration estimated under `planned`.
+SessionMetrics optimal_row(const EvaluationConfig& config,
+                           const trace::SessionTraces& session,
+                           const sensors::VibrationConfig& planned) {
+  const auto manifest = Evaluation(config).manifest_for(session.spec);
+  sensors::VibrationTrack track(session.accel, planned);
+  core::PlannedPolicy optimal(core::OptimalPlanner(make_objective(config))
+                                  .plan(core::build_task_environments(
+                                      manifest, session, track)));
+  const auto playback =
+      player::PlayerSimulator(manifest, config.player).run(optimal, session);
+  return compute_metrics(optimal.name(), session.spec.id, playback, manifest,
+                         qoe::QoeModel(config.qoe), power::PowerModel(config.power));
+}
+
+TEST(EvaluationTest, OptimalPlansOnThePlayersVibration) {
+  // The engine senses, and the accounting prices, the vibration estimated
+  // under config.player.vibration, so the Optimal row must plan on that one
+  // too, not on the default estimator. Table V's fourth session with a 12 s
+  // window and a 2 Hz cutoff, its third with a 0.5 s window and 5 Hz.
+  const auto sessions = trace::build_all_sessions();
+  struct Probe {
+    std::size_t session;
+    double window_s;
+    double cutoff_hz;
+  };
+  for (const Probe probe : {Probe{3, 12.0, 2.0}, Probe{2, 0.5, 5.0}}) {
+    EvaluationConfig config;
+    config.player.vibration.window_s = probe.window_s;
+    config.player.vibration.highpass_cutoff_hz = probe.cutoff_hz;
+    const auto& session = sessions[probe.session];
+    const auto result = Evaluation(config).run({session});
+    const auto& row = result.row("Optimal", session.spec.id);
+    const auto want = optimal_row(config, session, config.player.vibration);
+    EXPECT_EQ(row.total_energy_j, want.total_energy_j) << probe.session;
+    EXPECT_EQ(row.mean_qoe, want.mean_qoe) << probe.session;
+    // The probe tells the two apart: the default estimator plans otherwise.
+    const auto default_plan =
+        optimal_row(config, session, sensors::VibrationConfig{});
+    EXPECT_NE(default_plan.total_energy_j, want.total_energy_j) << probe.session;
   }
 }
 

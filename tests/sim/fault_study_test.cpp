@@ -4,6 +4,10 @@
 
 #include <stdexcept>
 
+#include "eacs/core/optimal.h"
+#include "eacs/core/task.h"
+#include "eacs/sensors/vibration.h"
+
 namespace eacs::sim {
 namespace {
 
@@ -54,6 +58,37 @@ TEST(FaultStudyTest, BaselineCellMatchesFaultFreeRun) {
     EXPECT_EQ(cell.abandoned_segments, 0U);
     EXPECT_EQ(cell.wasted_energy_j, 0.0);
   }
+}
+
+TEST(FaultStudyTest, OptimalPlansOnThePlayersVibration) {
+  // The Optimal rows replay plans built on the vibration the engine senses
+  // under evaluation.player.vibration, not on the default estimator. The
+  // (0, 0) cell is fault-free, so it must fold exactly what those plans
+  // score when played plainly, session by session.
+  FaultStudyConfig config;
+  config.outage_rates_per_min = {0.0};
+  config.failure_probs = {0.0};
+  config.evaluation.player.vibration.window_s = 12.0;
+  config.evaluation.player.vibration.highpass_cutoff_hz = 2.0;
+  const auto result = run_fault_study(config);
+  const auto& cell = result.cell("Optimal", 0.0, 0.0);
+
+  const StudySessions fixture(config.evaluation, config.evaluation.player);
+  StudyTotals want;
+  for (std::size_t s = 0; s < fixture.size(); ++s) {
+    sensors::VibrationTrack track(fixture.sessions[s].accel,
+                                  config.evaluation.player.vibration);
+    core::PlannedPolicy optimal(core::OptimalPlanner(fixture.objective)
+                                    .plan(core::build_task_environments(
+                                        fixture.manifests[s],
+                                        fixture.sessions[s], track)));
+    want.add(fixture.metrics("Optimal", s,
+                             fixture.simulators[s].run(optimal,
+                                                       fixture.sessions[s])),
+             fixture.size());
+  }
+  EXPECT_EQ(cell.total_energy_j, want.total_energy_j);
+  EXPECT_EQ(cell.mean_qoe, want.mean_qoe);
 }
 
 TEST(FaultStudyTest, HarshCellShowsResilienceAtWork) {
