@@ -213,9 +213,6 @@ class DecisionCache {
   const DecisionCacheStats& stats() const noexcept { return stats_; }
   std::size_t entries() const noexcept { return entries_; }
 
-  /// Drops all entries and zeroes the counters.
-  void clear() noexcept;
-
   /// Snapshot of the occupied slots and counters, in slot order (checkpoint
   /// side).
   DecisionCacheState export_state() const;

@@ -225,12 +225,6 @@ void DecisionCache::insert(const DecisionKey& key, std::size_t level) {
   entry.occupied = true;
 }
 
-void DecisionCache::clear() noexcept {
-  for (Entry& entry : slots_) entry = Entry{};
-  stats_ = DecisionCacheStats{};
-  entries_ = 0;
-}
-
 DecisionCacheState DecisionCache::export_state() const {
   DecisionCacheState state;
   state.stats = stats_;

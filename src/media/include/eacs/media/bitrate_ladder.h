@@ -40,9 +40,6 @@ class BitrateLadder {
   /// All bitrates, ascending.
   std::vector<double> bitrates() const;
 
-  /// Level of the given bitrate if it is (approximately) on the ladder.
-  std::optional<std::size_t> level_of(double bitrate_mbps) const noexcept;
-
   /// Highest level whose bitrate is <= the cap; nullopt when even the lowest
   /// rung exceeds the cap.
   std::optional<std::size_t> highest_level_not_above(double cap_mbps) const noexcept;

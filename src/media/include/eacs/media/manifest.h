@@ -11,17 +11,6 @@
 
 namespace eacs::media {
 
-/// A downloadable media segment at a specific bitrate level.
-struct Segment {
-  std::size_t index = 0;        ///< position in the stream, 0-based
-  std::size_t level = 0;        ///< ladder level the segment is encoded at
-  double duration_s = 0.0;      ///< playback duration in seconds
-  double bitrate_mbps = 0.0;    ///< nominal encode bitrate
-  double size_megabits = 0.0;   ///< actual size in megabits (VBR-adjusted)
-
-  double size_megabytes() const noexcept { return size_megabits / 8.0; }
-};
-
 /// Per-segment encoder variability model.
 ///
 /// Real encoders produce variable-bitrate segments: scene complexity makes a
@@ -72,9 +61,6 @@ class VideoManifest {
 
   /// Playback duration of segment `index`.
   double segment_duration(std::size_t index) const;
-
-  /// Fully-described segment at (index, level). Throws std::out_of_range.
-  Segment segment(std::size_t index, std::size_t level) const;
 
   /// Size in megabits of segment `index` at ladder level `level`.
   double segment_size_megabits(std::size_t index, std::size_t level) const;

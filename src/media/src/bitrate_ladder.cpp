@@ -1,7 +1,6 @@
 #include "eacs/media/bitrate_ladder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace eacs::media {
@@ -33,13 +32,6 @@ std::vector<double> BitrateLadder::bitrates() const {
   out.reserve(rungs_.size());
   for (const auto& rung : rungs_) out.push_back(rung.bitrate_mbps);
   return out;
-}
-
-std::optional<std::size_t> BitrateLadder::level_of(double bitrate_mbps) const noexcept {
-  for (std::size_t i = 0; i < rungs_.size(); ++i) {
-    if (std::fabs(rungs_[i].bitrate_mbps - bitrate_mbps) < 1e-6) return i;
-  }
-  return std::nullopt;
 }
 
 std::optional<std::size_t> BitrateLadder::highest_level_not_above(

@@ -73,16 +73,6 @@ double VideoManifest::segment_size_megabits(std::size_t index, std::size_t level
   return nominal * size_factor_[index];
 }
 
-Segment VideoManifest::segment(std::size_t index, std::size_t level) const {
-  Segment out;
-  out.index = index;
-  out.level = level;
-  out.duration_s = segment_duration(index);
-  out.bitrate_mbps = ladder_.bitrate(level);
-  out.size_megabits = segment_size_megabits(index, level);
-  return out;
-}
-
 double VideoManifest::total_size_megabytes(std::size_t level) const {
   double megabits = 0.0;
   for (std::size_t i = 0; i < num_segments_; ++i) {

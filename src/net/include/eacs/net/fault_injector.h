@@ -91,8 +91,8 @@ struct AttemptOutcome {
 /// at `rate_per_min`, exponential durations of mean `mean_s`) drawn over the
 /// trace span, merged into one sorted, non-overlapping schedule. Shared by
 /// FaultInjector (link outages) and SegmentSource (origin outages and HTTP
-/// error episodes). Throws std::invalid_argument on a scripted window that
-/// ends before it starts.
+/// error episodes). Throws std::invalid_argument on a scripted window with a
+/// non-finite edge or one that ends before it starts.
 std::vector<OutageWindow> build_outage_schedule(
     const std::vector<OutageWindow>& scripted, double rate_per_min,
     double mean_s, std::uint64_t seed, const trace::TimeSeries& trace);
@@ -110,7 +110,11 @@ trace::TimeSeries outage_zeroed_trace(const trace::TimeSeries& original,
 class FaultInjector {
  public:
   /// `signal_dbm` (optional, unowned, must outlive the injector) enables the
-  /// signal-correlated failure term.
+  /// signal-correlated failure term. Throws std::invalid_argument naming the
+  /// field when a probability is outside [0, 1], the outage rate or the
+  /// per-dB coupling is negative, the outage mean (while outages are drawn)
+  /// or the stall rate is not positive, the signal threshold or any of
+  /// these is not finite, or a scripted outage is malformed.
   FaultInjector(const trace::TimeSeries& throughput_mbps, FaultSpec spec,
                 const trace::TimeSeries* signal_dbm = nullptr);
 

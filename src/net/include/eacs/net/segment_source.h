@@ -141,7 +141,12 @@ class SegmentSource {
  public:
   /// `throughput_mbps` is the session link trace the source's capacity is
   /// derived from; `signal_dbm` is optional (unowned, must outlive the
-  /// source) and only recorded for symmetry with FaultInjector.
+  /// source) and only recorded for symmetry with FaultInjector. Throws
+  /// std::invalid_argument naming the field when a probability is outside
+  /// [0, 1], slow_scale is outside (0, 1], a rate or base_rtt_s is negative,
+  /// a mean (while its windows are drawn) or throughput_scale is not
+  /// positive, any of these is not finite, or a scripted outage is
+  /// malformed.
   SegmentSource(const trace::TimeSeries& throughput_mbps, CdnSourceConfig config,
                 const trace::TimeSeries* signal_dbm = nullptr);
 

@@ -1,7 +1,10 @@
 #include "eacs/net/fault_injector.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "eacs/util/rng.h"
 
@@ -18,6 +21,37 @@ std::uint64_t attempt_seed(std::uint64_t seed, std::size_t segment,
   return x;
 }
 
+// The spec with every field in range, else std::invalid_argument naming the
+// first field that is not. Each rule is written so that NaN fails it.
+FaultSpec checked(FaultSpec spec) {
+  const auto reject = [](const char* field, const char* rule) {
+    throw std::invalid_argument(std::string("FaultSpec: ") + field + rule);
+  };
+  const std::pair<const char*, double> probabilities[] = {
+      {"failure_prob", spec.failure_prob}, {"stall_prob", spec.stall_prob}};
+  for (const auto& [field, p] : probabilities) {
+    if (!(p >= 0.0 && p <= 1.0)) reject(field, " must be in [0, 1]");
+  }
+  if (!(std::isfinite(spec.outage_rate_per_min) && spec.outage_rate_per_min >= 0.0)) {
+    reject("outage_rate_per_min", " must be finite and >= 0");
+  }
+  if (spec.outage_rate_per_min > 0.0 &&
+      !(std::isfinite(spec.outage_mean_s) && spec.outage_mean_s > 0.0)) {
+    reject("outage_mean_s", " must be finite and > 0");
+  }
+  if (!(std::isfinite(spec.signal_failure_per_db) &&
+        spec.signal_failure_per_db >= 0.0)) {
+    reject("signal_failure_per_db", " must be finite and >= 0");
+  }
+  if (!std::isfinite(spec.signal_threshold_dbm)) {
+    reject("signal_threshold_dbm", " must be finite");
+  }
+  if (!(std::isfinite(spec.stall_rate_mbps) && spec.stall_rate_mbps > 0.0)) {
+    reject("stall_rate_mbps", " must be finite and > 0");
+  }
+  return spec;
+}
+
 }  // namespace
 
 std::vector<OutageWindow> build_outage_schedule(
@@ -25,6 +59,9 @@ std::vector<OutageWindow> build_outage_schedule(
     double mean_s, std::uint64_t seed, const trace::TimeSeries& trace) {
   std::vector<OutageWindow> windows;
   for (const auto& w : scripted) {
+    if (!std::isfinite(w.start_s) || !std::isfinite(w.end_s)) {
+      throw std::invalid_argument("FaultSpec: outages need finite window edges");
+    }
     if (w.end_s < w.start_s) {
       throw std::invalid_argument("FaultSpec: outage window ends before it starts");
     }
@@ -106,17 +143,13 @@ trace::TimeSeries outage_zeroed_trace(const trace::TimeSeries& original,
 
 FaultInjector::FaultInjector(const trace::TimeSeries& throughput_mbps, FaultSpec spec,
                              const trace::TimeSeries* signal_dbm)
-    : spec_(std::move(spec)),
+    : spec_(checked(std::move(spec))),
       signal_(signal_dbm),
       schedule_(build_outage_schedule(spec_.outages, spec_.outage_rate_per_min,
                                       spec_.outage_mean_s,
                                       spec_.seed ^ 0x0074'A6E5ULL,
                                       throughput_mbps)),
       downloader_(outage_zeroed_trace(throughput_mbps, schedule_)) {
-  if (spec_.failure_prob < 0.0 || spec_.failure_prob > 1.0 ||
-      spec_.stall_prob < 0.0 || spec_.stall_prob > 1.0) {
-    throw std::invalid_argument("FaultSpec: probabilities must be in [0, 1]");
-  }
   if (spec_.signal_failure_per_db > 0.0 && signal_ == nullptr) {
     throw std::invalid_argument(
         "FaultInjector: signal-coupled failures need a signal trace");

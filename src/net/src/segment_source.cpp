@@ -1,7 +1,10 @@
 #include "eacs/net/segment_source.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "eacs/util/rng.h"
 
@@ -28,6 +31,48 @@ trace::TimeSeries scaled_trace(const trace::TimeSeries& original, double scale) 
   trace::TimeSeries out;
   for (const auto& p : original.samples()) out.append(p.t_s, p.value * scale);
   return out;
+}
+
+// The config with every field in range, else std::invalid_argument naming
+// the first field that is not. Each rule is written so that NaN fails it.
+CdnSourceConfig checked(CdnSourceConfig config) {
+  const CdnFaultSpec& f = config.faults;
+  const auto reject = [](const char* who, const char* field, const char* rule) {
+    throw std::invalid_argument(std::string(who) + ": " + field + rule);
+  };
+  const std::pair<const char*, double> probabilities[] = {
+      {"error_prob", f.error_prob},
+      {"episode_error_prob", f.episode_error_prob},
+      {"truncate_prob", f.truncate_prob},
+      {"corrupt_prob", f.corrupt_prob},
+      {"slow_start_prob", f.slow_start_prob}};
+  for (const auto& [field, p] : probabilities) {
+    if (!(p >= 0.0 && p <= 1.0)) reject("CdnFaultSpec", field, " must be in [0, 1]");
+  }
+  // A seeded schedule's rate, and its mean while windows are drawn.
+  const auto check_schedule = [&](const char* rate_field, double rate,
+                                  const char* mean_field, double mean) {
+    if (!(std::isfinite(rate) && rate >= 0.0)) {
+      reject("CdnFaultSpec", rate_field, " must be finite and >= 0");
+    }
+    if (rate > 0.0 && !(std::isfinite(mean) && mean > 0.0)) {
+      reject("CdnFaultSpec", mean_field, " must be finite and > 0");
+    }
+  };
+  check_schedule("outage_rate_per_min", f.outage_rate_per_min, "outage_mean_s",
+                 f.outage_mean_s);
+  check_schedule("error_rate_per_min", f.error_rate_per_min,
+                 "error_episode_mean_s", f.error_episode_mean_s);
+  if (!(f.slow_scale > 0.0 && f.slow_scale <= 1.0)) {
+    reject("CdnFaultSpec", "slow_scale", " must be in (0, 1]");
+  }
+  if (!(std::isfinite(config.throughput_scale) && config.throughput_scale > 0.0)) {
+    reject("SegmentSource", "throughput_scale", " must be finite and > 0");
+  }
+  if (!(std::isfinite(config.base_rtt_s) && config.base_rtt_s >= 0.0)) {
+    reject("SegmentSource", "base_rtt_s", " must be finite and >= 0");
+  }
+  return config;
 }
 
 bool inside_windows(const std::vector<OutageWindow>& windows,
@@ -66,7 +111,7 @@ const char* to_string(BreakerState state) noexcept {
 SegmentSource::SegmentSource(const trace::TimeSeries& throughput_mbps,
                              CdnSourceConfig config,
                              const trace::TimeSeries* signal_dbm)
-    : config_(std::move(config)),
+    : config_(checked(std::move(config))),
       signal_(signal_dbm),
       outages_(build_outage_schedule(
           config_.faults.outages, config_.faults.outage_rate_per_min,
@@ -77,24 +122,7 @@ SegmentSource::SegmentSource(const trace::TimeSeries& throughput_mbps,
           config_.faults.error_episode_mean_s,
           config_.faults.seed ^ 0x0E44'0E44ULL, throughput_mbps)),
       downloader_(outage_zeroed_trace(
-          scaled_trace(throughput_mbps, config_.throughput_scale), outages_)) {
-  const auto& f = config_.faults;
-  if (f.error_prob < 0.0 || f.error_prob > 1.0 || f.episode_error_prob < 0.0 ||
-      f.episode_error_prob > 1.0 || f.truncate_prob < 0.0 ||
-      f.truncate_prob > 1.0 || f.corrupt_prob < 0.0 || f.corrupt_prob > 1.0 ||
-      f.slow_start_prob < 0.0 || f.slow_start_prob > 1.0) {
-    throw std::invalid_argument("CdnFaultSpec: probabilities must be in [0, 1]");
-  }
-  if (f.slow_scale <= 0.0 || f.slow_scale > 1.0) {
-    throw std::invalid_argument("CdnFaultSpec: slow_scale must be in (0, 1]");
-  }
-  if (config_.throughput_scale <= 0.0) {
-    throw std::invalid_argument("SegmentSource: throughput_scale must be > 0");
-  }
-  if (config_.base_rtt_s < 0.0) {
-    throw std::invalid_argument("SegmentSource: base_rtt_s must be >= 0");
-  }
-}
+          scaled_trace(throughput_mbps, config_.throughput_scale), outages_)) {}
 
 bool SegmentSource::in_outage(double t_s) const noexcept {
   return inside_windows(outages_, t_s);

@@ -133,7 +133,6 @@ class SessionTimeline final : public SessionObserver {
 
   /// JSON: {"events": [{...}, ...]} with the same fields as the CSV.
   void write_json(std::ostream& out) const;
-  void write_json(const std::string& path) const;
 
  private:
   std::vector<SessionEvent> events_;

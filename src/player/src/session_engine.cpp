@@ -300,13 +300,6 @@ void SessionTimeline::write_json(std::ostream& out) const {
   out << (events_.empty() ? "" : "\n") << "]}\n";
 }
 
-void SessionTimeline::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SessionTimeline: cannot open " + path);
-  write_json(out);
-  if (!out.good()) throw std::runtime_error("SessionTimeline: failed writing " + path);
-}
-
 // --- VibrationClock ---------------------------------------------------------
 
 double VibrationClock::advance_to(double t_s) {

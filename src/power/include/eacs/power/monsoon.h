@@ -31,12 +31,6 @@ struct ActivityInterval {
   double throughput_mbps = 0.0;    ///< receive rate during the interval
 };
 
-/// One sampled power reading.
-struct PowerSample {
-  double t_s = 0.0;
-  double watts = 0.0;
-};
-
 /// Monsoon channel configuration.
 struct MonsoonConfig {
   double sample_rate_hz = 5000.0;  ///< real Monsoon LVPM rate
@@ -52,13 +46,10 @@ class MonsoonSimulator {
  public:
   explicit MonsoonSimulator(MonsoonConfig config, PowerModel model);
 
-  /// Dense power samples over a timeline of activity intervals.
-  std::vector<PowerSample> sample(const std::vector<ActivityInterval>& timeline);
-
-  /// Trapezoidal integration of a sample stream to joules.
-  static double integrate_energy(const std::vector<PowerSample>& samples);
-
-  /// Convenience: sample + integrate without materialising the stream.
+  /// Samples the power channel over a timeline of activity intervals at
+  /// config.sample_rate_hz and integrates the stream to joules (trapezoidal,
+  /// per interval), without materialising the samples. Throws
+  /// std::invalid_argument on an empty or negative interval.
   double measure_energy(const std::vector<ActivityInterval>& timeline);
 
  private:

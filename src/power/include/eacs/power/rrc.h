@@ -81,9 +81,6 @@ class RrcSimulator {
   /// before the last burst.
   RrcBreakdown analyze(std::vector<TransferBurst> bursts, double session_end_s) const;
 
-  /// Tail energy after a single isolated burst (the textbook number).
-  double single_tail_energy_j() const noexcept;
-
  private:
   RrcConfig config_;
 };

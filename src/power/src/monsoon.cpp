@@ -30,44 +30,11 @@ double MonsoonSimulator::true_power(const ActivityInterval& interval) const noex
   return watts;
 }
 
-std::vector<PowerSample> MonsoonSimulator::sample(
-    const std::vector<ActivityInterval>& timeline) {
-  std::vector<PowerSample> samples;
+double MonsoonSimulator::measure_energy(const std::vector<ActivityInterval>& timeline) {
+  // Streaming integration: at 5 kHz a 600 s session is 3M samples; the
+  // samples are never materialised, only their integral is needed.
   const double dt = 1.0 / config_.sample_rate_hz;
   // Random phases so different runs de-correlate the unmodeled components.
-  const double ripple_phase = rng_.uniform(0.0, 2.0 * kPi);
-  const double drift_phase = rng_.uniform(0.0, 2.0 * kPi);
-  for (const auto& interval : timeline) {
-    if (interval.end_s <= interval.start_s) {
-      throw std::invalid_argument("MonsoonSimulator: empty/negative interval");
-    }
-    const double base = true_power(interval);
-    for (double t = interval.start_s; t < interval.end_s; t += dt) {
-      double watts = base;
-      watts += config_.ripple_w *
-               std::sin(2.0 * kPi * config_.ripple_hz * t + ripple_phase);
-      watts += config_.drift_w * std::sin(2.0 * kPi * t / 600.0 + drift_phase);
-      watts += rng_.normal(0.0, config_.noise_sd_w);
-      samples.push_back({t, std::max(0.0, watts)});
-    }
-  }
-  return samples;
-}
-
-double MonsoonSimulator::integrate_energy(const std::vector<PowerSample>& samples) {
-  double joules = 0.0;
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    const double dt = samples[i].t_s - samples[i - 1].t_s;
-    if (dt <= 0.0) continue;  // interval boundaries may touch
-    joules += 0.5 * (samples[i].watts + samples[i - 1].watts) * dt;
-  }
-  return joules;
-}
-
-double MonsoonSimulator::measure_energy(const std::vector<ActivityInterval>& timeline) {
-  // Streaming integration: at 5 kHz a 600 s session is 3M samples; avoid
-  // materialising them when only the integral is needed.
-  const double dt = 1.0 / config_.sample_rate_hz;
   const double ripple_phase = rng_.uniform(0.0, 2.0 * kPi);
   const double drift_phase = rng_.uniform(0.0, 2.0 * kPi);
   double joules = 0.0;

@@ -12,12 +12,6 @@ RrcSimulator::RrcSimulator(RrcConfig config) : config_(config) {
   }
 }
 
-double RrcSimulator::single_tail_energy_j() const noexcept {
-  return config_.connected_tail_w * config_.inactivity_s +
-         config_.short_drx_w * config_.short_drx_s +
-         config_.long_drx_w * config_.long_drx_s;
-}
-
 RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
                                    double session_end_s) const {
   for (const auto& burst : bursts) {

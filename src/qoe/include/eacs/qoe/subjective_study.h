@@ -7,7 +7,8 @@
 // with  q5 = 1 + 4*(q9-1)/8, and least-squares fit the QoE model from the
 // ratings. This module reproduces that pipeline against a *simulated* rater
 // panel: a ground-truth QoE surface plus per-subject bias and per-rating
-// noise, then the same 9->5 transform, aggregation into MOS, and model fit.
+// noise, then the same 9->5 transform, aggregation into MOS, and the model
+// fit on the individual ratings.
 //
 // The fit-recovery property — with 20 noisy subjects the fitted coefficients
 // land close to the ground truth — is asserted by tests and printed by
@@ -92,21 +93,13 @@ class SubjectiveStudy {
   QoeModel ground_truth_;
 };
 
-/// Outcome of fitting the QoE model from MOS data.
+/// Outcome of fitting the QoE model from the study's ratings.
 struct QoeFit {
   QoeModelParams params;     ///< fitted a, b, kappa, alpha_v, beta_r (penalty
                              ///< terms copied from the input defaults)
   eacs::FitResult curve_fit;      ///< diagnostics for the q0 curve fit
   eacs::FitResult surface_fit;    ///< diagnostics for the impairment fit
 };
-
-/// Reproduces the paper's two least-squares fits from aggregated MOS points:
-///  1. q0(r) = 5 - a*r^(-b) on the quiet-room MOS points
-///     (those with vibration below `room_threshold`), via Gauss-Newton;
-///  2. I(v, r) = kappa*v^alpha_v*r^beta_r on the (untruncated) room-minus-
-///     vehicle MOS differences, via Gauss-Newton in (log kappa, alpha_v,
-///     beta_r).
-QoeFit fit_qoe_model(const std::vector<MosPoint>& mos, double room_threshold = 1.0);
 
 /// One video's fitted quiet-room curve (per-genre analysis).
 struct VideoCurveFit {
@@ -125,14 +118,16 @@ struct VideoCurveFit {
 std::vector<VideoCurveFit> fit_q0_per_video(const std::vector<Rating>& ratings,
                                             double room_threshold = 1.0);
 
-/// Higher-resolution variant operating on the individual ratings.
-///
-/// The impairment surface is fitted on *paired* differences: each subject
-/// rated every (video, bitrate) both in the quiet room and on their ride, so
-/// the difference of those two scores cancels the subject's constant bias
-/// and carries the exact ride vibration (no binning). This is the estimator
-/// with the best coefficient recovery and the default in the Table III
-/// bench.
+/// Reproduces the paper's two least-squares fits from the individual
+/// ratings, both via Gauss-Newton:
+///  1. q0(r) = 5 - a*r^(-b) on the quiet-room ratings (those with vibration
+///     below `room_threshold`);
+///  2. I(v, r) = kappa*v^alpha_v*r^beta_r in (log kappa, alpha_v, beta_r) on
+///     *paired*, untruncated differences: each subject rated every (video,
+///     bitrate) both in the quiet room and on their ride, so the difference
+///     of those two scores cancels the subject's constant bias and carries
+///     the exact ride vibration (no binning).
+/// Throws std::invalid_argument on fewer than 4 quiet-room ratings.
 QoeFit fit_qoe_model_from_ratings(const std::vector<Rating>& ratings,
                                   double room_threshold = 1.0);
 

@@ -112,67 +112,6 @@ std::vector<MosPoint> SubjectiveStudy::aggregate(const std::vector<Rating>& rati
   return out;
 }
 
-QoeFit fit_qoe_model(const std::vector<MosPoint>& mos, double room_threshold) {
-  std::vector<const MosPoint*> room;
-  std::vector<const MosPoint*> vehicle;
-  for (const auto& point : mos) {
-    (point.vibration < room_threshold ? room : vehicle).push_back(&point);
-  }
-  if (room.empty()) throw std::invalid_argument("fit_qoe_model: no quiet-room points");
-
-  // --- Fit 1: original quality curve q0(r) = 5 - a * r^(-b). ---
-  std::vector<double> bitrates;
-  std::vector<double> room_mos;
-  for (const auto* point : room) {
-    bitrates.push_back(point->bitrate_mbps);
-    room_mos.push_back(point->mos);
-  }
-  const auto q0_model = [&bitrates](std::span<const double> params, std::size_t i) {
-    return 5.0 - params[0] * std::pow(bitrates[i], -params[1]);
-  };
-  eacs::FitResult curve = eacs::gauss_newton(q0_model, room_mos, {1.0, 0.5});
-
-  QoeFit fit;
-  fit.params.a = curve.params[0];
-  fit.params.b = curve.params[1];
-  fit.curve_fit = curve;
-
-  // --- Fit 2: impairment surface on room-minus-vehicle MOS differences. ---
-  // Differencing at the same bitrate cancels the q0 curve (and its fit
-  // error) exactly; the differences are kept untruncated (negative values
-  // are legitimate noise around small impairments — discarding them would
-  // bias the low-impairment region upward and flatten the bitrate exponent).
-  // Gauss-Newton in (log kappa, alpha_v, beta_r) keeps kappa positive while
-  // tolerating non-positive observations, which a log-space linear fit
-  // cannot.
-  std::vector<double> imp_v;
-  std::vector<double> imp_r;
-  std::vector<double> imp_y;
-  for (const auto* vp : vehicle) {
-    if (vp->vibration <= 0.0 || vp->bitrate_mbps <= 0.0) continue;
-    for (const auto* rp : room) {
-      if (std::fabs(rp->bitrate_mbps - vp->bitrate_mbps) < 1e-9) {
-        imp_v.push_back(vp->vibration);
-        imp_r.push_back(vp->bitrate_mbps);
-        imp_y.push_back(rp->mos - vp->mos);
-        break;
-      }
-    }
-  }
-  if (imp_y.size() >= 3) {
-    const auto surface_model = [&](std::span<const double> p, std::size_t i) {
-      return std::exp(p[0]) * std::pow(imp_v[i], p[1]) * std::pow(imp_r[i], p[2]);
-    };
-    eacs::FitResult surface =
-        eacs::gauss_newton(surface_model, imp_y, {std::log(0.02), 1.0, 1.0});
-    fit.params.kappa = std::exp(surface.params[0]);
-    fit.params.alpha_v = surface.params[1];
-    fit.params.beta_r = surface.params[2];
-    fit.surface_fit = surface;
-  }
-  return fit;
-}
-
 std::vector<VideoCurveFit> fit_q0_per_video(const std::vector<Rating>& ratings,
                                             double room_threshold) {
   std::vector<VideoCurveFit> fits;

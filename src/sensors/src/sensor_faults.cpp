@@ -29,15 +29,23 @@ void validate_spec(const SensorFaultSpec& spec) {
   if (spec.rate_collapse_keep == 0) {
     throw std::invalid_argument("SensorFaultSpec: rate_collapse_keep must be >= 1");
   }
-  if (spec.accel_episode_rate_per_min < 0.0 || spec.signal_dropout_rate_per_min < 0.0) {
-    throw std::invalid_argument("SensorFaultSpec: episode rates must be >= 0");
-  }
-  if (spec.accel_episode_rate_per_min > 0.0 && spec.accel_episode_mean_s <= 0.0) {
-    throw std::invalid_argument("SensorFaultSpec: accel_episode_mean_s must be > 0");
-  }
-  if (spec.signal_dropout_rate_per_min > 0.0 && spec.signal_dropout_mean_s <= 0.0) {
-    throw std::invalid_argument("SensorFaultSpec: signal_dropout_mean_s must be > 0");
-  }
+  // A seeded schedule's rate, and its mean while episodes are drawn; each
+  // rule is written so that NaN fails it.
+  const auto check_schedule = [](const char* rate_field, double rate,
+                                 const char* mean_field, double mean) {
+    if (!(std::isfinite(rate) && rate >= 0.0)) {
+      throw std::invalid_argument(std::string("SensorFaultSpec: ") + rate_field +
+                                  " must be finite and >= 0");
+    }
+    if (rate > 0.0 && !(std::isfinite(mean) && mean > 0.0)) {
+      throw std::invalid_argument(std::string("SensorFaultSpec: ") + mean_field +
+                                  " must be finite and > 0");
+    }
+  };
+  check_schedule("accel_episode_rate_per_min", spec.accel_episode_rate_per_min,
+                 "accel_episode_mean_s", spec.accel_episode_mean_s);
+  check_schedule("signal_dropout_rate_per_min", spec.signal_dropout_rate_per_min,
+                 "signal_dropout_mean_s", spec.signal_dropout_mean_s);
   if (spec.accel_episode_rate_per_min > 0.0 && spec.random_fault_types.empty()) {
     throw std::invalid_argument(
         "SensorFaultSpec: random episodes need a non-empty random_fault_types");

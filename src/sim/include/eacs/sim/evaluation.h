@@ -18,6 +18,10 @@
 #include "eacs/sim/metrics.h"
 #include "eacs/trace/session.h"
 
+namespace eacs::player {
+class LinkModel;  // session_engine.h
+}  // namespace eacs::player
+
 namespace eacs::sim {
 
 /// Evaluation configuration (paper defaults: 2 s segments, 14-rate ladder,
@@ -88,8 +92,18 @@ class Evaluation {
   EvaluationResult run() const;
 
   /// Run over caller-provided sessions (e.g. a single trace, or synthetic
-  /// what-if sessions for ablations).
+  /// what-if sessions for ablations): run_session over a SoloLinkModel of
+  /// each session's throughput trace, sessions fanned out over config.exec.
   EvaluationResult run(const std::vector<trace::SessionTraces>& sessions) const;
+
+  /// One session's rows, in roster order (YouTube, FESTIVE, BBA, Ours,
+  /// Optimal, then BOLA when enabled): every policy plays `session` over
+  /// `link` on one engine and one vibration track, which the Optimal plan is
+  /// also built on. `link` models the session's own throughput trace (a
+  /// SoloLinkModel, or a FaultLinkModel over an injector built on it). Pure
+  /// in its arguments, so sessions can run on any worker.
+  std::vector<SessionMetrics> run_session(const trace::SessionTraces& session,
+                                          const player::LinkModel& link) const;
 
   /// The manifest used for a given session spec.
   media::VideoManifest manifest_for(const media::SessionSpec& spec) const;

@@ -4,10 +4,12 @@
 // The seed-robustness study shows the headline results are not an artifact
 // of one trace draw; this study shows what happens when the *link itself*
 // misbehaves. It sweeps outage density x per-request failure rate over the
-// Section V algorithms, replaying every Table V session through a seeded
-// net::FaultInjector and the player's retry machinery, and reports QoE /
-// energy / rebuffering / wasted-download-energy alongside deltas against
-// each algorithm's fault-free baseline. Deterministic in (config, seed).
+// Section V roster (Evaluation::run_session, so BOLA joins it when
+// evaluation.include_bola is set and Ours uses evaluation.online_cache),
+// replaying every Table V session through a seeded net::FaultInjector and
+// the player's retry machinery, and reports QoE / energy / rebuffering /
+// wasted-download-energy alongside deltas against each algorithm's
+// fault-free baseline. Deterministic in (config, seed).
 
 #include <cstdint>
 #include <string>

@@ -8,7 +8,6 @@
 
 #include "eacs/sim/cdn_fault_study.h"
 #include "eacs/sim/evaluation.h"
-#include "eacs/sim/robustness.h"
 #include "eacs/sim/sensor_fault_study.h"
 #include "eacs/util/csv.h"
 #include "eacs/util/table.h"
@@ -19,15 +18,6 @@ namespace eacs::sim {
 /// field as a column.
 eacs::CsvTable evaluation_to_csv(const EvaluationResult& result);
 
-/// Headline summary per algorithm vs. a reference (default "Youtube"):
-/// whole-phone/extra-energy savings, QoE, QoE degradation, ratio.
-eacs::CsvTable summary_to_csv(const EvaluationResult& result,
-                              const std::string& reference = "Youtube");
-
-/// Robustness distributions: one row per (algorithm, metric) with
-/// mean/stddev/min/max/runs columns.
-eacs::CsvTable robustness_to_csv(const RobustnessResult& result);
-
 /// Sensor-fault study: degraded-context Ours per (scenario, intensity), with
 /// its deltas against clean context and against the context-blind baseline.
 eacs::AsciiTable sensor_fault_table(const SensorFaultStudyResult& result);
@@ -37,11 +27,9 @@ eacs::AsciiTable sensor_fault_table(const SensorFaultStudyResult& result);
 /// and circuit-breaker activity.
 eacs::AsciiTable cdn_fault_table(const CdnFaultStudyResult& result);
 
-/// Convenience file writers (throw std::runtime_error on I/O failure).
+/// Writes evaluation_to_csv(result) to `path` (throws std::runtime_error on
+/// I/O failure).
 void write_evaluation_csv(const std::filesystem::path& path,
                           const EvaluationResult& result);
-void write_summary_csv(const std::filesystem::path& path,
-                       const EvaluationResult& result,
-                       const std::string& reference = "Youtube");
 
 }  // namespace eacs::sim

@@ -97,7 +97,10 @@ struct SensorFaultStudyResult {
 };
 
 /// Runs the sweep on the shared study harness (study.h): deterministic in
-/// config.seed and bit-identical at any job count.
+/// config.seed and bit-identical at any job count. Throws
+/// std::invalid_argument naming the field on an empty intensity axis, an
+/// episode length that is not finite and positive, or an intensity or
+/// combined rate that is not finite and non-negative.
 SensorFaultStudyResult run_sensor_fault_study(
     const SensorFaultStudyConfig& config = {});
 

@@ -3,9 +3,11 @@
 //
 // The link-, sensor- and CDN-fault studies replay the five Table V sessions
 // under a grid of fault points. This header holds what they share: the
-// fixture those replays run on, the per-policy totals they report, and the
-// deterministic fan-out. Each study keeps only what its scenario means: its
-// fault-spec builder, its seed rule, its extra columns and its deltas.
+// per-policy totals they report, the deterministic fan-out, and the fixture
+// the sensor and CDN studies replay one policy per unit on (the link study's
+// unit is Evaluation::run_session, the whole roster). Each study keeps only
+// what its scenario means: its fault-spec builder, its seed rule, its extra
+// columns and its deltas.
 
 #include <cstddef>
 #include <string>

@@ -134,63 +134,63 @@ EvaluationResult Evaluation::run() const {
 
 EvaluationResult Evaluation::run(
     const std::vector<trace::SessionTraces>& sessions) const {
+  // One unit of work per session: everything a unit touches is built inside
+  // run_session from the session alone, so units are pure in their index and
+  // can run on any worker.
+  const auto per_session = util::parallel_map(
+      config_.exec.resolved_jobs(), sessions.size(), [&](std::size_t s) {
+        return run_session(sessions[s],
+                           player::SoloLinkModel(sessions[s].throughput_mbps));
+      });
   EvaluationResult result;
-  const qoe::QoeModel qoe_model(config_.qoe);
-  const power::PowerModel power_model(config_.power);
-  const core::Objective objective = make_objective(config_);
-
-  // One unit of work per session: everything a unit touches (manifest,
-  // engine, vibration track, policies, optimal plan) is built inside it from
-  // the session alone, so units are pure in their index and can run on any
-  // worker.
-  const auto run_session = [&](std::size_t s) {
-    const auto& session = sessions[s];
-    const media::VideoManifest manifest = manifest_for(session.spec);
-    // What PlayerSimulator::run plays, with one vibration track shared by the
-    // planner's task environments and every policy's run: the trace is
-    // streamed once per unit, under the config the engine senses with.
-    const player::SessionEngine engine(
-        player::SessionEngineConfig{.player = config_.player});
-    sensors::VibrationTrack track(session.accel, config_.player.vibration);
-    const player::SoloLinkModel link(session.throughput_mbps);
-
-    // Fresh policy instances per session; the optimal plan is per-session.
-    abr::FixedBitrate youtube;
-    abr::Festive festive;
-    abr::Bba bba(5.0, config_.player.buffer_threshold_s);
-    core::OnlineBitrateSelector ours(
-        objective,
-        {.startup_level = config_.online_startup_level,
-         .cache = config_.online_cache ? std::make_shared<core::DecisionCache>(
-                                             *config_.online_cache)
-                                       : nullptr});
-    const auto tasks = core::build_task_environments(manifest, session, track);
-    core::OptimalPlanner planner(objective);
-    core::PlannedPolicy optimal(planner.plan(tasks));
-
-    std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba, &ours,
-                                                &optimal};
-    abr::Bola bola(5.0, config_.player.buffer_threshold_s);
-    if (config_.include_bola) policies.push_back(&bola);
-
-    std::vector<SessionMetrics> rows;
-    rows.reserve(policies.size());
-    for (player::AbrPolicy* policy : policies) {
-      player::SessionClient client{&manifest, policy, &session};
-      client.vibration_track = &track;
-      const auto playback = engine.run(client, link);
-      rows.push_back(compute_metrics(policy->name(), session.spec.id, playback,
-                                     manifest, qoe_model, power_model));
-    }
-    return rows;
-  };
-
-  const auto per_session = util::parallel_map(config_.exec.resolved_jobs(),
-                                              sessions.size(), run_session);
   for (const auto& rows : per_session) {
     result.rows.insert(result.rows.end(), rows.begin(), rows.end());
   }
   return result;
+}
+
+std::vector<SessionMetrics> Evaluation::run_session(
+    const trace::SessionTraces& session, const player::LinkModel& link) const {
+  const qoe::QoeModel qoe_model(config_.qoe);
+  const power::PowerModel power_model(config_.power);
+  const core::Objective objective = make_objective(config_);
+  const media::VideoManifest manifest = manifest_for(session.spec);
+  // What PlayerSimulator::run plays, with one vibration track shared by the
+  // planner's task environments and every policy's run: the trace is
+  // streamed once per session, under the config the engine senses with.
+  const player::SessionEngine engine(
+      player::SessionEngineConfig{.player = config_.player});
+  sensors::VibrationTrack track(session.accel, config_.player.vibration);
+
+  // Fresh policy instances per session; the optimal plan is per-session.
+  abr::FixedBitrate youtube;
+  abr::Festive festive;
+  abr::Bba bba(5.0, config_.player.buffer_threshold_s);
+  core::OnlineBitrateSelector ours(
+      objective,
+      {.startup_level = config_.online_startup_level,
+       .cache = config_.online_cache
+                    ? std::make_shared<core::DecisionCache>(*config_.online_cache)
+                    : nullptr});
+  const auto tasks = core::build_task_environments(manifest, session, track);
+  core::OptimalPlanner planner(objective);
+  core::PlannedPolicy optimal(planner.plan(tasks));
+
+  std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba, &ours,
+                                              &optimal};
+  abr::Bola bola(5.0, config_.player.buffer_threshold_s);
+  if (config_.include_bola) policies.push_back(&bola);
+
+  std::vector<SessionMetrics> rows;
+  rows.reserve(policies.size());
+  for (player::AbrPolicy* policy : policies) {
+    player::SessionClient client{&manifest, policy, &session};
+    client.vibration_track = &track;
+    const auto playback = engine.run(client, link);
+    rows.push_back(compute_metrics(policy->name(), session.spec.id, playback,
+                                   manifest, qoe_model, power_model));
+  }
+  return rows;
 }
 
 }  // namespace eacs::sim

@@ -4,12 +4,8 @@
 #include <map>
 #include <stdexcept>
 
-#include "eacs/abr/bba.h"
-#include "eacs/abr/festive.h"
-#include "eacs/abr/fixed.h"
-#include "eacs/core/online.h"
-#include "eacs/core/optimal.h"
 #include "eacs/net/fault_injector.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/sim/seed_mix.h"
 
 namespace eacs::sim {
@@ -32,52 +28,16 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
     throw std::invalid_argument("run_fault_study: empty sweep axes");
   }
 
-  const StudySessions fixture(config.evaluation, config.evaluation.player);
-  const std::size_t n_sessions = fixture.size();
-
-  // Optimal plans are built once and shared across the whole grid, each on
-  // the vibration the engine senses (and the accounting prices).
-  std::vector<core::OptimalPlan> plans;
-  plans.reserve(n_sessions);
-  for (std::size_t s = 0; s < n_sessions; ++s) {
-    core::OptimalPlanner planner(fixture.objective);
-    sensors::VibrationTrack track(fixture.sessions[s].accel,
-                                  config.evaluation.player.vibration);
-    plans.push_back(planner.plan(core::build_task_environments(
-        fixture.manifests[s], fixture.sessions[s], track)));
-  }
-
-  // One unit of work: replay every policy over one session (optionally
-  // through a fault injector) and return the metrics in policy order. Fresh
-  // policy instances per unit (the planner output is shared, read-only).
-  const auto run_policies = [&](std::size_t s, const net::FaultInjector* faults) {
-    const auto& session = fixture.sessions[s];
-    const auto& simulator = fixture.simulators[s];
-    abr::FixedBitrate youtube;
-    abr::Festive festive;
-    abr::Bba bba(5.0, config.evaluation.player.buffer_threshold_s);
-    core::OnlineBitrateSelector ours(
-        fixture.objective,
-        {.startup_level = config.evaluation.online_startup_level});
-    core::PlannedPolicy optimal(plans[s]);
-
-    const std::vector<player::AbrPolicy*> policies = {&youtube, &festive, &bba,
-                                                      &ours, &optimal};
-    std::vector<SessionMetrics> metrics;
-    metrics.reserve(policies.size());
-    for (player::AbrPolicy* policy : policies) {
-      const auto playback = faults != nullptr
-                                ? simulator.run(*policy, session, *faults)
-                                : simulator.run(*policy, session);
-      metrics.push_back(fixture.metrics(policy->name(), s, playback));
-    }
-    return metrics;
-  };
+  const Evaluation evaluation(config.evaluation);
+  const auto sessions = trace::build_all_sessions(config.evaluation.session_options);
+  const std::size_t n_sessions = sessions.size();
 
   // Points [0, P) are the grid: point = outage-rate index * |failure probs|
   // + failure-prob index, with fault seed seed_mix(config.seed, point,
   // session id). Point P is the fault-free baseline every cell's deltas are
-  // taken against. Totals are keyed by algorithm, so cells list in name
+  // taken against. Each unit plays the evaluation's roster over one session
+  // (Evaluation::run_session), so the session's vibration trace is streamed
+  // once per unit. Totals are keyed by algorithm, so cells list in name
   // order.
   const std::size_t n_probs = config.failure_probs.size();
   const std::size_t n_points = config.outage_rates_per_min.size() * n_probs;
@@ -85,8 +45,11 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
   run_grid(
       config.evaluation.exec.resolved_jobs(), totals.size(), n_sessions,
       [&](std::size_t point, std::size_t s) {
-        if (point == n_points) return run_policies(s, nullptr);
-        const auto& session = fixture.sessions[s];
+        const auto& session = sessions[s];
+        if (point == n_points) {
+          return evaluation.run_session(
+              session, player::SoloLinkModel(session.throughput_mbps));
+        }
         net::FaultSpec spec;
         spec.outage_rate_per_min = config.outage_rates_per_min[point / n_probs];
         spec.outage_mean_s = config.outage_mean_s;
@@ -98,7 +61,7 @@ FaultStudyResult run_fault_study(const FaultStudyConfig& config) {
         spec.seed = seed_mix(config.seed, point, session.spec.id);
         const net::FaultInjector faults(session.throughput_mbps, spec,
                                         &session.signal_dbm);
-        return run_policies(s, &faults);
+        return evaluation.run_session(session, player::FaultLinkModel(faults));
       },
       [&](std::size_t point, std::size_t, const auto& metrics) {
         for (const auto& m : metrics) {

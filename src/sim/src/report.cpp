@@ -23,41 +23,6 @@ eacs::CsvTable evaluation_to_csv(const EvaluationResult& result) {
   return table;
 }
 
-eacs::CsvTable summary_to_csv(const EvaluationResult& result,
-                              const std::string& reference) {
-  eacs::CsvTable table({"algorithm", "energy_saving", "extra_energy_saving",
-                        "mean_qoe", "qoe_degradation", "saving_degradation_ratio"});
-  for (const auto& algorithm : result.algorithms()) {
-    table.add_row({algorithm,
-                   eacs::format_double(result.mean_energy_saving(algorithm, reference)),
-                   eacs::format_double(
-                       result.mean_extra_energy_saving(algorithm, reference)),
-                   eacs::format_double(result.mean_qoe(algorithm)),
-                   eacs::format_double(result.mean_qoe_degradation(algorithm, reference)),
-                   eacs::format_double(
-                       result.saving_degradation_ratio(algorithm, reference))});
-  }
-  return table;
-}
-
-eacs::CsvTable robustness_to_csv(const RobustnessResult& result) {
-  eacs::CsvTable table({"algorithm", "metric", "mean", "stddev", "min", "max", "runs"});
-  const auto add = [&](const std::string& algorithm, const std::string& metric,
-                       const eacs::RunningStats& stats) {
-    table.add_row({algorithm, metric, eacs::format_double(stats.mean()),
-                   eacs::format_double(stats.stddev()),
-                   eacs::format_double(stats.min()), eacs::format_double(stats.max()),
-                   std::to_string(stats.count())});
-  };
-  for (const auto& [algorithm, dist] : result.per_algorithm) {
-    add(algorithm, "energy_saving", dist.energy_saving);
-    add(algorithm, "extra_energy_saving", dist.extra_energy_saving);
-    add(algorithm, "qoe_degradation", dist.qoe_degradation);
-    add(algorithm, "mean_qoe", dist.mean_qoe);
-  }
-  return table;
-}
-
 eacs::AsciiTable sensor_fault_table(const SensorFaultStudyResult& result) {
   AsciiTable table("Degraded-context Ours vs. clean context and context-blind");
   table.set_header({"fault", "intensity", "QoE", "QoE d clean", "QoE d blind",
@@ -104,11 +69,6 @@ eacs::AsciiTable cdn_fault_table(const CdnFaultStudyResult& result) {
 void write_evaluation_csv(const std::filesystem::path& path,
                           const EvaluationResult& result) {
   eacs::write_csv_file(path, evaluation_to_csv(result));
-}
-
-void write_summary_csv(const std::filesystem::path& path,
-                       const EvaluationResult& result, const std::string& reference) {
-  eacs::write_csv_file(path, summary_to_csv(result, reference));
 }
 
 }  // namespace eacs::sim

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "eacs/abr/bba.h"
 #include "eacs/core/online.h"
@@ -114,6 +116,28 @@ SensorFaultStudyResult run_sensor_fault_study(
     const SensorFaultStudyConfig& config) {
   if (config.intensities.empty()) {
     throw std::invalid_argument("run_sensor_fault_study: empty intensity axis");
+  }
+  // Each rule is written so that NaN fails it; a non-positive episode length
+  // would never advance periodic_episodes past the horizon.
+  const auto reject = [](const char* field, const char* rule) {
+    throw std::invalid_argument(std::string("run_sensor_fault_study: ") + field +
+                                rule);
+  };
+  if (!(std::isfinite(config.episode_length_s) && config.episode_length_s > 0.0)) {
+    reject("episode_length_s", " must be finite and > 0");
+  }
+  for (const double intensity : config.intensities) {
+    if (!(std::isfinite(intensity) && intensity >= 0.0)) {
+      reject("intensities", " must be finite and >= 0");
+    }
+  }
+  const std::pair<const char*, double> rates[] = {
+      {"combined_accel_rate_per_min", config.combined_accel_rate_per_min},
+      {"combined_signal_rate_per_min", config.combined_signal_rate_per_min}};
+  for (const auto& [field, rate] : rates) {
+    if (!(std::isfinite(rate) && rate >= 0.0)) {
+      reject(field, " must be finite and >= 0");
+    }
   }
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;

@@ -15,7 +15,7 @@ struct TimePoint {
   double value = 0.0;
 };
 
-/// Monotonic time series with step and linear interpolation lookups.
+/// Monotonic time series with linear interpolation lookups.
 ///
 /// Timestamps must be non-decreasing. Duplicate (zero-width) timestamps are
 /// allowed and represent a step discontinuity: at exactly the shared time the
@@ -38,11 +38,6 @@ class TimeSeries {
 
   double start_time() const;
   double end_time() const;
-  double duration() const;
-
-  /// Value of the most recent sample at or before `t_s` (zero-order hold).
-  /// Before the first sample, returns the first value.
-  double step_at(double t_s) const;
 
   /// Linear interpolation between neighbouring samples; clamps outside the
   /// covered range.
@@ -57,14 +52,11 @@ class TimeSeries {
   /// All values, in time order.
   std::vector<double> values() const;
 
-  /// Uniformly resampled copy (linear interpolation) with step `dt_s`.
-  TimeSeries resampled(double dt_s) const;
-
   /// Index of the last sample with t <= `t_s` (0 before the first sample;
   /// with duplicate timestamps, the *last* duplicate — the right-continuous
   /// step contract). Throws std::logic_error on an empty series. This is the
-  /// index every lookup (step_at / linear_at / TimeSeriesCursor) resolves
-  /// through, exposed so cursor implementations can certify against it.
+  /// index every lookup (linear_at / TimeSeriesCursor) resolves through,
+  /// exposed so cursor implementations can certify against it.
   std::size_t index_at_or_before(double t_s) const;
 
  private:
@@ -87,10 +79,10 @@ class TimeSeries {
 ///
 /// Contract (certified by tests/trace/time_series_cursor_test.cpp and the
 /// differential harness):
-///  * step_at / linear_at return values bitwise identical to the cursorless
-///    TimeSeries lookups for ANY query sequence — forward, backward or
-///    repeated times, including duplicate-timestamp step edges (the lookup
-///    resolves to the last duplicate: right-continuous, last wins);
+///  * linear_at returns values bitwise identical to TimeSeries::linear_at
+///    for ANY query sequence — forward, backward or repeated times,
+///    including duplicate-timestamp step edges (the lookup resolves to the
+///    last duplicate: right-continuous, last wins);
 ///  * the cursor never mutates the series; many cursors may share one;
 ///  * appending to the series keeps the cursor valid (the resolved prefix is
 ///    immutable); destroying or moving the series invalidates it — the
@@ -100,9 +92,6 @@ class TimeSeriesCursor {
   /// `series` is unowned and must outlive the cursor.
   explicit TimeSeriesCursor(const TimeSeries& series) noexcept
       : series_(&series) {}
-
-  /// Value of the most recent sample at or before `t_s` (zero-order hold).
-  double step_at(double t_s);
 
   /// Linear interpolation between neighbouring samples; clamps outside the
   /// covered range. Bitwise identical to TimeSeries::linear_at.

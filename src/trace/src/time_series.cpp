@@ -1,7 +1,6 @@
 #include "eacs/trace/time_series.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace eacs::trace {
@@ -31,8 +30,6 @@ double TimeSeries::end_time() const {
   return samples_.back().t_s;
 }
 
-double TimeSeries::duration() const { return end_time() - start_time(); }
-
 std::size_t TimeSeries::index_at_or_before(double t_s) const {
   if (samples_.empty()) throw std::logic_error("TimeSeries: empty");
   // First sample with t > t_s, then step back.
@@ -41,10 +38,6 @@ std::size_t TimeSeries::index_at_or_before(double t_s) const {
       [](double t, const TimePoint& p) { return t < p.t_s; });
   if (it == samples_.begin()) return 0;
   return static_cast<std::size_t>(std::distance(samples_.begin(), it)) - 1;
-}
-
-double TimeSeries::step_at(double t_s) const {
-  return samples_[index_at_or_before(t_s)].value;
 }
 
 double TimeSeries::linear_value_from(std::size_t i, double t_s) const {
@@ -104,18 +97,6 @@ std::vector<double> TimeSeries::values() const {
   return out;
 }
 
-TimeSeries TimeSeries::resampled(double dt_s) const {
-  if (dt_s <= 0.0) throw std::invalid_argument("TimeSeries::resampled: dt must be > 0");
-  if (samples_.empty()) return {};
-  TimeSeries out;
-  const double t0 = start_time();
-  const double t1 = end_time();
-  for (double t = t0; t <= t1 + 1e-12; t += dt_s) {
-    out.append(t, linear_at(std::min(t, t1)));
-  }
-  return out;
-}
-
 // --- TimeSeriesCursor -------------------------------------------------------
 
 std::size_t TimeSeriesCursor::seek(double t_s) {
@@ -139,10 +120,6 @@ std::size_t TimeSeriesCursor::seek(double t_s) {
   // precedes the series) — exactly TimeSeries::index_at_or_before(t_s),
   // including the last-duplicate-wins rule at zero-width step edges.
   return hint_ = i;
-}
-
-double TimeSeriesCursor::step_at(double t_s) {
-  return series_->samples()[seek(t_s)].value;
 }
 
 double TimeSeriesCursor::linear_at(double t_s) {

@@ -33,16 +33,10 @@ std::vector<double> solve_linear_system(std::vector<double> a, std::vector<doubl
 FitResult linear_least_squares(std::span<const double> design,
                                std::span<const double> y, std::size_t num_params);
 
-/// Fits y ~ a + b*x.
-FitResult fit_line(std::span<const double> x, std::span<const double> y);
-
 /// Fits y ~ c * x1^p1 * x2^p2 (log-space linear regression). All samples must
 /// be strictly positive; non-positive samples are skipped. params = {c, p1, p2}.
 FitResult fit_power_law_2d(std::span<const double> x1, std::span<const double> x2,
                            std::span<const double> y);
-
-/// Fits y ~ c * x^p (log-space). params = {c, p}.
-FitResult fit_power_law(std::span<const double> x, std::span<const double> y);
 
 /// Nonlinear least squares via damped Gauss-Newton with numeric Jacobian.
 ///

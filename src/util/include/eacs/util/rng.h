@@ -26,8 +26,7 @@ struct RngState {
 
 /// Deterministic random number generator (xoshiro256** engine).
 ///
-/// Not thread-safe; create one instance per logical stream. Use `fork()` to
-/// derive independent child streams (e.g. one per trace) from a master seed.
+/// Not thread-safe; create one instance per logical stream.
 class Rng {
  public:
   /// Seeds the engine deterministically from `seed` via SplitMix64.
@@ -54,15 +53,8 @@ class Rng {
   /// Exponential with the given rate (lambda > 0).
   double exponential(double rate) noexcept;
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
-  std::uint32_t poisson(double mean) noexcept;
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept;
-
-  /// Derives an independent child stream; deterministic in (parent state, salt).
-  Rng fork(std::uint64_t salt) noexcept;
 
   /// The full engine state (checkpoint side); the state struct is the
   /// storage.

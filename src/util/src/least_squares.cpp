@@ -101,17 +101,6 @@ FitResult linear_least_squares(std::span<const double> design,
   return result;
 }
 
-FitResult fit_line(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("fit_line: size mismatch");
-  std::vector<double> design;
-  design.reserve(x.size() * 2);
-  for (double xi : x) {
-    design.push_back(1.0);
-    design.push_back(xi);
-  }
-  return linear_least_squares(design, y, 2);
-}
-
 FitResult fit_power_law_2d(std::span<const double> x1, std::span<const double> x2,
                            std::span<const double> y) {
   if (x1.size() != y.size() || x2.size() != y.size()) {
@@ -136,31 +125,6 @@ FitResult fit_power_law_2d(std::span<const double> x1, std::span<const double> x
     if (x1[i] <= 0.0 || x2[i] <= 0.0 || y[i] <= 0.0) continue;
     predicted.push_back(result.params[0] * std::pow(x1[i], result.params[1]) *
                         std::pow(x2[i], result.params[2]));
-    retained_y.push_back(y[i]);
-  }
-  result.rss = residual_sum_of_squares(retained_y, predicted);
-  result.r_squared = r_squared_of(retained_y, result.rss);
-  return result;
-}
-
-FitResult fit_power_law(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) throw std::invalid_argument("fit_power_law: size mismatch");
-  std::vector<double> design;
-  std::vector<double> log_y;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (x[i] <= 0.0 || y[i] <= 0.0) continue;
-    design.push_back(1.0);
-    design.push_back(std::log(x[i]));
-    log_y.push_back(std::log(y[i]));
-  }
-  FitResult log_fit = linear_least_squares(design, log_y, 2);
-  FitResult result;
-  result.params = {std::exp(log_fit.params[0]), log_fit.params[1]};
-  std::vector<double> predicted;
-  std::vector<double> retained_y;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (x[i] <= 0.0 || y[i] <= 0.0) continue;
-    predicted.push_back(result.params[0] * std::pow(x[i], result.params[1]));
     retained_y.push_back(y[i]);
   }
   result.rss = residual_sum_of_squares(retained_y, predicted);

@@ -86,27 +86,7 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::uint32_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    const double draw = normal(mean, std::sqrt(mean));
-    return draw <= 0.0 ? 0U : static_cast<std::uint32_t>(draw + 0.5);
-  }
-  const double threshold = std::exp(-mean);
-  std::uint32_t count = 0;
-  double product = uniform();
-  while (product > threshold) {
-    ++count;
-    product *= uniform();
-  }
-  return count;
-}
-
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
-
-Rng Rng::fork(std::uint64_t salt) noexcept {
-  return Rng{next_u64() ^ (salt * 0x9E3779B97F4A7C15ULL)};
-}
 
 void Rng::restore(const RngState& state) {
   if (state.words[0] == 0 && state.words[1] == 0 && state.words[2] == 0 &&

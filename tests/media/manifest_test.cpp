@@ -30,16 +30,13 @@ TEST(VideoManifestTest, LastSegmentShortened) {
 TEST(VideoManifestTest, SegmentIndexOutOfRangeThrows) {
   const auto manifest = make_manifest();
   EXPECT_THROW(manifest.segment_duration(5), std::out_of_range);
-  EXPECT_THROW(manifest.segment(99, 0), std::out_of_range);
+  EXPECT_THROW(manifest.segment_size_megabits(99, 0), std::out_of_range);
 }
 
 TEST(VideoManifestTest, CbrSizesMatchNominal) {
   const auto manifest = make_manifest(10.0, 2.0, 0.0);
   // 1.5 Mbps x 2 s = 3 megabits.
   EXPECT_DOUBLE_EQ(manifest.segment_size_megabits(0, 3), 3.0);
-  const auto segment = manifest.segment(0, 3);
-  EXPECT_DOUBLE_EQ(segment.size_megabytes(), 3.0 / 8.0);
-  EXPECT_DOUBLE_EQ(segment.bitrate_mbps, 1.5);
 }
 
 TEST(VideoManifestTest, VbrSizesVaryButStayBounded) {

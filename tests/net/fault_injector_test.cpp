@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::net {
 namespace {
@@ -106,6 +108,73 @@ TEST(FaultInjectorTest, ValidatesSpec) {
   zero_width.outages = {{10.0, 10.0}};
   const FaultInjector injector(trace, zero_width);
   EXPECT_TRUE(injector.outage_schedule().empty());
+
+  // Out-of-range and NaN fields throw naming the field instead of silently
+  // disabling a fault family (a NaN probability or rate reads as off) or
+  // being floored (a negative outage mean, a zero stall rate).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto signal = constant_signal(-110.0);
+  const auto rejected_naming = [&](const FaultSpec& spec, const std::string& field) {
+    try {
+      const FaultInjector faults(trace, spec, &signal);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  const auto with = [](auto edit) {
+    FaultSpec spec;
+    edit(spec);
+    return spec;
+  };
+  EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) { f.failure_prob = nan; }),
+                              "failure_prob"));
+  EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) { f.stall_prob = nan; }),
+                              "stall_prob"));
+  for (const double rate : {nan, -1.0, inf}) {
+    EXPECT_TRUE(rejected_naming(
+        with([&](FaultSpec& f) { f.outage_rate_per_min = rate; }),
+        "outage_rate_per_min"))
+        << rate;
+  }
+  for (const double mean : {nan, -5.0, 0.0}) {
+    EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) {
+                                  f.outage_rate_per_min = 1.0;
+                                  f.outage_mean_s = mean;
+                                }),
+                                "outage_mean_s"))
+        << mean;
+  }
+  for (const double per_db : {nan, -0.5}) {
+    EXPECT_TRUE(rejected_naming(
+        with([&](FaultSpec& f) { f.signal_failure_per_db = per_db; }),
+        "signal_failure_per_db"))
+        << per_db;
+  }
+  EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) {
+                                f.failure_prob = 0.1;
+                                f.signal_failure_per_db = 0.01;
+                                f.signal_threshold_dbm = nan;
+                              }),
+                              "signal_threshold_dbm"));
+  for (const double rate : {nan, 0.0, -1.0, inf}) {
+    EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) {
+                                  f.stall_prob = 1.0;
+                                  f.stall_rate_mbps = rate;
+                                }),
+                                "stall_rate_mbps"))
+        << rate;
+  }
+  for (const OutageWindow window : {OutageWindow{nan, 5.0}, OutageWindow{1.0, nan},
+                                    OutageWindow{1.0, inf}}) {
+    EXPECT_TRUE(rejected_naming(with([&](FaultSpec& f) { f.outages = {window}; }),
+                                "outages"))
+        << window.start_s << " " << window.end_s;
+  }
+  // An unused outage mean is not checked: no windows are drawn.
+  EXPECT_NO_THROW(
+      FaultInjector(trace, with([&](FaultSpec& f) { f.outage_mean_s = nan; })));
 }
 
 TEST(FaultInjectorTest, RandomScheduleIsDeterministicInSeed) {

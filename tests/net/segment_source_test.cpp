@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
 
 namespace eacs::net {
 namespace {
@@ -217,6 +221,68 @@ TEST(SegmentSourceTest, RejectsInvalidConfiguration) {
   bad_slow.faults.slow_start_prob = 0.5;
   bad_slow.faults.slow_scale = 0.0;
   EXPECT_THROW(SegmentSource(trace, bad_slow), std::invalid_argument);
+
+  // NaN and out-of-range fields throw naming the field instead of reading
+  // as a trivial source (a NaN probability or rate reads as off) or giving
+  // NaN completions (a NaN scale).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected_naming = [&](const CdnSourceConfig& config,
+                                   const std::string& field) {
+    try {
+      const SegmentSource source(trace, config);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  const auto with = [](auto edit) {
+    CdnSourceConfig config;
+    edit(config);
+    return config;
+  };
+  const std::pair<const char*, double CdnFaultSpec::*> probabilities[] = {
+      {"error_prob", &CdnFaultSpec::error_prob},
+      {"episode_error_prob", &CdnFaultSpec::episode_error_prob},
+      {"truncate_prob", &CdnFaultSpec::truncate_prob},
+      {"corrupt_prob", &CdnFaultSpec::corrupt_prob},
+      {"slow_start_prob", &CdnFaultSpec::slow_start_prob}};
+  for (const auto& [field, member] : probabilities) {
+    EXPECT_TRUE(rejected_naming(
+        with([&](CdnSourceConfig& c) { c.faults.*member = nan; }), field))
+        << field;
+  }
+  const std::tuple<const char*, double CdnFaultSpec::*, const char*,
+                   double CdnFaultSpec::*>
+      schedules[] = {{"outage_rate_per_min", &CdnFaultSpec::outage_rate_per_min,
+                      "outage_mean_s", &CdnFaultSpec::outage_mean_s},
+                     {"error_rate_per_min", &CdnFaultSpec::error_rate_per_min,
+                      "error_episode_mean_s", &CdnFaultSpec::error_episode_mean_s}};
+  for (const auto& [rate_field, rate, mean_field, mean] : schedules) {
+    for (const double value : {nan, -1.0}) {
+      EXPECT_TRUE(rejected_naming(
+          with([&](CdnSourceConfig& c) { c.faults.*rate = value; }), rate_field))
+          << rate_field << " " << value;
+      EXPECT_TRUE(rejected_naming(with([&](CdnSourceConfig& c) {
+                                    c.faults.*rate = 1.0;
+                                    c.faults.*mean = value;
+                                  }),
+                                  mean_field))
+          << mean_field << " " << value;
+    }
+  }
+  EXPECT_TRUE(rejected_naming(
+      with([&](CdnSourceConfig& c) { c.faults.slow_scale = nan; }), "slow_scale"));
+  for (const double scale : {nan, inf}) {
+    EXPECT_TRUE(rejected_naming(
+        with([&](CdnSourceConfig& c) { c.throughput_scale = scale; }),
+        "throughput_scale"))
+        << scale;
+  }
+  EXPECT_TRUE(rejected_naming(with([&](CdnSourceConfig& c) { c.base_rtt_s = nan; }),
+                              "base_rtt_s"));
+  EXPECT_TRUE(rejected_naming(
+      with([&](CdnSourceConfig& c) { c.faults.outages = {{nan, 5.0}}; }), "outages"));
 }
 
 TEST(CircuitBreakerTest, OpensOnFailureRateAndRecoversThroughHalfOpen) {

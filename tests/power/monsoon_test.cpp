@@ -28,19 +28,6 @@ TEST(MonsoonSimulatorTest, IntegratesConstantPower) {
   EXPECT_NEAR(monsoon.measure_energy(timeline), expected, expected * 0.01);
 }
 
-TEST(MonsoonSimulatorTest, SampleAndIntegrateAgree) {
-  MonsoonConfig config = fast_channel();
-  config.seed = 5;
-  MonsoonSimulator a(config, PowerModel{});
-  MonsoonSimulator b(config, PowerModel{});
-  std::vector<ActivityInterval> timeline = {
-      {0.0, 5.0, true, 1.5, true, -95.0, 10.0}};
-  const auto samples = a.sample(timeline);
-  const double integrated = MonsoonSimulator::integrate_energy(samples);
-  const double streamed = b.measure_energy(timeline);
-  EXPECT_NEAR(integrated, streamed, streamed * 0.02);
-}
-
 TEST(MonsoonSimulatorTest, DownloadIntervalsCostMore) {
   MonsoonConfig config = fast_channel();
   MonsoonSimulator monsoon(config, PowerModel{});

@@ -7,13 +7,11 @@
 namespace eacs::power {
 namespace {
 
-TEST(RrcTest, SingleTailEnergyFormula) {
-  RrcConfig config;
-  RrcSimulator rrc(config);
-  const double expected = config.connected_tail_w * config.inactivity_s +
-                          config.short_drx_w * config.short_drx_s +
-                          config.long_drx_w * config.long_drx_s;
-  EXPECT_DOUBLE_EQ(rrc.single_tail_energy_j(), expected);
+// Tail energy after a single isolated burst (the textbook number).
+double single_tail_energy_j(const RrcConfig& config) {
+  return config.connected_tail_w * config.inactivity_s +
+         config.short_drx_w * config.short_drx_s +
+         config.long_drx_w * config.long_drx_s;
 }
 
 TEST(RrcTest, IsolatedBurstPaysPromotionAndFullTail) {
@@ -24,7 +22,7 @@ TEST(RrcTest, IsolatedBurstPaysPromotionAndFullTail) {
   EXPECT_EQ(breakdown.promotions, 1U);
   EXPECT_DOUBLE_EQ(breakdown.promotion_energy_j, config.promotion_energy_j);
   EXPECT_DOUBLE_EQ(breakdown.active_time_s, 2.0);
-  EXPECT_NEAR(breakdown.tail_energy_j, rrc.single_tail_energy_j(), 1e-9);
+  EXPECT_NEAR(breakdown.tail_energy_j, single_tail_energy_j(config), 1e-9);
   // Idle: before the burst (10 s) and after the tail.
   const double tail_span = config.inactivity_s + config.short_drx_s + config.long_drx_s;
   EXPECT_NEAR(breakdown.idle_time_s, 10.0 + (60.0 - 12.0 - tail_span), 1e-9);
@@ -49,7 +47,7 @@ TEST(RrcTest, FarBurstsPayTwoPromotions) {
   const auto breakdown =
       rrc.analyze({{0.0, 1.0}, {1.0 + tail_span + 5.0, 2.0 + tail_span + 5.0}}, 60.0);
   EXPECT_EQ(breakdown.promotions, 2U);
-  EXPECT_NEAR(breakdown.tail_energy_j, 2.0 * rrc.single_tail_energy_j(), 1e-9);
+  EXPECT_NEAR(breakdown.tail_energy_j, 2.0 * single_tail_energy_j(config), 1e-9);
 }
 
 TEST(RrcTest, OverlappingBurstsMerged) {
@@ -75,7 +73,7 @@ TEST(RrcTest, GapShorterThanInactivityStaysConnected) {
   // Gap tail portion: 0.1 s at connected_tail_w.
   const double gap_energy = config.connected_tail_w * 0.1;
   EXPECT_NEAR(breakdown.tail_energy_j,
-              gap_energy + rrc.single_tail_energy_j(), 1e-9);
+              gap_energy + single_tail_energy_j(config), 1e-9);
 }
 
 TEST(RrcTest, EnergyMonotoneInBurstSpreading) {

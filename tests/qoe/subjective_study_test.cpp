@@ -125,16 +125,6 @@ TEST(QoeFitTest, LowNoisePanelRecoversExponents) {
   EXPECT_LT(fit.params.kappa, truth.kappa * 2.5);
 }
 
-TEST(QoeFitTest, MosVariantAlsoFitsCurve) {
-  StudyConfig config;
-  SubjectiveStudy study(config, QoeModel{});
-  const auto mos = SubjectiveStudy::aggregate(study.run(), config.vibration_bin);
-  const auto fit = fit_qoe_model(mos);
-  EXPECT_NEAR(fit.params.a, 1.036, 0.15);
-  EXPECT_NEAR(fit.params.b, 0.429, 0.12);
-  EXPECT_GT(fit.curve_fit.r_squared, 0.9);
-}
-
 TEST(QoeFitTest, NoiselessPanelRecoversTightly) {
   StudyConfig config;
   config.subject_bias_sd = 0.0;
@@ -142,8 +132,7 @@ TEST(QoeFitTest, NoiselessPanelRecoversTightly) {
   config.num_subjects = 20;
   const QoeModelParams truth;
   SubjectiveStudy study(config, QoeModel{truth});
-  const auto mos = SubjectiveStudy::aggregate(study.run(), config.vibration_bin);
-  const auto fit = fit_qoe_model(mos);
+  const auto fit = fit_qoe_model_from_ratings(study.run());
   // Quantisation to the 9-grade scale is the only distortion left.
   EXPECT_NEAR(fit.params.a, truth.a, 0.08);
   EXPECT_NEAR(fit.params.b, truth.b, 0.08);
@@ -188,8 +177,12 @@ TEST(PerVideoFitTest, ZeroSensitivityCollapsesTheSpread) {
 }
 
 TEST(QoeFitTest, NoRoomPointsThrows) {
-  std::vector<MosPoint> mos = {{1.5, 6.0, 3.0, 10}};
-  EXPECT_THROW(fit_qoe_model(mos), std::invalid_argument);
+  Rating vehicle;
+  vehicle.bitrate_mbps = 1.5;
+  vehicle.vibration = 6.0;
+  vehicle.score5 = 3.0;
+  EXPECT_THROW(fit_qoe_model_from_ratings({vehicle, vehicle, vehicle, vehicle}),
+               std::invalid_argument);
 }
 
 }  // namespace

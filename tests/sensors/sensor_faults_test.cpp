@@ -251,6 +251,33 @@ TEST(SensorFaultInjectorTest, MalformedSpecsThrow) {
   zero_keep.accel_episodes = {{SensorFaultType::kRateCollapse, 0.0, 1.0}};
   zero_keep.rate_collapse_keep = 0;
   EXPECT_THROW(SensorFaultInjector(accel, {}, zero_keep), std::invalid_argument);
+
+  // A NaN episode rate would read as off, and a NaN mean would be accepted
+  // while episodes are drawn: both throw naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejected_naming = [&](const SensorFaultSpec& spec,
+                                   const std::string& field) {
+    try {
+      const SensorFaultInjector injector(accel, {}, spec);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  SensorFaultSpec nan_accel_rate;
+  nan_accel_rate.accel_episode_rate_per_min = nan;
+  EXPECT_TRUE(rejected_naming(nan_accel_rate, "accel_episode_rate_per_min"));
+  SensorFaultSpec nan_signal_rate;
+  nan_signal_rate.signal_dropout_rate_per_min = nan;
+  EXPECT_TRUE(rejected_naming(nan_signal_rate, "signal_dropout_rate_per_min"));
+  SensorFaultSpec nan_accel_mean;
+  nan_accel_mean.accel_episode_rate_per_min = 2.0;
+  nan_accel_mean.accel_episode_mean_s = nan;
+  EXPECT_TRUE(rejected_naming(nan_accel_mean, "accel_episode_mean_s"));
+  SensorFaultSpec nan_signal_mean;
+  nan_signal_mean.signal_dropout_rate_per_min = 2.0;
+  nan_signal_mean.signal_dropout_mean_s = nan;
+  EXPECT_TRUE(rejected_naming(nan_signal_mean, "signal_dropout_mean_s"));
 }
 
 TEST(SensorFaultInjectorTest, NanTimestampsThrowNamingTheSample) {

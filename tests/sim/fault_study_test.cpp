@@ -27,6 +27,20 @@ TEST(FaultStudyTest, EmptyAxesThrow) {
   EXPECT_THROW(run_fault_study(config), std::invalid_argument);
 }
 
+TEST(FaultStudyTest, RejectsAnInvalidEvaluation) {
+  // The units validate the evaluation's player and models on the workers;
+  // the first error still surfaces from run_fault_study.
+  FaultStudyConfig config = small_grid();
+  config.evaluation.segment_duration_s = 0.0;
+  EXPECT_THROW(run_fault_study(config), std::invalid_argument);
+  config = small_grid();
+  config.evaluation.player.vibration.window_s = 0.0;
+  EXPECT_THROW(run_fault_study(config), std::invalid_argument);
+  config = small_grid();
+  config.evaluation.qoe.a = -1.0;
+  EXPECT_THROW(run_fault_study(config), std::invalid_argument);
+}
+
 TEST(FaultStudyTest, DeterministicInSeed) {
   const auto config = small_grid();
   const auto a = run_fault_study(config);
@@ -89,6 +103,30 @@ TEST(FaultStudyTest, OptimalPlansOnThePlayersVibration) {
   }
   EXPECT_EQ(cell.total_energy_j, want.total_energy_j);
   EXPECT_EQ(cell.mean_qoe, want.mean_qoe);
+}
+
+TEST(FaultStudyTest, PlaysTheEvaluationRoster) {
+  // Each unit plays Evaluation::run_session, so include_bola adds a BOLA
+  // cell, and the fault-free (0, 0) cell folds exactly the BOLA rows that
+  // Evaluation::run reports for the same sessions.
+  FaultStudyConfig config;
+  config.outage_rates_per_min = {0.0};
+  config.failure_probs = {0.0};
+  config.evaluation.include_bola = true;
+  config.evaluation.session_options.margin_s = 60.0;
+  const auto result = run_fault_study(config);
+  EXPECT_EQ(result.cells.size(), 6U);
+  const auto& cell = result.cell("BOLA", 0.0, 0.0);
+
+  const auto rows = Evaluation(config.evaluation).run().rows_for("BOLA");
+  ASSERT_FALSE(rows.empty());
+  StudyTotals want;
+  for (const auto& row : rows) want.add(row, rows.size());
+  EXPECT_EQ(cell.mean_qoe, want.mean_qoe);
+  EXPECT_EQ(cell.total_energy_j, want.total_energy_j);
+  EXPECT_EQ(cell.rebuffer_s, want.rebuffer_s);
+  EXPECT_EQ(cell.mean_bitrate_mbps, want.mean_bitrate_mbps);
+  EXPECT_EQ(cell.qoe_delta, 0.0);
 }
 
 TEST(FaultStudyTest, HarshCellShowsResilienceAtWork) {

@@ -28,40 +28,14 @@ TEST(ReportTest, EvaluationCsvHasOneRowPerMetrics) {
   }
 }
 
-TEST(ReportTest, SummaryCsvMatchesAccessors) {
-  const auto result = quick_result();
-  const auto table = summary_to_csv(result);
-  EXPECT_EQ(table.num_rows(), result.algorithms().size());
-  for (std::size_t row = 0; row < table.num_rows(); ++row) {
-    const std::string algorithm = table.cell(row, "algorithm");
-    EXPECT_NEAR(table.cell_as_double(row, "energy_saving"),
-                result.mean_energy_saving(algorithm), 1e-12);
-    EXPECT_NEAR(table.cell_as_double(row, "mean_qoe"), result.mean_qoe(algorithm),
-                1e-12);
-  }
-}
-
-TEST(ReportTest, RobustnessCsvShape) {
-  const auto robustness = run_robustness_study({}, 1, 5);
-  const auto table = robustness_to_csv(robustness);
-  // 4 algorithms x 4 metrics.
-  EXPECT_EQ(table.num_rows(), 16U);
-  EXPECT_TRUE(table.has_column("stddev"));
-}
-
 TEST(ReportTest, FileWritersRoundTrip) {
   const auto result = quick_result();
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto eval_path = dir / "eacs_eval_report.csv";
-  const auto summary_path = dir / "eacs_summary_report.csv";
+  const auto eval_path =
+      std::filesystem::temp_directory_path() / "eacs_eval_report.csv";
   write_evaluation_csv(eval_path, result);
-  write_summary_csv(summary_path, result);
   const auto eval_loaded = eacs::read_csv_file(eval_path);
-  const auto summary_loaded = eacs::read_csv_file(summary_path);
   EXPECT_EQ(eval_loaded.num_rows(), result.rows.size());
-  EXPECT_EQ(summary_loaded.num_rows(), result.algorithms().size());
   std::filesystem::remove(eval_path);
-  std::filesystem::remove(summary_path);
 }
 
 }  // namespace

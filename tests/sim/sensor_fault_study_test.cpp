@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "eacs/core/online.h"
 #include "eacs/player/player.h"
@@ -157,6 +159,46 @@ TEST(SensorFaultStudyTest, ConfigValidation) {
                std::out_of_range);
   EXPECT_THROW(result.cell(SensorFaultScenario::kDropout, 0.5),
                std::out_of_range);
+
+  // Malformed axes and rates are refused up front, naming the field. A
+  // non-positive episode length would lay periodic episodes forever, a NaN
+  // intensity would lay one episode and report intensity NaN, and a NaN
+  // combined rate would read as no faults.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected_naming = [](const SensorFaultStudyConfig& bad,
+                                  const std::string& field) {
+    try {
+      run_sensor_fault_study(bad);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  for (const double length : {nan, inf, 0.0, -1.0}) {
+    SensorFaultStudyConfig bad;
+    bad.scenarios = {SensorFaultScenario::kDropout};
+    bad.intensities = {0.25};
+    bad.episode_length_s = length;
+    EXPECT_TRUE(rejected_naming(bad, "episode_length_s")) << length;
+  }
+  for (const double intensity : {nan, inf, -0.5}) {
+    SensorFaultStudyConfig bad;
+    bad.scenarios = {SensorFaultScenario::kDropout};
+    bad.intensities = {1.0, intensity};
+    EXPECT_TRUE(rejected_naming(bad, "intensities")) << intensity;
+  }
+  for (const double rate : {nan, -1.0}) {
+    SensorFaultStudyConfig accel;
+    accel.scenarios = {SensorFaultScenario::kCombined};
+    accel.intensities = {1.0};
+    accel.combined_accel_rate_per_min = rate;
+    EXPECT_TRUE(rejected_naming(accel, "combined_accel_rate_per_min")) << rate;
+    SensorFaultStudyConfig signal = accel;
+    signal.combined_accel_rate_per_min = 3.0;
+    signal.combined_signal_rate_per_min = rate;
+    EXPECT_TRUE(rejected_naming(signal, "combined_signal_rate_per_min")) << rate;
+  }
 }
 
 }  // namespace

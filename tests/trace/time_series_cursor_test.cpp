@@ -1,5 +1,5 @@
 // Property tests for TimeSeriesCursor: for ANY query sequence the cursor
-// must return values bitwise identical to the stateless TimeSeries lookups,
+// must return values bitwise identical to the stateless TimeSeries lookup,
 // including at duplicate-timestamp step edges (right-continuous, the last
 // duplicate wins). The cursor is the inner-loop optimisation the
 // SessionEngine fast path rides on, so these tests are part of the DESIGN §6
@@ -63,8 +63,6 @@ TEST(TimeSeriesCursorTest, RandomWalkMatchesStatelessLookupsBitwise) {
       prev = t;
       ASSERT_EQ(bits_of(cursor.linear_at(t)), bits_of(series.linear_at(t)))
           << "seed " << seed << " query " << q << " t=" << t;
-      ASSERT_EQ(bits_of(cursor.step_at(t)), bits_of(series.step_at(t)))
-          << "seed " << seed << " query " << q << " t=" << t;
     }
   }
 }
@@ -75,15 +73,12 @@ TEST(TimeSeriesCursorTest, DuplicateTimestampStepEdgeLastWins) {
   TimeSeries series({{0.0, 1.0}, {5.0, 2.0}, {5.0, 9.0}, {5.0, 7.0}, {10.0, 3.0}});
   TimeSeriesCursor cursor(series);
 
-  EXPECT_EQ(series.step_at(5.0), 7.0);
   EXPECT_EQ(series.linear_at(5.0), 7.0);
-  EXPECT_EQ(cursor.step_at(5.0), 7.0);
   EXPECT_EQ(cursor.linear_at(5.0), 7.0);
 
   // Approaching the edge from both sides, in both query orders.
   for (const double t : {4.999, 5.0, 5.001, 4.0, 6.0, 5.0, 0.0, 10.0, 5.0}) {
     EXPECT_EQ(bits_of(cursor.linear_at(t)), bits_of(series.linear_at(t))) << t;
-    EXPECT_EQ(bits_of(cursor.step_at(t)), bits_of(series.step_at(t))) << t;
   }
   EXPECT_EQ(series.index_at_or_before(5.0), 3U);  // the last duplicate
 }
@@ -93,8 +88,6 @@ TEST(TimeSeriesCursorTest, OutOfRangeClampsLikeTheSeries) {
   TimeSeriesCursor cursor(series);
   EXPECT_EQ(cursor.linear_at(-100.0), 4.0);
   EXPECT_EQ(cursor.linear_at(100.0), 8.0);
-  EXPECT_EQ(cursor.step_at(-100.0), 4.0);
-  EXPECT_EQ(cursor.step_at(100.0), 8.0);
   // Back in range after the far excursions.
   EXPECT_EQ(bits_of(cursor.linear_at(1.5)), bits_of(series.linear_at(1.5)));
 }
@@ -127,7 +120,6 @@ TEST(TimeSeriesCursorTest, EmptySeriesThrowsLikeTheStatelessLookup) {
   TimeSeries empty;
   TimeSeriesCursor cursor(empty);
   EXPECT_THROW(cursor.linear_at(0.0), std::logic_error);
-  EXPECT_THROW(cursor.step_at(0.0), std::logic_error);
 }
 
 TEST(TimeSeriesCursorTest, SingleSampleSeries) {
@@ -135,7 +127,6 @@ TEST(TimeSeriesCursorTest, SingleSampleSeries) {
   TimeSeriesCursor cursor(series);
   for (const double t : {-1.0, 2.0, 7.0}) {
     EXPECT_EQ(cursor.linear_at(t), 5.0);
-    EXPECT_EQ(cursor.step_at(t), 5.0);
   }
 }
 

@@ -34,10 +34,7 @@ TEST(TimeSeriesTest, DuplicateTimestampIsStepDiscontinuity) {
   // A zero-width breakpoint: the value jumps from 10 to 0 at t=2 and back to
   // 10 at t=4. The last duplicate wins at the step instant.
   TimeSeries series({{0.0, 10.0}, {2.0, 10.0}, {2.0, 0.0}, {4.0, 0.0}, {4.0, 10.0}});
-  EXPECT_DOUBLE_EQ(series.step_at(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(series.step_at(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(series.step_at(3.0), 0.0);
-  EXPECT_DOUBLE_EQ(series.step_at(4.0), 10.0);
+  EXPECT_DOUBLE_EQ(series.linear_at(1.0), 10.0);
   EXPECT_DOUBLE_EQ(series.linear_at(3.0), 0.0);
   EXPECT_DOUBLE_EQ(series.linear_at(2.0), 0.0);
   EXPECT_DOUBLE_EQ(series.linear_at(4.0), 10.0);
@@ -47,18 +44,20 @@ TEST(TimeSeriesTest, DuplicateTimestampIsStepDiscontinuity) {
 
 TEST(TimeSeriesTest, StepAtFirstTimestampResolvesToLastDuplicate) {
   TimeSeries series({{0.0, 5.0}, {0.0, 7.0}, {1.0, 7.0}});
-  EXPECT_DOUBLE_EQ(series.step_at(0.0), 7.0);
+  EXPECT_EQ(series.index_at_or_before(0.0), 1U);
   EXPECT_DOUBLE_EQ(series.linear_at(0.0), 7.0);
   EXPECT_DOUBLE_EQ(series.linear_at(-1.0), 5.0);  // clamped to front sample
 }
 
 TEST(TimeSeriesTest, StepAt) {
+  // The zero-order-hold index every lookup resolves through: the last
+  // sample at or before t, and the first sample before the series starts.
   TimeSeries series({{0.0, 10.0}, {2.0, 20.0}, {4.0, 30.0}});
-  EXPECT_DOUBLE_EQ(series.step_at(-1.0), 10.0);
-  EXPECT_DOUBLE_EQ(series.step_at(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(series.step_at(1.99), 10.0);
-  EXPECT_DOUBLE_EQ(series.step_at(2.0), 20.0);
-  EXPECT_DOUBLE_EQ(series.step_at(100.0), 30.0);
+  EXPECT_EQ(series.index_at_or_before(-1.0), 0U);
+  EXPECT_EQ(series.index_at_or_before(0.0), 0U);
+  EXPECT_EQ(series.index_at_or_before(1.99), 0U);
+  EXPECT_EQ(series.index_at_or_before(2.0), 1U);
+  EXPECT_EQ(series.index_at_or_before(100.0), 2U);
 }
 
 TEST(TimeSeriesTest, LinearAt) {
@@ -71,7 +70,7 @@ TEST(TimeSeriesTest, LinearAt) {
 TEST(TimeSeriesTest, EmptyLookupsThrow) {
   TimeSeries series;
   EXPECT_TRUE(series.empty());
-  EXPECT_THROW(series.step_at(0.0), std::logic_error);
+  EXPECT_THROW(series.linear_at(0.0), std::logic_error);
   EXPECT_THROW(series.start_time(), std::logic_error);
 }
 
@@ -100,14 +99,6 @@ TEST(TimeSeriesTest, MeanOver) {
   const auto series = ramp();
   EXPECT_NEAR(series.mean_over(0.0, 10.0), 5.0, 1e-9);
   EXPECT_DOUBLE_EQ(series.mean_over(3.0, 3.0), 3.0);
-}
-
-TEST(TimeSeriesTest, Resampled) {
-  TimeSeries series({{0.0, 0.0}, {4.0, 8.0}});
-  const auto resampled = series.resampled(1.0);
-  ASSERT_EQ(resampled.size(), 5U);
-  EXPECT_DOUBLE_EQ(resampled.at(2).value, 4.0);
-  EXPECT_THROW(series.resampled(0.0), std::invalid_argument);
 }
 
 TEST(TimeSeriesTest, ValuesInOrder) {

@@ -64,10 +64,10 @@ TEST(TraceIoTest, CsvPreservesDuplicateTimestampSteps) {
       time_series_from_csv(time_series_to_csv(series_with_step()));
   // The step discontinuities must still behave as steps: the last duplicate
   // wins at the shared instant.
-  EXPECT_DOUBLE_EQ(restored.step_at(1.9), 10.0);
-  EXPECT_DOUBLE_EQ(restored.step_at(2.0), 0.0);
-  EXPECT_DOUBLE_EQ(restored.step_at(3.9), 0.0);
-  EXPECT_DOUBLE_EQ(restored.step_at(4.0), 10.0);
+  EXPECT_DOUBLE_EQ(restored.linear_at(1.9), 10.0);
+  EXPECT_DOUBLE_EQ(restored.linear_at(2.0), 0.0);
+  EXPECT_DOUBLE_EQ(restored.linear_at(3.9), 0.0);
+  EXPECT_DOUBLE_EQ(restored.linear_at(4.0), 10.0);
 }
 
 TEST(TraceIoTest, IntegralAcrossStepSurvivesRoundTrip) {

@@ -33,10 +33,20 @@ TEST(LinearSystemTest, PivotingHandlesZeroDiagonal) {
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
+// Design matrix of y ~ a + b*x: one row {1, x} per observation.
+std::vector<double> line_design(const std::vector<double>& x) {
+  std::vector<double> design;
+  for (double xi : x) {
+    design.push_back(1.0);
+    design.push_back(xi);
+  }
+  return design;
+}
+
 TEST(FitLineTest, ExactLine) {
   const std::vector<double> x = {0.0, 1.0, 2.0, 3.0};
   const std::vector<double> y = {1.0, 3.0, 5.0, 7.0};
-  const auto fit = fit_line(x, y);
+  const auto fit = linear_least_squares(line_design(x), y, 2);
   EXPECT_NEAR(fit.params[0], 1.0, 1e-10);
   EXPECT_NEAR(fit.params[1], 2.0, 1e-10);
   EXPECT_NEAR(fit.r_squared, 1.0, 1e-10);
@@ -51,14 +61,19 @@ TEST(FitLineTest, NoisyLineRecovered) {
     x.push_back(xi);
     y.push_back(2.5 - 0.7 * xi + rng.normal(0.0, 0.1));
   }
-  const auto fit = fit_line(x, y);
+  const auto fit = linear_least_squares(line_design(x), y, 2);
   EXPECT_NEAR(fit.params[0], 2.5, 0.05);
   EXPECT_NEAR(fit.params[1], -0.7, 0.01);
   EXPECT_GT(fit.r_squared, 0.95);
 }
 
 TEST(FitLineTest, SizeMismatchThrows) {
-  EXPECT_THROW(fit_line(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}),
+  // Three design values cannot hold two rows of two parameters.
+  EXPECT_THROW(linear_least_squares(std::vector<double>{1.0, 1.0, 1.0},
+                                    std::vector<double>{1.0, 2.0}, 2),
+               std::invalid_argument);
+  EXPECT_THROW(fit_power_law_2d(std::vector<double>{1.0}, std::vector<double>{1.0},
+                                std::vector<double>{1.0, 2.0}),
                std::invalid_argument);
 }
 
@@ -69,23 +84,32 @@ TEST(LinearLeastSquaresTest, UnderdeterminedThrows) {
 }
 
 TEST(PowerLawTest, ExactRecovery) {
-  std::vector<double> x;
+  std::vector<double> x1;
+  std::vector<double> x2;
   std::vector<double> y;
-  for (double xi = 0.5; xi <= 8.0; xi += 0.5) {
-    x.push_back(xi);
-    y.push_back(3.0 * std::pow(xi, 1.7));
+  for (double a = 0.5; a <= 8.0; a += 0.5) {
+    for (double b = 0.25; b <= 2.0; b += 0.25) {
+      x1.push_back(a);
+      x2.push_back(b);
+      y.push_back(3.0 * std::pow(a, 1.7) * std::pow(b, -0.4));
+    }
   }
-  const auto fit = fit_power_law(x, y);
+  const auto fit = fit_power_law_2d(x1, x2, y);
   EXPECT_NEAR(fit.params[0], 3.0, 1e-8);
   EXPECT_NEAR(fit.params[1], 1.7, 1e-8);
+  EXPECT_NEAR(fit.params[2], -0.4, 1e-8);
 }
 
 TEST(PowerLawTest, SkipsNonPositiveSamples) {
-  const std::vector<double> x = {0.0, 1.0, 2.0, 4.0, -1.0};
-  const std::vector<double> y = {5.0, 2.0, 4.0, 8.0, 3.0};
-  const auto fit = fit_power_law(x, y);  // effective points: (1,2),(2,4),(4,8)
+  // Effective points: (1,1,2), (2,1,4), (4,2,32) of y = 2 * x1 * x2^2; every
+  // other row has a non-positive regressor or response.
+  const std::vector<double> x1 = {0.0, 1.0, 2.0, 4.0, -1.0, 3.0, 5.0};
+  const std::vector<double> x2 = {1.0, 1.0, 1.0, 2.0, 1.0, -2.0, 1.0};
+  const std::vector<double> y = {5.0, 2.0, 4.0, 32.0, 3.0, 7.0, 0.0};
+  const auto fit = fit_power_law_2d(x1, x2, y);
   EXPECT_NEAR(fit.params[0], 2.0, 1e-8);
   EXPECT_NEAR(fit.params[1], 1.0, 1e-8);
+  EXPECT_NEAR(fit.params[2], 2.0, 1e-8);
 }
 
 TEST(PowerLaw2dTest, RecoversPaperImpairmentSurface) {
