@@ -120,6 +120,15 @@ class TaskCostTable {
   double mos_max_ = 5.0;
 };
 
+/// The QoE model's rung terms of `env`'s bitrates, size / max(1e-9,
+/// duration): the terms the three-argument TaskCostTable constructor builds.
+qoe::RungTerms task_rungs(const Objective& objective, const TaskEnvironment& env);
+
+/// Equal durations and candidate sizes as bit patterns, hence bitwise equal
+/// bitrates and task_rungs: the rule by which tasks share one set of rung
+/// terms.
+bool same_ladder(const TaskEnvironment& a, const TaskEnvironment& b) noexcept;
+
 /// Builds one table per task. Throws std::invalid_argument on empty tasks,
 /// an empty ladder, or a ragged ladder (tasks with differing level counts).
 /// Takes a span so callers can price a window of a larger task sequence

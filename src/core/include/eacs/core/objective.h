@@ -63,6 +63,12 @@ class Objective {
   /// reference-bitrate computation (line 4).
   std::size_t reference_level(const TaskEnvironment& env, double buffer_s) const;
 
+  /// The same, priced with `rungs`, the rung terms of env's ladder
+  /// (core::task_rungs): a caller deciding segment after segment on one
+  /// ladder builds them once (DESIGN §8). Counts the same CostStats.
+  std::size_t reference_level(const TaskEnvironment& env, double buffer_s,
+                              const qoe::RungTerms& rungs) const;
+
  private:
   qoe::QoeModel qoe_;
   power::PowerModel power_;

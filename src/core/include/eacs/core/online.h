@@ -87,9 +87,16 @@ class OnlineBitrateSelector final : public player::AbrPolicy {
  private:
   TaskEnvironment environment_from(const player::AbrContext& context) const;
 
+  /// The rung terms of `env`'s ladder: the stored ones while the ladder is
+  /// the one last priced (same_ladder), else rebuilt and stored — a CBR
+  /// session builds them once, a VBR task or a shorter last segment anew.
+  const qoe::RungTerms& rungs_for(const TaskEnvironment& env);
+
   Objective objective_;
   Options options_;
   std::size_t failure_cooldown_ = 0;  ///< segments left of post-failure caution
+  TaskEnvironment rung_ladder_;  ///< duration and sizes rungs_ were built on
+  qoe::RungTerms rungs_;
 };
 
 }  // namespace eacs::core

@@ -10,7 +10,12 @@
 namespace eacs::core {
 namespace {
 
-/// The rung terms of a task's ladder at task_qoe's bitrates.
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
 qoe::RungTerms task_rungs(const Objective& objective,
                           const TaskEnvironment& env) {
   std::vector<double> bitrates;
@@ -21,19 +26,11 @@ qoe::RungTerms task_rungs(const Objective& objective,
   return objective.qoe_model().rung_terms(bitrates);
 }
 
-bool same_bits(double a, double b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Equal durations and candidate sizes as bit patterns, hence bitwise equal
-/// bitrates and rung terms.
 bool same_ladder(const TaskEnvironment& a, const TaskEnvironment& b) noexcept {
   return same_bits(a.duration_s, b.duration_s) &&
          std::equal(a.size_megabits.begin(), a.size_megabits.end(),
                     b.size_megabits.begin(), b.size_megabits.end(), same_bits);
 }
-
-}  // namespace
 
 TaskCostTable::TaskCostTable(const Objective& objective,
                              const TaskEnvironment& env, double buffer_s)

@@ -81,11 +81,17 @@ double Objective::task_cost(const TaskEnvironment& env, std::size_t level,
 
 std::size_t Objective::reference_level(const TaskEnvironment& env,
                                        double buffer_s) const {
+  return reference_level(env, buffer_s, task_rungs(*this, env));
+}
+
+std::size_t Objective::reference_level(const TaskEnvironment& env,
+                                       double buffer_s,
+                                       const qoe::RungTerms& rungs) const {
   // Online hot path: one cost table (O(M) model evaluations) instead of
   // re-deriving the per-task normalisers for every candidate (O(M) costs,
   // each re-evaluating 4 models). Bit-identical argmin: the cached costs
   // are bitwise equal to task_cost and the strict-< scan is unchanged.
-  const TaskCostTable table(*this, env, buffer_s);
+  const TaskCostTable table(*this, env, buffer_s, rungs);
   std::size_t best = 0;
   double best_cost = table.edge_cost(0);
   for (std::size_t level = 1; level < table.num_levels(); ++level) {

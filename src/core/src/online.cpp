@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "eacs/core/cost_table.h"
+
 namespace eacs::core {
 
 OnlineBitrateSelector::OnlineBitrateSelector(Objective objective, Options options)
@@ -47,6 +49,15 @@ TaskEnvironment OnlineBitrateSelector::environment_from(
   return env;
 }
 
+const qoe::RungTerms& OnlineBitrateSelector::rungs_for(const TaskEnvironment& env) {
+  if (!same_ladder(env, rung_ladder_)) {
+    rungs_ = task_rungs(objective_, env);
+    rung_ladder_.duration_s = env.duration_s;
+    rung_ladder_.size_megabits = env.size_megabits;
+  }
+  return rungs_;
+}
+
 std::size_t OnlineBitrateSelector::smooth(std::size_t reference, std::size_t previous,
                                           const TaskEnvironment& env,
                                           double bandwidth_mbps, double buffer_s) {
@@ -87,7 +98,8 @@ std::size_t OnlineBitrateSelector::choose_level(const player::AbrContext& contex
   // path below can run it on canonical representatives instead.
   const auto decide = [&](const TaskEnvironment& e, double buffer_s,
                           std::optional<std::size_t> prev_level) {
-    const std::size_t reference = objective_.reference_level(e, buffer_s);
+    const std::size_t reference =
+        objective_.reference_level(e, buffer_s, rungs_for(e));
     if (options_.smoothing && prev_level.has_value()) {
       return ladder.clamp_level(static_cast<long long>(
           smooth(reference, *prev_level, e, e.bandwidth_mbps, buffer_s)));

@@ -26,8 +26,10 @@ struct DownloadResult {
 /// Simulates transfers against a fixed throughput trace.
 class SegmentDownloader {
  public:
-  /// The trace must be non-empty. Beyond its end the last sample's value is
-  /// held (the session generators append enough margin that this is rare).
+  /// The trace must be non-empty, with every rate finite and >= 0
+  /// (std::invalid_argument, naming the sample, otherwise). Beyond its end
+  /// the last sample's value is held (the session generators append enough
+  /// margin that this is rare).
   /// Duplicate (zero-width) breakpoints — step discontinuities, e.g. outage
   /// edges injected by net::FaultInjector or repeated timestamps in recorded
   /// CSV traces — are tolerated.
@@ -44,7 +46,8 @@ class SegmentDownloader {
   explicit SegmentDownloader(std::shared_ptr<const trace::TimeSeries> throughput_mbps);
 
   /// Computes the completion of a `size_megabits` transfer starting at
-  /// `start_s`. Throws std::invalid_argument for negative sizes.
+  /// `start_s`, with one binary search over the trace. Throws
+  /// std::invalid_argument for a negative or NaN size and a NaN start.
   DownloadResult download(double start_s, double size_megabits) const;
 
   /// Instantaneous available bandwidth at `t_s` (linear interpolation).

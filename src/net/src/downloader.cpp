@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::net {
 namespace {
@@ -47,9 +49,13 @@ void SegmentDownloader::validate() const {
   if (throughput_->empty()) {
     throw std::invalid_argument("SegmentDownloader: empty throughput trace");
   }
-  for (const auto& point : throughput_->samples()) {
-    if (point.value < 0.0) {
-      throw std::invalid_argument("SegmentDownloader: negative throughput");
+  const auto samples = throughput_->samples();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    // NaN and +inf pass a `< 0` check; a download over them ends at NaN.
+    if (!(std::isfinite(samples[i].value) && samples[i].value >= 0.0)) {
+      throw std::invalid_argument("SegmentDownloader: throughput sample " +
+                                  std::to_string(i) +
+                                  " must be finite and >= 0");
     }
   }
 }
@@ -59,8 +65,11 @@ double SegmentDownloader::bandwidth_at(double t_s) const {
 }
 
 DownloadResult SegmentDownloader::download(double start_s, double size_megabits) const {
-  if (size_megabits < 0.0) {
-    throw std::invalid_argument("SegmentDownloader: negative size");
+  if (!(size_megabits >= 0.0)) {
+    throw std::invalid_argument("SegmentDownloader: size must be >= 0 and not NaN");
+  }
+  if (std::isnan(start_s)) {
+    throw std::invalid_argument("SegmentDownloader: start is NaN");
   }
   DownloadResult result;
   result.start_s = start_s;
@@ -73,16 +82,13 @@ DownloadResult SegmentDownloader::download(double start_s, double size_megabits)
 
   double remaining = size_megabits;
   double cursor = start_s;
-  double cursor_value = throughput_->linear_at(start_s);
-
-  // Walk the trace breakpoints after the start time. The first one is found
-  // by binary search: on a sorted trace this lands on exactly the first
-  // sample the old `t_s <= start_s` linear skip would have kept, so the
-  // accumulation below is bit-identical to the linear-scan version.
+  // Walk the trace breakpoints after the start time, from one binary search
+  // for the first of them and the rate at the start.
+  const trace::TimeSeries::Lookup start = throughput_->lookup(start_s);
+  double cursor_value = start.value;
   const auto samples = throughput_->samples();
-  auto it = std::upper_bound(samples.begin(), samples.end(), start_s,
-                             [](double t, const trace::TimePoint& p) { return t < p.t_s; });
-  for (; it != samples.end(); ++it) {
+  for (auto it = samples.begin() + static_cast<std::ptrdiff_t>(start.next);
+       it != samples.end(); ++it) {
     const auto& point = *it;
     const double dt = point.t_s - cursor;
     if (dt <= 0.0) {

@@ -141,7 +141,8 @@ class SessionTimeline final : public SessionObserver {
 /// A cursor over a sensors::VibrationTrack that moves in lockstep with the
 /// engine clock — the one vibration-seeding helper shared by every link mode
 /// and by core::build_task_environments. Clocks on one track share its fill,
-/// so the trace is streamed once however many clocks read it.
+/// so the trace is streamed and walked once however many clocks read it: a
+/// clock behind the fill searches for its stop (VibrationTrack::advance).
 class VibrationClock {
  public:
   /// `track` is unowned and must outlive the clock.
@@ -149,7 +150,7 @@ class VibrationClock {
 
   /// Moves the cursor past every sample with timestamp <= t_s and returns
   /// the track's level after them. Throws std::invalid_argument, naming the
-  /// sample, when the walk stops at a NaN timestamp (the clock would
+  /// sample, when the cursor stops at a NaN timestamp (the clock would
   /// otherwise stall there for the rest of the trace).
   double advance_to(double t_s);
 

@@ -303,9 +303,8 @@ void SessionTimeline::write_json(std::ostream& out) const {
 // --- VibrationClock ---------------------------------------------------------
 
 double VibrationClock::advance_to(double t_s) {
-  const sensors::AccelTrace& trace = track_->trace();
-  while (cursor_ < trace.size() && trace[cursor_].t_s <= t_s) ++cursor_;
-  reject_nan_stop(trace, cursor_, "VibrationClock: accel sample");
+  cursor_ = track_->advance(cursor_, t_s);
+  reject_nan_stop(track_->trace(), cursor_, "VibrationClock: accel sample");
   level_ = track_->level_after(cursor_);
   return level_;
 }

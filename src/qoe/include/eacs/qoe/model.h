@@ -86,6 +86,15 @@ class QoeModel {
   /// Full per-segment QoE including switch and rebuffer impairments.
   double segment_qoe(const SegmentContext& context) const noexcept;
 
+  /// segment_qoe(context), bit for bit, given quality =
+  /// original_quality(context.bitrate_mbps) and prev_quality =
+  /// original_quality(context.prev_bitrate_mbps) (read only when the
+  /// previous bitrate is > 0): a caller scoring consecutive segments passes
+  /// one segment's quality on as the next one's prev_quality, one q0 per
+  /// segment.
+  double segment_qoe(const SegmentContext& context, double quality,
+                     double prev_quality) const noexcept;
+
   /// Bitrate-switch impairment term alone.
   double switch_impairment(double bitrate_mbps, double prev_bitrate_mbps) const noexcept;
 
@@ -114,6 +123,11 @@ class QoeModel {
                                double rebuffer_s) const noexcept;
 
  private:
+  /// lambda * |quality - prev_quality|, or 0 when prev_bitrate_mbps <= 0:
+  /// the switch term of every segment_qoe path.
+  double switch_term(double quality, double prev_quality,
+                     double prev_bitrate_mbps) const noexcept;
+
   QoeModelParams params_;
 };
 

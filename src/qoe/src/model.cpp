@@ -56,11 +56,17 @@ double QoeModel::perceived_quality(double bitrate_mbps, double vibration) const 
   return std::clamp(q, params_.mos_min, params_.mos_max);
 }
 
+double QoeModel::switch_term(double quality, double prev_quality,
+                             double prev_bitrate_mbps) const noexcept {
+  // Guards on the *previous* bitrate only: a first segment has none.
+  if (prev_bitrate_mbps <= 0.0) return 0.0;
+  return params_.switch_penalty * std::fabs(quality - prev_quality);
+}
+
 double QoeModel::switch_impairment(double bitrate_mbps,
                                    double prev_bitrate_mbps) const noexcept {
-  if (prev_bitrate_mbps <= 0.0) return 0.0;
-  return params_.switch_penalty *
-         std::fabs(original_quality(bitrate_mbps) - original_quality(prev_bitrate_mbps));
+  return switch_term(original_quality(bitrate_mbps),
+                     original_quality(prev_bitrate_mbps), prev_bitrate_mbps);
 }
 
 double QoeModel::segment_qoe_from_base(double base, double switch_term,
@@ -71,10 +77,16 @@ double QoeModel::segment_qoe_from_base(double base, double switch_term,
 }
 
 double QoeModel::segment_qoe(const SegmentContext& context) const noexcept {
-  const double base = original_quality(context.bitrate_mbps) -
-                      vibration_impairment(context.vibration, context.bitrate_mbps);
+  return segment_qoe(context, original_quality(context.bitrate_mbps),
+                     original_quality(context.prev_bitrate_mbps));
+}
+
+double QoeModel::segment_qoe(const SegmentContext& context, double quality,
+                             double prev_quality) const noexcept {
+  const double base =
+      quality - vibration_impairment(context.vibration, context.bitrate_mbps);
   return segment_qoe_from_base(
-      base, switch_impairment(context.bitrate_mbps, context.prev_bitrate_mbps),
+      base, switch_term(quality, prev_quality, context.prev_bitrate_mbps),
       context.rebuffer_s);
 }
 
@@ -110,13 +122,11 @@ double QoeModel::segment_qoe(const RungTerms& rungs, std::size_t level,
   const double base =
       rungs.quality[level] -
       vibration_impairment(rungs, level, vibration, vibration_weight(vibration));
-  // switch_impairment guards on the previous bitrate only.
-  const double switch_term =
-      prev_level && !(rungs.bitrate_mbps[*prev_level] <= 0.0)
-          ? params_.switch_penalty *
-                std::fabs(rungs.quality[level] - rungs.quality[*prev_level])
-          : 0.0;
-  return segment_qoe_from_base(base, switch_term, rebuffer_s);
+  const double switch_impair =
+      prev_level ? switch_term(rungs.quality[level], rungs.quality[*prev_level],
+                               rungs.bitrate_mbps[*prev_level])
+                 : 0.0;
+  return segment_qoe_from_base(base, switch_impair, rebuffer_s);
 }
 
 }  // namespace eacs::qoe

@@ -122,9 +122,10 @@ class VibrationEstimator {
 
 /// The estimator's level after every prefix of one accelerometer trace under
 /// one config, filled lazily: a read past the furthest sample any reader has
-/// reached streams the estimator on to it, recording the RMS window after
-/// each sample; a read behind it looks the window up. However many readers
-/// share a track, its trace is streamed once.
+/// reached streams the estimator on to it, recording the RMS window and the
+/// running maximum of the timestamps after each sample; a read behind it
+/// looks them up. However many readers share a track, its trace is streamed
+/// and walked once.
 ///
 /// The level after a prefix is a pure function of that prefix (consume()
 /// over any cut equals per-sample updates), so level_after(k) holds the bits
@@ -145,12 +146,29 @@ class VibrationTrack {
   /// std::out_of_range when k > trace().size().
   double level_after(std::size_t k);
 
+  /// Where a reader's walk from sample `from` past every sample with
+  /// timestamp <= `t_s` stops: the first index at or after `from` whose
+  /// timestamp is not <= t_s (a later time or NaN), trace().size() when
+  /// there is none. `from` is 0 for a new reader, else what this call last
+  /// returned for the same reader. Behind the fill the answer is a galloping
+  /// search from `from` over the running maximum of the timestamps; past it
+  /// the call walks the samples, as a reader of its own would, and fills the
+  /// track up to where the walk stopped.
+  std::size_t advance(std::size_t from, double t_s);
+
  private:
+  /// Streams samples filled_..k-1, recording their windows and running
+  /// maxima.
+  void fill_to(std::size_t k);
+
   const AccelTrace* trace_;
   VibrationEstimator estimator_;  ///< state after the first filled_ samples
   /// windows_[i] is the window after i + 1 samples; entries from filled_ on
   /// are unwritten (the buffer is never value-initialized).
   std::unique_ptr<eacs::MovingRms::Window[]> windows_;
+  /// max_t_[i] is the largest timestamp among the first i + 1 samples, and
+  /// NaN from the first NaN timestamp on; unwritten from filled_ on.
+  std::unique_ptr<double[]> max_t_;
   std::size_t filled_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -109,7 +110,25 @@ VibrationTrack::VibrationTrack(const AccelTrace& trace, VibrationConfig config)
     : trace_(&trace),
       estimator_(config),
       windows_(std::make_unique_for_overwrite<eacs::MovingRms::Window[]>(
-          trace.size())) {}
+          trace.size())),
+      max_t_(std::make_unique_for_overwrite<double[]>(trace.size())) {}
+
+void VibrationTrack::fill_to(std::size_t k) {
+  const AccelTrace& trace = *trace_;
+  estimator_.consume(std::span(trace).subspan(filled_, k - filled_),
+                     windows_.get() + filled_);
+  // NaN sticks: every comparison with it is false, so a walk that reaches a
+  // NaN timestamp stops there for good. (`!(t <= max_t)` would let a later
+  // time replace a NaN maximum, and std::max would drop a NaN t.)
+  double max_t = filled_ == 0 ? -std::numeric_limits<double>::infinity()
+                              : max_t_[filled_ - 1];
+  for (std::size_t i = filled_; i < k; ++i) {
+    const double t = trace[i].t_s;
+    if (t > max_t || std::isnan(t)) max_t = t;
+    max_t_[i] = max_t;
+  }
+  filled_ = k;
+}
 
 double VibrationTrack::level_after(std::size_t k) {
   if (k > trace_->size()) {
@@ -117,12 +136,42 @@ double VibrationTrack::level_after(std::size_t k) {
                             " samples of a " + std::to_string(trace_->size()) +
                             "-sample trace");
   }
-  if (k > filled_) {
-    estimator_.consume(std::span(*trace_).subspan(filled_, k - filled_),
-                       windows_.get() + filled_);
-    filled_ = k;
-  }
+  if (k > filled_) fill_to(k);
   return k == 0 ? 0.0 : eacs::MovingRms::rms(windows_[k - 1]);
+}
+
+std::size_t VibrationTrack::advance(std::size_t from, double t_s) {
+  // Let T be the latest time the reader asked for before: `from` is the
+  // first sample whose timestamp is not <= T, which is the first index whose
+  // running maximum is not <= T (0 for a new reader). For t_s <= T the walk
+  // stops at `from` at once, and the running maximum there is not <= t_s
+  // either. For t_s > T every sample before `from` is <= t_s, so the walk
+  // stops where one from 0 would: at the first index whose running maximum
+  // is not <= t_s. Either way the search below finds the walk's stop.
+  std::size_t stop = from;
+  if (stop < filled_) {
+    const double* max_t = max_t_.get();
+    const auto within = [t_s](double m) { return m <= t_s; };
+    if (!within(max_t[stop])) return stop;
+    // Gallop: `lo` is within, `hi` the next probe, `step` doubling.
+    std::size_t lo = stop;
+    std::size_t step = 1;
+    std::size_t hi = lo + 1;
+    while (hi < filled_ && within(max_t[hi])) {
+      lo = hi;
+      step *= 2;
+      hi = lo + step;
+    }
+    hi = std::min(hi, filled_);
+    stop = static_cast<std::size_t>(
+        std::partition_point(max_t + lo + 1, max_t + hi, within) - max_t);
+    if (stop < filled_) return stop;
+  }
+  // Past the fill: walk the samples, then fill up to where the walk stopped.
+  const AccelTrace& trace = *trace_;
+  while (stop < trace.size() && trace[stop].t_s <= t_s) ++stop;
+  if (stop > filled_) fill_to(stop);
+  return stop;
 }
 
 double vibration_level(std::span<const AccelSample> trace, VibrationConfig config) {

@@ -51,15 +51,20 @@ double session_mean_qoe(const player::PlaybackResult& result,
   double weighted = 0.0;
   double duration = 0.0;
   double prev_bitrate = 0.0;
+  double prev_quality = 0.0;  // read only once prev_bitrate is > 0
   for (const auto& task : result.tasks) {
     qoe::SegmentContext context;
     context.bitrate_mbps = task.bitrate_mbps;
     context.vibration = task.vibration;
     context.prev_bitrate_mbps = prev_bitrate;
     context.rebuffer_s = task.rebuffer_s;
-    weighted += qoe_model.segment_qoe(context) * task.duration_s;
+    // One q0 per task: this task's is the next one's switch reference.
+    const double quality = qoe_model.original_quality(task.bitrate_mbps);
+    weighted += qoe_model.segment_qoe(context, quality, prev_quality) *
+                task.duration_s;
     duration += task.duration_s;
     prev_bitrate = task.bitrate_mbps;
+    prev_quality = quality;
   }
   return duration > 0.0 ? weighted / duration : 0.0;
 }

@@ -17,18 +17,26 @@ struct TimePoint {
 
 /// Monotonic time series with linear interpolation lookups.
 ///
-/// Timestamps must be non-decreasing. Duplicate (zero-width) timestamps are
-/// allowed and represent a step discontinuity: at exactly the shared time the
-/// *last* duplicate's value wins, which is how outage edges and real CSV
-/// recordings with repeated timestamps are modelled.
+/// Timestamps must be non-decreasing and not NaN; -inf and +inf order like
+/// any other time. Duplicate (zero-width) timestamps are allowed and
+/// represent a step discontinuity: at exactly the shared time the *last*
+/// duplicate's value wins, which is how outage edges and real CSV recordings
+/// with repeated timestamps are modelled.
+///
+/// Every series the class can hold is therefore sorted, so each query makes
+/// one binary search: linear_at and lookup search once, and integral_over
+/// searches for t0 and takes the value at t1 from where its walk over the
+/// breakpoints stopped.
 class TimeSeries {
  public:
   TimeSeries() = default;
 
-  /// Builds from samples; throws std::invalid_argument if timestamps decrease.
+  /// Builds from samples; throws std::invalid_argument, naming the sample,
+  /// if a timestamp is NaN or decreases.
   explicit TimeSeries(std::vector<TimePoint> samples);
 
-  /// Appends a sample; throws if `t_s` moves backwards in time.
+  /// Appends a sample; throws std::invalid_argument if `t_s` is NaN or moves
+  /// backwards in time.
   void append(double t_s, double value);
 
   bool empty() const noexcept { return samples_.empty(); }
@@ -43,10 +51,29 @@ class TimeSeries {
   /// covered range.
   double linear_at(double t_s) const;
 
-  /// Mean of `linear_at` over [t0, t1] via trapezoidal integration.
+  /// What a walk over the breakpoints after a time starts from.
+  struct Lookup {
+    std::size_t next = 0;  ///< first sample with t > t_s; size() when none
+    double value = 0.0;    ///< linear_at(t_s)
+  };
+
+  /// The first breakpoint after `t_s` and the value at `t_s`, from one
+  /// binary search: the start of the walks in integral_over and
+  /// net::SegmentDownloader::download. Throws std::logic_error on an empty
+  /// series.
+  Lookup lookup(double t_s) const;
+
+  /// linear_at(t_s), bit for bit, given `next`, the index of the first
+  /// sample with t > t_s, without a search: a walk that stopped there closes
+  /// with it.
+  double linear_at(double t_s, std::size_t next) const;
+
+  /// Mean of `linear_at` over [t0, t1] via trapezoidal integration;
+  /// linear_at(t0) when t1 <= t0.
   double mean_over(double t0, double t1) const;
 
   /// Time-integral of `linear_at` over [t0, t1] (e.g. Mbps * s = Mbits).
+  /// Throws std::invalid_argument unless t1 >= t0 (so a NaN bound throws).
   double integral_over(double t0, double t1) const;
 
   /// All values, in time order.
@@ -61,6 +88,10 @@ class TimeSeries {
 
  private:
   friend class TimeSeriesCursor;
+
+  /// Index of the first sample with t > `t_s` (size() when none): the one
+  /// binary search every lookup makes. Throws std::logic_error when empty.
+  std::size_t first_after(double t_s) const;
 
   /// Interpolated value given `index == index_at_or_before(t_s)`. Shared by
   /// linear_at and TimeSeriesCursor so the two paths are the same arithmetic

@@ -1,19 +1,31 @@
 #include "eacs/trace/time_series.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::trace {
 
 TimeSeries::TimeSeries(std::vector<TimePoint> samples) : samples_(std::move(samples)) {
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    if (samples_[i].t_s < samples_[i - 1].t_s) {
-      throw std::invalid_argument("TimeSeries: timestamps must not decrease");
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    // NaN compares false both ways, so the order check alone would let it in.
+    if (std::isnan(samples_[i].t_s)) {
+      throw std::invalid_argument("TimeSeries: sample " + std::to_string(i) +
+                                  " has a NaN timestamp");
+    }
+    if (i > 0 && samples_[i].t_s < samples_[i - 1].t_s) {
+      throw std::invalid_argument("TimeSeries: sample " + std::to_string(i) +
+                                  " moves back in time (timestamps must not "
+                                  "decrease)");
     }
   }
 }
 
 void TimeSeries::append(double t_s, double value) {
+  if (std::isnan(t_s)) {
+    throw std::invalid_argument("TimeSeries::append: t_s is NaN");
+  }
   if (!samples_.empty() && t_s < samples_.back().t_s) {
     throw std::invalid_argument("TimeSeries::append: time must not go backwards");
   }
@@ -30,14 +42,27 @@ double TimeSeries::end_time() const {
   return samples_.back().t_s;
 }
 
-std::size_t TimeSeries::index_at_or_before(double t_s) const {
+std::size_t TimeSeries::first_after(double t_s) const {
   if (samples_.empty()) throw std::logic_error("TimeSeries: empty");
-  // First sample with t > t_s, then step back.
   const auto it = std::upper_bound(
       samples_.begin(), samples_.end(), t_s,
       [](double t, const TimePoint& p) { return t < p.t_s; });
-  if (it == samples_.begin()) return 0;
-  return static_cast<std::size_t>(std::distance(samples_.begin(), it)) - 1;
+  return static_cast<std::size_t>(std::distance(samples_.begin(), it));
+}
+
+std::size_t TimeSeries::index_at_or_before(double t_s) const {
+  // First sample with t > t_s, then step back.
+  const std::size_t next = first_after(t_s);
+  return next == 0 ? 0 : next - 1;
+}
+
+TimeSeries::Lookup TimeSeries::lookup(double t_s) const {
+  const std::size_t next = first_after(t_s);
+  return {next, linear_at(t_s, next)};
+}
+
+double TimeSeries::linear_at(double t_s, std::size_t next) const {
+  return linear_value_from(next == 0 ? 0 : next - 1, t_s);
 }
 
 double TimeSeries::linear_value_from(std::size_t i, double t_s) const {
@@ -58,20 +83,23 @@ double TimeSeries::linear_at(double t_s) const {
 }
 
 double TimeSeries::integral_over(double t0, double t1) const {
-  if (t1 < t0) throw std::invalid_argument("TimeSeries::integral_over: t1 < t0");
+  if (!(t1 >= t0)) {
+    throw std::invalid_argument(
+        "TimeSeries::integral_over: needs t1 >= t0, got t0 = " +
+        std::to_string(t0) + ", t1 = " + std::to_string(t1));
+  }
   if (t1 == t0) return 0.0;
   // Trapezoidal rule over the interpolated signal: integrate between every
   // pair of breakpoints intersected by [t0, t1].
   double total = 0.0;
   double cursor = t0;
-  double cursor_value = linear_at(t0);
-  // First breakpoint strictly after t0, found in O(log N): on a sorted series
-  // this skips exactly the samples the old linear scan skipped, so the
-  // accumulation below visits the same terms in the same order.
-  auto it = std::upper_bound(samples_.begin(), samples_.end(), t0,
-                             [](double t, const TimePoint& p) { return t < p.t_s; });
-  for (; it != samples_.end(); ++it) {
-    const TimePoint& p = *it;
+  // One search: the first breakpoint strictly after t0, where the walk
+  // starts, and the value at t0.
+  const Lookup start = lookup(t0);
+  double cursor_value = start.value;
+  std::size_t next = start.next;
+  for (; next < samples_.size(); ++next) {
+    const TimePoint& p = samples_[next];
     // Strictly-greater: breakpoints exactly at t1 (including zero-width step
     // duplicates) must still update cursor_value, or a step at t1 would leak
     // the post-step value into the closing trapezoid.
@@ -80,7 +108,10 @@ double TimeSeries::integral_over(double t0, double t1) const {
     cursor = p.t_s;
     cursor_value = p.value;
   }
-  const double end_value = linear_at(t1);
+  // The walk stopped at the first sample with t > t1, or at the end: every
+  // sample before start.next has t <= t0 <= t1, so that is the index a
+  // search for t1 finds.
+  const double end_value = linear_at(t1, next);
   total += 0.5 * (cursor_value + end_value) * (t1 - cursor);
   return total;
 }

@@ -1,14 +1,17 @@
 // Pinned digests of the rich engine's three inner loops (DESIGN §7, §8):
 // the vibration estimator as the engine and the task builder advance it,
-// and the VBR segment sizes every planner and the engine read.
+// and the VBR segment sizes every planner and the engine read; and the rows
+// of the Section V unit that runs them all.
 //
 // Each test writes every value as a C99 hex float (%a: every bit of every
 // double) and hashes the text with 64-bit FNV-1a. The constants were recorded
 // from the per-sample estimator and the sin-per-query size model, before the
 // batched estimator kernel and the tabulated sizes replaced them, so a
 // reassociated filter step, a reordered RMS update or a changed size factor
-// moves a hash. A deliberate change to these numbers must re-pin the
-// constants and say why.
+// moves a hash. The rows were recorded while every clock walked the
+// accelerometer trace, every trace query searched three times and every
+// decision built its own rung terms. A deliberate change to these numbers
+// must re-pin the constants and say why.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +150,39 @@ TEST(InnerLoopPinsTest, VbrSegmentSizes) {
     }
   }
   EXPECT_EQ(hex64(fnv1a(out.str())), hex64(0xce6f0b6c1200e8d6ULL))
+      << "dump has " << out.str().size() << " bytes";
+}
+
+TEST(InnerLoopPinsTest, EvaluationRows) {
+  // Every field of every row Evaluation::run produces on the Table V
+  // sessions: the unit that shares one vibration track among its clocks,
+  // prices "Ours" through the online selector's rung terms, downloads over
+  // the throughput trace and scores the session QoE. 3 s segments leave a
+  // shorter last segment on most lengths; the 0.25 amplitude gives every
+  // segment its own sizes.
+  std::ostringstream out;
+  for (const double segment_s : {2.0, 3.0}) {
+    for (const double amplitude : {0.0, 0.25}) {
+      sim::EvaluationConfig config;
+      config.segment_duration_s = segment_s;
+      config.vbr_amplitude = amplitude;
+      const sim::EvaluationResult result =
+          sim::Evaluation(config).run(table_v_sessions());
+      out << "segment " << hex(segment_s) << " amplitude " << hex(amplitude)
+          << "\n";
+      for (const sim::SessionMetrics& r : result.rows) {
+        out << r.algorithm << " " << r.session_id << " "
+            << hex(r.total_energy_j) << " " << hex(r.base_energy_j) << " "
+            << hex(r.extra_energy_j) << " " << hex(r.mean_qoe) << " "
+            << hex(r.mean_bitrate_mbps) << " " << hex(r.downloaded_mb) << " "
+            << hex(r.rebuffer_s) << " " << r.rebuffer_events << " "
+            << r.switch_count << " " << hex(r.startup_delay_s) << " "
+            << hex(r.wasted_energy_j) << " " << hex(r.wasted_mb) << " "
+            << r.retries << " " << r.abandoned_segments << "\n";
+      }
+    }
+  }
+  EXPECT_EQ(hex64(fnv1a(out.str())), hex64(0x7db3fcf392e3d083ULL))
       << "dump has " << out.str().size() << " bytes";
 }
 

@@ -2,12 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "eacs/net/bandwidth_estimator.h"
 
 namespace eacs::net {
 namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// True when `run` throws std::invalid_argument whose message contains
+/// `needle` (the index or argument it names).
+template <typename Fn>
+bool rejected_naming(Fn&& run, const std::string& needle) {
+  try {
+    run();
+  } catch (const std::invalid_argument& error) {
+    return std::string(error.what()).find(needle) != std::string::npos;
+  }
+  return false;
+}
 
 trace::TimeSeries constant_rate(double mbps, double duration = 100.0) {
   trace::TimeSeries series;
@@ -34,6 +52,10 @@ TEST(SegmentDownloaderTest, ZeroSizeFinishesInstantly) {
 TEST(SegmentDownloaderTest, NegativeSizeThrows) {
   SegmentDownloader downloader(constant_rate(8.0));
   EXPECT_THROW(downloader.download(0.0, -1.0), std::invalid_argument);
+  // NaN passes a `< 0` check; a NaN size or start would end at t = NaN.
+  EXPECT_TRUE(rejected_naming([&] { downloader.download(0.0, kNan); }, "size"));
+  EXPECT_TRUE(rejected_naming([&] { downloader.download(kNan, 8.0); }, "start"));
+  EXPECT_TRUE(rejected_naming([&] { downloader.download(kNan, 0.0); }, "start"));
 }
 
 TEST(SegmentDownloaderTest, EmptyOrNegativeTraceThrows) {
@@ -41,6 +63,23 @@ TEST(SegmentDownloaderTest, EmptyOrNegativeTraceThrows) {
   trace::TimeSeries bad;
   bad.append(0.0, -1.0);
   EXPECT_THROW(SegmentDownloader{bad}, std::invalid_argument);
+  // Every rate must be finite and >= 0, and the message names the sample,
+  // whichever constructor validates: NaN and +inf pass a `< 0` check, and a
+  // download over them ended at t = NaN with a mean of 8e12 Mbps.
+  for (const double rate : {kNan, kInf, -kInf, -1.0}) {
+    const trace::TimeSeries series({{0.0, 8.0}, {1.0, rate}, {2.0, 8.0}});
+    EXPECT_TRUE(rejected_naming([&] { SegmentDownloader{series}; }, "sample 1"))
+        << rate;
+    EXPECT_TRUE(rejected_naming(
+        [&] { SegmentDownloader{trace::TimeSeries(series)}; }, "sample 1"))
+        << rate;
+    EXPECT_TRUE(rejected_naming(
+        [&] {
+          SegmentDownloader{std::make_shared<const trace::TimeSeries>(series)};
+        },
+        "sample 1"))
+        << rate;
+  }
 }
 
 TEST(SegmentDownloaderTest, RampIntegration) {

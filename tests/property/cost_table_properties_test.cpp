@@ -16,8 +16,10 @@
 #include "eacs/core/cost_table.h"
 #include "eacs/core/graph.h"
 #include "eacs/core/horizon.h"
+#include "eacs/core/online.h"
 #include "eacs/core/optimal.h"
 #include "eacs/media/bitrate_ladder.h"
+#include "eacs/net/bandwidth_estimator.h"
 #include "eacs/util/rng.h"
 
 namespace eacs::core {
@@ -313,6 +315,76 @@ TEST(CostTableHorizon, SelectorMatchesLegacyTaskCostFormulation) {
     }
 
     EXPECT_EQ(selector.choose_level(ctx), first_action[best]) << "seed " << seed;
+  }
+}
+
+TEST(OnlineRungTerms, LevelsEqualTheThreeArgumentTableArgmin) {
+  // The online selector keeps the rung terms of the last ladder it priced
+  // and reuses them while a segment's duration and sizes keep their bits.
+  // With smoothing off its level is the reference level, so each decision
+  // must equal the argmin of a table that builds its own terms (the
+  // three-argument constructor) and count what that table counts. 3 s
+  // segments over 100 s leave a 1 s last segment; the VBR amplitudes give
+  // every segment its own sizes at one duration. Segments come in order,
+  // then at random, so the stored ladder keeps changing.
+  const Objective objective = make_objective(0.5);
+  const std::size_t m = media::BitrateLadder::evaluation14().size();
+  for (const double amplitude : {0.0, 0.25, 0.6}) {
+    const media::VideoManifest manifest("rungs", 100.0, 3.0,
+                                        media::BitrateLadder::evaluation14(),
+                                        media::VbrModel{amplitude});
+    const std::size_t n = manifest.num_segments();
+    ASSERT_LT(manifest.segment_duration(n - 1), manifest.segment_duration(0));
+    OnlineBitrateSelector selector(objective, {.smoothing = false});
+    eacs::Rng rng(static_cast<std::uint64_t>(amplitude * 100.0) + 811);
+    CostStats got;
+    CostStats want;
+    for (std::size_t d = 0; d < 4 * n; ++d) {
+      const std::size_t segment =
+          d < n ? d
+                : static_cast<std::size_t>(
+                      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      net::HarmonicMeanEstimator estimator(20);
+      for (int k = 0; k < 3; ++k) estimator.observe(rng.uniform(0.5, 30.0));
+      player::AbrContext ctx;
+      ctx.segment_index = segment;
+      ctx.num_segments = n;
+      ctx.buffer_s = rng.uniform(0.0, 30.0);
+      ctx.startup_phase = false;
+      ctx.prev_level = static_cast<std::size_t>(rng.uniform_int(0, 13));
+      ctx.manifest = &manifest;
+      ctx.bandwidth = &estimator;
+      ctx.vibration_level = rng.uniform(0.0, 7.5);
+      ctx.signal_dbm = rng.uniform(-118.0, -82.0);
+      std::size_t chosen = 0;
+      {
+        CostStatsScope scope(got);
+        chosen = selector.choose_level(ctx);
+      }
+
+      TaskEnvironment env;
+      env.index = segment;
+      env.duration_s = manifest.segment_duration(segment);
+      env.signal_dbm = ctx.signal_dbm;
+      env.vibration = ctx.vibration_level;
+      env.bandwidth_mbps = estimator.estimate();
+      for (std::size_t level = 0; level < m; ++level) {
+        env.size_megabits.push_back(manifest.segment_size_megabits(segment, level));
+      }
+      std::size_t best = 0;
+      {
+        CostStatsScope scope(want);
+        const TaskCostTable table(objective, env, ctx.buffer_s);
+        for (std::size_t level = 1; level < m; ++level) {
+          if (table.edge_cost(level) < table.edge_cost(best)) best = level;
+        }
+        want.edge_evals += m;  // what reference_level counts per decision
+      }
+      EXPECT_EQ(chosen, best) << "amplitude " << amplitude << " decision " << d
+                              << " segment " << segment;
+    }
+    EXPECT_EQ(got, want) << "amplitude " << amplitude;
+    EXPECT_EQ(got.tables_built, 4 * n);
   }
 }
 

@@ -5,7 +5,9 @@
 #include "eacs/abr/fixed.h"
 #include "eacs/core/optimal.h"
 #include "eacs/core/task.h"
+#include "eacs/media/bitrate_ladder.h"
 #include "eacs/sensors/vibration.h"
+#include "eacs/util/rng.h"
 #include "../test_helpers.h"
 
 namespace eacs::sim {
@@ -53,6 +55,72 @@ TEST(MetricsTest, LowestBitrateRunHasNoExtraEnergy) {
   const auto metrics = compute_metrics("Bottom", 1, playback, manifest,
                                        qoe::QoeModel{}, power::PowerModel{});
   EXPECT_NEAR(metrics.extra_energy_j, 0.0, 1e-6);
+}
+
+TEST(SessionMeanQoe, EqualsThePerTaskSegmentQoeSum) {
+  // session_mean_qoe evaluates q0 once per task and carries it on as the
+  // next task's switch reference. It must keep the bits of the per-task
+  // sum of segment_qoe(context), whose context names the previous task's
+  // bitrate, and of that sum composed from the model's public terms. The
+  // tasks mix ladder rungs, zero-bitrate tasks (no switch term after them),
+  // repeats and switches, stalls and quiet stretches.
+  const qoe::QoeModel model;
+  const std::vector<double> rungs = media::BitrateLadder::evaluation14().bitrates();
+  eacs::Rng rng(2026);
+  for (int session = 0; session < 20; ++session) {
+    player::PlaybackResult result;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 80));
+    std::size_t switches = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      player::TaskRecord task;
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.1) {
+        task.bitrate_mbps = 0.0;
+      } else if (u < 0.4 && i > 0) {
+        task.bitrate_mbps = result.tasks.back().bitrate_mbps;
+      } else {
+        task.bitrate_mbps = rungs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(rungs.size()) - 1))];
+      }
+      task.vibration = rng.uniform(0.0, 1.0) < 0.2 ? 0.0 : rng.uniform(0.0, 7.0);
+      task.rebuffer_s = rng.uniform(0.0, 1.0) < 0.3 ? rng.uniform(0.0, 4.0) : 0.0;
+      task.duration_s = rng.uniform(0.5, 3.0);
+      if (i > 0 && task.bitrate_mbps != result.tasks.back().bitrate_mbps &&
+          result.tasks.back().bitrate_mbps > 0.0) {
+        ++switches;
+      }
+      result.tasks.push_back(task);
+    }
+
+    double weighted = 0.0;
+    double composed = 0.0;
+    double duration = 0.0;
+    double prev_bitrate = 0.0;
+    for (const player::TaskRecord& task : result.tasks) {
+      qoe::SegmentContext context;
+      context.bitrate_mbps = task.bitrate_mbps;
+      context.vibration = task.vibration;
+      context.prev_bitrate_mbps = prev_bitrate;
+      context.rebuffer_s = task.rebuffer_s;
+      weighted += model.segment_qoe(context) * task.duration_s;
+      composed += model.segment_qoe_from_base(
+                      model.original_quality(task.bitrate_mbps) -
+                          model.vibration_impairment(task.vibration,
+                                                     task.bitrate_mbps),
+                      model.switch_impairment(task.bitrate_mbps, prev_bitrate),
+                      task.rebuffer_s) *
+                  task.duration_s;
+      duration += task.duration_s;
+      prev_bitrate = task.bitrate_mbps;
+    }
+    const double got = session_mean_qoe(result, model);
+    EXPECT_EQ(got, weighted / duration) << "session " << session;
+    EXPECT_EQ(got, composed / duration) << "session " << session;
+    if (n > 20) {
+      EXPECT_GT(switches, 0U) << "session " << session;
+    }
+  }
+  EXPECT_EQ(session_mean_qoe(player::PlaybackResult{}, model), 0.0);
 }
 
 TEST(EvaluationTest, ProducesAllAlgorithmRows) {
