@@ -25,7 +25,7 @@ struct ContextSnapshot {
   double vibration = 0.0;        ///< m/s^2, trailing-window estimate
   double bandwidth_mbps = 0.0;   ///< harmonic-mean estimate; 0 = no data yet
   double signal_dbm = -90.0;     ///< latest signal reading
-  bool vibrating_environment = false;  ///< vibration above the configured bar
+  bool vibrating_environment = false;  ///< vibration at or above the bar
 
   // Health of the sensed inputs behind the numbers above.
   sensors::ContextHealth vibration_health = sensors::ContextHealth::kHealthy;
@@ -34,20 +34,12 @@ struct ContextSnapshot {
   double signal_age_s = 0.0;          ///< seconds since the signal reading
 };
 
-/// ContextMonitor tunables.
-struct ContextMonitorConfig {
-  sensors::VibrationConfig vibration;
-  sensors::SensorHealthConfig health;
-  std::size_t bandwidth_window = 20;
-  double vibrating_threshold = 2.0;  ///< m/s^2 bar for the boolean flag
-};
-
-/// Streaming context aggregator.
+/// Streaming context aggregator over the default vibration estimator, health
+/// monitor and 20-deep harmonic-mean bandwidth estimator.
 class ContextMonitor {
  public:
-  using Config = ContextMonitorConfig;
-
-  explicit ContextMonitor(Config config = {});
+  /// m/s^2 bar for ContextSnapshot::vibrating_environment.
+  static constexpr double kVibratingThreshold = 2.0;
 
   /// Feeds one raw accelerometer sample. Non-finite samples are rejected by
   /// the vibration estimator but still graded by the health monitor.
@@ -65,8 +57,9 @@ class ContextMonitor {
   ContextSnapshot snapshot() const;
 
   /// Snapshot at an explicit time: the vibration estimate decays toward the
-  /// configured conservative prior if the stream has gone quiet, and the
-  /// health fields reflect staleness at `now_s`.
+  /// conservative prior if the stream has gone quiet, and the health fields
+  /// reflect staleness at `now_s`. The signal is the health monitor's
+  /// newest-stamped reading.
   ContextSnapshot snapshot(double now_s) const;
 
   const net::BandwidthEstimator& bandwidth_estimator() const noexcept {
@@ -78,11 +71,9 @@ class ContextMonitor {
   void reset();
 
  private:
-  Config config_;
   sensors::VibrationEstimator vibration_;
   sensors::SensorHealthMonitor health_;
   net::HarmonicMeanEstimator bandwidth_;
-  double last_signal_dbm_ = -90.0;
   double clock_s_ = 0.0;  ///< latest accel timestamp seen
 };
 

@@ -33,18 +33,6 @@ struct OnlineOptions {
   /// switch impairments, occasional rebuffering on sudden upswings.
   bool smoothing = true;
 
-  /// Degraded-context fallbacks (consulted only when the AbrContext health
-  /// fields report trouble; clean runs never reach them).
-  /// Vibration assumed when the accelerometer stream is kLost or the estimate
-  /// is non-finite: a vibrating-commute prior (Table V: 2.46..6.83 m/s^2 on
-  /// buses), so an unknown environment plans for the hostile case.
-  double fallback_vibration = 4.0;
-  /// Oldest signal reading the power model may still plan on. Beyond this age
-  /// (or for a non-finite reading) the selector assumes the weak-signal floor
-  /// below instead of a stale number that may be wildly optimistic.
-  double max_signal_age_s = 30.0;
-  double stale_signal_floor_dbm = -110.0;
-
   /// Optional decision memoization. The snapshot keys the *effective*
   /// environment (post degraded-context fallbacks) so the cached solve is
   /// pure in the key; with the default exact-key config decisions are
@@ -68,6 +56,18 @@ class OnlineBitrateSelector final : public player::AbrPolicy {
 
   /// Segments of conservative behaviour after a reported failure.
   static constexpr std::size_t kFailureCooldownSegments = 2;
+
+  // Degraded-context fallbacks (consulted only when the AbrContext health
+  // fields report trouble; clean runs never reach them).
+  /// Vibration assumed when the accelerometer stream is kLost or the estimate
+  /// is non-finite: a vibrating-commute prior (Table V: 2.46..6.83 m/s^2 on
+  /// buses), so an unknown environment plans for the hostile case.
+  static constexpr double kFallbackVibration = 4.0;
+  /// Oldest signal reading the power model may still plan on. Beyond this age
+  /// (or for a non-finite reading) the selector assumes the weak-signal floor
+  /// below instead of a stale number that may be wildly optimistic.
+  static constexpr double kMaxSignalAgeS = 30.0;
+  static constexpr double kStaleSignalFloorDbm = -110.0;
 
   explicit OnlineBitrateSelector(Objective objective, Options options = {});
 

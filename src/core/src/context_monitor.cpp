@@ -5,12 +5,6 @@
 
 namespace eacs::core {
 
-ContextMonitor::ContextMonitor(Config config)
-    : config_(config),
-      vibration_(config.vibration),
-      health_(config.health),
-      bandwidth_(config.bandwidth_window) {}
-
 void ContextMonitor::update_accel(const sensors::AccelSample& sample) {
   vibration_.update(sample);
   health_.observe_accel(sample);
@@ -24,7 +18,6 @@ void ContextMonitor::observe_signal(double dbm) {
 }
 
 void ContextMonitor::observe_signal(double t_s, double dbm) {
-  if (std::isfinite(dbm)) last_signal_dbm_ = dbm;
   health_.observe_signal(t_s, dbm);
   if (std::isfinite(t_s)) clock_s_ = std::max(clock_s_, t_s);
 }
@@ -35,8 +28,8 @@ ContextSnapshot ContextMonitor::snapshot(double now_s) const {
   ContextSnapshot snap;
   snap.vibration = vibration_.level_at(now_s);
   snap.bandwidth_mbps = bandwidth_.estimate();
-  snap.signal_dbm = last_signal_dbm_;
-  snap.vibrating_environment = snap.vibration >= config_.vibrating_threshold;
+  snap.signal_dbm = health_.last_signal_dbm();
+  snap.vibrating_environment = snap.vibration >= kVibratingThreshold;
   snap.vibration_health = health_.accel_health(now_s);
   snap.signal_health = health_.signal_health(now_s);
   snap.vibration_confidence = health_.vibration_confidence(now_s);
@@ -48,7 +41,6 @@ void ContextMonitor::reset() {
   vibration_.reset();
   health_.reset();
   bandwidth_.reset();
-  last_signal_dbm_ = -90.0;
   clock_s_ = 0.0;
 }
 

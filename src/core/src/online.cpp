@@ -26,18 +26,18 @@ TaskEnvironment OnlineBitrateSelector::environment_from(
       !std::isfinite(env.vibration)) {
     // Vibration unknown: plan for the vibrating-commute prior rather than a
     // frozen or garbage estimate.
-    env.vibration = options_.fallback_vibration;
+    env.vibration = kFallbackVibration;
   } else if (context.vibration_health == ContextHealth::kDegraded) {
     // Partially trustworthy: blend toward the prior by confidence.
     const double c = std::clamp(context.vibration_confidence, 0.0, 1.0);
-    env.vibration = c * env.vibration + (1.0 - c) * options_.fallback_vibration;
+    env.vibration = c * env.vibration + (1.0 - c) * kFallbackVibration;
   }
   if (!std::isfinite(env.signal_dbm) ||
       context.signal_health == ContextHealth::kLost ||
-      context.signal_age_s > options_.max_signal_age_s) {
+      context.signal_age_s > kMaxSignalAgeS) {
     // Signal too old to trust: assume the weak-signal floor so the power
     // model errs toward the expensive-radio case.
-    env.signal_dbm = options_.stale_signal_floor_dbm;
+    env.signal_dbm = kStaleSignalFloorDbm;
   }
   env.bandwidth_mbps = context.bandwidth->estimate();
   const std::size_t levels = context.manifest->ladder().size();

@@ -36,6 +36,7 @@
 // and EWMA throughput. The player engine (player::CdnLinkModel +
 // SessionEngine) drives them and implements hedged requests on top.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -216,15 +217,6 @@ enum class BreakerState {
 /// Stable lower-case identifier (timeline / study output).
 const char* to_string(BreakerState state) noexcept;
 
-/// Breaker tuning. Defaults trip after half of a small recent window fails.
-struct CircuitBreakerConfig {
-  std::size_t window = 8;          ///< sliding window of recent outcomes
-  std::size_t min_samples = 4;     ///< no tripping before this many outcomes
-  double failure_threshold = 0.5;  ///< open when failure fraction >= this
-  double open_cooldown_s = 8.0;    ///< wall time open before half-open probes
-  std::size_t half_open_successes = 1;  ///< probe successes needed to close
-};
-
 /// Deterministic per-source circuit breaker: closed → open on a failure-rate
 /// window, open → half-open after a wall-clock cooldown, half-open → closed
 /// on enough probe successes (or straight back to open on a probe failure).
@@ -232,9 +224,18 @@ struct CircuitBreakerConfig {
 /// sequence, so breaker-guarded runs stay bit-reproducible.
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(CircuitBreakerConfig config = {});
+  // Breaker tuning: trips after half of a small recent window fails.
+  /// Sliding window of recent outcomes.
+  static constexpr std::size_t kWindow = 8;
+  /// No tripping before this many outcomes.
+  static constexpr std::size_t kMinSamples = 4;
+  /// Open when the failure fraction is >= this.
+  static constexpr double kFailureThreshold = 0.5;
+  /// Wall time open before half-open probes.
+  static constexpr double kOpenCooldownS = 8.0;
+  /// Probe successes needed to close.
+  static constexpr std::size_t kHalfOpenSuccesses = 1;
 
-  const CircuitBreakerConfig& config() const noexcept { return config_; }
   BreakerState state() const noexcept { return state_; }
 
   /// Whether a request may be sent at `now_s`. An open breaker whose
@@ -252,21 +253,14 @@ class CircuitBreaker {
  private:
   void set_state(BreakerState next) noexcept;
 
-  CircuitBreakerConfig config_;
   BreakerState state_ = BreakerState::kClosed;
-  std::vector<bool> window_;   ///< ring of recent outcomes; true = failure
+  std::array<bool, kWindow> window_{};  ///< ring of recent outcomes;
+                                        ///< true = failure
   std::size_t cursor_ = 0;
   std::size_t filled_ = 0;
   double opened_at_s_ = 0.0;
   std::size_t probe_successes_ = 0;
   std::size_t transitions_ = 0;
-};
-
-/// Selector tuning: EWMA smoothing for the throughput score plus the breaker
-/// applied to every source.
-struct SourceSelectorConfig {
-  double ewma_alpha = 0.3;  ///< weight of the newest throughput observation
-  CircuitBreakerConfig breaker;
 };
 
 /// Scores sources by breaker health and EWMA throughput and picks the
@@ -275,10 +269,13 @@ struct SourceSelectorConfig {
 /// pick sequence is a pure function of the observation sequence.
 class SourceSelector {
  public:
+  /// EWMA smoothing of the throughput score: the weight of the newest
+  /// throughput observation.
+  static constexpr double kEwmaAlpha = 0.3;
+
   /// `sources` is unowned and must outlive the selector; it must be
   /// non-empty. Scores start at each source's nominal capacity scale.
-  SourceSelector(std::span<const SegmentSource> sources,
-                 SourceSelectorConfig config = {});
+  explicit SourceSelector(std::span<const SegmentSource> sources);
 
   std::size_t num_sources() const noexcept { return scores_.size(); }
 
@@ -301,7 +298,6 @@ class SourceSelector {
 
  private:
   std::span<const SegmentSource> sources_;
-  SourceSelectorConfig config_;
   std::vector<CircuitBreaker> breakers_;
   std::vector<double> scores_;
 };

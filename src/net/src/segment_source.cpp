@@ -231,24 +231,6 @@ double SegmentSource::megabits_over(double t0, double t1) const {
 
 // --- CircuitBreaker ---------------------------------------------------------
 
-CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config) : config_(config) {
-  if (config_.window == 0) {
-    throw std::invalid_argument("CircuitBreaker: window must be > 0");
-  }
-  if (config_.failure_threshold <= 0.0 || config_.failure_threshold > 1.0) {
-    throw std::invalid_argument(
-        "CircuitBreaker: failure_threshold must be in (0, 1]");
-  }
-  if (config_.open_cooldown_s < 0.0) {
-    throw std::invalid_argument("CircuitBreaker: cooldown must be >= 0");
-  }
-  if (config_.half_open_successes == 0) {
-    throw std::invalid_argument(
-        "CircuitBreaker: half_open_successes must be > 0");
-  }
-  window_.assign(config_.window, false);
-}
-
 void CircuitBreaker::set_state(BreakerState next) noexcept {
   if (next != state_) {
     state_ = next;
@@ -258,7 +240,7 @@ void CircuitBreaker::set_state(BreakerState next) noexcept {
 
 bool CircuitBreaker::allow(double now_s) {
   if (state_ == BreakerState::kOpen &&
-      now_s >= opened_at_s_ + config_.open_cooldown_s) {
+      now_s >= opened_at_s_ + kOpenCooldownS) {
     probe_successes_ = 0;
     set_state(BreakerState::kHalfOpen);
   }
@@ -276,9 +258,9 @@ double CircuitBreaker::failure_rate() const noexcept {
 
 void CircuitBreaker::record_success(double /*now_s*/) {
   if (state_ == BreakerState::kHalfOpen) {
-    if (++probe_successes_ >= config_.half_open_successes) {
+    if (++probe_successes_ >= kHalfOpenSuccesses) {
       // Close with a clean slate: old failures do not re-trip the breaker.
-      std::fill(window_.begin(), window_.end(), false);
+      window_.fill(false);
       cursor_ = 0;
       filled_ = 0;
       set_state(BreakerState::kClosed);
@@ -287,8 +269,8 @@ void CircuitBreaker::record_success(double /*now_s*/) {
   }
   if (state_ == BreakerState::kOpen) return;
   window_[cursor_] = false;
-  cursor_ = (cursor_ + 1) % config_.window;
-  filled_ = std::min(filled_ + 1, config_.window);
+  cursor_ = (cursor_ + 1) % kWindow;
+  filled_ = std::min(filled_ + 1, kWindow);
 }
 
 void CircuitBreaker::record_failure(double now_s) {
@@ -299,10 +281,9 @@ void CircuitBreaker::record_failure(double now_s) {
   }
   if (state_ == BreakerState::kOpen) return;
   window_[cursor_] = true;
-  cursor_ = (cursor_ + 1) % config_.window;
-  filled_ = std::min(filled_ + 1, config_.window);
-  if (filled_ >= config_.min_samples &&
-      failure_rate() >= config_.failure_threshold) {
+  cursor_ = (cursor_ + 1) % kWindow;
+  filled_ = std::min(filled_ + 1, kWindow);
+  if (filled_ >= kMinSamples && failure_rate() >= kFailureThreshold) {
     opened_at_s_ = now_s;
     set_state(BreakerState::kOpen);
   }
@@ -310,19 +291,13 @@ void CircuitBreaker::record_failure(double now_s) {
 
 // --- SourceSelector ---------------------------------------------------------
 
-SourceSelector::SourceSelector(std::span<const SegmentSource> sources,
-                               SourceSelectorConfig config)
-    : sources_(sources), config_(config) {
+SourceSelector::SourceSelector(std::span<const SegmentSource> sources)
+    : sources_(sources), breakers_(sources.size()) {
   if (sources_.empty()) {
     throw std::invalid_argument("SourceSelector: need at least one source");
   }
-  if (config_.ewma_alpha <= 0.0 || config_.ewma_alpha > 1.0) {
-    throw std::invalid_argument("SourceSelector: ewma_alpha must be in (0, 1]");
-  }
-  breakers_.reserve(sources_.size());
   scores_.reserve(sources_.size());
   for (const auto& source : sources_) {
-    breakers_.emplace_back(config_.breaker);
     scores_.push_back(source.config().throughput_scale);
   }
 }
@@ -360,13 +335,13 @@ void SourceSelector::record(std::size_t source, bool success, double mbps,
     throw std::out_of_range("SourceSelector: source index out of range");
   }
   if (success) {
-    scores_[source] = (1.0 - config_.ewma_alpha) * scores_[source] +
-                      config_.ewma_alpha * std::max(mbps, 0.0);
+    scores_[source] = (1.0 - kEwmaAlpha) * scores_[source] +
+                      kEwmaAlpha * std::max(mbps, 0.0);
     breakers_[source].record_success(now_s);
   } else {
     // No throughput observation: decay the score toward zero so a failing
     // source loses its standing even before the breaker trips.
-    scores_[source] *= 1.0 - config_.ewma_alpha;
+    scores_[source] *= 1.0 - kEwmaAlpha;
     breakers_[source].record_failure(now_s);
   }
 }

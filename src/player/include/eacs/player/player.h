@@ -13,15 +13,18 @@
 // per-attempt deadlines, bounded retries with exponential backoff and
 // deterministic jitter, mid-download abandonment when a transfer outpaces
 // the buffer drain, and degradation to the lowest rung while the link is
-// failing. Aborted attempts are accounted as wasted bytes / wasted wall
-// time, which eacs::sim prices as wasted download energy.
+// failing. Its settings are the named constants below (kMaxRetries,
+// kAttemptDeadlineS, ...), which no run varies. Aborted attempts are
+// accounted as wasted bytes / wasted wall time, which eacs::sim prices as
+// wasted download energy.
 //
 // A third overload corrupts the policy's sensing through a
 // sensors::SensorFaultInjector while the link stays clean, and a fourth
 // replays the session against N CDN sources (one per manifest BaseURL):
 // per-source server faults, deterministic circuit breakers, health-scored
 // failover and hedged requests — the multi-source delivery machinery of
-// segment_source.h driven by the engine's CDN state machine.
+// segment_source.h driven by the engine's CDN state machine. Hedging is the
+// one resilience behaviour a run can switch (PlayerConfig::hedge_enabled).
 //
 // Each overload is one analytic player::SessionEngine run of one client
 // (session_engine.h): the fault-free and sensor-fault paths run a
@@ -42,7 +45,6 @@
 #include "eacs/net/segment_source.h"
 #include "eacs/player/abr_policy.h"
 #include "eacs/sensors/sensor_faults.h"
-#include "eacs/sensors/sensor_health.h"
 #include "eacs/sensors/vibration.h"
 #include "eacs/trace/session.h"
 
@@ -50,57 +52,49 @@ namespace eacs::player {
 
 class SessionObserver;  // session_engine.h
 
-/// Retry / abandonment behaviour for fault-injected runs. Only consulted by
-/// the run() overload taking a FaultInjector — the fault-free path never
-/// times out, retries or abandons, so these defaults cannot perturb it.
-struct ResilienceConfig {
-  /// Aborted attempts allowed per segment before the rescue fetch. The
-  /// rescue fetch (attempt max_retries) drops to the lowest rung and keeps
-  /// the connection open until the transfer completes, so a session always
-  /// terminates with bounded retries.
-  std::size_t max_retries = 4;
+// Retry / abandonment constants of fault-injected runs. Only the engine's
+// resilience machines read them; the fault-free path never times out,
+// retries or abandons, so they cannot perturb it.
 
-  /// An attempt whose completion (or failure) would land later than this is
-  /// aborted at the deadline — the timeout that turns outages and stuck
-  /// transfers into observable failures.
-  double attempt_deadline_s = 15.0;
+/// Aborted attempts allowed per segment before the rescue fetch. The rescue
+/// fetch (attempt kMaxRetries) drops to the lowest rung and keeps the
+/// connection open until the transfer completes, so a session always
+/// terminates with bounded retries.
+inline constexpr std::size_t kMaxRetries = 4;
 
-  // Exponential backoff between retries: wait
-  //   min(backoff_base_s * backoff_factor^attempt, backoff_max_s)
-  // scaled by a deterministic jitter in [1, 1 + backoff_jitter).
-  double backoff_base_s = 0.25;
-  double backoff_factor = 2.0;
-  double backoff_max_s = 4.0;
-  double backoff_jitter = 0.25;
+/// An attempt whose completion (or failure) would land later than this is
+/// aborted at the deadline — the timeout that turns outages and stuck
+/// transfers into observable failures.
+inline constexpr double kAttemptDeadlineS = 15.0;
 
-  /// Retries at or beyond this count request the lowest rung (graceful
-  /// degradation while the link is failing); earlier retries step one rung
-  /// down per attempt.
-  std::size_t degrade_after = 2;
+// Exponential backoff between retries: wait
+//   min(kBackoffBaseS * kBackoffFactor^attempt, kBackoffMaxS)
+// scaled by a deterministic jitter in [1, 1 + kBackoffJitter).
+inline constexpr double kBackoffBaseS = 0.25;
+inline constexpr double kBackoffFactor = 2.0;
+inline constexpr double kBackoffMaxS = 4.0;
+inline constexpr double kBackoffJitter = 0.25;
 
-  /// Mid-download abandonment: if (while playing) a healthy transfer is
-  /// projected to outlast `abandon_factor * buffer`, probe for
-  /// `abandon_probe_s`, abort, and re-request one rung lower. At most once
-  /// per segment.
-  bool abandon_enabled = true;
-  double abandon_factor = 2.0;
-  double abandon_probe_s = 1.0;
-  double abandon_min_buffer_s = 4.0;  ///< never abandon with this much buffer
+/// Retries at or beyond this count request the lowest rung (graceful
+/// degradation while the link is failing); earlier retries step one rung
+/// down per attempt.
+inline constexpr std::size_t kDegradeAfter = 2;
 
-  // --- Multi-source CDN delivery (consulted only on CdnLinkModel runs with
-  // more than one source or a non-trivial source; see segment_source.h) ----
+/// Mid-download abandonment: if (while playing) a healthy transfer is
+/// projected to outlast `kAbandonFactor * buffer`, probe for
+/// `kAbandonProbeS`, abort, and re-request one rung lower. At most once per
+/// segment.
+inline constexpr double kAbandonFactor = 2.0;
+inline constexpr double kAbandonProbeS = 1.0;
+/// Never abandon with this much buffer.
+inline constexpr double kAbandonMinBufferS = 4.0;
 
-  /// Hedged requests: when the primary source has neither completed nor
-  /// terminally failed by `hedge_fraction * attempt_deadline_s` into an
-  /// attempt, duplicate the fetch to the best backup source. The first
-  /// successful finisher wins; the loser's bytes are priced as wasted
-  /// download energy through the existing accounting.
-  bool hedge_enabled = true;
-  double hedge_fraction = 0.5;
-
-  /// Source scoring (EWMA throughput) and the per-source circuit breaker.
-  net::SourceSelectorConfig source_selector;
-};
+/// Hedged requests (multi-source CDN delivery, consulted only on CdnLinkModel
+/// runs with more than one source or a non-trivial source; see
+/// segment_source.h): when the primary source has neither completed nor
+/// terminally failed by `kHedgeFraction * kAttemptDeadlineS` into an
+/// attempt, duplicate the fetch to the best backup source.
+inline constexpr double kHedgeFraction = 0.5;
 
 /// Player buffer configuration (paper: B = 30 s threshold).
 struct PlayerConfig {
@@ -108,29 +102,22 @@ struct PlayerConfig {
   double startup_buffer_s = 4.0;     ///< playback begins once buffered
   std::size_t bandwidth_window = 20; ///< harmonic-mean estimator depth
   sensors::VibrationConfig vibration;  ///< vibration estimator settings
-  sensors::SensorHealthConfig sensor_health;  ///< sensor-fault runs only
-  ResilienceConfig resilience;       ///< fault-injected runs only
+  /// Hedged requests on multi-source CDN runs (see kHedgeFraction). The
+  /// first successful finisher wins; the loser's bytes are priced as wasted
+  /// download energy through the existing accounting.
+  bool hedge_enabled = true;
 };
 
 /// Deterministic backoff before retry `attempt` of `segment_index` (seconds).
 /// Exposed for the property tests: monotone non-decreasing in `attempt` up to
 /// the jittered cap, and a pure function of its arguments.
-double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
-                       std::size_t segment_index, std::size_t attempt);
+double retry_backoff_s(std::uint64_t fault_seed, std::size_t segment_index,
+                       std::size_t attempt);
 
 /// The single buffer rule, 0 < startup_s <= threshold_s < inf (NaN fails
 /// it); throws std::invalid_argument prefixed with `who` otherwise.
 void require_valid_buffer(const std::string& who, double threshold_s,
                           double startup_s);
-
-/// The resilience knobs' ranges: the deadline, backoff base, abandon factor
-/// and probe finite and > 0; the backoff factor finite and >= 1; the backoff
-/// cap finite and >= the base; the jitter, hedge fraction and abandon buffer
-/// finite and >= 0. Throws std::invalid_argument prefixed with `who` and
-/// naming the field otherwise (a negative backoff runs the clock backwards,
-/// a NaN deadline turns every timeout off).
-void require_valid_resilience(const std::string& who,
-                              const ResilienceConfig& config);
 
 /// The single buffer-drain / stall rule: plays `dt` seconds of wall time out
 /// of `buffer_s` and returns the stall incurred (0 before startup). Every
@@ -245,7 +232,7 @@ class PlayerSimulator {
 
   /// Replays the session against N CDN sources (manifest BaseURLs) with
   /// per-source server faults, circuit breakers, failover and hedged
-  /// requests (ResilienceConfig's CDN knobs). A single *trivial* source —
+  /// requests (PlayerConfig::hedge_enabled). A single *trivial* source —
   /// default CdnFaultSpec, capacity scale 1, RTT 0 — is a strict no-op:
   /// the result is bit-identical to the fault-free overload. Sources are
   /// unowned and must outlive the call; throws std::invalid_argument when

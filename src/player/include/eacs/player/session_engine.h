@@ -11,16 +11,18 @@
 //  * SoloLinkModel    — trace-driven dedicated link; every attempt completes
 //                       (the fault-free player semantics);
 //  * FaultLinkModel   — wraps net::FaultInjector; attempts can fail, stall or
-//                       time out, engaging ResilienceConfig's single-source
+//                       time out, engaging the single-source resilience
 //                       state machine, which runs on the injector itself
 //                       (deadlines, bounded retries, backoff, degradation,
-//                       abandonment, rescue fetch);
+//                       abandonment, rescue fetch; player.h's kMaxRetries,
+//                       kAttemptDeadlineS, ... constants);
 //  * CdnLinkModel     — multi-source CDN delivery: N SegmentSources with
 //                       per-source server faults; the engine's CDN machine
 //                       calls the sources directly and adds circuit
 //                       breakers, health-scored failover and hedged requests
-//                       (first successful finisher wins, the loser's bytes
-//                       are priced as wasted energy).
+//                       (PlayerConfig::hedge_enabled; first successful
+//                       finisher wins, the loser's bytes are priced as
+//                       wasted energy).
 //
 // The stepped run plays any number of clients over a CellularLinkModel: one
 // processor-shared bottleneck per base station, integrated on a fixed step
@@ -253,7 +255,7 @@ class FaultLinkModel final : public LinkModel {
 /// certified no-op the sim studies' baselines rely on. Otherwise the engine
 /// runs the CDN failover machine on the sources: per-source circuit
 /// breakers, health-scored source selection and hedged requests
-/// (ResilienceConfig's CDN knobs). Source 0 (the origin) provides the fault
+/// (PlayerConfig::hedge_enabled). Source 0 (the origin) provides the fault
 /// seed for backoff jitter and the outage schedule surfaced as
 /// kFaultTransition events.
 class CdnLinkModel final : public LinkModel {
@@ -349,8 +351,9 @@ struct SessionClient {
 /// consulted only for stepped links.
 struct SessionEngineConfig {
   PlayerConfig player;
-  double step_s = 0.05;           ///< stepped-link integration step
-  double max_session_s = 7200.0;  ///< stepped-link hard stop (defensive)
+  double step_s = 0.05;           ///< stepped-link integration step, finite
+  double max_session_s = 7200.0;  ///< stepped-link hard stop (defensive); +inf
+                                  ///< plays every client to its end
   /// Disables the devirtualized download path and the stateful trace
   /// cursors, forcing the original virtual-dispatch / binary-search-per-
   /// lookup code. Results are bit-identical either way — this switch exists
@@ -362,8 +365,10 @@ struct SessionEngineConfig {
 /// reused for any number of runs, links and observers.
 class SessionEngine {
  public:
-  /// Throws std::invalid_argument on non-positive buffer/step parameters or
-  /// startup buffer above the threshold (same contract as PlayerSimulator).
+  /// Throws std::invalid_argument on non-positive buffer parameters or a
+  /// startup buffer above the threshold (same contract as PlayerSimulator),
+  /// and, naming the field, unless step_s is finite and > 0 and
+  /// max_session_s is > 0 (NaN fails both).
   explicit SessionEngine(SessionEngineConfig config);
 
   const SessionEngineConfig& config() const noexcept { return config_; }

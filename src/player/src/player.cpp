@@ -34,55 +34,24 @@ void require_valid_buffer(const std::string& who, double threshold_s,
   }
 }
 
-void require_valid_resilience(const std::string& who,
-                              const ResilienceConfig& config) {
-  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
-  const auto at_least = [](double v, double floor) {
-    return std::isfinite(v) && v >= floor;
-  };
-  const std::pair<bool, const char*> rules[] = {
-      {positive(config.attempt_deadline_s),
-       "attempt_deadline_s must be finite and > 0"},
-      {positive(config.backoff_base_s), "backoff_base_s must be finite and > 0"},
-      {at_least(config.backoff_factor, 1.0),
-       "backoff_factor must be finite and >= 1"},
-      {at_least(config.backoff_max_s, config.backoff_base_s),
-       "backoff_max_s must be finite and >= backoff_base_s"},
-      {at_least(config.backoff_jitter, 0.0),
-       "backoff_jitter must be finite and >= 0"},
-      {positive(config.abandon_factor), "abandon_factor must be finite and > 0"},
-      {positive(config.abandon_probe_s),
-       "abandon_probe_s must be finite and > 0"},
-      {at_least(config.abandon_min_buffer_s, 0.0),
-       "abandon_min_buffer_s must be finite and >= 0"},
-      {at_least(config.hedge_fraction, 0.0),
-       "hedge_fraction must be finite and >= 0"},
-  };
-  for (const auto& [ok, rule] : rules) {
-    if (!ok) throw std::invalid_argument(who + ": resilience." + rule);
-  }
-}
-
 PlayerSimulator::PlayerSimulator(media::VideoManifest manifest, PlayerConfig config)
     : manifest_(std::move(manifest)), config_(config) {
   require_valid_buffer("PlayerSimulator", config_.buffer_threshold_s,
                        config_.startup_buffer_s);
-  require_valid_resilience("PlayerSimulator", config_.resilience);
   sensors::require_valid_vibration("PlayerSimulator", config_.vibration);
 }
 
-double retry_backoff_s(const ResilienceConfig& config, std::uint64_t fault_seed,
-                       std::size_t segment_index, std::size_t attempt) {
+double retry_backoff_s(std::uint64_t fault_seed, std::size_t segment_index,
+                       std::size_t attempt) {
   const double base = std::min(
-      config.backoff_base_s *
-          std::pow(config.backoff_factor, static_cast<double>(attempt)),
-      config.backoff_max_s);
+      kBackoffBaseS * std::pow(kBackoffFactor, static_cast<double>(attempt)),
+      kBackoffMaxS);
   // Deterministic jitter: a pure function of (seed, segment, attempt), so
-  // identical (config, seed) reproduce identical schedules bit-for-bit.
+  // an identical seed reproduces an identical schedule bit-for-bit.
   eacs::Rng rng(fault_seed ^
                 (0xB0FF'B0FFULL *
                  (static_cast<std::uint64_t>(segment_index) * 131 + attempt + 1)));
-  return base * (1.0 + config.backoff_jitter * rng.uniform());
+  return base * (1.0 + kBackoffJitter * rng.uniform());
 }
 
 namespace {

@@ -100,10 +100,8 @@ long long signed_index(std::size_t value) {
 class PerceivedContext {
  public:
   PerceivedContext(const sensors::SensorFaultInjector& faults,
-                   const PlayerConfig& config)
-      : faults_(&faults),
-        estimator_(config.vibration),
-        health_(config.sensor_health) {}
+                   const sensors::VibrationConfig& vibration)
+      : faults_(&faults), estimator_(vibration) {}
 
   /// Consumes every delivered sample/reading up to `t_s`.
   void advance_to(double t_s) {
@@ -194,7 +192,7 @@ struct SessionRuntime {
                  const PlayerConfig& config, bool reference_mode)
       : bandwidth(config.bandwidth_window), vibration(track) {
     if (client.sensor_faults != nullptr && client.sensor_faults->active()) {
-      perceived.emplace(*client.sensor_faults, config);
+      perceived.emplace(*client.sensor_faults, config.vibration);
     }
     if (!reference_mode) signal_cursor.emplace(client.context->signal_dbm);
   }
@@ -370,10 +368,12 @@ CellularLinkModel::CellularLinkModel(const trace::TimeSeries& capacity_mbps)
 SessionEngine::SessionEngine(SessionEngineConfig config) : config_(config) {
   require_valid_buffer("SessionEngine", config_.player.buffer_threshold_s,
                        config_.player.startup_buffer_s);
-  require_valid_resilience("SessionEngine", config_.player.resilience);
   sensors::require_valid_vibration("SessionEngine", config_.player.vibration);
-  if (!(config_.step_s > 0.0)) {
-    throw std::invalid_argument("SessionEngine: step must be > 0");
+  if (!(std::isfinite(config_.step_s) && config_.step_s > 0.0)) {
+    throw std::invalid_argument("SessionEngine: step_s must be finite and > 0");
+  }
+  if (!(config_.max_session_s > 0.0)) {
+    throw std::invalid_argument("SessionEngine: max_session_s must be > 0");
   }
 }
 
@@ -457,7 +457,6 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
 
   policy.reset();
   const PlayerConfig& config = config_.player;
-  const ResilienceConfig& res = config.resilience;
   const bool unreliable = link.unreliable();
   // Inner-loop fast paths. `fast` devirtualizes the reliable download: on a
   // certifiably trivial link every attempt() is a plain download() on that
@@ -509,7 +508,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
   std::vector<net::BreakerState> breaker_seen;
   std::size_t active_source = 0;
   if (cdn) {
-    selector.emplace(cdn_sources, res.source_selector);
+    selector.emplace(cdn_sources);
     breaker_seen.assign(cdn_sources.size(), net::BreakerState::kClosed);
   }
 
@@ -580,12 +579,12 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
 
     // --- The retry ladder both resilience machines walk -----------------
     // Sets `level` to this attempt's rung (the policy's choice first, then
-    // one rung down per retry, then the lowest rung from degrade_after on)
+    // one rung down per retry, then the lowest rung from kDegradeAfter on)
     // and returns the attempt's size in megabits.
     const auto step_down = [&] {
       if (attempt == 0) {
         level = requested;
-      } else if (attempt >= res.degrade_after) {
+      } else if (attempt >= kDegradeAfter) {
         level = lowest;
       } else {
         level = requested > attempt ? std::max(lowest, requested - attempt)
@@ -614,17 +613,17 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
     // The abandonment test: a healthy transfer that would outpace the
     // buffer drain (at most one abandonment per segment).
     const auto outpaces_buffer = [&](const net::DownloadResult& transfer) {
-      return res.abandon_enabled && !abandoned && playing && level > lowest &&
-             buffer < res.abandon_min_buffer_s &&
-             transfer.duration_s() > res.abandon_factor * buffer &&
-             now + res.abandon_probe_s < transfer.end_s;
+      return !abandoned && playing && level > lowest &&
+             buffer < kAbandonMinBufferS &&
+             transfer.duration_s() > kAbandonFactor * buffer &&
+             now + kAbandonProbeS < transfer.end_s;
     };
     // The abandon step: probe briefly over `carrier` (the fault injector or
     // the CDN source), give the attempt up and re-request one rung lower
     // with no backoff.
     const auto abandon = [&](const auto& carrier, double size_megabits,
                              std::size_t source) {
-      const double probe_end = now + res.abandon_probe_s;
+      const double probe_end = now + kAbandonProbeS;
       const double moved =
           std::min(size_megabits, carrier.megabits_over(now, probe_end));
       outages.advance_to(probe_end);
@@ -650,7 +649,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
     };
     // Backoff before the next attempt; playback keeps draining the buffer.
     const auto back_off = [&] {
-      const double wait = retry_backoff_s(res, backoff_seed, i, attempt);
+      const double wait = retry_backoff_s(backoff_seed, i, attempt);
       outages.advance_to(now + wait);
       drain(wait);
       now += wait;
@@ -705,7 +704,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
       for (;;) {
         const double size_megabits = step_down();
 
-        if (attempt >= res.max_retries) {
+        if (attempt >= kMaxRetries) {
           // Rescue fetch from the healthiest source: held open until it
           // completes; guarantees bounded retries and session termination.
           serving = sel.pick_primary(now);
@@ -730,8 +729,8 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
 
         const auto p =
             cdn_sources[primary].attempt(i, attempt, now, size_megabits);
-        const double deadline = now + res.attempt_deadline_s;
-        const double hedge_at = now + res.hedge_fraction * res.attempt_deadline_s;
+        const double deadline = now + kAttemptDeadlineS;
+        const double hedge_at = now + kHedgeFraction * kAttemptDeadlineS;
         const double p_success_at = p.failed ? kNever : p.result.end_s;
 
         // Hedge: the primary is neither done nor terminally failed by the
@@ -739,7 +738,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
         bool hedged = false;
         std::size_t backup = 0;
         net::SourceAttemptOutcome h;
-        if (res.hedge_enabled && cdn_sources.size() > 1 &&
+        if (config.hedge_enabled && cdn_sources.size() > 1 &&
             hedge_at < deadline && p_success_at > hedge_at &&
             !(p.failed && p.fail_at_s <= hedge_at)) {
           const auto pick = sel.pick_backup(hedge_at, primary);
@@ -854,7 +853,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
         emit_event(observer, SessionEventType::kRequestIssued, now, 0, i,
                    attempt, level, buffer, size_megabits);
 
-        if (attempt >= res.max_retries) {
+        if (attempt >= kMaxRetries) {
           // Rescue fetch: lowest-rung request held open until it completes
           // (no per-request faults; outages still slow it via the effective
           // trace). Guarantees bounded retries and session termination.
@@ -863,7 +862,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
         }
 
         const auto outcome = injector.attempt(i, attempt, now, size_megabits);
-        const double deadline = now + res.attempt_deadline_s;
+        const double deadline = now + kAttemptDeadlineS;
         const double resolves_at =
             outcome.failed ? outcome.fail_at_s : outcome.result.end_s;
         const bool timeout = resolves_at > deadline;
@@ -885,7 +884,7 @@ PlaybackResult SessionEngine::run(const SessionClient& client,
             !timeout          ? size_megabits * outcome.fail_fraction
             : outcome.stalled ? std::min(size_megabits,
                                          outcome.result.mean_throughput_mbps *
-                                             res.attempt_deadline_s)
+                                             kAttemptDeadlineS)
                               : std::min(size_megabits,
                                          injector.megabits_over(now, deadline));
         report_abort(injector, timeout, abort_at, moved, kNoIndex);

@@ -15,8 +15,8 @@
 // and a run that never consults it behaves bit-identically with or without
 // one attached.
 
+#include <array>
 #include <cstddef>
-#include <vector>
 
 #include "eacs/sensors/accel.h"
 
@@ -38,46 +38,43 @@ struct SignalSample {
   double dbm = -90.0;   ///< RSRP reading
 };
 
-/// Freshness/validity thresholds.
-struct SensorHealthConfig {
-  /// Accelerometer ages (seconds since the last *delivered* sample) at which
-  /// the stream grades kDegraded / kLost. At 50 Hz, 0.5 s is 25 missed
-  /// samples — far beyond jitter, clearly a dropout.
-  double accel_stale_after_s = 0.5;
-  double accel_lost_after_s = 5.0;
-
-  /// Signal-reading ages at which the stream grades kDegraded / kLost.
-  /// Telephony callbacks are sparse by nature, so the bars sit much higher.
-  double signal_stale_after_s = 10.0;
-  double signal_lost_after_s = 60.0;
-
-  /// Validity window: the fraction of non-finite samples over the last
-  /// `validity_window` deliveries feeds the grade (a fresh stream of NaNs is
-  /// just as lost as no stream at all).
-  std::size_t validity_window = 50;
-  /// Invalid fraction above which a fresh stream grades kDegraded.
-  double degraded_invalid_fraction = 0.25;
-  /// Invalid fraction above which a fresh stream grades kLost.
-  double lost_invalid_fraction = 0.9;
-};
-
 /// Streaming per-sensor health tracker.
 ///
 /// Feed every delivered sample (valid or not); query health/confidence at
-/// decision time. Deterministic, O(1) per sample, no allocation after
-/// construction.
+/// decision time. Deterministic, O(1) per sample, no allocation.
 class SensorHealthMonitor {
  public:
-  explicit SensorHealthMonitor(SensorHealthConfig config = {});
+  // Freshness/validity thresholds.
 
-  const SensorHealthConfig& config() const noexcept { return config_; }
+  /// Accelerometer ages (seconds since the last *delivered* sample) at which
+  /// the stream grades kDegraded / kLost. At 50 Hz, 0.5 s is 25 missed
+  /// samples — far beyond jitter, clearly a dropout.
+  static constexpr double kAccelStaleAfterS = 0.5;
+  static constexpr double kAccelLostAfterS = 5.0;
+
+  /// Signal-reading ages at which the stream grades kDegraded / kLost.
+  /// Telephony callbacks are sparse by nature, so the bars sit much higher.
+  static constexpr double kSignalStaleAfterS = 10.0;
+  static constexpr double kSignalLostAfterS = 60.0;
+
+  /// Validity window: the fraction of non-finite samples over the last
+  /// `kValidityWindow` deliveries feeds the grade (a fresh stream of NaNs is
+  /// just as lost as no stream at all).
+  static constexpr std::size_t kValidityWindow = 50;
+  /// Invalid fraction above which a fresh stream grades kDegraded.
+  static constexpr double kDegradedInvalidFraction = 0.25;
+  /// Invalid fraction at or above which a fresh stream grades kLost.
+  static constexpr double kLostInvalidFraction = 0.9;
 
   /// Observes one delivered accelerometer sample; non-finite components are
   /// counted as invalid (they still refresh the delivery clock — a sensor
   /// producing garbage is alive but untrustworthy).
   void observe_accel(const AccelSample& sample);
 
-  /// Observes one delivered signal-strength reading.
+  /// Observes one delivered signal-strength reading. A non-finite stamp or
+  /// value is undelivered and ignored. The newest-stamped reading owns the
+  /// value and the age: a reading stamped before it counts as delivered but
+  /// changes neither, and of equal stamps the later arrival wins.
   void observe_signal(double t_s, double dbm);
 
   /// Seconds since the last delivered accel sample; +inf before the first.
@@ -91,11 +88,11 @@ class SensorHealthMonitor {
   ContextHealth signal_health(double now_s) const noexcept;
 
   /// Confidence in the vibration estimate at `now_s`, in [0, 1]: the product
-  /// of a freshness factor (1 fresh, 0 at accel_lost_after_s) and the valid
+  /// of a freshness factor (1 fresh, 0 at kAccelLostAfterS) and the valid
   /// fraction of the recent window. 0 before any sample.
   double vibration_confidence(double now_s) const noexcept;
 
-  /// Last delivered signal reading (config default -90 dBm before any).
+  /// Newest-stamped delivered signal reading (-90 dBm before any).
   double last_signal_dbm() const noexcept { return last_signal_dbm_; }
 
   /// Fraction of non-finite samples over the trailing validity window
@@ -109,8 +106,6 @@ class SensorHealthMonitor {
   void reset();
 
  private:
-  SensorHealthConfig config_;
-
   std::size_t accel_samples_ = 0;
   std::size_t invalid_accel_ = 0;
   double last_accel_t_s_ = 0.0;
@@ -121,8 +116,8 @@ class SensorHealthMonitor {
   double last_signal_dbm_ = -90.0;
   bool signal_seen_ = false;
 
-  // Ring buffer of validity bits over the last `validity_window` samples.
-  std::vector<bool> validity_ring_;
+  // Ring buffer of validity bits over the last kValidityWindow samples.
+  std::array<bool, kValidityWindow> validity_ring_{};
   std::size_t ring_head_ = 0;
   std::size_t ring_fill_ = 0;
   std::size_t ring_invalid_ = 0;

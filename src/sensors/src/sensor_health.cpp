@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace eacs::sensors {
 
@@ -14,22 +13,6 @@ const char* to_string(ContextHealth health) noexcept {
     case ContextHealth::kLost: return "lost";
   }
   return "unknown";
-}
-
-SensorHealthMonitor::SensorHealthMonitor(SensorHealthConfig config)
-    : config_(config) {
-  if (config_.accel_stale_after_s <= 0.0 ||
-      config_.accel_lost_after_s <= config_.accel_stale_after_s ||
-      config_.signal_stale_after_s <= 0.0 ||
-      config_.signal_lost_after_s <= config_.signal_stale_after_s) {
-    throw std::invalid_argument(
-        "SensorHealthMonitor: staleness thresholds must be positive and "
-        "stale < lost");
-  }
-  if (config_.validity_window == 0) {
-    throw std::invalid_argument("SensorHealthMonitor: empty validity window");
-  }
-  validity_ring_.assign(config_.validity_window, true);
 }
 
 void SensorHealthMonitor::observe_accel(const AccelSample& sample) {
@@ -58,7 +41,8 @@ void SensorHealthMonitor::observe_accel(const AccelSample& sample) {
 void SensorHealthMonitor::observe_signal(double t_s, double dbm) {
   if (!std::isfinite(t_s) || !std::isfinite(dbm)) return;  // undelivered
   ++signal_readings_;
-  last_signal_t_s_ = signal_seen_ ? std::max(last_signal_t_s_, t_s) : t_s;
+  if (signal_seen_ && t_s < last_signal_t_s_) return;  // older than the newest
+  last_signal_t_s_ = t_s;
   last_signal_dbm_ = dbm;
   signal_seen_ = true;
 }
@@ -81,13 +65,11 @@ double SensorHealthMonitor::invalid_fraction() const noexcept {
 ContextHealth SensorHealthMonitor::accel_health(double now_s) const noexcept {
   const double age = accel_age_s(now_s);
   const double invalid = invalid_fraction();
-  if (age > config_.accel_lost_after_s ||
-      invalid >= config_.lost_invalid_fraction ||
+  if (age > kAccelLostAfterS || invalid >= kLostInvalidFraction ||
       (!accel_seen_ && !std::isfinite(age))) {
     return ContextHealth::kLost;
   }
-  if (age > config_.accel_stale_after_s ||
-      invalid > config_.degraded_invalid_fraction) {
+  if (age > kAccelStaleAfterS || invalid > kDegradedInvalidFraction) {
     return ContextHealth::kDegraded;
   }
   return ContextHealth::kHealthy;
@@ -95,8 +77,8 @@ ContextHealth SensorHealthMonitor::accel_health(double now_s) const noexcept {
 
 ContextHealth SensorHealthMonitor::signal_health(double now_s) const noexcept {
   const double age = signal_age_s(now_s);
-  if (age > config_.signal_lost_after_s) return ContextHealth::kLost;
-  if (age > config_.signal_stale_after_s) return ContextHealth::kDegraded;
+  if (age > kSignalLostAfterS) return ContextHealth::kLost;
+  if (age > kSignalStaleAfterS) return ContextHealth::kDegraded;
   return ContextHealth::kHealthy;
 }
 
@@ -104,27 +86,14 @@ double SensorHealthMonitor::vibration_confidence(double now_s) const noexcept {
   if (!accel_seen_) return 0.0;
   const double age = accel_age_s(now_s);
   double freshness = 1.0;
-  if (age > config_.accel_stale_after_s) {
-    freshness = 1.0 - (age - config_.accel_stale_after_s) /
-                          (config_.accel_lost_after_s - config_.accel_stale_after_s);
+  if (age > kAccelStaleAfterS) {
+    freshness = 1.0 - (age - kAccelStaleAfterS) /
+                          (kAccelLostAfterS - kAccelStaleAfterS);
     freshness = std::clamp(freshness, 0.0, 1.0);
   }
   return freshness * (1.0 - invalid_fraction());
 }
 
-void SensorHealthMonitor::reset() {
-  accel_samples_ = 0;
-  invalid_accel_ = 0;
-  accel_seen_ = false;
-  last_accel_t_s_ = 0.0;
-  signal_readings_ = 0;
-  signal_seen_ = false;
-  last_signal_t_s_ = 0.0;
-  last_signal_dbm_ = -90.0;
-  std::fill(validity_ring_.begin(), validity_ring_.end(), true);
-  ring_head_ = 0;
-  ring_fill_ = 0;
-  ring_invalid_ = 0;
-}
+void SensorHealthMonitor::reset() { *this = SensorHealthMonitor(); }
 
 }  // namespace eacs::sensors

@@ -51,7 +51,9 @@ struct CdnFaultStudyConfig {
   std::vector<double> intensities = {0.5, 1.0};
 
   /// Sources per cell: the origin plus (count - 1) clean but lower-capacity
-  /// edges. Include 1 to get the retry-only baseline the deltas refer to.
+  /// edges (edge k serves at max(0.4, 1 - 0.15 k) of the origin's capacity
+  /// with 0.03 k s of extra per-request latency — a farther, smaller cache).
+  /// Include 1 to get the retry-only baseline the deltas refer to.
   std::vector<std::size_t> source_counts = {1, 2, 3};
 
   // Origin fault knobs at intensity 1 -------------------------------------
@@ -64,14 +66,7 @@ struct CdnFaultStudyConfig {
   double slow_start_prob = 0.5;      ///< kSlowStart
   double slow_scale = 0.25;          ///< kSlowStart: residual throughput
 
-  // Edge-source shape: edge k (1-based) serves at capacity
-  // max(edge_scale_floor, 1 - k * edge_scale_step) with k * edge_rtt_step_s
-  // of extra per-request latency — a farther, smaller cache.
-  double edge_scale_step = 0.15;
-  double edge_scale_floor = 0.4;
-  double edge_rtt_step_s = 0.03;
-
-  /// Hedged requests on multi-source cells (ResilienceConfig::hedge_enabled).
+  /// Hedged requests on multi-source cells (PlayerConfig::hedge_enabled).
   bool hedge_enabled = true;
 
   std::uint64_t seed = 0xCD4F'A170'57D1ULL;

@@ -11,6 +11,13 @@
 namespace eacs::sim {
 namespace {
 
+// Edge-source shape: edge k (1-based) serves at capacity
+// max(kEdgeScaleFloor, 1 - k * kEdgeScaleStep) with k * kEdgeRttStepS of
+// extra per-request latency — a farther, smaller cache.
+constexpr double kEdgeScaleStep = 0.15;
+constexpr double kEdgeScaleFloor = 0.4;
+constexpr double kEdgeRttStepS = 0.03;
+
 /// Origin fault spec for one grid point: the family's knobs scaled linearly
 /// by intensity. Per-source draws are decorrelated by source id inside
 /// SegmentSource, so one seed per (grid point, session) suffices.
@@ -95,7 +102,7 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
       config.families.empty() ? all_cdn_fault_families() : config.families;
 
   player::PlayerConfig player_config = config.evaluation.player;
-  player_config.resilience.hedge_enabled = config.hedge_enabled;
+  player_config.hedge_enabled = config.hedge_enabled;
   const StudySessions fixture(config.evaluation, player_config);
   const std::size_t n_sessions = fixture.size();
 
@@ -144,10 +151,9 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
         net::CdnSourceConfig edge;
         edge.name = "edge-" + std::to_string(k);
         edge.id = k;
-        edge.throughput_scale =
-            std::max(config.edge_scale_floor,
-                     1.0 - static_cast<double>(k) * config.edge_scale_step);
-        edge.base_rtt_s = static_cast<double>(k) * config.edge_rtt_step_s;
+        edge.throughput_scale = std::max(
+            kEdgeScaleFloor, 1.0 - static_cast<double>(k) * kEdgeScaleStep);
+        edge.base_rtt_s = static_cast<double>(k) * kEdgeRttStepS;
         sources.emplace_back(session.throughput_mbps, edge, &session.signal_dbm);
       }
       playback = fixture.simulators[s].run(

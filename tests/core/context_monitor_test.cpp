@@ -100,6 +100,44 @@ TEST(ContextMonitorTest, NonFiniteSignalReadingsAreIgnored) {
   EXPECT_TRUE(std::isfinite(snap.signal_dbm));
 }
 
+TEST(ContextMonitorTest, UndeliveredSignalReadingKeepsTheLastValue) {
+  // A NaN-stamped reading is undelivered: the snapshot keeps the last
+  // delivered value together with its age.
+  ContextMonitor monitor;
+  monitor.observe_signal(0.0, -70.0);
+  monitor.observe_signal(std::numeric_limits<double>::quiet_NaN(), -120.0);
+  const auto snap = monitor.snapshot(1.0);
+  EXPECT_DOUBLE_EQ(snap.signal_dbm, -70.0);
+  EXPECT_DOUBLE_EQ(snap.signal_age_s, 1.0);
+  EXPECT_EQ(snap.signal_health, ContextHealth::kHealthy);
+}
+
+TEST(ContextMonitorTest, OlderSignalReadingDoesNotReplaceTheNewest) {
+  // Value and age come from one reading: the newest-stamped one.
+  ContextMonitor monitor;
+  monitor.observe_signal(10.0, -70.0);
+  monitor.observe_signal(5.0, -120.0);
+  const auto snap = monitor.snapshot(10.0);
+  EXPECT_DOUBLE_EQ(snap.signal_dbm, -70.0);
+  EXPECT_DOUBLE_EQ(snap.signal_age_s, 0.0);
+}
+
+TEST(ContextMonitorTest, VibratingFromTwoMetresPerSecondSquared) {
+  // A 5 Hz shake whose level reads between 2.0 and 2.5 m/s^2 counts as a
+  // vibrating environment.
+  ContextMonitor monitor;
+  constexpr double kPi = 3.14159265358979323846;
+  const double amplitude = 2.25 * std::sqrt(2.0);
+  for (double t = 0.0; t < 10.0; t += 0.02) {
+    const double shake = amplitude * std::sin(2.0 * kPi * 5.0 * t);
+    monitor.update_accel({t, 0.0, 0.0, sensors::kGravity + shake});
+  }
+  const auto snap = monitor.snapshot();
+  ASSERT_GT(snap.vibration, 2.0);
+  ASSERT_LT(snap.vibration, 2.5);
+  EXPECT_TRUE(snap.vibrating_environment);
+}
+
 TEST(ContextMonitorTest, SnapshotDefaultsToTheInternalClock) {
   ContextMonitor monitor;
   feed_quiet(monitor, 0.0, 3.0);

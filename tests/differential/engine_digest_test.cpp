@@ -178,7 +178,7 @@ TEST(EngineDigestTest, PlayerFaultyCdnWithHedging) {
     sources.emplace_back(session.throughput_mbps, config, &session.signal_dbm);
   }
   PlayerConfig config;
-  config.resilience.hedge_enabled = true;
+  config.hedge_enabled = true;
   const PlayerSimulator simulator(manifest, config);
   abr::FixedBitrate policy(11, "fixed11");
   SessionTimeline timeline;
@@ -187,6 +187,8 @@ TEST(EngineDigestTest, PlayerFaultyCdnWithHedging) {
   EXPECT_GT(result.total_hedges, 0U);
   EXPECT_GT(result.total_retries, 0U);
   EXPECT_GT(result.abandoned_segments, 0U);
+  EXPECT_GT(result.breaker_transitions, 0U);
+  EXPECT_GT(result.total_failovers, 0U);
   expect_digest(dump({result}, timeline), 0x21ec77923ca3a02bULL);
 }
 

@@ -186,12 +186,12 @@ TEST(CdnFailoverTest, HedgedRaceEmitsPairedEvents) {
 TEST(CdnFailoverTest, DisablingHedgesSuppressesThemEntirely) {
   const auto session = make_session(120.0, 8.0);
   PlayerConfig config;
-  config.resilience.hedge_enabled = false;
+  config.hedge_enabled = false;
   const PlayerSimulator simulator(make_manifest(120.0, 2.0), config);
 
   // Without hedge-loser feedback the breaker only sees deadline aborts, one
-  // per attempt_deadline_s — the outage must outlast four of them to trip
-  // the breaker's min_samples and force a retry-only failover.
+  // per kAttemptDeadlineS — the outage must outlast four of them to trip
+  // the breaker's kMinSamples and force a retry-only failover.
   net::CdnFaultSpec long_outage;
   long_outage.outages = {{20.0, 110.0}};
   const auto sources = make_sources(session, 2, long_outage);
@@ -272,7 +272,7 @@ TEST(CdnFailoverTest, InvariantsHoldAcrossFaultHedgeMatrix) {
         SCOPED_TRACE(::testing::Message()
                      << name << " hedge=" << hedge << " sources=" << count);
         PlayerConfig config;
-        config.resilience.hedge_enabled = hedge;
+        config.hedge_enabled = hedge;
         const PlayerSimulator simulator(make_manifest(90.0, 2.0), config);
         const auto sources = make_sources(session, count, spec);
 

@@ -105,7 +105,7 @@ TEST(ResilienceTest, PerRequestFailuresRetryWithWasteAccounting) {
   EXPECT_GT(result.total_backoff_s, 0.0);
   EXPECT_FALSE(policy.failures.empty());
   for (const auto& task : result.tasks) {
-    EXPECT_LE(task.retries, simulator.config().resilience.max_retries);
+    EXPECT_LE(task.retries, kMaxRetries);
     if (task.retries > 0) {
       EXPECT_GT(task.backoff_s, 0.0);
     }
@@ -127,18 +127,44 @@ TEST(ResilienceTest, StalledTransfersAbortAtTheDeadline) {
 
   ProbePolicy policy(3);
   const auto result = simulator.run(policy, session, faults);
-  const auto& res = simulator.config().resilience;
 
   ASSERT_EQ(result.tasks.size(), manifest.num_segments());
   for (const auto& task : result.tasks) {
     // Every pre-rescue attempt stalls and is cut at the deadline; the rescue
-    // fetch (attempt == max_retries) bypasses per-request faults.
-    EXPECT_EQ(task.retries, res.max_retries);
+    // fetch (attempt == kMaxRetries) bypasses per-request faults.
+    EXPECT_EQ(task.retries, kMaxRetries);
     EXPECT_GE(task.wasted_download_s,
-              static_cast<double>(res.max_retries) * res.attempt_deadline_s - 1e-6);
+              static_cast<double>(kMaxRetries) * kAttemptDeadlineS - 1e-6);
   }
-  EXPECT_EQ(policy.failures.size(),
-            manifest.num_segments() * res.max_retries);
+  EXPECT_EQ(policy.failures.size(), manifest.num_segments() * kMaxRetries);
+}
+
+TEST(ResilienceTest, NoAbandonmentWithFourSecondsOfBuffer) {
+  // Every 2 s segment at rung 6 (1 Mbps) takes 10 s on a 0.2 Mbps link, and
+  // an outage long after the last download keeps the link unreliable
+  // without touching a transfer. Playback starts with 4 s buffered, so
+  // segment 2 is requested at 4 s of buffer with a transfer that outlasts
+  // twice that: at the 4 s floor it is not abandoned. Segment 3, requested
+  // at 2 s, is.
+  const auto manifest = make_manifest(12.0, 2.0);
+  const PlayerSimulator simulator(manifest);
+  const auto session = make_session(12.0, 0.2);
+  net::FaultSpec spec;
+  spec.outages = {{150.0, 151.0}};
+  const net::FaultInjector faults(session.throughput_mbps, spec);
+
+  ProbePolicy policy(6);
+  const auto result = simulator.run(policy, session, faults);
+  ASSERT_EQ(result.tasks.size(), manifest.num_segments());
+  const TaskRecord& at_floor = result.tasks[2];
+  EXPECT_GE(at_floor.buffer_before_s, 4.0);
+  EXPECT_LT(at_floor.buffer_before_s, 5.0);
+  EXPECT_GT(at_floor.download_end_s - at_floor.download_start_s,
+            2.0 * at_floor.buffer_before_s);
+  EXPECT_FALSE(at_floor.abandoned);
+  EXPECT_EQ(at_floor.retries, 0U);
+  EXPECT_LT(result.tasks[3].buffer_before_s, 4.0);
+  EXPECT_TRUE(result.tasks[3].abandoned);
 }
 
 TEST(ResilienceTest, OutageDegradesToLowestAndRecovers) {

@@ -70,14 +70,37 @@ TEST(SessionEngineTest, ConfigValidation) {
   bad.player.startup_buffer_s = bad.player.buffer_threshold_s + 1.0;
   EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
   bad = SessionEngineConfig{};
-  bad.step_s = 0.0;
-  EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
-  bad = SessionEngineConfig{};
   bad.player.buffer_threshold_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  // The stepped run's step and hard stop are checked by name. With a NaN
+  // stop the cellular path played every segment while the one-cell
+  // reference loop played none; a negative stop played nothing, and an
+  // infinite step ended the first segment at t = inf.
+  const auto rejects = [](SessionEngineConfig config, const char* field) {
+    try {
+      const SessionEngine engine{config};
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double stop : {nan, -1.0, 0.0, -inf}) {
+    bad = SessionEngineConfig{};
+    bad.max_session_s = stop;
+    rejects(bad, "max_session_s");
+  }
+  for (const double step : {inf, nan, 0.0}) {
+    bad = SessionEngineConfig{};
+    bad.step_s = step;
+    rejects(bad, "step_s");
+  }
+  // An unbounded stop stays allowed: both one-cell paths play to the end.
   bad = SessionEngineConfig{};
-  bad.step_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(SessionEngine{bad}, std::invalid_argument);
+  bad.max_session_s = inf;
+  EXPECT_NO_THROW(SessionEngine{bad});
   // The vibration estimator's config is checked up front, not at the first
   // run that builds an estimator.
   bad = SessionEngineConfig{};
@@ -86,50 +109,6 @@ TEST(SessionEngineTest, ConfigValidation) {
   EXPECT_THROW(PlayerSimulator(make_manifest(20.0, 2.0), bad.player),
                std::invalid_argument);
   EXPECT_NO_THROW(SessionEngine{SessionEngineConfig{}});
-}
-
-TEST(SessionEngineTest, RejectsMalformedResilienceConfig) {
-  // A negative backoff base or jitter used to run the session clock
-  // backwards, and a NaN deadline turned every timeout off. Both
-  // constructors now reject each bad field by name.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  struct Bad {
-    double ResilienceConfig::*field;
-    double value;
-    const char* name;
-  };
-  const Bad cases[] = {
-      {&ResilienceConfig::attempt_deadline_s, nan, "attempt_deadline_s"},
-      {&ResilienceConfig::attempt_deadline_s, 0.0, "attempt_deadline_s"},
-      {&ResilienceConfig::backoff_base_s, -1.0, "backoff_base_s"},
-      {&ResilienceConfig::backoff_factor, 0.5, "backoff_factor"},
-      {&ResilienceConfig::backoff_max_s, 0.1, "backoff_max_s"},  // < base
-      {&ResilienceConfig::backoff_max_s, inf, "backoff_max_s"},
-      {&ResilienceConfig::backoff_jitter, -5.0, "backoff_jitter"},
-      {&ResilienceConfig::abandon_factor, 0.0, "abandon_factor"},
-      {&ResilienceConfig::abandon_probe_s, nan, "abandon_probe_s"},
-      {&ResilienceConfig::abandon_min_buffer_s, -1.0, "abandon_min_buffer_s"},
-      {&ResilienceConfig::hedge_fraction, inf, "hedge_fraction"},
-  };
-  for (const Bad& bad : cases) {
-    SessionEngineConfig config;
-    config.player.resilience.*bad.field = bad.value;
-    try {
-      const SessionEngine engine{config};
-      ADD_FAILURE() << bad.name << " = " << bad.value << " was accepted";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find(bad.name), std::string::npos)
-          << error.what();
-    }
-    EXPECT_THROW(PlayerSimulator(make_manifest(20.0, 2.0), config.player),
-                 std::invalid_argument)
-        << bad.name;
-  }
-  // The defaults and the zero jitter the property tests use stay valid.
-  SessionEngineConfig config;
-  config.player.resilience.backoff_jitter = 0.0;
-  EXPECT_NO_THROW(SessionEngine{config});
 }
 
 template <typename Clients, typename Link>
@@ -343,8 +322,7 @@ TEST(SessionEngineTest, FaultRunEmitsDeadlineAndTransitionEvents) {
   EXPECT_DOUBLE_EQ(enter, 20.0);
   EXPECT_DOUBLE_EQ(leave, 40.0);
 
-  // Every deadline event lands exactly attempt_deadline_s after its request.
-  const double deadline_s = simulator.config().resilience.attempt_deadline_s;
+  // Every deadline event lands exactly kAttemptDeadlineS after its request.
   const auto& events = timeline.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (events[i].type != SessionEventType::kAttemptDeadline) continue;
@@ -358,7 +336,7 @@ TEST(SessionEngineTest, FaultRunEmitsDeadlineAndTransitionEvents) {
       }
     }
     ASSERT_GE(request_t, 0.0);
-    EXPECT_NEAR(events[i].t_s - request_t, deadline_s, 1e-9);
+    EXPECT_NEAR(events[i].t_s - request_t, kAttemptDeadlineS, 1e-9);
   }
 }
 

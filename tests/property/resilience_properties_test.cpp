@@ -77,69 +77,67 @@ TEST_P(ResilienceProperties, RetriesAreBoundedByMaxRetries) {
   abr::FixedBitrate policy(9, "Fixed9");
   const auto result = simulator.run(policy, session, faults);
 
-  const auto& res = simulator.config().resilience;
   ASSERT_EQ(result.tasks.size(), simulator.manifest().num_segments());
   std::size_t sum = 0;
   for (const auto& task : result.tasks) {
-    EXPECT_LE(task.retries, res.max_retries);
+    EXPECT_LE(task.retries, kMaxRetries);
     sum += task.retries;
   }
   EXPECT_EQ(sum, result.total_retries);
 }
 
 TEST_P(ResilienceProperties, BackoffIsMonotoneAndBounded) {
-  ResilienceConfig config;
-  config.backoff_jitter = 0.0;
-  // Without jitter the schedule is exactly min(base * factor^a, max),
-  // non-decreasing in the attempt number.
+  // Every wait stays within [base, base * (1 + jitter)] of its attempt's
+  // deterministic base min(kBackoffBaseS * kBackoffFactor^a, kBackoffMaxS),
+  // and is itself deterministic in the seed. While the base still grows,
+  // the factor outgrows the jitter, so the waits rise with the attempt.
+  double prev_base = 0.0;
   double prev = 0.0;
   for (std::size_t attempt = 0; attempt < 10; ++attempt) {
-    const double wait = retry_backoff_s(config, GetParam(), 3, attempt);
-    EXPECT_GE(wait, prev);
-    EXPECT_NEAR(wait,
-                std::min(config.backoff_base_s *
-                             std::pow(config.backoff_factor,
-                                      static_cast<double>(attempt)),
-                         config.backoff_max_s),
-                1e-12);
+    const double base = std::min(
+        kBackoffBaseS * std::pow(kBackoffFactor, static_cast<double>(attempt)),
+        kBackoffMaxS);
+    const double wait = retry_backoff_s(GetParam(), 3, attempt);
+    EXPECT_GE(wait, base);
+    EXPECT_LE(wait, base * (1.0 + kBackoffJitter));
+    EXPECT_EQ(wait, retry_backoff_s(GetParam(), 3, attempt));
+    if (base > prev_base) {
+      EXPECT_GT(wait, prev) << "attempt " << attempt;
+    }
+    prev_base = base;
     prev = wait;
   }
+}
 
-  // With jitter every wait stays within [base, base * (1 + jitter)] of its
-  // attempt's deterministic base, and is itself deterministic in the seed.
-  config.backoff_jitter = 0.25;
-  for (std::size_t attempt = 0; attempt < 10; ++attempt) {
-    const double base = std::min(
-        config.backoff_base_s *
-            std::pow(config.backoff_factor, static_cast<double>(attempt)),
-        config.backoff_max_s);
-    const double wait = retry_backoff_s(config, GetParam(), 3, attempt);
-    EXPECT_GE(wait, base);
-    EXPECT_LE(wait, base * (1.0 + config.backoff_jitter));
-    EXPECT_EQ(wait, retry_backoff_s(config, GetParam(), 3, attempt));
+TEST_P(ResilienceProperties, BackoffPastTheCapIsFourToFiveSeconds) {
+  // The engine backs off only before attempts 0-3 (bases 0.25-2 s), so the
+  // 4 s cap binds only here: far past it the wait is the capped base times
+  // a jitter below 1.25.
+  for (const std::size_t segment : {0UL, 3UL, 11UL}) {
+    const double wait = retry_backoff_s(GetParam(), segment, 10);
+    EXPECT_GE(wait, 4.0);
+    EXPECT_LT(wait, 5.0);
   }
 }
 
 TEST_P(ResilienceProperties, BackoffIsAPureFunctionOfSeedSegmentAttempt) {
-  // The schedule must depend on nothing but (config, seed, segment, attempt):
-  // no hidden state, no call-order sensitivity. Build a reference table, then
-  // re-query in reverse order, interleaved with decoy lookups, through a
-  // copied config — every value bit-identical.
-  const ResilienceConfig config;
+  // The schedule must depend on nothing but (seed, segment, attempt): no
+  // hidden state, no call-order sensitivity. Build a reference table, then
+  // re-query in reverse order, interleaved with decoy lookups — every value
+  // bit-identical.
   const std::uint64_t seed = GetParam();
   constexpr std::size_t kSegments = 7;
   constexpr std::size_t kAttempts = 6;
   double reference[kSegments][kAttempts];
   for (std::size_t s = 0; s < kSegments; ++s) {
     for (std::size_t a = 0; a < kAttempts; ++a) {
-      reference[s][a] = retry_backoff_s(config, seed, s, a);
+      reference[s][a] = retry_backoff_s(seed, s, a);
     }
   }
-  const ResilienceConfig copy = config;
   for (std::size_t s = kSegments; s-- > 0;) {
     for (std::size_t a = kAttempts; a-- > 0;) {
-      (void)retry_backoff_s(copy, seed ^ 0xDEC0'11DEULL, a, s);  // decoy
-      EXPECT_EQ(retry_backoff_s(copy, seed, s, a), reference[s][a]);
+      (void)retry_backoff_s(seed ^ 0xDEC0'11DEULL, a, s);  // decoy
+      EXPECT_EQ(retry_backoff_s(seed, s, a), reference[s][a]);
     }
   }
   // The jitter really keys on its inputs: a different seed or segment index
@@ -147,10 +145,10 @@ TEST_P(ResilienceProperties, BackoffIsAPureFunctionOfSeedSegmentAttempt) {
   bool seed_matters = false;
   bool segment_matters = false;
   for (std::size_t a = 0; a < kAttempts; ++a) {
-    if (retry_backoff_s(config, seed ^ 1, 0, a) != reference[0][a]) {
+    if (retry_backoff_s(seed ^ 1, 0, a) != reference[0][a]) {
       seed_matters = true;
     }
-    if (retry_backoff_s(config, seed, kSegments, a) != reference[0][a]) {
+    if (retry_backoff_s(seed, kSegments, a) != reference[0][a]) {
       segment_matters = true;
     }
   }
@@ -162,13 +160,12 @@ TEST_P(ResilienceProperties, BackoffScheduleIdenticalAcrossThreadCounts) {
   // Concurrent evaluation is how the parallel sweeps consume the schedule:
   // whatever the thread count or interleaving, every (segment, attempt)
   // lookup lands on the serial value bit-for-bit.
-  const ResilienceConfig config;
   const std::uint64_t seed = GetParam() ^ 0x7EA2'F00DULL;
   constexpr std::size_t kSegments = 32;
   constexpr std::size_t kAttempts = 5;
   std::vector<double> serial(kSegments * kAttempts);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    serial[i] = retry_backoff_s(config, seed, i / kAttempts, i % kAttempts);
+    serial[i] = retry_backoff_s(seed, i / kAttempts, i % kAttempts);
   }
   for (const std::size_t jobs : {2U, 8U}) {
     std::vector<double> parallel(serial.size());
@@ -176,7 +173,7 @@ TEST_P(ResilienceProperties, BackoffScheduleIdenticalAcrossThreadCounts) {
     for (std::size_t w = 0; w < jobs; ++w) {
       workers.emplace_back([&, w] {
         for (std::size_t i = w; i < parallel.size(); i += jobs) {
-          parallel[i] = retry_backoff_s(config, seed, i / kAttempts, i % kAttempts);
+          parallel[i] = retry_backoff_s(seed, i / kAttempts, i % kAttempts);
         }
       });
     }
@@ -189,12 +186,10 @@ TEST_P(ResilienceProperties, BackoffScheduleIdenticalAcrossThreadCounts) {
 
 TEST_P(ResilienceProperties, BackoffNeverExceedsTheJitteredCap) {
   // The cap holds for any attempt index, including ones far beyond
-  // max_retries where factor^attempt is astronomically large.
-  ResilienceConfig config;
-  config.backoff_jitter = 0.25;
-  const double cap = config.backoff_max_s * (1.0 + config.backoff_jitter);
+  // kMaxRetries where factor^attempt is astronomically large.
+  const double cap = kBackoffMaxS * (1.0 + kBackoffJitter);
   for (const std::size_t attempt : {0UL, 1UL, 5UL, 17UL, 60UL, 200UL}) {
-    const double wait = retry_backoff_s(config, GetParam(), 11, attempt);
+    const double wait = retry_backoff_s(GetParam(), 11, attempt);
     EXPECT_TRUE(std::isfinite(wait));
     EXPECT_GT(wait, 0.0);
     EXPECT_LE(wait, cap);
@@ -215,23 +210,22 @@ TEST_P(ResilienceProperties, TotalOutageStillTerminatesWithFiniteAccounting) {
   abr::FixedBitrate policy(4, "Fixed4");
   const auto result = simulator.run(policy, session, faults);
 
-  const auto& res = simulator.config().resilience;
   ASSERT_EQ(result.tasks.size(), simulator.manifest().num_segments());
   // The first segment starts inside the dead window: it must burn all its
   // retries and fall back to the lowest-rung rescue fetch. (The rescue drags
   // the wall clock to the window's far edge, so later segments may see a
   // healthy link again — the property is termination, not uniform misery.)
-  EXPECT_EQ(result.tasks.front().retries, res.max_retries);
+  EXPECT_EQ(result.tasks.front().retries, kMaxRetries);
   EXPECT_EQ(result.tasks.front().level,
             simulator.manifest().ladder().lowest_level());
   for (const auto& task : result.tasks) {
-    EXPECT_LE(task.retries, res.max_retries);
+    EXPECT_LE(task.retries, kMaxRetries);
   }
   EXPECT_TRUE(std::isfinite(result.session_end_s));
   EXPECT_TRUE(std::isfinite(result.total_rebuffer_s));
   EXPECT_GE(result.total_rebuffer_s, 0.0);
   EXPECT_TRUE(std::isfinite(result.total_backoff_s));
-  EXPECT_GE(result.total_retries, res.max_retries);
+  EXPECT_GE(result.total_retries, kMaxRetries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ResilienceProperties,

@@ -339,15 +339,24 @@ TEST(SensorHealthMonitorTest, NoDataGradesLost) {
 TEST(SensorHealthMonitorTest, StaleAccelDegradesThenLoses) {
   SensorHealthMonitor monitor;
   monitor.observe_accel({0.0, 0.0, 0.0, kGravity});
-  const auto& config = monitor.config();
-  EXPECT_EQ(monitor.accel_health(config.accel_stale_after_s / 2.0),
+  using M = SensorHealthMonitor;
+  EXPECT_EQ(monitor.accel_health(M::kAccelStaleAfterS / 2.0),
             ContextHealth::kHealthy);
-  EXPECT_EQ(monitor.accel_health(config.accel_stale_after_s + 0.1),
+  EXPECT_EQ(monitor.accel_health(M::kAccelStaleAfterS + 0.1),
             ContextHealth::kDegraded);
-  EXPECT_EQ(monitor.accel_health(config.accel_lost_after_s + 0.1),
+  EXPECT_EQ(monitor.accel_health(M::kAccelLostAfterS + 0.1),
             ContextHealth::kLost);
-  EXPECT_DOUBLE_EQ(monitor.vibration_confidence(config.accel_lost_after_s + 1.0),
+  EXPECT_DOUBLE_EQ(monitor.vibration_confidence(M::kAccelLostAfterS + 1.0),
                    0.0);
+}
+
+TEST(SensorHealthMonitorTest, AccelAgesGradeAtTheirPinnedBars) {
+  SensorHealthMonitor monitor;
+  monitor.observe_accel({0.0, 0.0, 0.0, kGravity});
+  EXPECT_EQ(monitor.accel_health(0.5), ContextHealth::kHealthy);
+  EXPECT_EQ(monitor.accel_health(0.501), ContextHealth::kDegraded);
+  EXPECT_EQ(monitor.accel_health(5.0), ContextHealth::kDegraded);
+  EXPECT_EQ(monitor.accel_health(5.001), ContextHealth::kLost);
 }
 
 TEST(SensorHealthMonitorTest, FreshGarbageIsAsLostAsNoStream) {
@@ -381,14 +390,60 @@ TEST(SensorHealthMonitorTest, PartialGarbageGradesDegraded) {
 TEST(SensorHealthMonitorTest, SignalAgesOnItsOwnThresholds) {
   SensorHealthMonitor monitor;
   monitor.observe_signal(0.0, -75.0);
-  const auto& config = monitor.config();
-  EXPECT_EQ(monitor.signal_health(config.signal_stale_after_s / 2.0),
+  using M = SensorHealthMonitor;
+  EXPECT_EQ(monitor.signal_health(M::kSignalStaleAfterS / 2.0),
             ContextHealth::kHealthy);
-  EXPECT_EQ(monitor.signal_health(config.signal_stale_after_s + 1.0),
+  EXPECT_EQ(monitor.signal_health(M::kSignalStaleAfterS + 1.0),
             ContextHealth::kDegraded);
-  EXPECT_EQ(monitor.signal_health(config.signal_lost_after_s + 1.0),
+  EXPECT_EQ(monitor.signal_health(M::kSignalLostAfterS + 1.0),
             ContextHealth::kLost);
   EXPECT_DOUBLE_EQ(monitor.signal_age_s(5.0), 5.0);
+}
+
+TEST(SensorHealthMonitorTest, SignalAgesGradeAtTheirPinnedBars) {
+  SensorHealthMonitor monitor;
+  monitor.observe_signal(0.0, -75.0);
+  EXPECT_EQ(monitor.signal_health(10.0), ContextHealth::kHealthy);
+  EXPECT_EQ(monitor.signal_health(10.001), ContextHealth::kDegraded);
+  EXPECT_EQ(monitor.signal_health(60.0), ContextHealth::kDegraded);
+  EXPECT_EQ(monitor.signal_health(60.001), ContextHealth::kLost);
+}
+
+TEST(SensorHealthMonitorTest, InvalidFractionsGradeAtTheirPinnedBars) {
+  // 50 fresh samples (the validity window), the valid ones first: `invalid`
+  // of them carry a NaN component.
+  const auto grade = [](std::size_t invalid) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    SensorHealthMonitor monitor;
+    for (std::size_t i = 0; i < 50; ++i) {
+      const double t = 0.02 * static_cast<double>(i);
+      monitor.observe_accel({t, i < 50 - invalid ? 0.0 : nan, 0.0, kGravity});
+    }
+    return monitor.accel_health(1.0);
+  };
+  EXPECT_EQ(grade(12), ContextHealth::kHealthy);   // 0.24
+  EXPECT_EQ(grade(13), ContextHealth::kDegraded);  // 0.26
+  EXPECT_EQ(grade(44), ContextHealth::kDegraded);  // 0.88
+  EXPECT_EQ(grade(45), ContextHealth::kLost);      // 0.90
+}
+
+TEST(SensorHealthMonitorTest, NewestStampedReadingOwnsValueAndAge) {
+  // A reading stamped before the newest one is delivered but changes
+  // neither the value nor the age.
+  SensorHealthMonitor monitor;
+  monitor.observe_signal(10.0, -70.0);
+  monitor.observe_signal(5.0, -120.0);
+  EXPECT_EQ(monitor.signal_readings(), 2U);
+  EXPECT_DOUBLE_EQ(monitor.last_signal_dbm(), -70.0);
+  EXPECT_DOUBLE_EQ(monitor.signal_age_s(10.0), 0.0);
+  EXPECT_DOUBLE_EQ(monitor.signal_age_s(12.0), 2.0);
+  // Of equal stamps the later arrival wins, so a sorted stream reads as
+  // before; a newer stamp takes over.
+  monitor.observe_signal(10.0, -80.0);
+  EXPECT_DOUBLE_EQ(monitor.last_signal_dbm(), -80.0);
+  monitor.observe_signal(11.0, -85.0);
+  EXPECT_DOUBLE_EQ(monitor.last_signal_dbm(), -85.0);
+  EXPECT_DOUBLE_EQ(monitor.signal_age_s(12.0), 1.0);
 }
 
 TEST(SensorHealthMonitorTest, ResetClears) {

@@ -81,7 +81,7 @@ TEST(StudySessionsTest, BuildsTheTableVFixtureOnThePlayerItIsGiven) {
   EvaluationConfig evaluation;
   evaluation.session_options.margin_s = 60.0;
   player::PlayerConfig player = evaluation.player;
-  player.resilience.hedge_enabled = !player.resilience.hedge_enabled;
+  player.hedge_enabled = !player.hedge_enabled;
 
   const StudySessions fixture(evaluation, player);
   ASSERT_EQ(fixture.size(), 5U);
@@ -92,8 +92,8 @@ TEST(StudySessionsTest, BuildsTheTableVFixtureOnThePlayerItIsGiven) {
     const auto expected = reference.manifest_for(fixture.sessions[s].spec);
     EXPECT_EQ(fixture.manifests[s].video_id(), expected.video_id());
     EXPECT_EQ(fixture.manifests[s].num_segments(), expected.num_segments());
-    EXPECT_EQ(fixture.simulators[s].config().resilience.hedge_enabled,
-              player.resilience.hedge_enabled);
+    EXPECT_EQ(fixture.simulators[s].config().hedge_enabled,
+              player.hedge_enabled);
   }
   EXPECT_EQ(fixture.objective.config().alpha, evaluation.alpha);
 }
