@@ -26,8 +26,7 @@ void print_reproduction() {
   bench::banner("Ablation: session-level QoE",
                 "Per-task mean vs. session aggregator (recency/startup/stalls)");
 
-  const sim::StudySessions fixture(sim::EvaluationConfig{},
-                                   player::PlayerConfig{});
+  const sim::StudySessions fixture(sim::EvaluationConfig{});
 
   abr::FixedBitrate youtube;
   abr::Festive festive;

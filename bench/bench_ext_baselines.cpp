@@ -23,8 +23,7 @@ void print_reproduction() {
   bench::banner("Extension: baseline zoo",
                 "BOLA / MPC / rolling-horizon vs. the paper's algorithms");
 
-  const sim::StudySessions fixture(sim::EvaluationConfig{},
-                                   player::PlayerConfig{});
+  const sim::StudySessions fixture(sim::EvaluationConfig{});
 
   struct Totals {
     double energy = 0.0;
@@ -72,9 +71,7 @@ void print_reproduction() {
 }
 
 void BM_MpcDecision(benchmark::State& state) {
-  abr::MpcConfig config;
-  config.horizon = static_cast<std::size_t>(state.range(0));
-  abr::Mpc policy(config);
+  abr::Mpc policy(static_cast<std::size_t>(state.range(0)));
   const media::VideoManifest manifest("bench", 600.0, 2.0,
                                       media::BitrateLadder::evaluation14());
   net::HarmonicMeanEstimator estimator(20);

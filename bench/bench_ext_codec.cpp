@@ -19,13 +19,12 @@ using namespace eacs;
 
 constexpr std::size_t kSourceW = 480;
 constexpr std::size_t kSourceH = 270;
+constexpr double kResolutionScale = 0.25;  // 480x270 source stands in for a display
 
 void print_reproduction() {
   bench::banner("Extension: codec quality",
                 "Objective PSNR/SSIM per ladder rung vs. the subjective q0(r)");
 
-  media::CodecConfig config;
-  config.resolution_scale = 0.25;  // 480x270 source stands in for a display
   const auto ladder = media::BitrateLadder::table2();
   const qoe::QoeModel qoe_model;
 
@@ -39,7 +38,7 @@ void print_reproduction() {
     const media::Frame source = generator.next();
     for (std::size_t level = 0; level < ladder.size(); ++level) {
       const media::Frame decoded =
-          media::simulate_encode(source, ladder.rung(level), config);
+          media::simulate_encode(source, ladder.rung(level), kResolutionScale);
       mean_psnr[level] += media::psnr(source, decoded) / 3.0;
       mean_ssim[level] += media::ssim(source, decoded) / 3.0;
     }
@@ -72,12 +71,10 @@ void BM_SimulateEncode(benchmark::State& state) {
   media::FrameGenerator generator(kSourceW, kSourceH,
                                   media::test_video("Sintel").profile);
   const media::Frame source = generator.next();
-  media::CodecConfig config;
-  config.resolution_scale = 0.25;
   const auto ladder = media::BitrateLadder::table2();
   const auto& rung = ladder.rung(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(media::simulate_encode(source, rung, config));
+    benchmark::DoNotOptimize(media::simulate_encode(source, rung, kResolutionScale));
   }
 }
 BENCHMARK(BM_SimulateEncode)->Arg(0)->Arg(5)->Unit(benchmark::kMillisecond);

@@ -40,8 +40,7 @@ void print_reproduction() {
   std::printf("]\n  (order: bias, bandwidth, buffer, prev-level, vibration, signal)\n\n");
 
   // Evaluate on the default Table V sessions alongside the core algorithms.
-  const sim::StudySessions fixture(sim::EvaluationConfig{},
-                                   player::PlayerConfig{});
+  const sim::StudySessions fixture(sim::EvaluationConfig{});
 
   abr::FixedBitrate youtube;
   core::OnlineBitrateSelector ours(fixture.objective, {.startup_level = 3});

@@ -39,11 +39,9 @@ void print_reproduction() {
   table.set_alignment({Align::kRight, Align::kRight, Align::kRight, Align::kRight,
                        Align::kRight});
   for (const double cap : {10.0, 30.0, 60.0, 120.0}) {
-    core::PrefetchConfig config;
-    config.buffer_cap_s = cap;
     core::PrefetchScheduler scheduler(manifest, bitrate_plan.levels,
                                       session.signal_dbm, session.throughput_mbps,
-                                      power_model, config);
+                                      power_model, cap);
     const auto asap = scheduler.asap();
     const auto optimized = scheduler.optimize();
     table.add_row({AsciiTable::num(cap, 0), AsciiTable::num(asap.radio_energy_j, 1),

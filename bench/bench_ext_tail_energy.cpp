@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "eacs/core/online.h"
 #include "eacs/player/player.h"
+#include "eacs/power/rrc.h"
 #include "eacs/sim/metrics.h"
 #include "eacs/trace/session.h"
 
@@ -25,7 +26,6 @@ void print_reproduction() {
   const auto session = trace::build_session(spec);
   const qoe::QoeModel qoe_model;
   const power::PowerModel power_model;
-  const power::RrcSimulator rrc{power::RrcConfig{}};
 
   AsciiTable table("Online algorithm on trace 1");
   table.set_header({"buffer B (s)", "per-byte total (J)", "RRC total (J)",
@@ -48,7 +48,7 @@ void print_reproduction() {
     const auto playback = simulator.run(policy, session);
     const auto metrics = sim::compute_metrics("Ours", spec.id, playback, manifest,
                                               qoe_model, power_model);
-    const auto rrc_energy = sim::session_energy_rrc(playback, power_model, rrc);
+    const auto rrc_energy = sim::session_energy_rrc(playback, power_model);
 
     table.add_row({AsciiTable::num(threshold, 0),
                    AsciiTable::num(metrics.total_energy_j, 1),
@@ -65,13 +65,12 @@ void print_reproduction() {
 }
 
 void BM_RrcAnalyze(benchmark::State& state) {
-  const power::RrcSimulator rrc{power::RrcConfig{}};
   std::vector<power::TransferBurst> bursts;
   for (int i = 0; i < 300; ++i) {
     bursts.push_back({i * 2.0, i * 2.0 + 0.4});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rrc.analyze(bursts, 700.0));
+    benchmark::DoNotOptimize(power::rrc_breakdown(bursts, 700.0));
   }
 }
 BENCHMARK(BM_RrcAnalyze);
@@ -87,9 +86,8 @@ void BM_RrcSessionEnergy(benchmark::State& state) {
   core::OnlineBitrateSelector policy(objective, {.startup_level = 3});
   const auto playback = simulator.run(policy, session);
   const power::PowerModel power_model;
-  const power::RrcSimulator rrc{power::RrcConfig{}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::session_energy_rrc(playback, power_model, rrc));
+    benchmark::DoNotOptimize(sim::session_energy_rrc(playback, power_model));
   }
 }
 BENCHMARK(BM_RrcSessionEnergy);

@@ -71,7 +71,6 @@ void print_reproduction() {
 
   // What the joules mean for a user: continuous streaming hours on the
   // paper's handset (Nexus 5X, 2700 mAh).
-  const power::Battery battery;
   double session_seconds = 0.0;
   for (const auto& spec : media::evaluation_sessions()) session_seconds += spec.length_s;
   AsciiTable hours("\nBattery perspective (Nexus 5X 2700 mAh): continuous streaming");
@@ -82,7 +81,7 @@ void print_reproduction() {
     for (const auto& row : result.rows_for(algo)) energy += row.total_energy_j;
     const double watts = energy / session_seconds;
     hours.add_row({algo, AsciiTable::num(watts, 2),
-                   AsciiTable::num(battery.hours_at(watts), 1)});
+                   AsciiTable::num(power::battery_hours_at(watts), 1)});
   }
   hours.print();
 

@@ -13,9 +13,8 @@ using namespace eacs::power;
 void print_reproduction() {
   bench::banner("Table VI", "Power model validation vs. simulated Monsoon monitor");
   const PowerModel model;
-  ValidationConfig config;  // 5 kHz Monsoon sampling, 300 s clip, -90 dBm
-
-  const auto rows = validate_power_model(model, media::BitrateLadder::table2(), config);
+  // 5 kHz Monsoon sampling, 300 s clip, -90 dBm.
+  const auto rows = validate_power_model(model, media::BitrateLadder::table2());
 
   AsciiTable table("Measured vs. calculated energy (paper rows: 708/649/637/616/608/597 J)");
   table.set_header({"bitrate (Mbps)", "measured (J)", "calculated (J)", "error ratio"});
@@ -44,11 +43,11 @@ void BM_MonsoonMeasurement(benchmark::State& state) {
 BENCHMARK(BM_MonsoonMeasurement)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_ValidationSweep(benchmark::State& state) {
-  ValidationConfig config;
-  config.monsoon.sample_rate_hz = 500.0;
+  MonsoonConfig channel;
+  channel.sample_rate_hz = 500.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        validate_power_model(PowerModel{}, media::BitrateLadder::table2(), config));
+        validate_power_model(PowerModel{}, media::BitrateLadder::table2(), channel));
   }
 }
 BENCHMARK(BM_ValidationSweep)->Unit(benchmark::kMillisecond);

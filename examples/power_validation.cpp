@@ -17,14 +17,13 @@ int main() {
   using namespace eacs::power;
 
   const PowerModel model;
-  ValidationConfig config;  // 300 s clip, -90 dBm, 2 s segments
 
   std::printf("Validating the power model against the simulated Monsoon monitor\n"
               "(%.0f s clip at %.0f dBm, %.0f kHz sampling)...\n\n",
-              config.video_duration_s, config.signal_dbm,
-              config.monsoon.sample_rate_hz / 1000.0);
+              kValidationVideoDurationS, kValidationSignalDbm,
+              MonsoonConfig{}.sample_rate_hz / 1000.0);
 
-  const auto rows = validate_power_model(model, media::BitrateLadder::table2(), config);
+  const auto rows = validate_power_model(model, media::BitrateLadder::table2());
 
   AsciiTable table("Power model validation (paper Table VI)");
   table.set_header({"bitrate (Mbps)", "measured (J)", "calculated (J)", "error"});

@@ -9,24 +9,26 @@
 // objective
 //     sum_k  q(r_k) - mu * rebuffer_k - lambda * |q(r_k) - q(r_{k-1})|
 // (q = log-utility of the bitrate) and plays the first action of the best
-// sequence (receding horizon).
+// sequence (receding horizon). The horizon is the one setting a run varies;
+// the objective's weights are the named constants Mpc::k*.
 
 #include "eacs/player/abr_policy.h"
 
 namespace eacs::abr {
 
-/// RobustMPC-style configuration.
-struct MpcConfig {
-  std::size_t horizon = 3;            ///< lookahead segments (14^h sequences)
-  double rebuffer_penalty = 4.3;      ///< MOS-equivalents per stalled second
-  double switch_penalty = 1.0;        ///< per unit |utility delta|
-  double bandwidth_discount = 0.85;   ///< robustness: use discounted estimate
-};
-
 /// Exhaustive receding-horizon controller.
 class Mpc final : public player::AbrPolicy {
  public:
-  explicit Mpc(MpcConfig config = {});
+  // RobustMPC-style objective weights.
+  /// MOS-equivalents per stalled second.
+  static constexpr double kRebufferPenalty = 4.3;
+  static constexpr double kSwitchPenalty = 1.0;  ///< per unit |utility delta|
+  /// Robustness: use the discounted estimate.
+  static constexpr double kBandwidthDiscount = 0.85;
+
+  /// `horizon` lookahead segments (14^horizon sequences). Throws
+  /// std::invalid_argument for a horizon of 0.
+  explicit Mpc(std::size_t horizon = 3);
 
   std::string name() const override { return "MPC"; }
   std::size_t choose_level(const player::AbrContext& context) override;
@@ -36,7 +38,7 @@ class Mpc final : public player::AbrPolicy {
                         const std::vector<std::size_t>& levels,
                         double bandwidth_mbps) const;
 
-  MpcConfig config_;
+  std::size_t horizon_;
 };
 
 }  // namespace eacs::abr

@@ -16,11 +16,8 @@ double utility(const media::BitrateLadder& ladder, std::size_t level) {
 
 }  // namespace
 
-Mpc::Mpc(MpcConfig config) : config_(config) {
-  if (config_.horizon == 0) throw std::invalid_argument("Mpc: horizon must be > 0");
-  if (config_.bandwidth_discount <= 0.0 || config_.bandwidth_discount > 1.0) {
-    throw std::invalid_argument("Mpc: bandwidth discount must be in (0, 1]");
-  }
+Mpc::Mpc(std::size_t horizon) : horizon_(horizon) {
+  if (horizon_ == 0) throw std::invalid_argument("Mpc: horizon must be > 0");
 }
 
 double Mpc::sequence_score(const player::AbrContext& context,
@@ -47,8 +44,8 @@ double Mpc::sequence_score(const player::AbrContext& context,
     }
     buffer += manifest.segment_duration(segment);
     const double u = utility(ladder, levels[k]);
-    score += u - config_.rebuffer_penalty * rebuffer -
-             config_.switch_penalty * std::fabs(u - prev_utility);
+    score += u - kRebufferPenalty * rebuffer -
+             kSwitchPenalty * std::fabs(u - prev_utility);
     prev_utility = u;
   }
   return score;
@@ -58,13 +55,12 @@ std::size_t Mpc::choose_level(const player::AbrContext& context) {
   const auto& ladder = context.manifest->ladder();
   const double estimate = context.bandwidth->estimate();
   if (estimate <= 0.0) return ladder.lowest_level();
-  const double bandwidth = estimate * config_.bandwidth_discount;
+  const double bandwidth = estimate * kBandwidthDiscount;
 
   const std::size_t m = ladder.size();
-  const std::size_t horizon = config_.horizon;
 
   // Enumerate all m^horizon sequences via an odometer.
-  std::vector<std::size_t> levels(horizon, 0);
+  std::vector<std::size_t> levels(horizon_, 0);
   std::size_t best_first = ladder.lowest_level();
   double best_score = -std::numeric_limits<double>::infinity();
   for (;;) {
@@ -75,12 +71,12 @@ std::size_t Mpc::choose_level(const player::AbrContext& context) {
     }
     // Advance the odometer.
     std::size_t digit = 0;
-    while (digit < horizon) {
+    while (digit < horizon_) {
       if (++levels[digit] < m) break;
       levels[digit] = 0;
       ++digit;
     }
-    if (digit == horizon) break;
+    if (digit == horizon_) break;
   }
   return best_first;
 }

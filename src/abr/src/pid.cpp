@@ -1,16 +1,8 @@
 #include "eacs/abr/pid.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace eacs::abr {
-
-PidController::PidController(PidConfig config) : config_(config) {
-  if (config_.setpoint_s <= 0.0 || config_.min_factor <= 0.0 ||
-      config_.max_factor <= config_.min_factor || config_.integral_limit <= 0.0) {
-    throw std::invalid_argument("PidController: invalid configuration");
-  }
-}
 
 void PidController::reset() {
   integral_ = 0.0;
@@ -23,16 +15,15 @@ std::size_t PidController::choose_level(const player::AbrContext& context) {
   const double estimate = context.bandwidth->estimate();
   if (estimate <= 0.0) return ladder.lowest_level();
 
-  const double error = context.buffer_s - config_.setpoint_s;
-  integral_ = std::clamp(integral_ + error, -config_.integral_limit,
-                         config_.integral_limit);
+  const double error = context.buffer_s - kSetpointS;
+  integral_ = std::clamp(integral_ + error, -kIntegralLimit, kIntegralLimit);
   const double derivative = primed_ ? error - prev_error_ : 0.0;
   prev_error_ = error;
   primed_ = true;
 
-  const double factor = std::clamp(
-      1.0 + config_.kp * error + config_.ki * integral_ + config_.kd * derivative,
-      config_.min_factor, config_.max_factor);
+  const double factor =
+      std::clamp(1.0 + kKp * error + kKi * integral_ + kKd * derivative,
+                 kMinFactor, kMaxFactor);
   const double target = factor * estimate;
   return ladder.highest_level_not_above(target).value_or(ladder.lowest_level());
 }

@@ -49,11 +49,12 @@ class ContextMonitor {
   void observe_throughput(double mbps);
 
   /// Records a telephony signal-strength reading. The untimed overload stamps
-  /// it with the internal clock (the latest accelerometer timestamp).
+  /// it with the internal clock. A reading with a non-finite stamp or value
+  /// is undelivered: the health monitor ignores it and the clock stays.
   void observe_signal(double dbm);
   void observe_signal(double t_s, double dbm);
 
-  /// Snapshot at the internal clock (latest accelerometer timestamp).
+  /// Snapshot at the internal clock.
   ContextSnapshot snapshot() const;
 
   /// Snapshot at an explicit time: the vibration estimate decays toward the
@@ -74,7 +75,9 @@ class ContextMonitor {
   sensors::VibrationEstimator vibration_;
   sensors::SensorHealthMonitor health_;
   net::HarmonicMeanEstimator bandwidth_;
-  double clock_s_ = 0.0;  ///< latest accel timestamp seen
+  /// The internal clock: the latest finite timestamp of an accelerometer
+  /// sample or of a delivered signal reading.
+  double clock_s_ = 0.0;
 };
 
 }  // namespace eacs::core

@@ -13,7 +13,8 @@
 // scheduler solves the download-timing problem by dynamic programming over
 // a discrete slot grid and reports the radio energy next to the ASAP
 // (download-as-early-as-possible, i.e. the standard player behaviour)
-// baseline.
+// baseline. The buffer cap is the one setting a run varies; the slot grid and
+// the startup latency are the named constants PrefetchScheduler::k*.
 
 #include <vector>
 
@@ -23,13 +24,6 @@
 #include "eacs/trace/time_series.h"
 
 namespace eacs::core {
-
-/// Scheduler knobs.
-struct PrefetchConfig {
-  double slot_s = 1.0;           ///< DP time granularity
-  double buffer_cap_s = 30.0;    ///< max buffered media (the player's B)
-  double startup_latency_s = 2.0;  ///< playback begins this long after t=0
-};
 
 /// One scheduled download.
 struct ScheduledDownload {
@@ -53,13 +47,20 @@ struct PrefetchPlan {
 /// Schedules the downloads of a fixed bitrate plan.
 class PrefetchScheduler {
  public:
-  /// `levels` must have one entry per manifest segment.
+  static constexpr double kSlotS = 1.0;  ///< DP time granularity
+  /// Playback begins this long after t=0.
+  static constexpr double kStartupLatencyS = 2.0;
+
+  /// `levels` must have one entry per manifest segment; `buffer_cap_s` is the
+  /// max buffered media (the player's B). Throws std::invalid_argument for a
+  /// wrong plan length or, naming `buffer_cap_s`, unless the cap is finite
+  /// and > 0.
   PrefetchScheduler(const media::VideoManifest& manifest,
                     std::vector<std::size_t> levels,
                     const trace::TimeSeries& signal_dbm,
                     const trace::TimeSeries& throughput_mbps,
                     const power::PowerModel& power_model,
-                    PrefetchConfig config = {});
+                    double buffer_cap_s = 30.0);
 
   /// ASAP baseline: start each download as early as the buffer cap and the
   /// previous download allow (what the standard player does).
@@ -82,7 +83,7 @@ class PrefetchScheduler {
   const trace::TimeSeries& signal_;
   net::SegmentDownloader downloader_;
   power::PowerModel power_;  // by value: callers may pass a temporary
-  PrefetchConfig config_;
+  double buffer_cap_s_;
 };
 
 }  // namespace eacs::core

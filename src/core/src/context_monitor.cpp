@@ -19,7 +19,8 @@ void ContextMonitor::observe_signal(double dbm) {
 
 void ContextMonitor::observe_signal(double t_s, double dbm) {
   health_.observe_signal(t_s, dbm);
-  if (std::isfinite(t_s)) clock_s_ = std::max(clock_s_, t_s);
+  // Only a delivered reading (what the health monitor counts) moves the clock.
+  if (std::isfinite(t_s) && std::isfinite(dbm)) clock_s_ = std::max(clock_s_, t_s);
 }
 
 ContextSnapshot ContextMonitor::snapshot() const { return snapshot(clock_s_); }

@@ -14,18 +14,20 @@ PrefetchScheduler::PrefetchScheduler(const media::VideoManifest& manifest,
                                      const trace::TimeSeries& signal_dbm,
                                      const trace::TimeSeries& throughput_mbps,
                                      const power::PowerModel& power_model,
-                                     PrefetchConfig config)
+                                     double buffer_cap_s)
     : manifest_(manifest),
       levels_(std::move(levels)),
       signal_(signal_dbm),
       downloader_(throughput_mbps),
       power_(power_model),
-      config_(config) {
+      buffer_cap_s_(buffer_cap_s) {
   if (levels_.size() != manifest_.num_segments()) {
     throw std::invalid_argument("PrefetchScheduler: one level per segment required");
   }
-  if (config_.slot_s <= 0.0 || config_.buffer_cap_s <= 0.0) {
-    throw std::invalid_argument("PrefetchScheduler: bad configuration");
+  // NaN or +inf would reach the slot count's size_t cast in optimize().
+  if (!(std::isfinite(buffer_cap_s_) && buffer_cap_s_ > 0.0)) {
+    throw std::invalid_argument(
+        "PrefetchScheduler: buffer_cap_s must be finite and > 0");
   }
 }
 
@@ -33,13 +35,11 @@ PrefetchScheduler::Window PrefetchScheduler::window_of(std::size_t segment) cons
   Window window;
   const double d = manifest_.segment_duration_s();
   // Segment i plays at startup + i*D; it must be complete by then.
-  window.deadline =
-      config_.startup_latency_s + static_cast<double>(segment) * d;
+  window.deadline = kStartupLatencyS + static_cast<double>(segment) * d;
   // Completing it buffers media to (i+1)*D ahead of a play head at
   // (t - startup); the buffer cap forbids completing earlier than:
   window.earliest_start = std::max(
-      0.0, config_.startup_latency_s + static_cast<double>(segment + 1) * d -
-               config_.buffer_cap_s);
+      0.0, kStartupLatencyS + static_cast<double>(segment + 1) * d - buffer_cap_s_);
   return window;
 }
 
@@ -79,12 +79,11 @@ PrefetchPlan PrefetchScheduler::asap() const {
 
 PrefetchPlan PrefetchScheduler::optimize() const {
   // DP over "downloader free at slot" states. dp[slot] = min radio energy
-  // with all previous segments scheduled and the link free at slot*slot_s.
+  // with all previous segments scheduled and the link free at slot*kSlotS.
   const double d = manifest_.segment_duration_s();
-  const double horizon = config_.startup_latency_s +
-                         static_cast<double>(levels_.size()) * d +
-                         config_.buffer_cap_s;
-  const auto num_slots = static_cast<std::size_t>(horizon / config_.slot_s) + 2;
+  const double horizon = kStartupLatencyS +
+                         static_cast<double>(levels_.size()) * d + buffer_cap_s_;
+  const auto num_slots = static_cast<std::size_t>(horizon / kSlotS) + 2;
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
   // States are bucketed by completion slot but carry the *exact* free time
@@ -102,7 +101,7 @@ PrefetchPlan PrefetchScheduler::optimize() const {
 
   const auto bucket_of = [&](double t) {
     return std::min(num_slots - 1,
-                    static_cast<std::size_t>(t / config_.slot_s));
+                    static_cast<std::size_t>(t / kSlotS));
   };
 
   const auto relax = [&](std::vector<State>& next, const State& from,
@@ -132,7 +131,7 @@ PrefetchPlan PrefetchScheduler::optimize() const {
       // search space), then later slot-grid offsets up to the deadline.
       const double first = std::max(dp[slot].free_at, window.earliest_start);
       for (double start = first; start <= window.deadline + 1e-9;
-           start += config_.slot_s) {
+           start += kSlotS) {
         const bool on_time =
             relax(next, dp[slot], segment, start, /*allow_late=*/false);
         if (!on_time) break;  // later starts are only later

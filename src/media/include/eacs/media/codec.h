@@ -7,7 +7,9 @@
 // (coarser at starved bitrates), upsample back to the display — and measure
 // the damage with PSNR and SSIM. The resulting objective-quality-vs-bitrate
 // curve should share q0's shape: steep at the bottom rungs, saturating at
-// the top (bench_ext_codec checks the correlation).
+// the top (bench_ext_codec checks the correlation). The frame rate and the
+// quantiser's anchor are the named constants below; a run varies only the
+// resolution scale.
 
 #include <cstddef>
 
@@ -16,21 +18,13 @@
 
 namespace eacs::media {
 
-/// Encoder-simulation knobs.
-struct CodecConfig {
-  double fps = 30.0;
-  /// Bits/pixel below which quantisation becomes visible; the paper's
-  /// ladder keeps bpp roughly constant (~0.09), so resolution dominates.
-  double reference_bpp = 0.09;
-  /// Luma quantisation step at reference_bpp (doubles as bpp halves).
-  double base_quant_step = 4.0;
-  /// Uniformly scales the rungs' pixel dimensions, letting laptop-sized
-  /// test frames stand in for a full display: with scale 0.25 a 480x270
-  /// source plays the role of a 1080p-class display (1080p encodes at
-  /// 480x270, 144p at 64x36). Quantisation still uses the real rung
-  /// resolutions. 1.0 = true pixel dimensions.
-  double resolution_scale = 1.0;
-};
+// Encoder-simulation settings.
+inline constexpr double kCodecFps = 30.0;
+/// Bits/pixel below which quantisation becomes visible; the paper's ladder
+/// keeps bpp roughly constant (~0.09), so resolution dominates.
+inline constexpr double kCodecReferenceBpp = 0.09;
+/// Luma quantisation step at kCodecReferenceBpp (doubles as bpp halves).
+inline constexpr double kCodecBaseQuantStep = 4.0;
 
 /// Box-filter downsample to (width, height).
 Frame downsample(const Frame& source, std::size_t width, std::size_t height);
@@ -51,8 +45,15 @@ PixelSize rung_pixels(const BitrateRung& rung);
 
 /// Simulates encoding `source` at the given rung and decoding back to the
 /// source's dimensions (the phone's display).
+///
+/// `resolution_scale` uniformly scales the rungs' pixel dimensions, letting
+/// laptop-sized test frames stand in for a full display: with scale 0.25 a
+/// 480x270 source plays the role of a 1080p-class display (1080p encodes at
+/// 480x270, 144p at 64x36). Quantisation still uses the real rung
+/// resolutions. 1.0 = true pixel dimensions. Throws std::invalid_argument,
+/// naming `resolution_scale`, unless the scale is finite and > 0.
 Frame simulate_encode(const Frame& source, const BitrateRung& rung,
-                      const CodecConfig& config = {});
+                      double resolution_scale = 1.0);
 
 /// Peak signal-to-noise ratio in dB; identical frames return +100 dB (cap).
 /// Throws std::invalid_argument on dimension mismatch.

@@ -106,14 +106,19 @@ PixelSize rung_pixels(const BitrateRung& rung) {
 }
 
 Frame simulate_encode(const Frame& source, const BitrateRung& rung,
-                      const CodecConfig& config) {
+                      double resolution_scale) {
+  // A NaN, negative or infinite scale would reach the size_t casts below.
+  if (!(std::isfinite(resolution_scale) && resolution_scale > 0.0)) {
+    throw std::invalid_argument(
+        "simulate_encode: resolution_scale must be finite and > 0");
+  }
   const PixelSize pixels = rung_pixels(rung);
   const auto scaled_w = std::max<std::size_t>(
       4, static_cast<std::size_t>(static_cast<double>(pixels.width) *
-                                  config.resolution_scale));
+                                  resolution_scale));
   const auto scaled_h = std::max<std::size_t>(
       4, static_cast<std::size_t>(static_cast<double>(pixels.height) *
-                                  config.resolution_scale));
+                                  resolution_scale));
   // Never "encode" above the source resolution.
   const std::size_t encode_w = std::min(scaled_w, source.width());
   const std::size_t encode_h = std::min(scaled_h, source.height());
@@ -122,9 +127,9 @@ Frame simulate_encode(const Frame& source, const BitrateRung& rung,
   // Quantisation driven by bits/pixel at the rung's own resolution.
   const double bpp =
       rung.bitrate_mbps * 1e6 /
-      (static_cast<double>(pixels.width * pixels.height) * config.fps);
+      (static_cast<double>(pixels.width * pixels.height) * kCodecFps);
   const double step = std::clamp(
-      config.base_quant_step * config.reference_bpp / std::max(1e-6, bpp), 1.0, 64.0);
+      kCodecBaseQuantStep * kCodecReferenceBpp / std::max(1e-6, bpp), 1.0, 64.0);
   encoded = quantize(encoded, step);
 
   return upsample(encoded, source.width(), source.height());

@@ -105,9 +105,6 @@ enum class CdnAttemptClass {
   kSlow,       ///< crawls at spec.slow_scale of the source's capacity
 };
 
-/// Stable lower-case identifier (timeline / study output).
-const char* to_string(CdnAttemptClass kind) noexcept;
-
 /// Outcome of one attempt against one source.
 struct SourceAttemptOutcome {
   /// Completion against the source's effective trace (plus base RTT). For a
@@ -213,9 +210,6 @@ enum class BreakerState {
   kOpen,      ///< requests blocked until the cooldown elapses
   kHalfOpen,  ///< probe requests allowed; success closes, failure re-opens
 };
-
-/// Stable lower-case identifier (timeline / study output).
-const char* to_string(BreakerState state) noexcept;
 
 /// Deterministic per-source circuit breaker: closed → open on a failure-rate
 /// window, open → half-open after a wall-clock cooldown, half-open → closed

@@ -86,26 +86,6 @@ bool inside_windows(const std::vector<OutageWindow>& windows,
 
 }  // namespace
 
-const char* to_string(CdnAttemptClass kind) noexcept {
-  switch (kind) {
-    case CdnAttemptClass::kOk: return "ok";
-    case CdnAttemptClass::kHttpError: return "http_error";
-    case CdnAttemptClass::kTruncated: return "truncated";
-    case CdnAttemptClass::kCorrupted: return "corrupted";
-    case CdnAttemptClass::kSlow: return "slow";
-  }
-  return "unknown";
-}
-
-const char* to_string(BreakerState state) noexcept {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half_open";
-  }
-  return "unknown";
-}
-
 // --- SegmentSource ----------------------------------------------------------
 
 SegmentSource::SegmentSource(const trace::TimeSeries& throughput_mbps,

@@ -8,8 +8,9 @@
 // the paper's 30 s threshold. The ABR policy under test is consulted before
 // every segment request with the estimator state a real client would have.
 //
-// A second run() overload replays the session through a net::FaultInjector.
-// On that path the player runs a resilience state machine per segment:
+// A session engine run over a faulty link (a player::FaultLinkModel over a
+// net::FaultInjector, as the link-fault study plays it through
+// sim::Evaluation::run_session) runs a resilience state machine per segment:
 // per-attempt deadlines, bounded retries with exponential backoff and
 // deterministic jitter, mid-download abandonment when a transfer outpaces
 // the buffer drain, and degradation to the lowest rung while the link is
@@ -18,8 +19,8 @@
 // accounted as wasted bytes / wasted wall time, which eacs::sim prices as
 // wasted download energy.
 //
-// A third overload corrupts the policy's sensing through a
-// sensors::SensorFaultInjector while the link stays clean, and a fourth
+// A second run() overload corrupts the policy's sensing through a
+// sensors::SensorFaultInjector while the link stays clean, and a third
 // replays the session against N CDN sources (one per manifest BaseURL):
 // per-source server faults, deterministic circuit breakers, health-scored
 // failover and hedged requests — the multi-source delivery machinery of
@@ -28,9 +29,9 @@
 //
 // Each overload is one analytic player::SessionEngine run of one client
 // (session_engine.h): the fault-free and sensor-fault paths run a
-// SoloLinkModel, the fault-injected path a FaultLinkModel, the multi-source
-// path a CdnLinkModel. Pass a SessionObserver (e.g. SessionTimeline) to
-// receive the structured per-event log of a run.
+// SoloLinkModel, the multi-source path a CdnLinkModel. Pass a
+// SessionObserver (e.g. SessionTimeline) to receive the structured
+// per-event log of a run.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +42,6 @@
 #include "eacs/media/manifest.h"
 #include "eacs/net/bandwidth_estimator.h"
 #include "eacs/net/downloader.h"
-#include "eacs/net/fault_injector.h"
 #include "eacs/net/segment_source.h"
 #include "eacs/player/abr_policy.h"
 #include "eacs/sensors/sensor_faults.h"
@@ -213,13 +213,6 @@ class PlayerSimulator {
   /// An optional observer receives the engine's per-event log (read-only:
   /// attaching one never changes the result).
   PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
-                     SessionObserver* observer = nullptr) const;
-
-  /// Replays the session through a fault injector, engaging the resilience
-  /// state machine. An inactive injector (FaultSpec{}) is a strict no-op:
-  /// the result is bit-identical to the fault-free overload.
-  PlaybackResult run(AbrPolicy& policy, const trace::SessionTraces& session,
-                     const net::FaultInjector& faults,
                      SessionObserver* observer = nullptr) const;
 
   /// Replays the session with corrupted *sensing*: the policy perceives the

@@ -79,14 +79,6 @@ PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
 
 PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
                                     const trace::SessionTraces& session,
-                                    const net::FaultInjector& faults,
-                                    SessionObserver* observer) const {
-  return run_engine(manifest_, config_, policy, session, FaultLinkModel(faults),
-                    nullptr, observer);
-}
-
-PlaybackResult PlayerSimulator::run(AbrPolicy& policy,
-                                    const trace::SessionTraces& session,
                                     const sensors::SensorFaultInjector& sensor_faults,
                                     SessionObserver* observer) const {
   return run_engine(manifest_, config_, policy, session,

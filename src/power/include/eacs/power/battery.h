@@ -1,48 +1,30 @@
 #pragma once
 // Battery model: joules to user-meaningful battery life.
 //
-// The paper reports joules; what a user feels is minutes of video per
-// charge. This model converts session energy into state-of-charge drain and
-// achievable playback time for a phone battery (defaults: the LG Nexus 5X's
-// 2700 mAh / 3.85 V pack used throughout the paper), including a
-// configurable conversion efficiency for regulator/charger losses.
-
-#include <cstddef>
+// The paper reports joules; what a user feels is hours of video per charge.
+// battery_hours_at converts a mean power draw into hours of continuous
+// operation from a full charge of the LG Nexus 5X's 2700 mAh / 3.85 V pack
+// used throughout the paper, derated by the OS cutoff and by a conversion
+// efficiency for regulator/charger losses. The pack parameters are the named
+// constants below, which no run varies.
 
 namespace eacs::power {
 
-/// Battery pack parameters.
-struct BatteryConfig {
-  double capacity_mah = 2700.0;    ///< LG Nexus 5X
-  double nominal_voltage = 3.85;   ///< Li-ion nominal
-  double usable_fraction = 0.95;   ///< OS cutoff before true empty
-  double conversion_efficiency = 0.90;  ///< regulator losses: joules drawn
-                                        ///< from the pack per joule consumed
-};
+// Battery pack parameters.
+inline constexpr double kBatteryCapacityMah = 2700.0;  ///< LG Nexus 5X
+inline constexpr double kBatteryNominalVoltage = 3.85;  ///< Li-ion nominal
+/// OS cutoff before true empty.
+inline constexpr double kBatteryUsableFraction = 0.95;
+/// Regulator losses: joules drawn from the pack per joule consumed.
+inline constexpr double kBatteryConversionEfficiency = 0.90;
 
-/// Converts between energy and battery state.
-class Battery {
- public:
-  explicit Battery(BatteryConfig config = {});
+/// Usable pack energy in joules (mAh * V = mWh; * 3.6 = joules).
+inline constexpr double kBatteryUsableEnergyJ =
+    kBatteryCapacityMah * kBatteryNominalVoltage * 3.6 * kBatteryUsableFraction *
+    kBatteryConversionEfficiency;
 
-  const BatteryConfig& config() const noexcept { return config_; }
-
-  /// Usable pack energy in joules.
-  double usable_energy_j() const noexcept;
-
-  /// Fraction of the pack a load of `joules` consumes (>= 0; can exceed 1).
-  double drain_fraction(double joules) const noexcept;
-
-  /// Hours of continuous operation at `watts` from a full charge.
-  double hours_at(double watts) const noexcept;
-
-  /// Minutes of video playback a full charge sustains, given one measured
-  /// session (energy over wall-clock seconds). Throws std::invalid_argument
-  /// for non-positive session duration.
-  double video_minutes(double session_energy_j, double session_duration_s) const;
-
- private:
-  BatteryConfig config_;
-};
+/// Hours of continuous operation at `watts` from a full charge; 0 for a
+/// non-positive draw.
+double battery_hours_at(double watts) noexcept;
 
 }  // namespace eacs::power

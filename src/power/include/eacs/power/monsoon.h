@@ -44,6 +44,8 @@ struct MonsoonConfig {
 /// Synthesises and integrates power measurements.
 class MonsoonSimulator {
  public:
+  /// Throws std::invalid_argument, naming `sample_rate_hz`, unless the
+  /// sample rate is finite and > 0.
   explicit MonsoonSimulator(MonsoonConfig config, PowerModel model);
 
   /// Samples the power channel over a timeline of activity intervals at

@@ -17,34 +17,34 @@
 //                       v
 //                     IDLE
 //
-// with per-state power draws and a promotion cost on IDLE->CONNECTED.
-// `RrcSimulator::analyze` consumes a session's transfer bursts and returns
-// the full energy/time breakdown; `sim/metrics.h` exposes an RRC-aware
-// session energy built on it.
+// with per-state power draws and a promotion cost on IDLE->CONNECTED. The
+// timers, powers and promotion cost are published LTE measurements, held as
+// the named constants below. `rrc_breakdown` consumes a session's transfer
+// bursts and returns the full energy/time breakdown; `sim/metrics.h` exposes
+// an RRC-aware session energy built on it.
 
 #include <cstddef>
 #include <vector>
 
 namespace eacs::power {
 
-/// RRC machine parameters (defaults follow published LTE measurements).
-struct RrcConfig {
-  // Timers (seconds).
-  double inactivity_s = 0.2;   ///< CONNECTED continuous-rx -> short DRX
-  double short_drx_s = 1.0;    ///< short DRX -> long DRX
-  double long_drx_s = 10.0;    ///< long DRX -> IDLE (the "tail" end)
-  // Per-state power (watts), radio subsystem only.
-  double connected_active_w = 1.1;  ///< receiving data (base; per-byte energy
-                                    ///< from PowerModel::e(s) rides on top in
-                                    ///< combined accounting)
-  double connected_tail_w = 1.0;    ///< CONNECTED, no data
-  double short_drx_w = 0.65;
-  double long_drx_w = 0.35;
-  double idle_w = 0.01;
-  // Promotion (IDLE -> CONNECTED) cost.
-  double promotion_energy_j = 0.45;
-  double promotion_latency_s = 0.26;
-};
+// RRC machine parameters (published LTE measurements).
+// Timers (seconds).
+/// CONNECTED continuous-rx -> short DRX.
+inline constexpr double kRrcInactivityS = 0.2;
+inline constexpr double kRrcShortDrxS = 1.0;  ///< short DRX -> long DRX
+/// Long DRX -> IDLE (the "tail" end).
+inline constexpr double kRrcLongDrxS = 10.0;
+// Per-state power (watts), radio subsystem only.
+/// Receiving data (base; per-byte energy from PowerModel::e(s) rides on top
+/// in combined accounting).
+inline constexpr double kRrcConnectedActiveW = 1.1;
+inline constexpr double kRrcConnectedTailW = 1.0;  ///< CONNECTED, no data
+inline constexpr double kRrcShortDrxW = 0.65;
+inline constexpr double kRrcLongDrxW = 0.35;
+inline constexpr double kRrcIdleW = 0.01;
+// Promotion (IDLE -> CONNECTED) cost.
+inline constexpr double kRrcPromotionEnergyJ = 0.45;
 
 /// One radio transfer burst.
 struct TransferBurst {
@@ -68,21 +68,11 @@ struct RrcBreakdown {
   }
 };
 
-/// Replays transfer bursts through the RRC machine.
-class RrcSimulator {
- public:
-  explicit RrcSimulator(RrcConfig config = {});
-
-  const RrcConfig& config() const noexcept { return config_; }
-
-  /// Analyzes bursts (must be time-ordered and non-overlapping; overlapping
-  /// bursts are merged) over [0, session_end_s]. Throws
-  /// std::invalid_argument on negative/inverted bursts or a session end
-  /// before the last burst.
-  RrcBreakdown analyze(std::vector<TransferBurst> bursts, double session_end_s) const;
-
- private:
-  RrcConfig config_;
-};
+/// Replays transfer bursts through the RRC machine over [0, session_end_s].
+/// Bursts may come in any order; overlapping or touching bursts are merged.
+/// Throws std::invalid_argument, naming the burst index or `session_end_s`,
+/// unless every burst has 0 <= start_s <= end_s < inf and the session end is
+/// finite and no earlier than the last burst's end (NaN fails both).
+RrcBreakdown rrc_breakdown(std::vector<TransferBurst> bursts, double session_end_s);
 
 }  // namespace eacs::power

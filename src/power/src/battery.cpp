@@ -1,41 +1,10 @@
 #include "eacs/power/battery.h"
 
-#include <stdexcept>
-
 namespace eacs::power {
 
-Battery::Battery(BatteryConfig config) : config_(config) {
-  if (config_.capacity_mah <= 0.0 || config_.nominal_voltage <= 0.0 ||
-      config_.usable_fraction <= 0.0 || config_.usable_fraction > 1.0 ||
-      config_.conversion_efficiency <= 0.0 || config_.conversion_efficiency > 1.0) {
-    throw std::invalid_argument("Battery: invalid configuration");
-  }
-}
-
-double Battery::usable_energy_j() const noexcept {
-  // mAh * V = mWh; * 3.6 = joules.
-  return config_.capacity_mah * config_.nominal_voltage * 3.6 *
-         config_.usable_fraction * config_.conversion_efficiency;
-}
-
-double Battery::drain_fraction(double joules) const noexcept {
-  if (joules <= 0.0) return 0.0;
-  return joules / usable_energy_j();
-}
-
-double Battery::hours_at(double watts) const noexcept {
+double battery_hours_at(double watts) noexcept {
   if (watts <= 0.0) return 0.0;
-  return usable_energy_j() / watts / 3600.0;
-}
-
-double Battery::video_minutes(double session_energy_j,
-                              double session_duration_s) const {
-  if (session_duration_s <= 0.0) {
-    throw std::invalid_argument("Battery: session duration must be > 0");
-  }
-  if (session_energy_j <= 0.0) return 0.0;
-  const double watts = session_energy_j / session_duration_s;
-  return hours_at(watts) * 60.0;
+  return kBatteryUsableEnergyJ / watts / 3600.0;
 }
 
 }  // namespace eacs::power

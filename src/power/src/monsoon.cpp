@@ -12,8 +12,11 @@ constexpr double kPi = 3.14159265358979323846;
 
 MonsoonSimulator::MonsoonSimulator(MonsoonConfig config, PowerModel model)
     : config_(config), model_(model), rng_(config.seed) {
-  if (config_.sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("MonsoonSimulator: sample rate must be > 0");
+  // +inf would make the sampling step 0 (measure_energy never returns) and
+  // NaN would skip every sample; the comparison fails for NaN.
+  if (!(std::isfinite(config_.sample_rate_hz) && config_.sample_rate_hz > 0.0)) {
+    throw std::invalid_argument(
+        "MonsoonSimulator: sample_rate_hz must be finite and > 0");
   }
 }
 

@@ -1,22 +1,19 @@
 #include "eacs/power/rrc.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace eacs::power {
 
-RrcSimulator::RrcSimulator(RrcConfig config) : config_(config) {
-  if (config_.inactivity_s < 0.0 || config_.short_drx_s < 0.0 ||
-      config_.long_drx_s < 0.0) {
-    throw std::invalid_argument("RrcSimulator: negative timer");
-  }
-}
-
-RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
-                                   double session_end_s) const {
-  for (const auto& burst : bursts) {
-    if (burst.end_s < burst.start_s || burst.start_s < 0.0) {
-      throw std::invalid_argument("RrcSimulator: malformed burst");
+RrcBreakdown rrc_breakdown(std::vector<TransferBurst> bursts, double session_end_s) {
+  for (std::size_t i = 0; i < bursts.size(); ++i) {
+    const TransferBurst& burst = bursts[i];
+    if (!(burst.start_s >= 0.0 && burst.end_s >= burst.start_s &&
+          std::isfinite(burst.end_s))) {
+      throw std::invalid_argument("rrc_breakdown: burst " + std::to_string(i) +
+                                  " must satisfy 0 <= start_s <= end_s < inf");
     }
   }
   std::sort(bursts.begin(), bursts.end(),
@@ -33,35 +30,32 @@ RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
       merged.push_back(burst);
     }
   }
-  if (!merged.empty() && session_end_s < merged.back().end_s) {
-    throw std::invalid_argument("RrcSimulator: session ends before last burst");
+  const double last_end = merged.empty() ? 0.0 : merged.back().end_s;
+  if (!(std::isfinite(session_end_s) && session_end_s >= last_end)) {
+    throw std::invalid_argument(
+        "rrc_breakdown: session_end_s must be finite and no earlier than the "
+        "last burst's end (or 0)");
   }
 
   RrcBreakdown out;
-  const double tail_span =
-      config_.inactivity_s + config_.short_drx_s + config_.long_drx_s;
+  constexpr double tail_span = kRrcInactivityS + kRrcShortDrxS + kRrcLongDrxS;
 
   // The machine starts IDLE at t = 0.
   double cursor = 0.0;
   bool radio_warm = false;  // still within a previous burst's tail at cursor?
 
-  // Charges the gap [from, to] given the tail budget carried into it.
+  // Charges the gap [from, to]. Every gap starts a fresh tail because a
+  // burst just ended, so the tail phases are walked in order from their start.
   const auto charge_gap = [&](double from, double to) {
     double remaining = to - from;
     if (remaining <= 0.0) return;
-    // Walk the tail phases in order.
-    const double phases[3][2] = {
-        {config_.inactivity_s, config_.connected_tail_w},
-        {config_.short_drx_s, config_.short_drx_w},
-        {config_.long_drx_s, config_.long_drx_w},
+    constexpr double phases[3][2] = {
+        {kRrcInactivityS, kRrcConnectedTailW},
+        {kRrcShortDrxS, kRrcShortDrxW},
+        {kRrcLongDrxS, kRrcLongDrxW},
     };
-    double offset = 0.0;  // how far into the tail the gap starts (0 here:
-                          // every gap starts a fresh tail because a burst
-                          // just ended)
     for (const auto& [span, watts] : phases) {
-      const double available = std::max(0.0, span - offset);
-      offset = std::max(0.0, offset - span);
-      const double used = std::min(available, remaining);
+      const double used = std::min(span, remaining);
       if (used > 0.0) {
         out.tail_time_s += used;
         out.tail_energy_j += watts * used;
@@ -71,7 +65,7 @@ RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
     }
     if (remaining > 0.0) {
       out.idle_time_s += remaining;
-      out.idle_energy_j += config_.idle_w * remaining;
+      out.idle_energy_j += kRrcIdleW * remaining;
     }
   };
 
@@ -88,16 +82,16 @@ RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
         }
       } else {
         out.idle_time_s += gap_end - gap_start;
-        out.idle_energy_j += config_.idle_w * (gap_end - gap_start);
+        out.idle_energy_j += kRrcIdleW * (gap_end - gap_start);
       }
     }
     if (!radio_warm) {
       ++out.promotions;
-      out.promotion_energy_j += config_.promotion_energy_j;
+      out.promotion_energy_j += kRrcPromotionEnergyJ;
     }
     const double active = burst.end_s - burst.start_s;
     out.active_time_s += active;
-    out.active_energy_j += config_.connected_active_w * active;
+    out.active_energy_j += kRrcConnectedActiveW * active;
     radio_warm = true;
     cursor = burst.end_s;
   }
@@ -108,7 +102,7 @@ RrcBreakdown RrcSimulator::analyze(std::vector<TransferBurst> bursts,
       charge_gap(cursor, session_end_s);
     } else {
       out.idle_time_s += session_end_s - cursor;
-      out.idle_energy_j += config_.idle_w * (session_end_s - cursor);
+      out.idle_energy_j += kRrcIdleW * (session_end_s - cursor);
     }
   }
   return out;

@@ -1,25 +1,20 @@
 #include "eacs/power/validation.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace eacs::power {
 
 std::vector<ValidationRow> validate_power_model(const PowerModel& model,
                                                 const media::BitrateLadder& ladder,
-                                                const ValidationConfig& config) {
-  if (config.video_duration_s <= 0.0 || config.segment_duration_s <= 0.0 ||
-      config.throughput_mbps <= 0.0) {
-    throw std::invalid_argument("validate_power_model: bad configuration");
-  }
+                                                const MonsoonConfig& monsoon) {
   std::vector<ValidationRow> rows;
-  const auto num_segments = static_cast<std::size_t>(
-      std::ceil(config.video_duration_s / config.segment_duration_s - 1e-9));
+  const auto num_segments = static_cast<std::size_t>(std::ceil(
+      kValidationVideoDurationS / kValidationSegmentDurationS - 1e-9));
 
   for (std::size_t level = 0; level < ladder.size(); ++level) {
     const double bitrate = ladder.bitrate(level);
-    const double segment_mb = bitrate * config.segment_duration_s / 8.0;
-    const double download_s = segment_mb * 8.0 / config.throughput_mbps;
+    const double segment_mb = bitrate * kValidationSegmentDurationS / 8.0;
+    const double download_s = segment_mb * 8.0 / kValidationThroughputMbps;
 
     // Activity timeline: the video plays continuously; each segment's
     // download occupies the head of its playback slot (steady-state DASH
@@ -27,28 +22,28 @@ std::vector<ValidationRow> validate_power_model(const PowerModel& model,
     std::vector<ActivityInterval> timeline;
     timeline.reserve(num_segments * 2);
     for (std::size_t k = 0; k < num_segments; ++k) {
-      const double slot_start = static_cast<double>(k) * config.segment_duration_s;
-      const double slot_end =
-          std::min(slot_start + config.segment_duration_s, config.video_duration_s);
+      const double slot_start = static_cast<double>(k) * kValidationSegmentDurationS;
+      const double slot_end = std::min(slot_start + kValidationSegmentDurationS,
+                                       kValidationVideoDurationS);
       const double dl_end = std::min(slot_start + download_s, slot_end);
       if (dl_end > slot_start) {
         timeline.push_back({slot_start, dl_end, /*playing=*/true, bitrate,
-                            /*downloading=*/true, config.signal_dbm,
-                            config.throughput_mbps});
+                            /*downloading=*/true, kValidationSignalDbm,
+                            kValidationThroughputMbps});
       }
       if (slot_end > dl_end) {
         timeline.push_back({dl_end, slot_end, /*playing=*/true, bitrate,
-                            /*downloading=*/false, config.signal_dbm, 0.0});
+                            /*downloading=*/false, kValidationSignalDbm, 0.0});
       }
     }
 
-    MonsoonConfig channel = config.monsoon;
-    channel.seed = config.monsoon.seed ^ (level * 0x9E37ULL + 1);
-    MonsoonSimulator monsoon(channel, model);
+    MonsoonConfig channel = monsoon;
+    channel.seed = monsoon.seed ^ (level * 0x9E37ULL + 1);
+    MonsoonSimulator simulator(channel, model);
 
     ValidationRow row;
     row.bitrate_mbps = bitrate;
-    row.measured_j = monsoon.measure_energy(timeline);
+    row.measured_j = simulator.measure_energy(timeline);
 
     // Analytic prediction, following the paper: identify download periods,
     // charge per-byte radio energy for them, playback power for the whole
@@ -56,8 +51,8 @@ std::vector<ValidationRow> validate_power_model(const PowerModel& model,
     TaskEnergyInput whole_clip;
     whole_clip.size_mb = segment_mb * static_cast<double>(num_segments);
     whole_clip.bitrate_mbps = bitrate;
-    whole_clip.signal_dbm = config.signal_dbm;
-    whole_clip.play_s = config.video_duration_s;
+    whole_clip.signal_dbm = kValidationSignalDbm;
+    whole_clip.play_s = kValidationVideoDurationS;
     whole_clip.rebuffer_s = 0.0;
     row.calculated_j = model.task_energy(whole_clip);
 

@@ -9,7 +9,8 @@
 // annoyance. This aggregator implements those effects on top of the
 // per-task qualities so the evaluation can be re-scored under a stricter
 // session model (bench_ablation_session_qoe checks whether the paper's
-// algorithm ranking survives — it does).
+// algorithm ranking survives — it does). The aggregation weights are the
+// named constants below, which no run varies.
 
 #include <vector>
 
@@ -18,19 +19,18 @@
 
 namespace eacs::qoe {
 
-/// Session-aggregation weights.
-struct SessionQoeParams {
-  double startup_penalty_per_s = 0.05;   ///< MOS per second of startup delay
-  double startup_penalty_cap = 0.5;      ///< max startup deduction
-  double stall_event_penalty = 0.15;     ///< MOS per stall event (on top of
-                                         ///< the per-task duration term)
-  double stall_event_cap = 1.0;
-  double recency_half_life_s = 60.0;     ///< exponential recency weighting:
-                                         ///< a segment this far from the end
-                                         ///< counts half as much
-  double oscillation_penalty = 0.3;      ///< MOS at switch_rate = 1 (every
-                                         ///< segment switches)
-};
+// Session-aggregation weights.
+/// MOS per second of startup delay.
+inline constexpr double kStartupPenaltyPerS = 0.05;
+inline constexpr double kStartupPenaltyCap = 0.5;  ///< max startup deduction
+/// MOS per stall event (on top of the per-task duration term).
+inline constexpr double kStallEventPenalty = 0.15;
+inline constexpr double kStallEventCap = 1.0;
+/// Exponential recency weighting: a segment this far from the end counts
+/// half as much.
+inline constexpr double kRecencyHalfLifeS = 60.0;
+/// MOS at switch_rate = 1 (every segment switches).
+inline constexpr double kOscillationPenalty = 0.3;
 
 /// Breakdown of a session score.
 struct SessionQoeBreakdown {
@@ -45,7 +45,6 @@ struct SessionQoeBreakdown {
 /// and rebuffer impairments included); the aggregator layers the
 /// session-level effects on top.
 SessionQoeBreakdown session_qoe(const player::PlaybackResult& result,
-                                const QoeModel& model,
-                                const SessionQoeParams& params = {});
+                                const QoeModel& model);
 
 }  // namespace eacs::qoe

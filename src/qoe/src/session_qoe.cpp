@@ -6,8 +6,7 @@
 namespace eacs::qoe {
 
 SessionQoeBreakdown session_qoe(const player::PlaybackResult& result,
-                                const QoeModel& model,
-                                const SessionQoeParams& params) {
+                                const QoeModel& model) {
   SessionQoeBreakdown breakdown;
   if (result.tasks.empty()) {
     breakdown.mos = model.params().mos_min;
@@ -19,9 +18,7 @@ SessionQoeBreakdown session_qoe(const player::PlaybackResult& result,
   double media_duration = 0.0;
   for (const auto& task : result.tasks) media_duration += task.duration_s;
 
-  const double lambda =
-      params.recency_half_life_s > 0.0 ? std::log(2.0) / params.recency_half_life_s
-                                       : 0.0;
+  const double lambda = std::log(2.0) / kRecencyHalfLifeS;
   double weighted = 0.0;
   double weight_sum = 0.0;
   double media_cursor = 0.0;
@@ -45,18 +42,17 @@ SessionQoeBreakdown session_qoe(const player::PlaybackResult& result,
   breakdown.base_mos = weight_sum > 0.0 ? weighted / weight_sum : 0.0;
 
   breakdown.startup_penalty =
-      std::min(params.startup_penalty_cap,
-               params.startup_penalty_per_s * std::max(0.0, result.startup_delay_s));
+      std::min(kStartupPenaltyCap,
+               kStartupPenaltyPerS * std::max(0.0, result.startup_delay_s));
   breakdown.stall_penalty =
-      std::min(params.stall_event_cap,
-               params.stall_event_penalty *
-                   static_cast<double>(result.rebuffer_events));
+      std::min(kStallEventCap,
+               kStallEventPenalty * static_cast<double>(result.rebuffer_events));
   const double switch_rate =
       result.tasks.size() > 1
           ? static_cast<double>(result.switch_count) /
                 static_cast<double>(result.tasks.size() - 1)
           : 0.0;
-  breakdown.oscillation_penalty = params.oscillation_penalty * switch_rate;
+  breakdown.oscillation_penalty = kOscillationPenalty * switch_rate;
 
   breakdown.mos = std::clamp(breakdown.base_mos - breakdown.startup_penalty -
                                  breakdown.stall_penalty -

@@ -10,7 +10,8 @@
 //   * dominant frequency (Goertzel scan: walking cadence ~1.5-2.5 Hz vs.
 //     road/engine harmonics spread over 1-20 Hz),
 //   * spectral spread (walking is narrowband, vehicles broadband)
-// — and applies calibrated thresholds.
+// — and applies calibrated thresholds. The rate, filter, thresholds and scan
+// grid are the named constants below, which no run varies.
 
 #include <cstddef>
 #include <span>
@@ -31,26 +32,25 @@ struct MotionFeatures {
   double spectral_spread = 0.0;  ///< energy-weighted std around dominant_hz
 };
 
-/// Classifier configuration (thresholds calibrated against the synthetic
-/// generators; adjust for real hardware).
-struct ClassifierConfig {
-  double sample_rate_hz = 50.0;
-  double highpass_cutoff_hz = 0.5;
-  double static_rms = 0.25;       ///< below: static
-  double walk_min_hz = 1.2;       ///< walking cadence band
-  double walk_max_hz = 2.8;
-  double walk_max_spread_hz = 1.8;  ///< walking is narrowband
-  double scan_max_hz = 20.0;      ///< Goertzel scan ceiling
-  double scan_step_hz = 0.1;
-};
+// Classifier settings (thresholds calibrated against the synthetic
+// generators; adjust for real hardware).
+/// Sample rate the features assume. It has to match the accelerometer
+/// stream's rate (50 Hz, as the trace generators and sessions emit).
+inline constexpr double kClassifierSampleRateHz = 50.0;
+inline constexpr double kClassifierHighpassCutoffHz = 0.5;
+inline constexpr double kClassifierStaticRms = 0.25;  ///< below: static
+inline constexpr double kClassifierWalkMinHz = 1.2;   ///< walking cadence band
+inline constexpr double kClassifierWalkMaxHz = 2.8;
+/// Walking is narrowband.
+inline constexpr double kClassifierWalkMaxSpreadHz = 1.8;
+inline constexpr double kClassifierScanMaxHz = 20.0;  ///< Goertzel scan ceiling
+inline constexpr double kClassifierScanStepHz = 0.1;
 
 /// Computes the windowed features over a trace slice.
-MotionFeatures compute_motion_features(std::span<const AccelSample> window,
-                                       const ClassifierConfig& config = {});
+MotionFeatures compute_motion_features(std::span<const AccelSample> window);
 
 /// Classifies one window of samples.
-Context classify_window(std::span<const AccelSample> window,
-                        const ClassifierConfig& config = {});
+Context classify_window(std::span<const AccelSample> window);
 
 /// Goertzel single-bin spectral power of a real signal at `freq_hz`.
 double goertzel_power(std::span<const double> samples, double freq_hz,

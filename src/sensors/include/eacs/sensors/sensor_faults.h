@@ -46,9 +46,6 @@ enum class SensorFaultType {
   kRateCollapse,  ///< only every Nth sample delivered
 };
 
-/// Stable lower-case identifier (study tables, CSV, logs).
-const char* to_string(SensorFaultType type) noexcept;
-
 /// One fault episode: `type` applies to samples with t in [start_s, end_s).
 struct SensorFaultEpisode {
   SensorFaultType type = SensorFaultType::kDropout;

@@ -29,9 +29,6 @@ enum class ContextHealth {
   kLost,      ///< no usable data; plan on the conservative prior
 };
 
-/// Stable lower-case identifier (tables, CSV, logs).
-const char* to_string(ContextHealth health) noexcept;
-
 /// One telephony signal-strength reading as delivered to the client.
 struct SignalSample {
   double t_s = 0.0;     ///< delivery timestamp, seconds since stream start

@@ -38,13 +38,13 @@ double goertzel_power(std::span<const double> samples, double freq_hz,
   return power / static_cast<double>(samples.size());
 }
 
-MotionFeatures compute_motion_features(std::span<const AccelSample> window,
-                                       const ClassifierConfig& config) {
+MotionFeatures compute_motion_features(std::span<const AccelSample> window) {
   MotionFeatures features;
   if (window.empty()) return features;
 
   // Gravity-removed magnitude stream.
-  eacs::HighPassFilter highpass(config.highpass_cutoff_hz, config.sample_rate_hz);
+  eacs::HighPassFilter highpass(kClassifierHighpassCutoffHz,
+                               kClassifierSampleRateHz);
   std::vector<double> ac;
   ac.reserve(window.size());
   for (const auto& sample : window) {
@@ -70,10 +70,10 @@ MotionFeatures compute_motion_features(std::span<const AccelSample> window,
   double total_power = 0.0;
   double weighted_freq = 0.0;
   std::vector<std::pair<double, double>> spectrum;  // (freq, power)
-  const double top =
-      std::min(config.scan_max_hz, config.sample_rate_hz / 2.0 - config.scan_step_hz);
-  for (double f = config.scan_step_hz; f <= top; f += config.scan_step_hz) {
-    const double power = goertzel_power(ac, f, config.sample_rate_hz);
+  const double top = std::min(kClassifierScanMaxHz,
+                              kClassifierSampleRateHz / 2.0 - kClassifierScanStepHz);
+  for (double f = kClassifierScanStepHz; f <= top; f += kClassifierScanStepHz) {
+    const double power = goertzel_power(ac, f, kClassifierSampleRateHz);
     spectrum.emplace_back(f, power);
     total_power += power;
     weighted_freq += f * power;
@@ -93,13 +93,12 @@ MotionFeatures compute_motion_features(std::span<const AccelSample> window,
   return features;
 }
 
-Context classify_window(std::span<const AccelSample> window,
-                        const ClassifierConfig& config) {
-  const MotionFeatures features = compute_motion_features(window, config);
-  if (features.rms < config.static_rms) return Context::kStatic;
-  const bool cadence_band = features.dominant_hz >= config.walk_min_hz &&
-                            features.dominant_hz <= config.walk_max_hz;
-  if (cadence_band && features.spectral_spread <= config.walk_max_spread_hz) {
+Context classify_window(std::span<const AccelSample> window) {
+  const MotionFeatures features = compute_motion_features(window);
+  if (features.rms < kClassifierStaticRms) return Context::kStatic;
+  const bool cadence_band = features.dominant_hz >= kClassifierWalkMinHz &&
+                            features.dominant_hz <= kClassifierWalkMaxHz;
+  if (cadence_band && features.spectral_spread <= kClassifierWalkMaxSpreadHz) {
     return Context::kWalking;
   }
   return Context::kVehicle;

@@ -124,18 +124,6 @@ std::size_t episode_at(const std::vector<SensorFaultEpisode>& schedule,
 
 }  // namespace
 
-const char* to_string(SensorFaultType type) noexcept {
-  switch (type) {
-    case SensorFaultType::kDropout: return "dropout";
-    case SensorFaultType::kStuckAt: return "stuck_at";
-    case SensorFaultType::kNoiseBurst: return "noise_burst";
-    case SensorFaultType::kSaturation: return "saturation";
-    case SensorFaultType::kNanCorruption: return "nan_corruption";
-    case SensorFaultType::kRateCollapse: return "rate_collapse";
-  }
-  return "unknown";
-}
-
 SensorFaultInjector::SensorFaultInjector(const AccelTrace& accel,
                                          std::vector<SignalSample> signal,
                                          SensorFaultSpec spec)

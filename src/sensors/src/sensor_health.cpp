@@ -6,15 +6,6 @@
 
 namespace eacs::sensors {
 
-const char* to_string(ContextHealth health) noexcept {
-  switch (health) {
-    case ContextHealth::kHealthy: return "healthy";
-    case ContextHealth::kDegraded: return "degraded";
-    case ContextHealth::kLost: return "lost";
-  }
-  return "unknown";
-}
-
 void SensorHealthMonitor::observe_accel(const AccelSample& sample) {
   const bool valid = std::isfinite(sample.t_s) && std::isfinite(sample.x) &&
                      std::isfinite(sample.y) && std::isfinite(sample.z);

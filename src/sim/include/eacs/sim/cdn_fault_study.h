@@ -11,8 +11,10 @@
 // source-count-1 column is the single-source retry-only baseline: the same
 // faulty origin with no failover target, so every cell's deltas quantify
 // what multi-source delivery (circuit breakers + health-scored failover +
-// hedged requests) buys over pure retry. Deterministic in (config, seed) at
-// any job count.
+// hedged requests) buys over pure retry. The player is
+// config.evaluation.player, as in the sensor-fault study, so its
+// PlayerConfig::hedge_enabled (on by default) switches the hedged requests.
+// Deterministic in (config, seed) at any job count.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,9 +67,6 @@ struct CdnFaultStudyConfig {
   double corrupt_prob = 0.10;        ///< kPayloadCorruption
   double slow_start_prob = 0.5;      ///< kSlowStart
   double slow_scale = 0.25;          ///< kSlowStart: residual throughput
-
-  /// Hedged requests on multi-source cells (PlayerConfig::hedge_enabled).
-  bool hedge_enabled = true;
 
   std::uint64_t seed = 0xCD4F'A170'57D1ULL;
 };

@@ -14,7 +14,6 @@
 
 #include "eacs/player/player.h"
 #include "eacs/power/model.h"
-#include "eacs/power/rrc.h"
 #include "eacs/qoe/model.h"
 
 namespace eacs::sim {
@@ -100,7 +99,6 @@ struct RrcSessionEnergy {
 /// burst timeline is taken from the task records; playback covers each
 /// task's media duration plus its stalls.
 RrcSessionEnergy session_energy_rrc(const player::PlaybackResult& result,
-                                    const power::PowerModel& power_model,
-                                    const power::RrcSimulator& rrc);
+                                    const power::PowerModel& power_model);
 
 }  // namespace eacs::sim

@@ -20,12 +20,10 @@
 namespace eacs::sim {
 
 /// The Table V sessions with everything a study unit replays them through,
-/// built once and shared read-only across the grid. The PlayerConfig is a
-/// separate argument because a study may run a variant of the evaluation's
-/// player (the CDN study sets hedge_enabled).
+/// built once and shared read-only across the grid; each session's simulator
+/// plays the evaluation's PlayerConfig.
 struct StudySessions {
-  StudySessions(const EvaluationConfig& evaluation,
-                const player::PlayerConfig& player);
+  explicit StudySessions(const EvaluationConfig& evaluation);
 
   qoe::QoeModel qoe_model;
   power::PowerModel power_model;

@@ -101,9 +101,7 @@ CdnFaultStudyResult run_cdn_fault_study(const CdnFaultStudyConfig& config) {
   const auto families =
       config.families.empty() ? all_cdn_fault_families() : config.families;
 
-  player::PlayerConfig player_config = config.evaluation.player;
-  player_config.hedge_enabled = config.hedge_enabled;
-  const StudySessions fixture(config.evaluation, player_config);
+  const StudySessions fixture(config.evaluation);
   const std::size_t n_sessions = fixture.size();
 
   // Points [0, P) are the grid: point = (family index * |intensities| +

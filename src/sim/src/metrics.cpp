@@ -1,5 +1,7 @@
 #include "eacs/sim/metrics.h"
 
+#include "eacs/power/rrc.h"
+
 namespace eacs::sim {
 
 double session_energy_j(const player::PlaybackResult& result,
@@ -70,8 +72,7 @@ double session_mean_qoe(const player::PlaybackResult& result,
 }
 
 RrcSessionEnergy session_energy_rrc(const player::PlaybackResult& result,
-                                    const power::PowerModel& power_model,
-                                    const power::RrcSimulator& rrc) {
+                                    const power::PowerModel& power_model) {
   RrcSessionEnergy out;
   std::vector<power::TransferBurst> bursts;
   bursts.reserve(result.tasks.size());
@@ -85,7 +86,8 @@ RrcSessionEnergy session_energy_rrc(const player::PlaybackResult& result,
       out.playback_j += power_model.pause_power() * task.rebuffer_s;
     }
   }
-  const auto breakdown = rrc.analyze(std::move(bursts), result.session_end_s);
+  const auto breakdown =
+      power::rrc_breakdown(std::move(bursts), result.session_end_s);
   out.tail_j = breakdown.tail_energy_j;
   out.idle_j = breakdown.idle_energy_j;
   out.promotion_j = breakdown.promotion_energy_j;

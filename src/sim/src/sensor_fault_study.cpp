@@ -142,7 +142,7 @@ SensorFaultStudyResult run_sensor_fault_study(
   const auto scenarios = config.scenarios.empty() ? all_sensor_fault_scenarios()
                                                   : config.scenarios;
 
-  const StudySessions fixture(config.evaluation, config.evaluation.player);
+  const StudySessions fixture(config.evaluation);
   const std::size_t n_sessions = fixture.size();
   std::vector<std::vector<sensors::SignalSample>> signal_streams;
   signal_streams.reserve(n_sessions);

@@ -2,8 +2,7 @@
 
 namespace eacs::sim {
 
-StudySessions::StudySessions(const EvaluationConfig& evaluation,
-                             const player::PlayerConfig& player)
+StudySessions::StudySessions(const EvaluationConfig& evaluation)
     : qoe_model(evaluation.qoe),
       power_model(evaluation.power),
       objective(make_objective(evaluation)) {
@@ -13,7 +12,7 @@ StudySessions::StudySessions(const EvaluationConfig& evaluation,
   simulators.reserve(sessions.size());
   for (const auto& session : sessions) {
     manifests.push_back(manifest_source.manifest_for(session.spec));
-    simulators.emplace_back(manifests.back(), player);
+    simulators.emplace_back(manifests.back(), evaluation.player);
   }
 }
 

@@ -33,10 +33,6 @@ class CsvTable {
   const std::string& cell(std::size_t row, std::string_view col_name) const;
 
   double cell_as_double(std::size_t row, std::string_view col_name) const;
-  long long cell_as_int(std::size_t row, std::string_view col_name) const;
-
-  /// Whole named column converted to double.
-  std::vector<double> column_as_double(std::string_view col_name) const;
 
  private:
   std::vector<std::string> header_;

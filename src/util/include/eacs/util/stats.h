@@ -56,10 +56,6 @@ double jain_fairness(std::span<const double> xs) noexcept;
 /// Linear-interpolated percentile, p in [0, 100]. Returns 0 for empty input.
 double percentile(std::vector<double> xs, double p) noexcept;
 
-/// Minimum / maximum; return 0 for empty input.
-double min_of(std::span<const double> xs) noexcept;
-double max_of(std::span<const double> xs) noexcept;
-
 /// Pearson correlation coefficient; 0 if either side is constant or empty.
 double pearson(std::span<const double> xs, std::span<const double> ys) noexcept;
 

@@ -1,7 +1,6 @@
 #include "eacs/util/csv.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -52,27 +51,6 @@ double CsvTable::cell_as_double(std::size_t row, std::string_view col_name) cons
                              "' is not a double");
   }
   return value;
-}
-
-long long CsvTable::cell_as_int(std::size_t row, std::string_view col_name) const {
-  const std::string& text = cell(row, col_name);
-  long long value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw std::runtime_error("CsvTable: row " + std::to_string(row) + ", column '" +
-                             std::string(col_name) + "': cell '" + text +
-                             "' is not an integer");
-  }
-  return value;
-}
-
-std::vector<double> CsvTable::column_as_double(std::string_view col_name) const {
-  std::vector<double> out;
-  out.reserve(num_rows());
-  for (std::size_t row = 0; row < num_rows(); ++row) {
-    out.push_back(cell_as_double(row, col_name));
-  }
-  return out;
 }
 
 namespace {

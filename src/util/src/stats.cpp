@@ -53,16 +53,6 @@ double percentile(std::vector<double> xs, double p) noexcept {
   return xs[lo] + (xs[hi] - xs[lo]) * frac;
 }
 
-double min_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double pearson(std::span<const double> xs, std::span<const double> ys) noexcept {
   const std::size_t n = std::min(xs.size(), ys.size());
   if (n < 2) return 0.0;

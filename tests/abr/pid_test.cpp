@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "eacs/player/player.h"
 #include "../test_helpers.h"
 
@@ -26,16 +28,6 @@ struct Fixture {
     return ctx;
   }
 };
-
-TEST(PidTest, InvalidConfigThrows) {
-  PidConfig bad;
-  bad.setpoint_s = 0.0;
-  EXPECT_THROW(PidController{bad}, std::invalid_argument);
-  PidConfig inverted;
-  inverted.min_factor = 2.0;
-  inverted.max_factor = 1.0;
-  EXPECT_THROW(PidController{inverted}, std::invalid_argument);
-}
 
 TEST(PidTest, NoEstimateStartsLowest) {
   Fixture fixture;
@@ -85,6 +77,35 @@ TEST(PidTest, ResetClearsState) {
   PidController fresh;
   EXPECT_EQ(policy.choose_level(fixture.context(20.0)),
             fresh.choose_level(fixture.context(20.0)));
+}
+
+// Pins the gains and limits by literal values: a 0.05 Mbps-step ladder turns
+// each term of the controller into a visible rung. At a 10 Mbps estimate the
+// buffers below sit at the setpoint, push kp/ki/kd together, hit the upper and
+// lower factor clamps, wind the integral onto its limit, and read that limit
+// back once the error is 0.
+TEST(PidTest, ChoiceSequenceIsPinned) {
+  std::vector<media::BitrateRung> rungs;
+  for (int i = 1; i <= 400; ++i) rungs.push_back({0.05 * i, ""});
+  const media::VideoManifest manifest("pid", 60.0, 2.0,
+                                      media::BitrateLadder(std::move(rungs)));
+  net::HarmonicMeanEstimator estimator(20);
+  for (int i = 0; i < 20; ++i) estimator.observe(10.0);
+  player::AbrContext ctx;
+  ctx.num_segments = manifest.num_segments();
+  ctx.manifest = &manifest;
+  ctx.bandwidth = &estimator;
+
+  PidController policy;
+  const double buffers[] = {20.0, 24.0, 40.0, 0.0, 0.0, 0.0, 0.0, 0.0, 20.0, 20.0};
+  // Mbps: 10.00, 14.05, 15.00, then 2.50 five times, 15.00, 8.80.
+  const std::vector<std::size_t> want = {199, 280, 299, 49, 49, 49, 49, 49, 299, 175};
+  std::vector<std::size_t> got;
+  for (const double buffer : buffers) {
+    ctx.buffer_s = buffer;
+    got.push_back(policy.choose_level(ctx));
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(PidTest, StabilisesOnConstantNetwork) {

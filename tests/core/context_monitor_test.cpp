@@ -122,6 +122,20 @@ TEST(ContextMonitorTest, OlderSignalReadingDoesNotReplaceTheNewest) {
   EXPECT_DOUBLE_EQ(snap.signal_age_s, 0.0);
 }
 
+TEST(ContextMonitorTest, UndeliveredSignalReadingLeavesTheClock) {
+  // Only a delivered reading moves the internal clock: a NaN value stamped
+  // far ahead must not age the fresh accelerometer stream.
+  ContextMonitor monitor;
+  feed_quiet(monitor, 0.0, 5.01);
+  const auto before = monitor.snapshot();
+  ASSERT_EQ(before.vibration_health, ContextHealth::kHealthy);
+  monitor.observe_signal(100.0, std::numeric_limits<double>::quiet_NaN());
+  const auto after = monitor.snapshot();
+  EXPECT_EQ(after.vibration_health, ContextHealth::kHealthy);
+  EXPECT_DOUBLE_EQ(after.vibration, before.vibration);
+  EXPECT_NEAR(after.vibration, 0.0, 0.1);
+}
+
 TEST(ContextMonitorTest, VibratingFromTwoMetresPerSecondSquared) {
   // A 5 Hz shake whose level reads between 2.0 and 2.5 m/s^2 counts as a
   // vibrating environment.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "../test_helpers.h"
 
 namespace eacs::core {
@@ -33,12 +37,20 @@ TEST(PrefetchTest, InvalidInputsThrow) {
                                  fixture.signal, fixture.throughput,
                                  power::PowerModel{}),
                std::invalid_argument);
-  PrefetchConfig bad;
-  bad.slot_s = 0.0;
-  EXPECT_THROW(PrefetchScheduler(fixture.manifest, fixture.constant_plan(5),
-                                 fixture.signal, fixture.throughput,
-                                 power::PowerModel{}, bad),
-               std::invalid_argument);
+  // NaN and +inf would reach optimize()'s slot count; each bad cap is
+  // rejected by name.
+  for (const double cap : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    try {
+      PrefetchScheduler scheduler(fixture.manifest, fixture.constant_plan(5),
+                                  fixture.signal, fixture.throughput,
+                                  power::PowerModel{}, cap);
+      ADD_FAILURE() << "no throw at buffer_cap_s " << cap;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("buffer_cap_s"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(PrefetchTest, AsapIsFeasibleOnFastLink) {
@@ -111,15 +123,11 @@ TEST(PrefetchTest, ConstantSignalLeavesNothingToGain) {
 TEST(PrefetchTest, BufferCapLimitsPrefetchDepth) {
   AlternatingFixture fixture;
   const power::PowerModel power_model;
-  PrefetchConfig config;
-  config.buffer_cap_s = 10.0;  // tight cap: little room to shift downloads
+  // Tight cap: little room to shift downloads.
   PrefetchScheduler tight(fixture.manifest, fixture.constant_plan(10),
-                          fixture.signal, fixture.throughput, power_model, config);
-  PrefetchConfig loose_config;
-  loose_config.buffer_cap_s = 60.0;
+                          fixture.signal, fixture.throughput, power_model, 10.0);
   PrefetchScheduler loose(fixture.manifest, fixture.constant_plan(10),
-                          fixture.signal, fixture.throughput, power_model,
-                          loose_config);
+                          fixture.signal, fixture.throughput, power_model, 60.0);
   // A looser buffer gives the scheduler more freedom: at least as good.
   EXPECT_LE(loose.optimize().radio_energy_j,
             tight.optimize().radio_energy_j + 1e-6);
@@ -130,6 +138,17 @@ TEST(PrefetchTest, BufferCapLimitsPrefetchDepth) {
         2.0 + (static_cast<double>(download.segment_index) + 1.0) * 2.0 - 10.0;
     EXPECT_GE(download.end_s, std::max(0.0, earliest) - 1.0 - 1e-6);
   }
+}
+
+// Pins the slot grid and the startup latency by literal values: the radio
+// energy of both schedules of the alternating fixture's level-10 plan.
+TEST(PrefetchTest, AlternatingSignalPlanEnergyIsPinned) {
+  AlternatingFixture fixture;
+  PrefetchScheduler scheduler(fixture.manifest, fixture.constant_plan(10),
+                              fixture.signal, fixture.throughput,
+                              power::PowerModel{});
+  EXPECT_NEAR(scheduler.asap().radio_energy_j, 36.61401050139731, 1e-9);
+  EXPECT_NEAR(scheduler.optimize().radio_energy_j, 19.920666106421642, 1e-9);
 }
 
 TEST(PrefetchTest, SlowLinkFallsBackWithStalls) {

@@ -4,9 +4,10 @@
 // float (%a: every bit of every double), then its full SessionTimeline CSV,
 // and hashes the text with 64-bit FNV-1a. The hash must equal a constant
 // recorded from the engine as it stands, so a refactor of the engine, its
-// link models or its entry points (PlayerSimulator's four overloads, whose
-// analytic SessionEngine runs play one client each, and SessionEngine's
-// stepped run on a cellular link) cannot move a single bit unnoticed.
+// link models or its entry points (PlayerSimulator's three overloads and the
+// test helpers' run over a FaultLinkModel, each an analytic SessionEngine
+// run of one client, and SessionEngine's stepped run on a cellular link)
+// cannot move a single bit unnoticed.
 // The runs cover the solo, link-fault, sensor-fault and hedged-CDN analytic
 // paths, the stepped shared-bottleneck (one cell) and multi-cell paths, and
 // the stepped reference loop. A deliberate change to the engine's numbers
@@ -37,6 +38,7 @@ namespace {
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
 using eacs::testing::make_step_session;
+using eacs::testing::run_with_link_faults;
 
 std::string hex(double v) {
   char buffer[64];
@@ -136,7 +138,8 @@ TEST(EngineDigestTest, PlayerLinkFaults) {
   // A fixed high rung keeps requesting big segments as the buffer thins.
   abr::FixedBitrate policy(11, "fixed11");
   SessionTimeline timeline;
-  const auto result = simulator.run(policy, session, injector, &timeline);
+  const auto result = run_with_link_faults(
+      simulator, policy, session, injector, &timeline);
   // The dump must exercise the retry ladder, the abandon step and backoff.
   EXPECT_GT(result.total_retries, 0U);
   EXPECT_GT(result.abandoned_segments, 0U);

@@ -117,8 +117,7 @@ TEST(EndToEndTest, RrcAccountingConsistentWithPerByte) {
   const auto playback = simulator.run(policy, session);
 
   const power::PowerModel power_model;
-  const power::RrcSimulator rrc{power::RrcConfig{}};
-  const auto rrc_energy = sim::session_energy_rrc(playback, power_model, rrc);
+  const auto rrc_energy = sim::session_energy_rrc(playback, power_model);
   const double per_byte_total = sim::session_energy_j(playback, power_model);
 
   EXPECT_NEAR(rrc_energy.data_j + rrc_energy.playback_j, per_byte_total, 1e-6);

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "eacs/media/catalogue.h"
 
 namespace eacs::media {
 namespace {
+
+// With this resolution scale a 480x270 source plays the role of a
+// 1080p-class display.
+constexpr double kDisplayScale = 0.25;
 
 Frame test_frame(std::size_t w = 128, std::size_t h = 72) {
   FrameGenerator generator(w, h, test_video("Sintel").profile);
@@ -86,13 +94,11 @@ TEST(CodecTest, QualityMonotoneAcrossLadder) {
   // 480x270 source with resolution_scale 0.25 plays the role of a
   // 1080p-class display at laptop cost.
   const Frame source = test_frame(480, 270);
-  CodecConfig config;
-  config.resolution_scale = 0.25;
   const auto ladder = BitrateLadder::table2();
   double prev_psnr = 0.0;
   double prev_ssim = 0.0;
   for (std::size_t level = 0; level < ladder.size(); ++level) {
-    const Frame decoded = simulate_encode(source, ladder.rung(level), config);
+    const Frame decoded = simulate_encode(source, ladder.rung(level), kDisplayScale);
     const double p = psnr(source, decoded);
     const double s = ssim(source, decoded);
     EXPECT_GE(p, prev_psnr - 0.2) << "level " << level;
@@ -102,9 +108,10 @@ TEST(CodecTest, QualityMonotoneAcrossLadder) {
   }
   // And the top rung is decisively better than the bottom.
   const double bottom =
-      psnr(source, simulate_encode(source, ladder.rung(0), config));
+      psnr(source, simulate_encode(source, ladder.rung(0), kDisplayScale));
   const double top =
-      psnr(source, simulate_encode(source, ladder.rung(ladder.size() - 1), config));
+      psnr(source,
+           simulate_encode(source, ladder.rung(ladder.size() - 1), kDisplayScale));
   EXPECT_GT(top, bottom + 3.0);
 }
 
@@ -115,16 +122,42 @@ TEST(CodecTest, EncodeNeverUpscalesAboveSource) {
   EXPECT_EQ(decoded.height(), 36U);
 }
 
+// Pins the frame rate and the quantiser's anchor (reference bpp, base step)
+// by a literal value: at the 1080p rung the encode keeps the source's
+// 480x270 pixels, so only the quantisation step (4 * 0.09 / bpp at 30 fps,
+// about 3.86) moves the PSNR.
+TEST(CodecTest, TopRungPsnrIsPinned) {
+  const Frame source = test_frame(480, 270);
+  const auto ladder = BitrateLadder::table2();
+  EXPECT_NEAR(psnr(source, simulate_encode(source, ladder.rung(5), kDisplayScale)),
+              46.487091436213881, 1e-9);
+}
+
+TEST(CodecTest, NonFiniteOrNonPositiveScaleThrows) {
+  const Frame source = test_frame();
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -0.5, 0.0}) {
+    try {
+      (void)simulate_encode(source, {5.8, "1080p"}, scale);
+      ADD_FAILURE() << "no throw at resolution_scale " << scale;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("resolution_scale"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(CodecTest, QualitySaturatesLikeQ0) {
   // The q0 shape: the 480p -> 1080p SSIM gain is much smaller than the
   // 144p -> 480p gain.
   const Frame source = test_frame(480, 270);
-  CodecConfig config;
-  config.resolution_scale = 0.25;
   const auto ladder = BitrateLadder::table2();
-  const double s144 = ssim(source, simulate_encode(source, ladder.rung(0), config));
-  const double s480 = ssim(source, simulate_encode(source, ladder.rung(3), config));
-  const double s1080 = ssim(source, simulate_encode(source, ladder.rung(5), config));
+  const auto ssim_at = [&](std::size_t level) {
+    return ssim(source, simulate_encode(source, ladder.rung(level), kDisplayScale));
+  };
+  const double s144 = ssim_at(0);
+  const double s480 = ssim_at(3);
+  const double s1080 = ssim_at(5);
   // Synthetic textures are harsher on downsampling than natural video, so
   // the concavity is milder than q0's; require a 1.5x gain ratio.
   EXPECT_GT(s480 - s144, 1.5 * (s1080 - s480));

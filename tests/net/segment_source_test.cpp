@@ -414,16 +414,5 @@ TEST(SourceSelectorTest, EmptySourcesThrow) {
                std::invalid_argument);
 }
 
-TEST(CdnToStringTest, IdentifiersAreStable) {
-  EXPECT_STREQ(to_string(CdnAttemptClass::kOk), "ok");
-  EXPECT_STREQ(to_string(CdnAttemptClass::kHttpError), "http_error");
-  EXPECT_STREQ(to_string(CdnAttemptClass::kTruncated), "truncated");
-  EXPECT_STREQ(to_string(CdnAttemptClass::kCorrupted), "corrupted");
-  EXPECT_STREQ(to_string(CdnAttemptClass::kSlow), "slow");
-  EXPECT_STREQ(to_string(BreakerState::kClosed), "closed");
-  EXPECT_STREQ(to_string(BreakerState::kOpen), "open");
-  EXPECT_STREQ(to_string(BreakerState::kHalfOpen), "half_open");
-}
-
 }  // namespace
 }  // namespace eacs::net

@@ -15,6 +15,7 @@ namespace {
 
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
+using eacs::testing::run_with_link_faults;
 
 /// Records every failure notification the player emits.
 class ProbePolicy : public AbrPolicy {
@@ -75,7 +76,7 @@ TEST(ResilienceTest, InactiveInjectorIsBitIdenticalToPlainRun) {
   SessionTimeline routed_timeline;
   const auto plain = simulator.run(plain_policy, session, &plain_timeline);
   const auto routed =
-      simulator.run(faulty_policy, session, faults, &routed_timeline);
+      run_with_link_faults(simulator, faulty_policy, session, faults, &routed_timeline);
   expect_identical(plain, routed);
   std::ostringstream plain_csv;
   std::ostringstream routed_csv;
@@ -97,7 +98,7 @@ TEST(ResilienceTest, PerRequestFailuresRetryWithWasteAccounting) {
   const net::FaultInjector faults(session.throughput_mbps, spec, &session.signal_dbm);
 
   ProbePolicy policy(5);
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
 
   ASSERT_EQ(result.tasks.size(), manifest.num_segments());
   EXPECT_GT(result.total_retries, 0U);
@@ -126,7 +127,7 @@ TEST(ResilienceTest, StalledTransfersAbortAtTheDeadline) {
   const net::FaultInjector faults(session.throughput_mbps, spec);
 
   ProbePolicy policy(3);
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
 
   ASSERT_EQ(result.tasks.size(), manifest.num_segments());
   for (const auto& task : result.tasks) {
@@ -154,7 +155,7 @@ TEST(ResilienceTest, NoAbandonmentWithFourSecondsOfBuffer) {
   const net::FaultInjector faults(session.throughput_mbps, spec);
 
   ProbePolicy policy(6);
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
   ASSERT_EQ(result.tasks.size(), manifest.num_segments());
   const TaskRecord& at_floor = result.tasks[2];
   EXPECT_GE(at_floor.buffer_before_s, 4.0);
@@ -177,7 +178,7 @@ TEST(ResilienceTest, OutageDegradesToLowestAndRecovers) {
   const net::FaultInjector faults(session.throughput_mbps, spec);
 
   ProbePolicy policy(8);
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
 
   ASSERT_EQ(result.tasks.size(), manifest.num_segments());
   // At least one segment inside the outage was retried down to the lowest

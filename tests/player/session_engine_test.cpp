@@ -24,6 +24,7 @@ namespace {
 
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
+using eacs::testing::run_with_link_faults;
 
 net::FaultSpec outage_spec() {
   net::FaultSpec spec;
@@ -299,7 +300,8 @@ TEST(SessionEngineTest, FaultRunEmitsDeadlineAndTransitionEvents) {
                             &session.signal_dbm);
   abr::FixedBitrate policy(7, "Mid");
   SessionTimeline timeline;
-  const auto result = simulator.run(policy, session, faults, &timeline);
+  const auto result = run_with_link_faults(
+      simulator, policy, session, faults, &timeline);
 
   // A 20 s outage against a 15 s deadline must produce deadline aborts,
   // retries with backoff, and two fault transitions (enter + leave).
@@ -349,7 +351,7 @@ TEST(SessionEngineTest, InactiveInjectorMatchesFaultFreeBitForBit) {
   abr::Festive a;
   abr::Festive b;
   const auto plain = simulator.run(a, session);
-  const auto injected = simulator.run(b, session, inactive);
+  const auto injected = run_with_link_faults(simulator, b, session, inactive);
   ASSERT_EQ(plain.tasks.size(), injected.tasks.size());
   EXPECT_EQ(plain.session_end_s, injected.session_end_s);
   EXPECT_EQ(plain.total_rebuffer_s, injected.total_rebuffer_s);

@@ -24,6 +24,7 @@ namespace {
 
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
+using eacs::testing::run_with_link_faults;
 
 SessionEvent clock_event(SessionEventType type, double t_s, std::size_t client,
                          double buffer_s = 5.0) {
@@ -90,7 +91,8 @@ TEST(SessionInvariantCheckerTest, FaultInjectedRunSatisfiesAllInvariants) {
   abr::Bba policy(5.0, 30.0);
   SessionInvariantChecker checker(simulator.config(),
                                   manifest.ladder().size());
-  const auto result = simulator.run(policy, session, faults, &checker);
+  const auto result = run_with_link_faults(
+      simulator, policy, session, faults, &checker);
   EXPECT_TRUE(checker.ok()) << checker.violations().front();
   EXPECT_TRUE(SessionInvariantChecker::check_result(
                   result, manifest.ladder().size())

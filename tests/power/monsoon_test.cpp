@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "eacs/power/validation.h"
 
@@ -54,16 +56,27 @@ TEST(MonsoonSimulatorTest, EmptyIntervalThrows) {
 }
 
 TEST(MonsoonSimulatorTest, BadSampleRateThrows) {
-  MonsoonConfig config;
-  config.sample_rate_hz = 0.0;
-  EXPECT_THROW(MonsoonSimulator(config, PowerModel{}), std::invalid_argument);
+  // +inf would make the sampling step 0 (measure_energy would never return)
+  // and NaN would skip every sample; both are rejected by name.
+  for (const double rate : {0.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    MonsoonConfig config;
+    config.sample_rate_hz = rate;
+    try {
+      MonsoonSimulator monsoon(config, PowerModel{});
+      ADD_FAILURE() << "no throw at sample_rate_hz " << rate;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("sample_rate_hz"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(ValidationTest, TableVIErrorsUnderThreePercent) {
-  ValidationConfig config;
-  config.monsoon.sample_rate_hz = 1000.0;  // faster than 5 kHz, same physics
+  MonsoonConfig channel;
+  channel.sample_rate_hz = 1000.0;  // faster than 5 kHz, same physics
   const auto rows =
-      validate_power_model(PowerModel{}, media::BitrateLadder::table2(), config);
+      validate_power_model(PowerModel{}, media::BitrateLadder::table2(), channel);
   ASSERT_EQ(rows.size(), 6U);
   for (const auto& row : rows) {
     EXPECT_LT(row.error_ratio, 0.03) << "bitrate " << row.bitrate_mbps;
@@ -74,20 +87,33 @@ TEST(ValidationTest, TableVIErrorsUnderThreePercent) {
 }
 
 TEST(ValidationTest, MeasuredEnergyOrderedByBitrate) {
-  ValidationConfig config;
-  config.monsoon.sample_rate_hz = 500.0;
-  const auto rows =
-      validate_power_model(PowerModel{}, media::BitrateLadder::table2(), config);
+  const auto rows = validate_power_model(PowerModel{}, media::BitrateLadder::table2(),
+                                         fast_channel());
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_GT(rows[i].calculated_j, rows[i - 1].calculated_j);
   }
 }
 
-TEST(ValidationTest, BadConfigThrows) {
-  ValidationConfig config;
-  config.video_duration_s = 0.0;
-  EXPECT_THROW(validate_power_model(PowerModel{}, media::BitrateLadder::table2(), config),
-               std::invalid_argument);
+// Pins the Table VI setup (300 s clip, 2 s segments, -90 dBm, 20 Mbps) by
+// literal values: the six rows at 500 Hz sampling. The throughput moves only
+// the measured column (it sets how long each download interval lasts).
+TEST(ValidationTest, TableVIRowsArePinned) {
+  const auto rows = validate_power_model(PowerModel{}, media::BitrateLadder::table2(),
+                                         fast_channel());
+  struct Row {
+    double bitrate_mbps, measured_j, calculated_j;
+  };
+  const Row want[] = {
+      {0.1, 585.090398939226, 590.0175},   {0.375, 598.443167937867, 595.565625},
+      {0.75, 598.520461420061, 603.13125}, {1.5, 618.852255337045, 618.2625},
+      {3.0, 643.810244228067, 648.525},    {5.8, 700.192595583854, 705.015},
+  };
+  ASSERT_EQ(rows.size(), 6U);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_DOUBLE_EQ(rows[i].bitrate_mbps, want[i].bitrate_mbps);
+    EXPECT_NEAR(rows[i].measured_j, want[i].measured_j, 1e-9) << "row " << i;
+    EXPECT_NEAR(rows[i].calculated_j, want[i].calculated_j, 1e-9) << "row " << i;
+  }
 }
 
 TEST(ValidationTest, MeanErrorRatioEmptyIsZero) {

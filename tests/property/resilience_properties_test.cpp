@@ -19,6 +19,7 @@ namespace {
 
 using eacs::testing::make_manifest;
 using eacs::testing::make_session;
+using eacs::testing::run_with_link_faults;
 
 net::FaultSpec random_spec(std::uint64_t seed) {
   eacs::Rng rng(seed);
@@ -50,8 +51,8 @@ TEST_P(ResilienceProperties, IdenticalConfigAndSeedReproduceEverything) {
   const PlayerSimulator simulator(make_manifest(40.0, 2.0));
   abr::FixedBitrate policy_a(6, "Fixed6");
   abr::FixedBitrate policy_b(6, "Fixed6");
-  const auto x = simulator.run(policy_a, session, a);
-  const auto y = simulator.run(policy_b, session, b);
+  const auto x = run_with_link_faults(simulator, policy_a, session, a);
+  const auto y = run_with_link_faults(simulator, policy_b, session, b);
 
   ASSERT_EQ(x.tasks.size(), y.tasks.size());
   for (std::size_t i = 0; i < x.tasks.size(); ++i) {
@@ -75,7 +76,7 @@ TEST_P(ResilienceProperties, RetriesAreBoundedByMaxRetries) {
 
   const PlayerSimulator simulator(make_manifest(40.0, 2.0));
   abr::FixedBitrate policy(9, "Fixed9");
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
 
   ASSERT_EQ(result.tasks.size(), simulator.manifest().num_segments());
   std::size_t sum = 0;
@@ -208,7 +209,7 @@ TEST_P(ResilienceProperties, TotalOutageStillTerminatesWithFiniteAccounting) {
 
   const PlayerSimulator simulator(make_manifest(8.0, 2.0));
   abr::FixedBitrate policy(4, "Fixed4");
-  const auto result = simulator.run(policy, session, faults);
+  const auto result = run_with_link_faults(simulator, policy, session, faults);
 
   ASSERT_EQ(result.tasks.size(), simulator.manifest().num_segments());
   // The first segment starts inside the dead window: it must burn all its

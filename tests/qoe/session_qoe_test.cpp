@@ -79,7 +79,7 @@ TEST(SessionQoeTest, StartupPenaltyCapped) {
   auto slow_start = steady_run(60, 3.0);
   slow_start.startup_delay_s = 300.0;
   const auto breakdown = session_qoe(slow_start, model);
-  EXPECT_DOUBLE_EQ(breakdown.startup_penalty, SessionQoeParams{}.startup_penalty_cap);
+  EXPECT_DOUBLE_EQ(breakdown.startup_penalty, kStartupPenaltyCap);
 }
 
 TEST(SessionQoeTest, OscillationPenalisedSeparately) {
@@ -93,6 +93,36 @@ TEST(SessionQoeTest, OscillationPenalisedSeparately) {
   const auto wobbly = session_qoe(oscillating, model);
   EXPECT_GT(wobbly.oscillation_penalty, 0.25);
   EXPECT_LT(wobbly.mos, steady.mos);
+}
+
+// Pins the six aggregation weights by literal values: one playback whose
+// bitrate steps through five rungs (so recency weighting and oscillation
+// count), scored with its startup and stall-event counts under the caps and
+// again over them.
+TEST(SessionQoeTest, FixedPlaybackBreakdownIsPinned) {
+  const QoeModel model;
+  player::PlaybackResult result;
+  const double rates[] = {0.375, 1.0, 2.3, 3.0, 5.8};
+  for (std::size_t i = 0; i < 60; ++i) {
+    const double rebuffer = i == 20 ? 1.5 : (i == 41 ? 0.5 : 0.0);
+    result.tasks.push_back(make_task(i, rates[(i / 6) % 5], rebuffer));
+  }
+  result.switch_count = 9;
+  result.startup_delay_s = 3.0;
+  result.rebuffer_events = 2;
+  const auto under = session_qoe(result, model);
+  EXPECT_NEAR(under.base_mos, 4.1262004175002041, 1e-12);
+  EXPECT_NEAR(under.startup_penalty, 0.15, 1e-12);
+  EXPECT_NEAR(under.stall_penalty, 0.3, 1e-12);
+  EXPECT_NEAR(under.oscillation_penalty, 0.3 * 9.0 / 59.0, 1e-12);
+  EXPECT_NEAR(under.mos, 3.6304377056357975, 1e-12);
+
+  result.startup_delay_s = 20.0;
+  result.rebuffer_events = 9;
+  const auto capped = session_qoe(result, model);
+  EXPECT_NEAR(capped.startup_penalty, 0.5, 1e-12);
+  EXPECT_NEAR(capped.stall_penalty, 1.0, 1e-12);
+  EXPECT_NEAR(capped.mos, 2.5804377056357972, 1e-12);
 }
 
 TEST(SessionQoeTest, BoundedToMosRange) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <utility>
 
 #include "eacs/trace/accel_gen.h"
 
@@ -17,6 +19,20 @@ AccelTrace synthetic(double amplitude, double freq_hz, double duration_s = 20.0)
   for (double t = 0.0; t < duration_s; t += dt) {
     trace.push_back(
         {t, 0.0, 0.0, kGravity + amplitude * std::sin(2.0 * kPi * freq_hz * t)});
+  }
+  return trace;
+}
+
+/// A 20 s, 50 Hz trace of summed (amplitude, frequency) tones.
+AccelTrace tones(std::initializer_list<std::pair<double, double>> parts) {
+  AccelTrace trace;
+  const double dt = 1.0 / 50.0;
+  for (double t = 0.0; t < 20.0; t += dt) {
+    double z = kGravity;
+    for (const auto& [amplitude, freq_hz] : parts) {
+      z += amplitude * std::sin(2.0 * kPi * freq_hz * t);
+    }
+    trace.push_back({t, 0.0, 0.0, z});
   }
   return trace;
 }
@@ -49,6 +65,17 @@ TEST(MotionFeaturesTest, DominantFrequencyFound) {
   const auto features = compute_motion_features(trace);
   EXPECT_NEAR(features.dominant_hz, 5.0, 0.3);
   EXPECT_GT(features.rms, 1.0);
+}
+
+// Pins the sample rate, high-pass cutoff and scan grid by literal values:
+// tones at 1.7, 6, 19 and 21 Hz (the last two on either side of the 20 Hz
+// scan ceiling, so moving it either way moves the spread).
+TEST(MotionFeaturesTest, FixedWindowFeaturesArePinned) {
+  const auto features = compute_motion_features(
+      tones({{1.0, 1.7}, {0.5, 6.0}, {0.3, 19.0}, {0.3, 21.0}}));
+  EXPECT_NEAR(features.rms, 0.79595207156307768, 1e-12);
+  EXPECT_NEAR(features.dominant_hz, 1.7, 1e-9);
+  EXPECT_NEAR(features.spectral_spread, 4.5420559382036494, 1e-12);
 }
 
 TEST(MotionFeaturesTest, EmptyWindow) {
@@ -123,6 +150,27 @@ TEST(ClassifierTest, CalibratedVibrationNearTarget) {
     const auto features = compute_motion_features(trace);
     EXPECT_NEAR(features.rms, target, 0.15 * target) << "target " << target;
   }
+}
+
+// Pins the detector thresholds by their edges: each pair of windows sits on
+// either side of one threshold, 0.1 Hz or a few hundredths from it.
+TEST(ClassifierTest, ThresholdEdgesArePinned) {
+  // Static below an RMS of 0.25 m/s^2 (2 Hz tones reading 0.233 and 0.266).
+  EXPECT_EQ(classify_window(tones({{0.35, 2.0}})), Context::kStatic);
+  EXPECT_EQ(classify_window(tones({{0.40, 2.0}})), Context::kWalking);
+  // The walking cadence band is [1.2, 2.8] Hz.
+  EXPECT_EQ(classify_window(tones({{1.0, 1.1}})), Context::kVehicle);
+  EXPECT_EQ(classify_window(tones({{1.0, 1.3}})), Context::kWalking);
+  EXPECT_EQ(classify_window(tones({{1.0, 2.7}})), Context::kWalking);
+  EXPECT_EQ(classify_window(tones({{1.0, 2.9}})), Context::kVehicle);
+  // Walking is narrowband: a 6 Hz overtone spreads a 2 Hz cadence past the
+  // 1.8 Hz bar between these two amplitudes.
+  const auto narrow = tones({{1.0, 2.0}, {0.55, 6.0}});
+  const auto broad = tones({{1.0, 2.0}, {0.65, 6.0}});
+  EXPECT_NEAR(compute_motion_features(narrow).spectral_spread, 1.71, 0.01);
+  EXPECT_NEAR(compute_motion_features(broad).spectral_spread, 1.86, 0.02);
+  EXPECT_EQ(classify_window(narrow), Context::kWalking);
+  EXPECT_EQ(classify_window(broad), Context::kVehicle);
 }
 
 TEST(ClassifierTest, ToStringLabels) {

@@ -87,7 +87,7 @@ TEST(FaultStudyTest, OptimalPlansOnThePlayersVibration) {
   const auto result = run_fault_study(config);
   const auto& cell = result.cell("Optimal", 0.0, 0.0);
 
-  const StudySessions fixture(config.evaluation, config.evaluation.player);
+  const StudySessions fixture(config.evaluation);
   StudyTotals want;
   for (std::size_t s = 0; s < fixture.size(); ++s) {
     sensors::VibrationTrack track(fixture.sessions[s].accel,

@@ -80,10 +80,9 @@ TEST(StudyTotalsTest, AddSumsTotalsAndAveragesTheMeans) {
 TEST(StudySessionsTest, BuildsTheTableVFixtureOnThePlayerItIsGiven) {
   EvaluationConfig evaluation;
   evaluation.session_options.margin_s = 60.0;
-  player::PlayerConfig player = evaluation.player;
-  player.hedge_enabled = !player.hedge_enabled;
+  evaluation.player.hedge_enabled = !evaluation.player.hedge_enabled;
 
-  const StudySessions fixture(evaluation, player);
+  const StudySessions fixture(evaluation);
   ASSERT_EQ(fixture.size(), 5U);
   ASSERT_EQ(fixture.manifests.size(), 5U);
   ASSERT_EQ(fixture.simulators.size(), 5U);
@@ -93,7 +92,7 @@ TEST(StudySessionsTest, BuildsTheTableVFixtureOnThePlayerItIsGiven) {
     EXPECT_EQ(fixture.manifests[s].video_id(), expected.video_id());
     EXPECT_EQ(fixture.manifests[s].num_segments(), expected.num_segments());
     EXPECT_EQ(fixture.simulators[s].config().hedge_enabled,
-              player.hedge_enabled);
+              evaluation.player.hedge_enabled);
   }
   EXPECT_EQ(fixture.objective.config().alpha, evaluation.alpha);
 }
@@ -101,8 +100,7 @@ TEST(StudySessionsTest, BuildsTheTableVFixtureOnThePlayerItIsGiven) {
 TEST(StudySessionsTest, RejectsAnInvalidEvaluation) {
   EvaluationConfig evaluation;
   evaluation.segment_duration_s = 0.0;
-  EXPECT_THROW(StudySessions(evaluation, evaluation.player),
-               std::invalid_argument);
+  EXPECT_THROW(StudySessions{evaluation}, std::invalid_argument);
 }
 
 // The cells carry every StudyTotals field, filled from the same session

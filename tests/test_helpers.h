@@ -5,6 +5,9 @@
 #include <cmath>
 
 #include "eacs/media/manifest.h"
+#include "eacs/net/fault_injector.h"
+#include "eacs/player/player.h"
+#include "eacs/player/session_engine.h"
 #include "eacs/trace/session.h"
 
 namespace eacs::testing {
@@ -50,6 +53,19 @@ inline trace::SessionTraces make_step_session(double duration_s, double first_mb
   }
   session.throughput_mbps = std::move(stepped);
   return session;
+}
+
+/// Replays `session` on the simulator's manifest and config through a fault
+/// injector: one analytic SessionEngine run of one client over a
+/// FaultLinkModel, engaging the resilience state machine. An inactive
+/// injector (FaultSpec{}) is a strict no-op against PlayerSimulator::run.
+inline player::PlaybackResult run_with_link_faults(
+    const player::PlayerSimulator& simulator, player::AbrPolicy& policy,
+    const trace::SessionTraces& session, const net::FaultInjector& faults,
+    player::SessionObserver* observer = nullptr) {
+  const player::SessionClient client{&simulator.manifest(), &policy, &session};
+  const player::SessionEngine engine(player::SessionEngineConfig{simulator.config()});
+  return engine.run(client, player::FaultLinkModel(faults), observer);
 }
 
 /// A small CBR manifest on the paper's 14-rate evaluation ladder.

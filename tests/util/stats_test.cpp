@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -67,12 +68,6 @@ TEST(StatsTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
 }
 
-TEST(StatsTest, MinMax) {
-  const std::vector<double> xs = {3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_of(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_of(xs), 7.0);
-}
-
 TEST(StatsTest, PearsonPerfectCorrelation) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> ys = {2.0, 4.0, 6.0, 8.0};
@@ -98,8 +93,8 @@ TEST(RunningStatsTest, MatchesBatchStatistics) {
   }
   EXPECT_NEAR(stats.mean(), mean(xs), 1e-9);
   EXPECT_NEAR(stats.variance(), variance(xs), 1e-6);
-  EXPECT_DOUBLE_EQ(stats.min(), min_of(xs));
-  EXPECT_DOUBLE_EQ(stats.max(), max_of(xs));
+  EXPECT_DOUBLE_EQ(stats.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_DOUBLE_EQ(stats.max(), *std::max_element(xs.begin(), xs.end()));
   EXPECT_EQ(stats.count(), xs.size());
 }
 
