@@ -9,7 +9,9 @@
 // A TaskCostTable precomputes those once per TaskEnvironment into flat
 // contiguous (SoA) arrays, so an edge weight (j, j') reduces to a handful of
 // adds/compares on cached doubles: O(N*M) model evaluations per plan instead
-// of O(N*M^2).
+// of O(N*M^2). The radio's energy per MB depends on the task's signal alone,
+// so a table evaluates it (one exp) once for its M levels, and its eight
+// columns share one allocation (DESIGN §8).
 //
 // Bit-identity contract: the table replays the *exact* floating-point
 // operations of Objective::task_cost — same subexpressions, same evaluation
@@ -21,7 +23,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "eacs/core/objective.h"
@@ -30,13 +34,15 @@
 
 namespace eacs::core {
 
-/// Cached Eq. 11 edge-cost evaluator for one task environment.
+/// Cached Eq. 11 edge-cost evaluator for one task environment. Move-only:
+/// its columns point into one owned block.
 class TaskCostTable {
  public:
   /// Precomputes all per-level components of task_cost(env, *, *, buffer_s).
-  /// Performs M power-model and M+1 QoE-model evaluations; every edge_cost
-  /// call afterwards performs none. Throws std::invalid_argument on an
-  /// empty ladder.
+  /// Performs (and counts) M power-model and M+1 QoE-model evaluations, the
+  /// M power evaluations on one energy_per_mb of the task's signal (one
+  /// exp); every edge_cost call afterwards performs none. Throws
+  /// std::invalid_argument on an empty ladder.
   TaskCostTable(const Objective& objective, const TaskEnvironment& env,
                 double buffer_s);
 
@@ -49,7 +55,7 @@ class TaskCostTable {
   TaskCostTable(const Objective& objective, const TaskEnvironment& env,
                 double buffer_s, const qoe::RungTerms& rungs);
 
-  std::size_t num_levels() const noexcept { return energy_.size(); }
+  std::size_t num_levels() const noexcept { return m_; }
 
   /// Edge weight with no switch coupling (first task / reference level):
   /// bitwise equal to Objective::task_cost(env, level, std::nullopt, buffer_s).
@@ -73,18 +79,24 @@ class TaskCostTable {
   /// Pareto front) builds tables once and re-weights per sample.
   void reweight(double alpha) noexcept;
 
-  // Component accessors (certification tests and introspection).
-  double energy(std::size_t level) const { return energy_.at(level); }
+  // Component accessors (certification tests and introspection); each
+  // throws std::out_of_range unless level < num_levels().
+  double energy(std::size_t level) const { return at(energy_, level); }
   double energy_max() const noexcept { return energy_max_; }
-  double quality_base(std::size_t level) const { return quality_base_.at(level); }
+  double quality_base(std::size_t level) const { return at(quality_base_, level); }
   double original_quality(std::size_t level) const {
-    return original_quality_.at(level);
+    return at(original_quality_, level);
   }
-  double rebuffer_s(std::size_t level) const { return rebuffer_s_.at(level); }
+  double rebuffer_s(std::size_t level) const { return at(rebuffer_s_, level); }
   double quality_max() const noexcept { return quality_max_; }
   double alpha() const noexcept { return alpha_; }
 
  private:
+  double at(const double* column, std::size_t level) const {
+    if (level >= m_) throw std::out_of_range("TaskCostTable: level out of range");
+    return column[level];
+  }
+
   // Inline, with edge_cost, so the planners' DP loops make no calls.
   double switch_impair(std::size_t level, std::size_t prev_level) const noexcept {
     // switch_impairment guards on the *previous* bitrate only.
@@ -100,15 +112,20 @@ class TaskCostTable {
     return e_cost_[level] - one_minus_alpha_ * q_term;
   }
 
-  // Per-level components (SoA, contiguous).
-  std::vector<double> energy_;            ///< task_energy(env, j, buffer_s)
-  std::vector<double> e_term_;            ///< energy[j]/energy_max (guarded)
-  std::vector<double> e_cost_;            ///< alpha * e_term[j]
-  std::vector<double> quality_base_;      ///< q0(r_j) - I(v, r_j)
-  std::vector<double> original_quality_;  ///< q0(r_j), feeds the switch term
-  std::vector<double> bitrate_mbps_;      ///< r_j, guards the switch term
-  std::vector<double> rebuffer_s_;        ///< expected stall at this level
-  std::vector<double> rebuffer_impair_;   ///< mu * max(0, rebuffer_s[j])
+  // Per-level components (SoA): eight columns of m_ doubles in one block.
+  // The columns are pointers, not offsets from the block: the DP's size_t
+  // stores could alias a size_t offset and reload it on every edge. The
+  // defaulted moves carry the block and its column pointers together.
+  std::unique_ptr<double[]> block_;
+  std::size_t m_ = 0;
+  double* energy_ = nullptr;            ///< task_energy(env, j, buffer_s)
+  double* e_term_ = nullptr;            ///< energy[j]/energy_max (guarded)
+  double* e_cost_ = nullptr;            ///< alpha * e_term[j]
+  double* quality_base_ = nullptr;      ///< q0(r_j) - I(v, r_j)
+  double* original_quality_ = nullptr;  ///< q0(r_j), feeds the switch term
+  double* bitrate_mbps_ = nullptr;      ///< r_j, guards the switch term
+  double* rebuffer_s_ = nullptr;        ///< expected stall at this level
+  double* rebuffer_impair_ = nullptr;   ///< mu * max(0, rebuffer_s[j])
 
   // Per-task scalars.
   double energy_max_ = 0.0;    ///< task_energy at the top rung (normaliser)

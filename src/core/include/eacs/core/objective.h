@@ -49,6 +49,12 @@ class Objective {
   double task_energy(const TaskEnvironment& env, std::size_t level,
                      double buffer_s) const;
 
+  /// The power model's input for task `env` at `level` with `rebuffer_s` of
+  /// expected stall: the one place task_energy and TaskCostTable build it.
+  power::TaskEnergyInput task_energy_input(const TaskEnvironment& env,
+                                           std::size_t level,
+                                           double rebuffer_s) const;
+
   /// QoE of task `env` at `level`; `prev_level` enables the switch term;
   /// stall time (from the same rebuffer estimate as the energy term) is
   /// charged via the rebuffer impairment.

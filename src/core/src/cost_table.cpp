@@ -59,39 +59,49 @@ TaskCostTable::TaskCostTable(const Objective& objective,
   mos_min_ = qoe_params.mos_min;
   mos_max_ = qoe_params.mos_max;
 
-  energy_.resize(m);
-  e_term_.resize(m);
-  e_cost_.resize(m);
-  quality_base_.resize(m);
-  original_quality_.resize(m);
-  bitrate_mbps_.resize(m);
-  rebuffer_s_.resize(m);
-  rebuffer_impair_.resize(m);
+  // One block for the eight columns; the loops below write every slot.
+  m_ = m;
+  block_ = std::make_unique_for_overwrite<double[]>(8 * m);
+  energy_ = block_.get();
+  e_term_ = energy_ + m;
+  e_cost_ = e_term_ + m;
+  quality_base_ = e_cost_ + m;
+  original_quality_ = quality_base_ + m;
+  bitrate_mbps_ = original_quality_ + m;
+  rebuffer_s_ = bitrate_mbps_ + m;
+  rebuffer_impair_ = rebuffer_s_ + m;
 
   // Exactly the vibration input task_qoe builds (context_aware ablation),
   // and the table's one pow: kappa * v^alpha_v.
   const double vibration = config.context_aware ? env.vibration : 0.0;
   const double weight = qoe.vibration_weight(vibration);
+  // The radio's e(s) of the task's signal, the table's one exp: every level
+  // downloads at that signal.
+  const power::PowerModel& power = objective.power_model();
+  const double j_per_mb = power.energy_per_mb(env.signal_dbm);
   CostStats* stats = CostStatsScope::current();
   for (std::size_t level = 0; level < m; ++level) {
-    // task_energy's model call, verbatim (counted inside task_energy).
-    energy_[level] = objective.task_energy(env, level, buffer_s);
+    // task_energy's rebuffer estimate, input and model body, verbatim, on
+    // the shared e(s); the one estimate also feeds the QoE's stall term.
+    rebuffer_s_[level] = objective.expected_rebuffer_s(
+        env.size_megabits[level], env.bandwidth_mbps, buffer_s);
+    energy_[level] = power.task_energy(
+        objective.task_energy_input(env, level, rebuffer_s_[level]), j_per_mb);
+    if (stats) ++stats->power_model_evals;
     // task_qoe's subexpressions, verbatim: q0 and I(v, r) from the rung
-    // terms, then the rebuffer estimate.
+    // terms, then the rebuffer impairment.
     bitrate_mbps_[level] = rungs.bitrate_mbps[level];
     original_quality_[level] = rungs.quality[level];
     quality_base_[level] =
         original_quality_[level] -
         qoe.vibration_impairment(rungs, level, vibration, weight);
-    rebuffer_s_[level] = objective.expected_rebuffer_s(
-        env.size_megabits[level], env.bandwidth_mbps, buffer_s);
     rebuffer_impair_[level] =
         qoe_params.rebuffer_penalty_per_s * std::max(0.0, rebuffer_s_[level]);
     if (stats) ++stats->qoe_model_evals;  // q0 + I together = one segment eval
   }
 
   // task_cost's normalisers: energy at the top rung with the same buffer
-  // (bitwise the energy_[m-1] just computed — same call, same arguments),
+  // (bitwise the energy_[m-1] just computed: the same body and arguments),
   // and task_qoe(env, m - 1, nullopt, threshold): the top rung's q0 - I with
   // no switch term and the config threshold's rebuffer estimate.
   energy_max_ = energy_[m - 1];
@@ -112,7 +122,7 @@ TaskCostTable::TaskCostTable(const Objective& objective,
 void TaskCostTable::reweight(double alpha) noexcept {
   alpha_ = alpha;
   one_minus_alpha_ = 1.0 - alpha;
-  for (std::size_t level = 0; level < e_term_.size(); ++level) {
+  for (std::size_t level = 0; level < m_; ++level) {
     e_cost_[level] = alpha_ * e_term_[level];
   }
 }

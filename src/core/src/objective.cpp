@@ -30,9 +30,15 @@ double Objective::expected_rebuffer_s(double size_megabits, double bandwidth_mbp
 double Objective::task_energy(const TaskEnvironment& env, std::size_t level,
                               double buffer_s) const {
   if (CostStats* stats = CostStatsScope::current()) ++stats->power_model_evals;
+  const double rebuffer = expected_rebuffer_s(env.size_megabits.at(level),
+                                              env.bandwidth_mbps, buffer_s);
+  return power_.task_energy(task_energy_input(env, level, rebuffer));
+}
+
+power::TaskEnergyInput Objective::task_energy_input(const TaskEnvironment& env,
+                                                    std::size_t level,
+                                                    double rebuffer_s) const {
   const double size_megabits = env.size_megabits.at(level);
-  const double rebuffer =
-      expected_rebuffer_s(size_megabits, env.bandwidth_mbps, buffer_s);
   power::TaskEnergyInput input;
   input.size_mb = size_megabits / 8.0;
   // During a task, the player renders content of this task's bitrate for the
@@ -41,8 +47,8 @@ double Objective::task_energy(const TaskEnvironment& env, std::size_t level,
   input.bitrate_mbps = size_megabits / std::max(1e-9, env.duration_s);
   input.signal_dbm = env.signal_dbm;
   input.play_s = env.duration_s;
-  input.rebuffer_s = rebuffer;
-  return power_.task_energy(input);
+  input.rebuffer_s = rebuffer_s;
+  return input;
 }
 
 double Objective::task_qoe(const TaskEnvironment& env, std::size_t level,

@@ -83,8 +83,15 @@ class PowerModel {
   /// Power while stalled [W].
   double pause_power() const noexcept { return params_.p_pause_w; }
 
-  /// Whole-task energy (Eq. 10 reconstruction) [J].
+  /// Whole-task energy (Eq. 10 reconstruction) [J]:
+  /// task_energy(input, energy_per_mb(input.signal_dbm)).
   double task_energy(const TaskEnergyInput& input) const noexcept;
+
+  /// The same energy, given the radio's j_per_mb = energy_per_mb(s) of the
+  /// task's signal (input.signal_dbm is not read): a caller pricing several
+  /// tasks at one signal evaluates e(s) once. The one body of Eqs. 8-10.
+  double task_energy(const TaskEnergyInput& input,
+                     double j_per_mb) const noexcept;
 
  private:
   PowerModelParams params_;

@@ -66,7 +66,13 @@ double PowerModel::playback_power(double bitrate_mbps) const noexcept {
 }
 
 double PowerModel::task_energy(const TaskEnergyInput& input) const noexcept {
-  double energy = download_energy(input.size_mb, input.signal_dbm);
+  return task_energy(input, energy_per_mb(input.signal_dbm));
+}
+
+double PowerModel::task_energy(const TaskEnergyInput& input,
+                               double j_per_mb) const noexcept {
+  // download_energy's guard and product, on the given e(s).
+  double energy = input.size_mb <= 0.0 ? 0.0 : input.size_mb * j_per_mb;
   if (input.play_s > 0.0) {
     energy += playback_power(input.bitrate_mbps) * input.play_s;
   }

@@ -72,7 +72,14 @@ MotionFeatures compute_motion_features(std::span<const AccelSample> window) {
   std::vector<std::pair<double, double>> spectrum;  // (freq, power)
   const double top = std::min(kClassifierScanMaxHz,
                               kClassifierSampleRateHz / 2.0 - kClassifierScanStepHz);
-  for (double f = kClassifierScanStepHz; f <= top; f += kClassifierScanStepHz) {
+  // Bin k sits at k / (1 / step) Hz, computed from its index: a running sum
+  // of steps drifts above the grid (bin 28 would read 2.8000000000000012 and
+  // the 20 Hz ceiling bin would be skipped).
+  const double bins_per_hz = 1.0 / kClassifierScanStepHz;
+  const auto bins =
+      static_cast<std::size_t>(std::round(top / kClassifierScanStepHz));
+  for (std::size_t k = 1; k <= bins; ++k) {
+    const double f = static_cast<double>(k) / bins_per_hz;
     const double power = goertzel_power(ac, f, kClassifierSampleRateHz);
     spectrum.emplace_back(f, power);
     total_power += power;

@@ -43,7 +43,11 @@ struct SessionMetrics {
   std::size_t abandoned_segments = 0;
 };
 
-/// Computes all metrics for one run.
+/// Computes all metrics for one run, in one pass over the tasks that
+/// evaluates each task's energy per MB once: total_energy_j is bitwise
+/// session_energy_j, and base_energy_j is the same session with every
+/// segment at the lowest rung and no stalls, priced under each task's
+/// recorded signal.
 SessionMetrics compute_metrics(const std::string& algorithm, int session_id,
                                const player::PlaybackResult& result,
                                const media::VideoManifest& manifest,
@@ -61,14 +65,9 @@ double session_energy_j(const player::PlaybackResult& result,
 double session_wasted_energy_j(const player::PlaybackResult& result,
                                const power::PowerModel& power_model);
 
-/// Base energy: the same session with every segment at the lowest rung and
-/// no stalls, priced under each task's recorded signal conditions.
-double session_base_energy_j(const player::PlaybackResult& result,
-                             const media::VideoManifest& manifest,
-                             const power::PowerModel& power_model);
-
 /// Duration-weighted mean per-task QoE (vibration, switch and rebuffer
-/// impairments included).
+/// impairments included), bitwise the sum of segment_qoe over the tasks;
+/// q0(r) and r^beta are evaluated once per run of equal bitrates.
 double session_mean_qoe(const player::PlaybackResult& result,
                         const qoe::QoeModel& qoe_model);
 

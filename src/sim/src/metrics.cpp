@@ -1,20 +1,36 @@
 #include "eacs/sim/metrics.h"
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+
 #include "eacs/power/rrc.h"
 
 namespace eacs::sim {
+namespace {
+
+/// The power model's input for what task `task` downloaded and played.
+power::TaskEnergyInput played_input(const player::TaskRecord& task) {
+  power::TaskEnergyInput input;
+  input.size_mb = task.size_mb;
+  input.bitrate_mbps = task.bitrate_mbps;
+  input.signal_dbm = task.signal_dbm;
+  input.play_s = task.duration_s;
+  input.rebuffer_s = task.rebuffer_s;
+  return input;
+}
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 double session_energy_j(const player::PlaybackResult& result,
                         const power::PowerModel& power_model) {
   double total = 0.0;
   for (const auto& task : result.tasks) {
-    power::TaskEnergyInput input;
-    input.size_mb = task.size_mb;
-    input.bitrate_mbps = task.bitrate_mbps;
-    input.signal_dbm = task.signal_dbm;
-    input.play_s = task.duration_s;
-    input.rebuffer_s = task.rebuffer_s;
-    total += power_model.task_energy(input);
+    total += power_model.task_energy(played_input(task));
   }
   // Aborted transfers drain the battery too (zero on fault-free runs).
   return total + session_wasted_energy_j(result, power_model);
@@ -31,42 +47,31 @@ double session_wasted_energy_j(const player::PlaybackResult& result,
   return total;
 }
 
-double session_base_energy_j(const player::PlaybackResult& result,
-                             const media::VideoManifest& manifest,
-                             const power::PowerModel& power_model) {
-  const std::size_t lowest = manifest.ladder().lowest_level();
-  double total = 0.0;
-  for (const auto& task : result.tasks) {
-    power::TaskEnergyInput input;
-    input.size_mb = manifest.segment_size_megabits(task.segment_index, lowest) / 8.0;
-    input.bitrate_mbps = manifest.ladder().bitrate(lowest);
-    input.signal_dbm = task.signal_dbm;
-    input.play_s = task.duration_s;
-    input.rebuffer_s = 0.0;
-    total += power_model.task_energy(input);
-  }
-  return total;
-}
-
 double session_mean_qoe(const player::PlaybackResult& result,
                         const qoe::QoeModel& qoe_model) {
+  // One rung per run of tasks whose bitrates share a bit pattern: q0(r) and
+  // r^beta once per run, kappa * v^alpha once per task (in segment_qoe).
+  std::vector<double> run_bitrates;
+  for (const auto& task : result.tasks) {
+    if (run_bitrates.empty() ||
+        !same_bits(task.bitrate_mbps, run_bitrates.back())) {
+      run_bitrates.push_back(task.bitrate_mbps);
+    }
+  }
+  const qoe::RungTerms rungs = qoe_model.rung_terms(run_bitrates);
   double weighted = 0.0;
   double duration = 0.0;
-  double prev_bitrate = 0.0;
-  double prev_quality = 0.0;  // read only once prev_bitrate is > 0
+  std::size_t run = 0;
+  std::optional<std::size_t> prev_run;  // none for the first task
   for (const auto& task : result.tasks) {
-    qoe::SegmentContext context;
-    context.bitrate_mbps = task.bitrate_mbps;
-    context.vibration = task.vibration;
-    context.prev_bitrate_mbps = prev_bitrate;
-    context.rebuffer_s = task.rebuffer_s;
-    // One q0 per task: this task's is the next one's switch reference.
-    const double quality = qoe_model.original_quality(task.bitrate_mbps);
-    weighted += qoe_model.segment_qoe(context, quality, prev_quality) *
+    if (prev_run && !same_bits(task.bitrate_mbps, rungs.bitrate_mbps[run])) {
+      ++run;
+    }
+    weighted += qoe_model.segment_qoe(rungs, run, prev_run, task.vibration,
+                                      task.rebuffer_s) *
                 task.duration_s;
     duration += task.duration_s;
-    prev_bitrate = task.bitrate_mbps;
-    prev_quality = quality;
+    prev_run = run;
   }
   return duration > 0.0 ? weighted / duration : 0.0;
 }
@@ -101,11 +106,31 @@ SessionMetrics compute_metrics(const std::string& algorithm, int session_id,
                                const media::VideoManifest& manifest,
                                const qoe::QoeModel& qoe_model,
                                const power::PowerModel& power_model) {
+  // One pass, one e(s) per task: it prices what the task played (the sum
+  // session_energy_j takes) and the lowest rung at the task's signal with no
+  // stall (the base energy).
+  const std::size_t lowest = manifest.ladder().lowest_level();
+  const double lowest_bitrate = manifest.ladder().bitrate(lowest);
+  double played = 0.0;
+  double base = 0.0;
+  for (const auto& task : result.tasks) {
+    const double j_per_mb = power_model.energy_per_mb(task.signal_dbm);
+    played += power_model.task_energy(played_input(task), j_per_mb);
+    power::TaskEnergyInput lowest_input;
+    lowest_input.size_mb =
+        manifest.segment_size_megabits(task.segment_index, lowest) / 8.0;
+    lowest_input.bitrate_mbps = lowest_bitrate;
+    lowest_input.signal_dbm = task.signal_dbm;
+    lowest_input.play_s = task.duration_s;
+    base += power_model.task_energy(lowest_input, j_per_mb);
+  }
+  const double wasted = session_wasted_energy_j(result, power_model);
+
   SessionMetrics metrics;
   metrics.algorithm = algorithm;
   metrics.session_id = session_id;
-  metrics.total_energy_j = session_energy_j(result, power_model);
-  metrics.base_energy_j = session_base_energy_j(result, manifest, power_model);
+  metrics.total_energy_j = played + wasted;
+  metrics.base_energy_j = base;
   metrics.extra_energy_j = metrics.total_energy_j - metrics.base_energy_j;
   metrics.mean_qoe = session_mean_qoe(result, qoe_model);
   metrics.mean_bitrate_mbps = result.mean_bitrate_mbps();
@@ -114,7 +139,7 @@ SessionMetrics compute_metrics(const std::string& algorithm, int session_id,
   metrics.rebuffer_events = result.rebuffer_events;
   metrics.switch_count = result.switch_count;
   metrics.startup_delay_s = result.startup_delay_s;
-  metrics.wasted_energy_j = session_wasted_energy_j(result, power_model);
+  metrics.wasted_energy_j = wasted;
   metrics.wasted_mb = result.total_wasted_mb;
   metrics.retries = result.total_retries;
   metrics.abandoned_segments = result.abandoned_segments;

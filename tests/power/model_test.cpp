@@ -104,6 +104,54 @@ TEST(PowerModelTest, TailEnergyExtension) {
               3 * 0.8, 1e-9);
 }
 
+// task_energy(input, e) is the one body of Eqs. 8-10: a caller that
+// evaluates e(s) once per signal (a cost table, compute_metrics) must get
+// the bits of task_energy(input) and of the composition from the public
+// terms, also where a clamp of e(s), the tail term or a size <= 0 binds.
+TEST(PowerModelTest, SharedEnergyPerMbKeepsTheBits) {
+  for (const double tail_j : {0.0, 0.3}) {
+    PowerModelParams params;
+    params.tail_energy_j = tail_j;
+    const PowerModel model(params);
+    int cases = 0;
+    for (const double signal_dbm : {-40.0, -90.0, -115.0, -160.0}) {
+      const double j_per_mb = model.energy_per_mb(signal_dbm);
+      for (const double size_mb : {-1.0, 0.0, 0.5, 3.0}) {
+        for (const double play_s : {0.0, 2.0}) {
+          for (const double rebuffer_s : {0.0, 1.5}) {
+            for (const std::size_t bursts : {1U, 3U}) {
+              TaskEnergyInput input;
+              input.size_mb = size_mb;
+              input.bitrate_mbps = 2.5;
+              input.signal_dbm = signal_dbm;
+              input.play_s = play_s;
+              input.rebuffer_s = rebuffer_s;
+              input.download_bursts = bursts;
+              double composed = model.download_energy(size_mb, signal_dbm);
+              if (play_s > 0.0) composed += model.playback_power(2.5) * play_s;
+              if (rebuffer_s > 0.0) composed += model.pause_power() * rebuffer_s;
+              if (tail_j > 0.0 && size_mb > 0.0) {
+                composed += tail_j * static_cast<double>(bursts);
+              }
+              const double shared = model.task_energy(input, j_per_mb);
+              EXPECT_EQ(shared, model.task_energy(input))
+                  << signal_dbm << " dBm, " << size_mb << " MB, tail " << tail_j;
+              EXPECT_EQ(shared, composed)
+                  << signal_dbm << " dBm, " << size_mb << " MB, tail " << tail_j;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(cases, 128);
+  }
+  // The grid reaches both clamps of e(s).
+  const PowerModel model;
+  EXPECT_EQ(model.energy_per_mb(-40.0), model.params().e_min_j_per_mb);
+  EXPECT_EQ(model.energy_per_mb(-160.0), model.params().e_max_j_per_mb);
+}
+
 TEST(PowerModelTest, WholeSessionEnergyInTableVIRange) {
   // A 300 s clip at -90 dBm lands in Table VI's 597..708 J window and the
   // spread across the ladder is ~110 J.

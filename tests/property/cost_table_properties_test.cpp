@@ -193,6 +193,53 @@ TEST_P(CostTableBitIdentity, ReferenceLevelMatchesLegacyArgmin) {
   }
 }
 
+// The random ladders price e(s) inside its clamps, with no tail term and no
+// zero-size rung. Here the table's one e(s) per task meets both clamps
+// (-40 and -160 dBm), the tail term (tail_energy_j > 0, charged only on a
+// rung with bytes to move) and a zero-size lowest rung.
+TEST_P(CostTableBitIdentity, ClampedSignalsTailAndZeroSizeRung) {
+  const auto [seed, m, alpha] = GetParam();
+  power::PowerModelParams power_params;
+  power_params.tail_energy_j = 0.3;
+  ObjectiveConfig config;
+  config.alpha = alpha;
+  const Objective objective(qoe::QoeModel{}, power::PowerModel(power_params),
+                            config);
+  auto tasks = random_tasks(6, m, seed);
+  const double signals[] = {-40.0, -160.0, -100.0};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].signal_dbm = signals[i % 3];
+    tasks[i].size_megabits.front() = 0.0;
+  }
+  const std::size_t n = tasks.size();
+  for (const double buffer_s : {5.0, 30.0}) {
+    CostStats stats;
+    std::vector<TaskCostTable> tables;
+    {
+      CostStatsScope scope(stats);
+      tables = build_cost_tables(objective, tasks, buffer_s);
+    }
+    EXPECT_EQ(stats.power_model_evals, n * m);
+    ASSERT_EQ(tables.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const TaskEnvironment& env = tasks[i];
+      EXPECT_EQ(tables[i].energy(0), objective.task_energy(env, 0, buffer_s));
+      EXPECT_EQ(tables[i].energy_max(),
+                objective.task_energy(env, m - 1, buffer_s));
+      for (std::size_t j = 0; j < m; ++j) {
+        EXPECT_EQ(tables[i].edge_cost(j),
+                  objective.task_cost(env, j, std::nullopt, buffer_s))
+            << "task " << i << " level " << j;
+        for (std::size_t jp = 0; jp < m; ++jp) {
+          EXPECT_EQ(tables[i].edge_cost(j, jp),
+                    objective.task_cost(env, j, jp, buffer_s))
+              << "task " << i << " level " << j << " prev " << jp;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomLadders, CostTableBitIdentity,
     ::testing::Values(Params{101, 2, 0.5}, Params{102, 5, 0.5},

@@ -78,6 +78,14 @@ TEST(MotionFeaturesTest, FixedWindowFeaturesArePinned) {
   EXPECT_NEAR(features.spectral_spread, 4.5420559382036494, 1e-12);
 }
 
+// The scan's bins come from their indices, so the 20 Hz ceiling bin is
+// scanned at exactly 20 Hz: a running sum of 0.1 Hz steps reached
+// 19.900000000000013 and stopped, and a 20 Hz tone then read 0.1 Hz.
+TEST(MotionFeaturesTest, ScanReachesTheCeilingBin) {
+  EXPECT_EQ(compute_motion_features(tones({{1.0, 20.0}})).dominant_hz, 20.0);
+  EXPECT_EQ(compute_motion_features(tones({{1.0, 2.8}})).dominant_hz, 2.8);
+}
+
 TEST(MotionFeaturesTest, EmptyWindow) {
   const auto features = compute_motion_features({});
   EXPECT_DOUBLE_EQ(features.rms, 0.0);
@@ -153,15 +161,18 @@ TEST(ClassifierTest, CalibratedVibrationNearTarget) {
 }
 
 // Pins the detector thresholds by their edges: each pair of windows sits on
-// either side of one threshold, 0.1 Hz or a few hundredths from it.
+// either side of one threshold, 0.1 Hz or a few hundredths from it, and a
+// tone on a band edge lands inside the closed band.
 TEST(ClassifierTest, ThresholdEdgesArePinned) {
   // Static below an RMS of 0.25 m/s^2 (2 Hz tones reading 0.233 and 0.266).
   EXPECT_EQ(classify_window(tones({{0.35, 2.0}})), Context::kStatic);
   EXPECT_EQ(classify_window(tones({{0.40, 2.0}})), Context::kWalking);
   // The walking cadence band is [1.2, 2.8] Hz.
   EXPECT_EQ(classify_window(tones({{1.0, 1.1}})), Context::kVehicle);
+  EXPECT_EQ(classify_window(tones({{1.0, 1.2}})), Context::kWalking);
   EXPECT_EQ(classify_window(tones({{1.0, 1.3}})), Context::kWalking);
   EXPECT_EQ(classify_window(tones({{1.0, 2.7}})), Context::kWalking);
+  EXPECT_EQ(classify_window(tones({{1.0, 2.8}})), Context::kWalking);
   EXPECT_EQ(classify_window(tones({{1.0, 2.9}})), Context::kVehicle);
   // Walking is narrowband: a 6 Hz overtone spreads a 2 Hz cadence past the
   // 1.8 Hz bar between these two amplitudes.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "eacs/abr/festive.h"
 #include "eacs/abr/fixed.h"
 #include "eacs/core/optimal.h"
 #include "eacs/core/task.h"
@@ -58,13 +62,71 @@ TEST(MetricsTest, LowestBitrateRunHasNoExtraEnergy) {
 }
 
 TEST(SessionMeanQoe, EqualsThePerTaskSegmentQoeSum) {
-  // session_mean_qoe evaluates q0 once per task and carries it on as the
-  // next task's switch reference. It must keep the bits of the per-task
-  // sum of segment_qoe(context), whose context names the previous task's
-  // bitrate, and of that sum composed from the model's public terms. The
-  // tasks mix ladder rungs, zero-bitrate tasks (no switch term after them),
-  // repeats and switches, stalls and quiet stretches.
+  // session_mean_qoe evaluates q0(r) and r^beta once per run of equal
+  // bitrates and kappa * v^alpha once per task. It must keep the bits of
+  // the per-task sum of segment_qoe(context), whose context names the
+  // previous task's bitrate, and of that sum composed from the model's
+  // public terms. The tasks mix ladder rungs, zero-bitrate tasks (no switch
+  // term after them), repeats and switches, stalls and quiet stretches.
   const qoe::QoeModel model;
+  const auto expect_per_task_sum = [&](const player::PlaybackResult& result,
+                                       const std::string& label) {
+    double weighted = 0.0;
+    double composed = 0.0;
+    double duration = 0.0;
+    double prev_bitrate = 0.0;
+    for (const player::TaskRecord& task : result.tasks) {
+      qoe::SegmentContext context;
+      context.bitrate_mbps = task.bitrate_mbps;
+      context.vibration = task.vibration;
+      context.prev_bitrate_mbps = prev_bitrate;
+      context.rebuffer_s = task.rebuffer_s;
+      weighted += model.segment_qoe(context) * task.duration_s;
+      composed += model.segment_qoe_from_base(
+                      model.original_quality(task.bitrate_mbps) -
+                          model.vibration_impairment(task.vibration,
+                                                     task.bitrate_mbps),
+                      model.switch_impairment(task.bitrate_mbps, prev_bitrate),
+                      task.rebuffer_s) *
+                  task.duration_s;
+      duration += task.duration_s;
+      prev_bitrate = task.bitrate_mbps;
+    }
+    const double got = session_mean_qoe(result, model);
+    EXPECT_EQ(got, weighted / duration) << label;
+    EXPECT_EQ(got, composed / duration) << label;
+  };
+
+  // Scripted: a run of one rung across a switch into a run of another, a
+  // zero-vibration stretch inside a run, and tasks at 0 and -1 Mbps each
+  // between two tasks of one rung (the run resumes with fresh terms).
+  struct Step {
+    double bitrate_mbps;
+    double vibration;
+    double rebuffer_s;
+  };
+  const Step script[] = {
+      {1.2, 4.0, 0.0}, {1.2, 5.5, 0.0}, {1.2, 0.0, 0.7}, {3.0, 0.0, 0.0},
+      {3.0, 0.0, 0.0}, {3.0, 6.0, 0.0}, {0.0, 6.0, 1.0}, {3.0, 6.0, 0.0},
+      {3.0, 2.0, 0.0}, {-1.0, 2.0, 0.0}, {3.0, 0.0, 2.5}, {1.2, 3.0, 0.0}};
+  player::PlaybackResult scripted;
+  for (const Step& step : script) {
+    player::TaskRecord task;
+    task.bitrate_mbps = step.bitrate_mbps;
+    task.vibration = step.vibration;
+    task.rebuffer_s = step.rebuffer_s;
+    task.duration_s = 2.0;
+    scripted.tasks.push_back(task);
+  }
+  expect_per_task_sum(scripted, "scripted");
+  // Each prefix ends a run at a different place.
+  for (std::size_t n = 1; n < scripted.tasks.size(); ++n) {
+    player::PlaybackResult prefix;
+    prefix.tasks.assign(scripted.tasks.begin(),
+                        scripted.tasks.begin() + static_cast<std::ptrdiff_t>(n));
+    expect_per_task_sum(prefix, "prefix " + std::to_string(n));
+  }
+
   const std::vector<double> rungs = media::BitrateLadder::evaluation14().bitrates();
   eacs::Rng rng(2026);
   for (int session = 0; session < 20; ++session) {
@@ -91,36 +153,114 @@ TEST(SessionMeanQoe, EqualsThePerTaskSegmentQoeSum) {
       }
       result.tasks.push_back(task);
     }
-
-    double weighted = 0.0;
-    double composed = 0.0;
-    double duration = 0.0;
-    double prev_bitrate = 0.0;
-    for (const player::TaskRecord& task : result.tasks) {
-      qoe::SegmentContext context;
-      context.bitrate_mbps = task.bitrate_mbps;
-      context.vibration = task.vibration;
-      context.prev_bitrate_mbps = prev_bitrate;
-      context.rebuffer_s = task.rebuffer_s;
-      weighted += model.segment_qoe(context) * task.duration_s;
-      composed += model.segment_qoe_from_base(
-                      model.original_quality(task.bitrate_mbps) -
-                          model.vibration_impairment(task.vibration,
-                                                     task.bitrate_mbps),
-                      model.switch_impairment(task.bitrate_mbps, prev_bitrate),
-                      task.rebuffer_s) *
-                  task.duration_s;
-      duration += task.duration_s;
-      prev_bitrate = task.bitrate_mbps;
-    }
-    const double got = session_mean_qoe(result, model);
-    EXPECT_EQ(got, weighted / duration) << "session " << session;
-    EXPECT_EQ(got, composed / duration) << "session " << session;
+    expect_per_task_sum(result, "session " + std::to_string(session));
     if (n > 20) {
       EXPECT_GT(switches, 0U) << "session " << session;
     }
   }
   EXPECT_EQ(session_mean_qoe(player::PlaybackResult{}, model), 0.0);
+}
+
+/// A session whose signal sweeps from -40 to -160 dBm, through both clamps
+/// of the radio's energy per MB, and whose throughput drops halfway, so a
+/// throughput policy switches rungs.
+trace::SessionTraces sweeping_session(double duration_s) {
+  auto session = eacs::testing::make_step_session(duration_s, 12.0, 1.5,
+                                                  duration_s / 2.0, -90.0, 3.0);
+  trace::TimeSeries signal;
+  for (const auto& point : session.signal_dbm.samples()) {
+    signal.append(point.t_s,
+                  std::max(-160.0, -40.0 - 120.0 * point.t_s / duration_s));
+  }
+  session.signal_dbm = std::move(signal);
+  return session;
+}
+
+/// compute_metrics prices each task's energy per MB once for both energy
+/// totals. Its totals must keep the bits of session_energy_j and of the
+/// two-pass sums spelled out here, with and without the tail term.
+void expect_one_pass_energies(const player::PlaybackResult& result,
+                              const media::VideoManifest& manifest) {
+  ASSERT_FALSE(result.tasks.empty());
+  const qoe::QoeModel qoe_model;
+  power::PowerModelParams with_tail;
+  with_tail.tail_energy_j = 0.3;
+  for (const power::PowerModel& power_model :
+       {power::PowerModel{}, power::PowerModel(with_tail)}) {
+    const SessionMetrics metrics =
+        compute_metrics("x", 1, result, manifest, qoe_model, power_model);
+    const std::size_t lowest = manifest.ladder().lowest_level();
+    double played = 0.0;
+    double base = 0.0;
+    double wasted = 0.0;
+    for (const player::TaskRecord& task : result.tasks) {
+      power::TaskEnergyInput input;
+      input.size_mb = task.size_mb;
+      input.bitrate_mbps = task.bitrate_mbps;
+      input.signal_dbm = task.signal_dbm;
+      input.play_s = task.duration_s;
+      input.rebuffer_s = task.rebuffer_s;
+      played += power_model.task_energy(input);
+      power::TaskEnergyInput lowest_input;
+      lowest_input.size_mb =
+          manifest.segment_size_megabits(task.segment_index, lowest) / 8.0;
+      lowest_input.bitrate_mbps = manifest.ladder().bitrate(lowest);
+      lowest_input.signal_dbm = task.signal_dbm;
+      lowest_input.play_s = task.duration_s;
+      base += power_model.task_energy(lowest_input);
+      if (task.wasted_mb > 0.0) {
+        wasted += power_model.download_energy(task.wasted_mb,
+                                              task.wasted_signal_dbm);
+      }
+    }
+    EXPECT_EQ(metrics.total_energy_j, session_energy_j(result, power_model));
+    EXPECT_EQ(metrics.total_energy_j, played + wasted);
+    EXPECT_EQ(metrics.base_energy_j, base);
+    EXPECT_EQ(metrics.extra_energy_j, (played + wasted) - base);
+    EXPECT_EQ(metrics.wasted_energy_j, wasted);
+    EXPECT_EQ(metrics.mean_qoe, session_mean_qoe(result, qoe_model));
+  }
+}
+
+TEST(ComputeMetricsOnePass, CbrRunKeepsTheTwoPassBits) {
+  const auto manifest = eacs::testing::make_manifest(90.0, 2.0);
+  const player::PlayerSimulator simulator(manifest);
+  abr::Festive policy;
+  const auto result = simulator.run(policy, sweeping_session(90.0));
+  EXPECT_GT(result.switch_count, 0U);
+  EXPECT_GT(result.tasks.front().signal_dbm, -50.0);
+  EXPECT_LT(result.tasks.back().signal_dbm, -150.0);
+  expect_one_pass_energies(result, manifest);
+}
+
+TEST(ComputeMetricsOnePass, VbrRunKeepsTheTwoPassBits) {
+  const media::VideoManifest manifest("vbr", 90.0, 2.0,
+                                      media::BitrateLadder::evaluation14(),
+                                      media::VbrModel{0.25});
+  const player::PlayerSimulator simulator(manifest);
+  abr::Festive policy;
+  const auto result = simulator.run(policy, sweeping_session(90.0));
+  EXPECT_GT(result.switch_count, 0U);
+  expect_one_pass_energies(result, manifest);
+}
+
+TEST(ComputeMetricsOnePass, LinkFaultRunKeepsTheTwoPassBits) {
+  const auto manifest = eacs::testing::make_manifest(90.0, 2.0);
+  const auto session = sweeping_session(90.0);
+  net::FaultSpec spec;
+  spec.outages.push_back({40.0, 52.0});
+  spec.failure_prob = 0.15;
+  spec.stall_prob = 0.08;
+  spec.seed = 29;
+  const net::FaultInjector injector(session.throughput_mbps, spec,
+                                    &session.signal_dbm);
+  const player::PlayerSimulator simulator(manifest);
+  abr::FixedBitrate policy(11, "fixed11");
+  const auto result =
+      eacs::testing::run_with_link_faults(simulator, policy, session, injector);
+  EXPECT_GT(result.total_wasted_mb, 0.0);
+  EXPECT_GT(session_wasted_energy_j(result, power::PowerModel{}), 0.0);
+  expect_one_pass_energies(result, manifest);
 }
 
 TEST(EvaluationTest, ProducesAllAlgorithmRows) {
